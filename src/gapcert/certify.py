@@ -6,12 +6,15 @@ negative eigenvalues), evaluate the residual
 
     r = target - lambda*I - x* Q^T Q x
 
-in interval arithmetic with exact target coefficients and point intervals
-for lambda and the entries of Q, and bound it by its l1 norm: for any
-lambda0 <= inf(lambda - |r|_1), the matrix target - lambda0*I is a sum of
-hermitian squares, because the residual is dominated by |r|_1 * I through
-the order-unit construction.  Every floating-point step here either
-carries one-ulp outward widening or is an exact compensated sum, so the
+with exact target coefficients and the exact values of lambda and Q, and
+bound it by its l1 norm: for any lambda0 <= inf(lambda - |r|_1), the
+matrix target - lambda0*I is a sum of hermitian squares, because the
+residual is dominated by |r|_1 * I through the order-unit construction.
+Q^T Q and its sums over product classes are enclosed in midpoint-radius
+form (Rump, BIT 39, 1999): one floating-point product gives the midpoint,
+an a-priori error bound valid for any summation order (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 3.1-3.5) the radius.  Every other
+step is widened one ulp outward or is an exact compensated sum, so the
 reported lambda0 is a mathematically valid lower bound.
 
 Certificates are self-contained canonical JSON: they store the
@@ -36,9 +39,6 @@ from .groups import GroupElement, SupportBasis, ball, model_from_spec, validate_
 from .intervals import Interval, down, up
 from .ring import EXACT
 from .words import parse_presentation
-
-_NEG_INF = -np.inf
-_POS_INF = np.inf
 
 
 class CertificateError(ValueError):
@@ -68,42 +68,59 @@ def psd_sqrt(P: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.T
 
 
+_ETA = 2.0 ** -1074  # smallest positive subnormal
+
+
+def _rho(k: int) -> float:
+    """A double >= gamma_k/(1-gamma_k) = k*u/(1-2*k*u), gamma_k = k*u/(1-k*u)."""
+    ku = Fraction(k, 2 ** 53)
+    if 3 * ku > 1:
+        raise ValueError(f"{k} terms are too many for the a-priori error bound")
+    return Interval.from_fraction(ku / (1 - 2 * ku)).hi
+
+
 def _gram_enclosure(Q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Entrywise interval enclosure of Q^T Q.
+    """Midpoint G and radius D with |Q^T Q - G| <= D entrywise, exactly.
 
-    Accumulates rank-one updates; each elementwise product and sum is
-    widened one ulp outward, matching the scalar interval policy.
+    An entry is a dot product of length k = Q.shape[0].  In any summation
+    order, with or without FMA, each product meets at most k roundings
+    (1+d)x + e, |d| <= u = 2^-53, |e| <= eta/2 = 2^-1075 (underflow only),
+    so |fl(Q^T Q) - Q^T Q| <= gamma_k A + 2k eta with A = |Q|^T |Q| and
+    gamma_k = k u/(1-k u) <= 1/2.  The same bound for R = fl(A) gives
+    A <= (R + 2k eta)/(1-gamma_k), hence |G - Q^T Q| <= rho R + 4k eta with
+    rho = gamma_k/(1-gamma_k) <= 1, rounded up; each operation on the
+    radius is followed by one outward ulp.  einsum without path
+    optimization runs numpy's own loops: BLAS results change with the
+    thread count, which could make a certificate fail to re-verify.
     """
-    rows, N = Q.shape
-    lo = np.zeros((N, N))
-    hi = np.zeros((N, N))
-    for k in range(rows):
-        row = Q[k]
-        p = np.multiply.outer(row, row)
-        lo = np.nextafter(lo + np.nextafter(p, _NEG_INF), _NEG_INF)
-        hi = np.nextafter(hi + np.nextafter(p, _POS_INF), _POS_INF)
-    return lo, hi
+    G = np.einsum("ki,kj->ij", Q, Q, optimize=False)
+    A = np.abs(Q)
+    D = np.nextafter(np.einsum("ki,kj->ij", A, A, optimize=False) * _rho(len(Q)), np.inf)
+    del A
+    return G, np.nextafter(D + len(Q) * 4 * _ETA, np.inf)
 
 
-def _pair_block_sums(
-    lo: np.ndarray, hi: np.ndarray, n: int, m: int, pid: Sequence[Sequence[int]], npairs: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _pair_block_sums(G, D, pid, npairs: int) -> Tuple[np.ndarray, np.ndarray]:
     """Interval sums of Gram blocks over each product class.
 
-    Output S[pid][i, j] encloses sum_{x^-1 y = g_pid} (Q^T Q)_{(i,x),(j,y)};
-    accumulation order is x-major then y, widened per addition.
+    [Slo, Shi][p, i, j] encloses sum_{x^-1 y = g_p} (Q^T Q)_{(i,x),(j,y)} if
+    |Q^T Q - G| <= D.  Summing c terms errs by at most gamma_c times their
+    magnitudes (additions cannot underflow), c the largest class size.  So
+    the midpoint sum is off by at most rho_c sum|G|, and the computed sum
+    of W = D + rho_c |G| (rounded up) is at least (1-gamma_c) sum W: the
+    radius (1+rho_c) fl(sum W) covers both.
     """
-    G4lo = lo.reshape(n, m, n, m)
-    G4hi = hi.reshape(n, m, n, m)
-    Slo = np.zeros((npairs, n, n))
-    Shi = np.zeros((npairs, n, n))
-    for x in range(m):
-        row = pid[x]
-        for y in range(m):
-            p = row[y]
-            Slo[p] = np.nextafter(Slo[p] + G4lo[:, x, :, y], _NEG_INF)
-            Shi[p] = np.nextafter(Shi[p] + G4hi[:, x, :, y], _POS_INF)
-    return Slo, Shi
+    pid = np.asarray(pid, dtype=np.int64)
+    n = len(G) // len(pid)
+    rho = _rho(int(np.bincount(pid.ravel()).max()))
+    idx = ((pid[None, :, None, :] * n + np.arange(n)[:, None, None, None]) * n
+           + np.arange(n)[:, None]).ravel()
+    mid = np.bincount(idx, weights=G.ravel(), minlength=npairs * n * n)
+    W = np.nextafter(np.abs(G) * rho, np.inf) + D
+    rad = np.bincount(idx, weights=np.nextafter(W, np.inf).ravel(), minlength=npairs * n * n)
+    rad = np.nextafter(rad + np.nextafter(rad * rho, np.inf), np.inf)
+    lo, hi = np.nextafter(mid - rad, -np.inf), np.nextafter(mid + rad, np.inf)
+    return lo.reshape(npairs, n, n), hi.reshape(npairs, n, n)
 
 
 @dataclass
@@ -114,24 +131,26 @@ class GapResult:
     certificate: Optional["Certificate"]
 
 
-def certified_gap(
-    target,
-    basis: SupportBasis,
-    Q: np.ndarray,
-    lam: float,
-) -> GapResult:
+def certified_gap(target, basis: SupportBasis, Q: np.ndarray, lam: float) -> GapResult:
     """Certify target - lambda0*I as a sum of squares, lambda0 rounded down.
 
     `target` is a Laplacian1 (which yields a full self-contained
     certificate) or a plain exact *-invariant RingMatrix (no certificate,
-    bound only).  Q may be rectangular with n*|E| columns; its entries are
-    promoted to point intervals, lambda to the point interval of its
-    double value.
+    bound only).  Q may be rectangular with n*|E| columns; its entries and
+    lambda are taken as the exact values of their doubles.
     """
-    if isinstance(target, Laplacian1):
-        matrix = target.matrix
-    else:
-        matrix = target
+    Q, lam = np.asarray(Q, dtype=float), float(lam)
+    lap = target if isinstance(target, Laplacian1) else None
+    matrix = target if lap is None else lap.matrix
+    lambda0, residual_l1, status = _certified_bound(matrix, basis, Q, lam)
+    certificate = None
+    if lap is not None:
+        certificate = make_certificate(lap, basis, Q, lam, lambda0, residual_l1, status)
+    return GapResult(lambda0, residual_l1, status, certificate)
+
+
+def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
+    """`certified_gap` without the certificate: (lambda0, |r|_1, status)."""
     if matrix.kind != EXACT:
         raise ValueError("certification needs the exact target")
     if matrix.n_rows != matrix.n_cols:
@@ -140,26 +159,17 @@ def certified_gap(
         raise ValueError("target must be *-invariant for the l1 domination")
     if matrix.model.model_id != basis.model.model_id:
         raise ValueError("target and basis use different models")
-    n = matrix.n_rows
-    m = len(basis)
-    Q = np.asarray(Q, dtype=float)
+    n, m = matrix.n_rows, len(basis)
     if Q.ndim != 2 or Q.shape[1] != n * m:
-        raise ValueError(
-            f"Q must have {n * m} = n*|E| columns (got shape {Q.shape}); "
-            "a wider Q would imply support outside the basis"
-        )
+        raise ValueError(f"Q must have n*|E| = {n * m} columns, got shape {Q.shape}")
     if not np.isfinite(Q).all():
         raise ValueError("Q contains non-finite entries")
-    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite (got {lam!r})")
     table = basis.products()
-    npairs = len(table)
-    glo, ghi = _gram_enclosure(Q)
-    Slo, Shi = _pair_block_sums(glo, ghi, n, m, table.pid, npairs)
-
-    lam_iv = Interval.point(lam)
-    handled = np.zeros((npairs, n, n), dtype=bool)
-    scalar_lo: List[float] = []
-    scalar_hi: List[float] = []
+    # target coefficients, minus lambda on the identity diagonal, per class
+    Clo, Chi = np.zeros((2, len(table), n, n))
+    outside: List[Interval] = []  # |coefficient| on products outside the table
     ident = matrix.model.identity()
     for i in range(n):
         for j in range(n):
@@ -170,31 +180,28 @@ def certified_gap(
             for g in support:
                 iv = Interval.from_fraction(Fraction(entry.coefficient(g)))
                 if i == j and g == ident:
-                    iv = iv - lam_iv
+                    iv = iv - lam
                 pid = table.pair_index.get(g.key)
-                if pid is not None:
-                    iv = iv - Interval(float(Slo[pid, i, j]), float(Shi[pid, i, j]))
-                    handled[pid, i, j] = True
-                a = abs(iv)
-                scalar_lo.append(a.lo)
-                scalar_hi.append(a.hi)
-    # remaining product classes: residual coefficient is exactly -S there
-    free = ~handled
-    a = -Shi[free]
-    bnd = -Slo[free]
-    abs_lo = np.where(a > 0.0, a, np.where(bnd < 0.0, -bnd, 0.0))
-    abs_hi = np.maximum(np.abs(a), np.abs(bnd))
+                if pid is None:
+                    outside.append(abs(iv))
+                else:
+                    Clo[pid, i, j], Chi[pid, i, j] = iv.lo, iv.hi
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        Slo, Shi = _pair_block_sums(*_gram_enclosure(Q), table.pid, len(table))
+        lo, hi = np.nextafter(Clo - Shi, -np.inf), np.nextafter(Chi - Slo, np.inf)
+        abs_lo = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
+        abs_hi = np.maximum(-lo, hi)
     # math.fsum is exactly rounded, so one outward ulp makes the sums safe
-    total_lo = down(math.fsum(scalar_lo + abs_lo.tolist()))
-    total_hi = up(math.fsum(scalar_hi + abs_hi.tolist()))
-    residual_l1 = Interval(max(0.0, total_lo), total_hi)
+    try:
+        total_lo = down(math.fsum(abs_lo.ravel().tolist() + [a.lo for a in outside]))
+        total_hi = up(math.fsum(abs_hi.ravel().tolist() + [a.hi for a in outside]))
+    except OverflowError:
+        total_lo = total_hi = math.inf
     lambda0 = down(lam - total_hi)
+    if not math.isfinite(lambda0):
+        raise ValueError("Q or lambda too large: the residual bound overflows")
     status = "certified-positive" if lambda0 > 0.0 else "no-positive-gap"
-
-    certificate = None
-    if isinstance(target, Laplacian1):
-        certificate = make_certificate(target, basis, Q, lam, lambda0, residual_l1, status)
-    return GapResult(lambda0, residual_l1, status, certificate)
+    return lambda0, Interval(max(0.0, total_lo), total_hi), status
 
 
 def floor_display(x: float) -> str:
@@ -282,15 +289,13 @@ class Certificate:
             return cls.from_json_dict(json.loads(fh.read().decode("utf-8")))
 
     def q_matrix(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.q_entries], dtype=float)
+        return np.array([list(map(float, row)) for row in self.q_entries], dtype=float)
 
 
 def _toolchain() -> dict:
-    try:
-        from . import __version__ as version
-    except ImportError:  # pragma: no cover
-        version = "unknown"
-    return {"package": "gapcert", "version": version, "numpy": np.__version__}
+    from . import __version__
+
+    return {"package": "gapcert", "version": __version__, "numpy": np.__version__}
 
 
 def make_certificate(
@@ -316,7 +321,7 @@ def make_certificate(
         lambda0=repr(float(lambda0)),
         residual_l1_sup=repr(float(residual_l1.hi)),
         status=status,
-        q_entries=[[repr(float(v)) for v in row] for row in np.asarray(Q, dtype=float)],
+        q_entries=[list(map(repr, row)) for row in np.asarray(Q, dtype=float).tolist()],
         toolchain=_toolchain(),
     )
 
@@ -371,13 +376,11 @@ def verify_certificate(
                 "stored basis does not match the ball of the stored radius"
             )
     lap = laplacian1(model, p, stored)
-    Q = cert.q_matrix()
-    lam = float(cert.lam)
-    result = certified_gap(lap, basis, Q, lam)
+    lambda0, _, _ = _certified_bound(lap.matrix, basis, cert.q_matrix(), float(cert.lam))
     stored_lambda0 = float(cert.lambda0)
-    passed = result.lambda0 >= stored_lambda0
+    passed = lambda0 >= stored_lambda0
     message = (
         "re-verified" if passed else
-        f"recomputed lambda0 {result.lambda0!r} fell below stored {stored_lambda0!r}"
+        f"recomputed lambda0 {lambda0!r} fell below stored {stored_lambda0!r}"
     )
-    return VerifyResult(passed, result.lambda0, stored_lambda0, message)
+    return VerifyResult(passed, lambda0, stored_lambda0, message)

@@ -426,6 +426,7 @@ class ProductTable:
         pair_index: dict = {}
         m = len(basis)
         pid = [[0] * m for _ in range(m)]
+        first_seen = []
         for x in range(m):
             inv_x = inverses[x]
             for y in range(m):
@@ -435,13 +436,13 @@ class ProductTable:
                     p = len(pair_elements)
                     pair_index[g.key] = p
                     pair_elements.append(g)
+                    first_seen.append((x, y))
                 pid[x][y] = p
         self.pair_elements = pair_elements
         self.pair_index = pair_index
         self.pid = pid
-        self.inverse_pid = [
-            pair_index[model.inverse(g).key] for g in pair_elements
-        ]
+        # (x^-1 y)^-1 = y^-1 x, so no group inversion is needed
+        self.inverse_pid = [pid[y][x] for x, y in first_seen]
         self.identity_pid = pair_index[model.identity().key]
 
     def __len__(self):

@@ -103,11 +103,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mag(self) -> float:
-        """Largest absolute value contained in the interval."""
-        return max(abs(self.lo), abs(self.hi))
-
     def __eq__(self, other):
         return (
             isinstance(other, Interval)

@@ -252,8 +252,9 @@ def test_criterion_8_stretch_full_reproduction():
     """Full-scale attempt at the radius-2 SL(3,Z) bound (not gating).
 
     The embedded splitting solver plateaus near lambda = 0.141 on this
-    instance and the radius-2 optimum itself sits near 0.14, so the 0.28
-    target is expected to fail at desk scale; see the repository notes.
+    instance, an infeasible iterate; the SL(3,Z/2) quotient caps any
+    certified bound for this relator subset at 0.129986, so the 0.28
+    target is expected to fail; see the repository notes.
     """
     p, model = load_preset("sl3z")
     lap = laplacian1(model, p)

@@ -1,14 +1,21 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapcert
 from gapcert.certify import (
     Certificate,
     HashMismatchError,
     SupportReconstructionError,
+    _gram_enclosure,
+    _pair_block_sums,
     certified_gap,
     floor_display,
     psd_sqrt,
@@ -221,3 +228,130 @@ def test_theorem_consistency_z3_regular_representation():
     images, _ = regular_representation_images(model)
     pi = evaluate_representation(lap.matrix, images, presentation=p)
     assert np.linalg.eigvalsh(pi)[0] >= result.lambda0 - 1e-8
+
+
+def _hostile_q(rng, k, N):
+    """Mixed magnitudes 1e+-150, underflowing products, subnormals, and
+    a second block of rows that cancels the first up to one ulp."""
+    scale = rng.choice([1e150, 1.0, 1e-150, 1e-170, 0.0], size=(k, N))
+    B = scale * rng.uniform(-1.0, 1.0, size=(k, N))
+    sub = rng.random((k, N)) < 0.15
+    B[sub] = rng.integers(-(2 ** 20), 2 ** 20, size=int(sub.sum())) * 5e-324
+    signs = rng.choice([-1.0, 1.0], size=N)
+    return np.vstack([B, np.nextafter(B * signs, np.inf)])
+
+
+def _exact_gram(Q):
+    F = [[Fraction(v) for v in row] for row in Q.tolist()]
+    N = Q.shape[1]
+    return [[sum(row[i] * row[j] for row in F) for j in range(N)] for i in range(N)]
+
+
+def _assert_encloses(exact, mid, rad):
+    for (i, j), value in np.ndenumerate(exact):
+        assert Fraction(mid[i, j]) - Fraction(rad[i, j]) <= value
+        assert value <= Fraction(mid[i, j]) + Fraction(rad[i, j])
+
+
+def test_gram_enclosure_contains_exact_gram():
+    rng = np.random.default_rng(11)
+    cases = [_hostile_q(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6))) for _ in range(30)]
+    # 40 products of 0.49 * 2^-1074 each round to zero; only the underflow term covers them
+    cases.append(np.array([[2.0 ** -537, 0.49 * 2.0 ** -537]] * 40))
+    for Q in cases:
+        G, D = _gram_enclosure(Q)
+        assert np.isfinite(D).all() and (D >= 0).all()
+        _assert_encloses(_exact_gram(Q), G, D)
+
+
+def test_pair_block_sums_enclose_every_gram_in_the_enclosure():
+    rng = np.random.default_rng(12)
+    basis = ball(CyclicModel(12), 6)
+    table = basis.products()
+    m, n = len(basis), 2
+    members = [[] for _ in range(len(table))]
+    for x in range(m):
+        for y in range(m):
+            members[table.pid[x][y]].append((x, y))
+    N = n * m
+    cases = []
+    for _ in range(10):
+        G = rng.choice([1e300, 1.0, 1e-300], size=(N, N)) * rng.uniform(-1, 1, (N, N))
+        D = rng.choice([0.0, 1e-16, 1e290], size=(N, N)) * rng.random((N, N))
+        # the first and last summands of each class cancel exactly, so the
+        # small summands between them are lost to rounding
+        for (x0, y0), *_, (x1, y1) in members:
+            for i in range(n):
+                for j in range(n):
+                    G[i * m + x1, j * m + y1] = -G[i * m + x0, j * m + y0]
+        cases.append((G, D, rng.choice([-1, 1], size=(N, N))))
+    # radii 1, 0.9u, 0.9u, ...: each addition to the radius sum rounds down
+    D = np.full((N, N), 0.9 * 2.0 ** -53)
+    for (x0, y0), *_ in members:
+        D[x0::m, y0::m] = 1.0
+    cases.append((np.zeros((N, N)), D, np.ones((N, N), dtype=int)))
+    for G, D, signs in cases:
+        S = [[Fraction(G[a, b]) + int(signs[a, b]) * Fraction(D[a, b]) for b in range(N)]
+             for a in range(N)]
+        Slo, Shi = _pair_block_sums(G, D, table.pid, len(table))
+        for p, cls in enumerate(members):
+            for i in range(n):
+                for j in range(n):
+                    value = sum(S[i * m + x][j * m + y] for x, y in cls)
+                    assert Fraction(Slo[p, i, j]) <= value <= Fraction(Shi[p, i, j])
+
+
+def test_non_finite_lambda_is_rejected():
+    p, model = load_preset("z3")
+    lap = laplacian1(model, p)
+    basis = ball(model, 1)
+    for lam in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            certified_gap(lap, basis, np.eye(3), lam)
+
+
+def test_overflowing_gram_is_a_clear_value_error():
+    p, model = load_preset("z3")
+    lap = laplacian1(model, p)
+    basis = ball(model, 1)
+    for big in (1e200, 1e154):
+        with pytest.raises(ValueError, match="overflows"):
+            certified_gap(lap, basis, np.full((3, 3), big), 0.0)
+    # lambda itself near the top of the range overflows lambda - |r|_1
+    with pytest.raises(ValueError, match="overflows"):
+        certified_gap(lap, basis, np.full((3, 3), 1e153), -1.7e308)
+
+
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from gapcert import Certificate, ball, certified_gap, laplacian1, load_preset, verify_certificate
+mode, path = sys.argv[1:]
+if mode == "make":
+    p, model = load_preset("sl3z-mod:2")
+    basis = ball(model, 2)
+    Q = np.random.default_rng(7).normal(size=(186, 186)) / 40
+    result = certified_gap(laplacian1(model, p), basis, Q, 0.1)
+    result.certificate.save(path)
+    print(repr(result.lambda0))
+else:
+    check = verify_certificate(Certificate.load(path))
+    print(repr(check.lambda0) if check.passed else check.message)
+"""
+
+
+def test_verify_does_not_depend_on_blas_thread_count(tmp_path):
+    src = str(Path(gapcert.__file__).resolve().parents[1])
+
+    def run(threads, mode):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT, mode, str(tmp_path / "cert.json")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return out.stdout.strip()
+
+    stored = run(2, "make")
+    assert run(1, "verify") == stored
+    assert run(2, "verify") == stored

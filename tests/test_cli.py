@@ -156,6 +156,26 @@ def test_verify_pass_and_tamper(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_rejects_hostile_certificate(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = _run(
+        capsys,
+        "pipeline", "--preset", "z3", "--radius", "1",
+        "--tol", "1e-9", "--out", str(cert_path),
+    )
+    assert code == 0
+    good = json.loads(cert_path.read_text())
+    infinite_lambda = json.loads(json.dumps(good))
+    infinite_lambda["solver_lambda"] = "inf"
+    huge_q = json.loads(json.dumps(good))
+    huge_q["q"]["entries"] = [["1e+200"] * len(row) for row in good["q"]["entries"]]
+    for data, reason in ((infinite_lambda, "finite"), (huge_q, "overflows")):
+        cert_path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "verify", str(cert_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and reason in err
+
+
 def test_certify_accepts_external_q(capsys, tmp_path):
     # externally produced exact square root of the optimal z3 Gram matrix
     sol = {"lambda": 3.0, "Q": [[(2.0 / 3.0) ** 0.5 / 3 ** 0.5] * 3] * 3}

@@ -187,6 +187,14 @@ def test_product_table_identities():
     assert ident_pattern == {(x, x) for x in range(m)}
 
 
+@pytest.mark.parametrize("preset,radius", [("z3", 1), ("sl3z-mod:2", 2), ("free:2", 2)])
+def test_inverse_pid_matches_group_inversion(preset, radius):
+    _, model = load_preset(preset)
+    table = ball(model, radius).products()
+    expected = [table.pair_index[model.inverse(g).key] for g in table.pair_elements]
+    assert table.inverse_pid == expected
+
+
 def test_cyclic_model_overflow_free_large_entries():
     # matrix models use python ints; no silent wraparound anywhere
     model = MatrixModel([[[1, 1], [0, 1]]])

@@ -15,9 +15,6 @@ from .words import (  # noqa: F401
     Presentation,
     PresentationSyntaxError,
     Word,
-    concat,
-    free_reduce,
-    invert,
     parse_presentation,
 )
 from .groups import (  # noqa: F401

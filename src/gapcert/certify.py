@@ -35,9 +35,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fox import Laplacian1, laplacian1
-from .groups import GroupElement, SupportBasis, ball, model_from_spec, validate_model
+from .groups import GroupElement, ProductTable, SupportBasis, ball, model_from_spec, validate_model
 from .intervals import Interval, down, up
-from .ring import EXACT
+from .sdp import target_coefficients
 from .words import parse_presentation
 
 
@@ -100,27 +100,26 @@ def _gram_enclosure(Q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return G, np.nextafter(D + len(Q) * 4 * _ETA, np.inf)
 
 
-def _pair_block_sums(G, D, pid, npairs: int) -> Tuple[np.ndarray, np.ndarray]:
+def _pair_block_sums(G, D, table: ProductTable) -> Tuple[np.ndarray, np.ndarray]:
     """Interval sums of Gram blocks over each product class.
 
-    [Slo, Shi][p, i, j] encloses sum_{x^-1 y = g_p} (Q^T Q)_{(i,x),(j,y)} if
+    [Slo, Shi][i, j, p] encloses sum_{x^-1 y = g_p} (Q^T Q)_{(i,x),(j,y)} if
     |Q^T Q - G| <= D.  Summing c terms errs by at most gamma_c times their
     magnitudes (additions cannot underflow), c the largest class size.  So
     the midpoint sum is off by at most rho_c sum|G|, and the computed sum
     of W = D + rho_c |G| (rounded up) is at least (1-gamma_c) sum W: the
     radius (1+rho_c) fl(sum W) covers both.
     """
-    pid = np.asarray(pid, dtype=np.int64)
-    n = len(G) // len(pid)
-    rho = _rho(int(np.bincount(pid.ravel()).max()))
-    idx = ((pid[None, :, None, :] * n + np.arange(n)[:, None, None, None]) * n
-           + np.arange(n)[:, None]).ravel()
-    mid = np.bincount(idx, weights=G.ravel(), minlength=npairs * n * n)
+    n = len(G) // len(table.pid)
+    size = n * n * len(table)
+    rho = _rho(int(np.bincount(table.pid.ravel()).max()))
+    idx = table.slots(n).ravel()
+    mid = np.bincount(idx, weights=G.ravel(), minlength=size)
     W = np.nextafter(np.abs(G) * rho, np.inf) + D
-    rad = np.bincount(idx, weights=np.nextafter(W, np.inf).ravel(), minlength=npairs * n * n)
+    rad = np.bincount(idx, weights=np.nextafter(W, np.inf).ravel(), minlength=size)
     rad = np.nextafter(rad + np.nextafter(rad * rho, np.inf), np.inf)
     lo, hi = np.nextafter(mid - rad, -np.inf), np.nextafter(mid + rad, np.inf)
-    return lo.reshape(npairs, n, n), hi.reshape(npairs, n, n)
+    return lo.reshape(n, n, -1), hi.reshape(n, n, -1)
 
 
 @dataclass
@@ -150,15 +149,12 @@ def certified_gap(target, basis: SupportBasis, Q: np.ndarray, lam: float) -> Gap
 
 
 def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
-    """`certified_gap` without the certificate: (lambda0, |r|_1, status)."""
-    if matrix.kind != EXACT:
-        raise ValueError("certification needs the exact target")
-    if matrix.n_rows != matrix.n_cols:
-        raise ValueError("target must be square")
-    if not matrix.is_star_invariant():
-        raise ValueError("target must be *-invariant for the l1 domination")
-    if matrix.model.model_id != basis.model.model_id:
-        raise ValueError("target and basis use different models")
+    """`certified_gap` without the certificate: (lambda0, |r|_1, status).
+
+    The target must be *-invariant for the l1 domination; its coefficients
+    on products outside the basis' table are charged to |r|_1 in full.
+    """
+    inside, outside = target_coefficients(matrix, basis)
     n, m = matrix.n_rows, len(basis)
     if Q.ndim != 2 or Q.shape[1] != n * m:
         raise ValueError(f"Q must have n*|E| = {n * m} columns, got shape {Q.shape}")
@@ -168,26 +164,17 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
         raise ValueError(f"lambda must be finite (got {lam!r})")
     table = basis.products()
     # target coefficients, minus lambda on the identity diagonal, per class
-    Clo, Chi = np.zeros((2, len(table), n, n))
-    outside: List[Interval] = []  # |coefficient| on products outside the table
-    ident = matrix.model.identity()
+    Clo, Chi = np.zeros((2, n, n, len(table)))
     for i in range(n):
-        for j in range(n):
-            entry = matrix.entry(i, j)
-            support = entry.support()
-            if i == j and ident not in entry.coeffs:
-                support.append(ident)
-            for g in support:
-                iv = Interval.from_fraction(Fraction(entry.coefficient(g)))
-                if i == j and g == ident:
-                    iv = iv - lam
-                pid = table.pair_index.get(g.key)
-                if pid is None:
-                    outside.append(abs(iv))
-                else:
-                    Clo[pid, i, j], Chi[pid, i, j] = iv.lo, iv.hi
+        inside.setdefault((i, i, table.identity_pid), Fraction(0))
+    for (i, j, pid), c in inside.items():
+        iv = Interval.from_fraction(c)
+        if i == j and pid == table.identity_pid:
+            iv = iv - lam
+        Clo[i, j, pid], Chi[i, j, pid] = iv.lo, iv.hi
+    outside = [abs(Interval.from_fraction(c)) for _, c in outside]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        Slo, Shi = _pair_block_sums(*_gram_enclosure(Q), table.pid, len(table))
+        Slo, Shi = _pair_block_sums(*_gram_enclosure(Q), table)
         lo, hi = np.nextafter(Clo - Shi, -np.inf), np.nextafter(Chi - Slo, np.inf)
         abs_lo = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
         abs_hi = np.maximum(-lo, hi)
@@ -261,23 +248,26 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
-        if data.get("format") != "gapcert-certificate-v1":
+        if not isinstance(data, dict) or data.get("format") != "gapcert-certificate-v1":
             raise CertificateError("unknown certificate format")
-        return cls(
-            presentation_text=data["presentation"]["text"],
-            presentation_sha256=data["presentation"]["sha256"],
-            model_spec=data["model"],
-            relator_indices=tuple(data["relators"]["indices"]),
-            relator_labels=tuple(data["relators"]["labels"]),
-            basis_keys=data["basis"]["keys"],
-            basis_radius=data["basis"]["radius"],
-            lam=data["solver_lambda"],
-            lambda0=data["certified_lambda0"],
-            residual_l1_sup=data["residual_l1_sup"],
-            status=data["status"],
-            q_entries=data["q"]["entries"],
-            toolchain=data["toolchain"],
-        )
+        try:
+            return cls(
+                presentation_text=data["presentation"]["text"],
+                presentation_sha256=data["presentation"]["sha256"],
+                model_spec=data["model"],
+                relator_indices=tuple(data["relators"]["indices"]),
+                relator_labels=tuple(data["relators"]["labels"]),
+                basis_keys=data["basis"]["keys"],
+                basis_radius=data["basis"]["radius"],
+                lam=data["solver_lambda"],
+                lambda0=data["certified_lambda0"],
+                residual_l1_sup=data["residual_l1_sup"],
+                status=data["status"],
+                q_entries=data["q"]["entries"],
+                toolchain=data["toolchain"],
+            )
+        except TypeError as exc:  # a section that is not an object, or null
+            raise CertificateError(f"malformed certificate: {exc}") from None
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -289,7 +279,10 @@ class Certificate:
             return cls.from_json_dict(json.loads(fh.read().decode("utf-8")))
 
     def q_matrix(self) -> np.ndarray:
-        return np.array([list(map(float, row)) for row in self.q_entries], dtype=float)
+        try:
+            return np.array([list(map(float, row)) for row in self.q_entries], dtype=float)
+        except TypeError as exc:
+            raise CertificateError(f"Q must be rows of decimal strings: {exc}") from None
 
 
 def _toolchain() -> dict:
@@ -326,6 +319,13 @@ def make_certificate(
     )
 
 
+def _decimal(value, field: str) -> float:
+    try:
+        return float(value)
+    except TypeError:
+        raise CertificateError(f"{field} must be a decimal string, got {value!r}") from None
+
+
 @dataclass
 class VerifyResult:
     passed: bool
@@ -346,38 +346,45 @@ def verify_certificate(
     lambda0 is at least the stored one.  A target relator superset is
     accepted because extra relators only add squares to the Laplacian.
     """
+    if not isinstance(cert.presentation_text, str):
+        raise CertificateError("presentation text must be a string")
     recomputed = hashlib.sha256(cert.presentation_text.encode("utf-8")).hexdigest()
     if recomputed != cert.presentation_sha256:
         raise HashMismatchError("presentation text does not match its stored hash")
     p = parse_presentation(cert.presentation_text)
+    if not isinstance(cert.model_spec, dict):
+        raise CertificateError("model must be a JSON object")
     model = model_from_spec(cert.model_spec)
     validate_model(p, model)
     stored = tuple(cert.relator_indices)
     for k in stored:
-        if not 0 <= k < len(p.relators):
-            raise CertificateError(f"stored relator index {k} out of range")
+        if not isinstance(k, int) or not 0 <= k < len(p.relators):
+            raise CertificateError(f"stored relator index {k!r} out of range")
+    lam = _decimal(cert.lam, "solver_lambda")
+    stored_lambda0 = _decimal(cert.lambda0, "certified_lambda0")
     if target_relator_indices is not None:
         if not set(target_relator_indices) >= set(stored):
             return VerifyResult(
                 False,
                 float("nan"),
-                float(cert.lambda0),
+                stored_lambda0,
                 "target relator set does not contain the certified subset",
             )
     try:
         elements = [GroupElement(model, model.key_from_json(k)) for k in cert.basis_keys]
         basis = SupportBasis(elements, cert.basis_radius)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SupportReconstructionError(f"stored basis is invalid: {exc}") from exc
     if cert.basis_radius is not None:
+        if not isinstance(cert.basis_radius, int):
+            raise SupportReconstructionError(f"stored radius {cert.basis_radius!r} is not an integer")
         expected = ball(model, cert.basis_radius)
         if [e.key for e in expected] != [e.key for e in basis]:
             raise SupportReconstructionError(
                 "stored basis does not match the ball of the stored radius"
             )
     lap = laplacian1(model, p, stored)
-    lambda0, _, _ = _certified_bound(lap.matrix, basis, cert.q_matrix(), float(cert.lam))
-    stored_lambda0 = float(cert.lambda0)
+    lambda0, _, _ = _certified_bound(lap.matrix, basis, cert.q_matrix(), lam)
     passed = lambda0 >= stored_lambda0
     message = (
         "re-verified" if passed else

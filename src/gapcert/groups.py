@@ -11,6 +11,8 @@ import hashlib
 import json
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .words import Presentation, Word
 
 MatrixKey = Tuple[Tuple[int, ...], ...]
@@ -410,11 +412,12 @@ def validate_model(p: Presentation, model: GroupModel) -> None:
 
 
 class ProductTable:
-    """Products x^-1 y over a support basis.
+    """Products x^-1 y over a support basis: the integer index of a problem.
 
-    pair_elements enumerates the distinct products in first-seen order
-    (x-major, then y); pid[x][y] is the index of E[x]^-1 E[y] in that
-    enumeration and inverse_pid maps each product to its inverse's index.
+    pair_elements enumerates the distinct products (classes) in first-seen
+    order (x-major, then y); pid[x, y] is the class of E[x]^-1 E[y] and
+    inverse_pid[p] the class of the inverse product, both int64 arrays.
+    slots() and members() derive every other index from pid.
     """
 
     __slots__ = ("pair_elements", "pair_index", "pid", "inverse_pid", "identity_pid")
@@ -440,13 +443,31 @@ class ProductTable:
                 pid[x][y] = p
         self.pair_elements = pair_elements
         self.pair_index = pair_index
-        self.pid = pid
+        self.pid = np.array(pid, dtype=np.int64)
         # (x^-1 y)^-1 = y^-1 x, so no group inversion is needed
-        self.inverse_pid = [pid[y][x] for x, y in first_seen]
+        self.inverse_pid = np.array([pid[y][x] for x, y in first_seen], dtype=np.int64)
         self.identity_pid = pair_index[model.identity().key]
 
     def __len__(self):
         return len(self.pair_elements)
+
+    def slots(self, n: int) -> np.ndarray:
+        """Slot (i*n + j)*npairs + pid[x, y] of Gram cell (i*m + x, j*m + y).
+
+        A slot is one constraint of an n-row problem: matrix entry (i, j)
+        at one product class.
+        """
+        m = len(self.pid)
+        base = np.arange(n * n, dtype=np.int64).reshape(n, n) * len(self)
+        return (base[:, None, :, None] + self.pid[None, :, None, :]).reshape(n * m, n * m)
+
+    def members(self) -> List[List[Tuple[int, int]]]:
+        """The cells (x, y) of each class, x-major, as Python ints."""
+        order = np.argsort(self.pid, axis=None, kind="stable")
+        x, y = np.divmod(order, len(self.pid))
+        cells = list(zip(x.tolist(), y.tolist()))
+        ends = np.cumsum(np.bincount(self.pid.ravel(), minlength=len(self))).tolist()
+        return [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 class SupportBasis:
@@ -538,12 +559,6 @@ def ball(model: GroupModel, radius: int) -> SupportBasis:
         if not nxt:
             break
         frontier = nxt
-    elements = list(order.values())
-    # Symmetrized BFS balls are already inversion closed; the pass guards
-    # against future model quirks without disturbing the order.
-    for el in elements:
-        inv = model.inverse(el)
-        if inv.key not in order:
-            order[inv.key] = inv
-            elements.append(inv)
-    return SupportBasis(elements, radius)
+    # a BFS ball over symmetrized generators is closed under inversion;
+    # SupportBasis checks it
+    return SupportBasis(list(order.values()), radius)

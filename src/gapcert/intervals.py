@@ -96,9 +96,6 @@ class Interval:
         # Comparing float endpoints against Fraction is exact in Python.
         return self.lo <= value <= self.hi
 
-    def is_zero(self) -> bool:
-        return self.lo == 0.0 and self.hi == 0.0
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -115,11 +112,3 @@ class Interval:
 
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
-
-
-def isum(values) -> Interval:
-    """Interval sum accumulated left to right."""
-    total = Interval(0.0, 0.0)
-    for v in values:
-        total = total + v
-    return total

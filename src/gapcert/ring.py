@@ -1,10 +1,10 @@
 """Finitely supported group-ring elements and matrices over them.
 
-Three coefficient modes sit behind one interface: exact rationals
-(Fraction), doubles, and outward-rounded intervals.  Laplacian assembly
-and the order-unit construction run exact, solvers run in doubles, and
-certification runs in intervals; mixing modes inside one operation is an
-error rather than a silent promotion.
+Coefficients are exact rationals (Fraction); ints are promoted, and any
+other type, floats included, is a TypeError.  This is the exact side of
+the package: Laplacian assembly, the order-unit construction and the
+Fox/order-unit oracle verify_sos.  The SDP and the certifier read these
+matrices once, through the integer index of the problem's product table.
 """
 
 from __future__ import annotations
@@ -13,41 +13,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .groups import GroupElement, GroupModel
-from .intervals import Interval
-
-Coefficient = Union[Fraction, float, Interval]
-
-EXACT = "exact"
-FLOAT = "float"
-INTERVAL = "interval"
 
 
-def coefficient_kind(c: Coefficient) -> str:
-    if isinstance(c, Fraction):
-        return EXACT
-    if isinstance(c, float):
-        return FLOAT
-    if isinstance(c, Interval):
-        return INTERVAL
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def _is_zero(c: Coefficient) -> bool:
-    if isinstance(c, Interval):
-        return c.is_zero()
-    return c == 0
-
-
-def _promote(value) -> Coefficient:
+def _promote(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (Fraction, float, Interval)):
-        return value
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
-
-
-def _abs(c: Coefficient):
-    return abs(c)
 
 
 class RingElement:
@@ -55,19 +28,12 @@ class RingElement:
 
     __slots__ = ("model", "coeffs")
 
-    def __init__(self, model: GroupModel, coeffs: Dict[GroupElement, Coefficient]):
+    def __init__(self, model: GroupModel, coeffs: Dict[GroupElement, Fraction]):
         clean = {}
-        kind = None
         for g, c in coeffs.items():
             c = _promote(c)
-            if _is_zero(c):
-                continue
-            k = coefficient_kind(c)
-            if kind is None:
-                kind = k
-            elif kind != k:
-                raise ValueError(f"mixed coefficient modes {kind}/{k}")
-            clean[g] = c
+            if c:
+                clean[g] = c
         self.model = model
         self.coeffs = clean
 
@@ -83,28 +49,18 @@ class RingElement:
     def of(cls, element: GroupElement, scale=1) -> "RingElement":
         return cls(element.model, {element: _promote(scale)})
 
-    @property
-    def kind(self) -> str:
-        for c in self.coeffs.values():
-            return coefficient_kind(c)
-        return EXACT
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def support(self) -> List[GroupElement]:
         return sorted(self.coeffs)
 
-    def coefficient(self, g: GroupElement) -> Coefficient:
+    def coefficient(self, g: GroupElement) -> Fraction:
         return self.coeffs.get(g, Fraction(0))
 
     def _check(self, other: "RingElement"):
         if self.model.model_id != other.model.model_id:
             raise ValueError("ring elements live over different models")
-        if self.coeffs and other.coeffs and self.kind != other.kind:
-            raise ValueError(
-                f"coefficient mode mismatch: {self.kind} vs {other.kind}"
-            )
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
@@ -126,7 +82,7 @@ class RingElement:
         if not isinstance(other, RingElement):
             return self.scaled(other)
         self._check(other)
-        out: Dict[GroupElement, Coefficient] = {}
+        out: Dict[GroupElement, Fraction] = {}
         model = self.model
         for g, a in self.coeffs.items():
             for h, b in other.coeffs.items():
@@ -143,9 +99,6 @@ class RingElement:
 
     def scaled(self, scalar) -> "RingElement":
         scalar = _promote(scalar)
-        if self.coeffs and not _is_zero(scalar):
-            if coefficient_kind(scalar) != self.kind:
-                raise ValueError("scalar mode does not match element mode")
         return RingElement(self.model, {g: c * scalar for g, c in self.coeffs.items()})
 
     def star(self) -> "RingElement":
@@ -153,22 +106,8 @@ class RingElement:
             self.model, {self.model.inverse(g): c for g, c in self.coeffs.items()}
         )
 
-    def l1(self) -> Coefficient:
-        total = None
-        for g in self.support():
-            a = _abs(self.coeffs[g])
-            total = a if total is None else total + a
-        return Fraction(0) if total is None else total
-
-    def to_float(self) -> "RingElement":
-        return RingElement(
-            self.model, {g: float(c) for g, c in self.coeffs.items()}
-        )
-
-    def to_interval(self) -> "RingElement":
-        return RingElement(
-            self.model, {g: Interval.enclose(c) for g, c in self.coeffs.items()}
-        )
+    def l1(self) -> Fraction:
+        return sum(map(abs, self.coeffs.values()), Fraction(0))
 
     def __eq__(self, other):
         return (
@@ -231,14 +170,6 @@ class RingMatrix:
     def entry(self, i: int, j: int) -> RingElement:
         return self.entries[i][j]
 
-    @property
-    def kind(self) -> str:
-        for row in self.entries:
-            for e in row:
-                if e.coeffs:
-                    return e.kind
-        return EXACT
-
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         self._check_shape(other, same=True)
         return RingMatrix(
@@ -300,32 +231,8 @@ class RingMatrix:
     def is_star_invariant(self) -> bool:
         return self.n_rows == self.n_cols and self.adjoint() == self
 
-    def l1(self) -> Coefficient:
-        total = None
-        for row in self.entries:
-            for e in row:
-                if e.is_zero():
-                    continue
-                v = e.l1()
-                total = v if total is None else total + v
-        return Fraction(0) if total is None else total
-
-    def to_float(self) -> "RingMatrix":
-        return RingMatrix(self.model, [[e.to_float() for e in row] for row in self.entries])
-
-    def to_interval(self) -> "RingMatrix":
-        return RingMatrix(self.model, [[e.to_interval() for e in row] for row in self.entries])
-
-    def convert_like(self, kind: str) -> "RingMatrix":
-        if kind == EXACT:
-            if self.kind != EXACT:
-                raise ValueError("cannot convert approximate coefficients to exact")
-            return self
-        if kind == FLOAT:
-            return self.to_float()
-        if kind == INTERVAL:
-            return self.to_interval()
-        raise ValueError(f"unknown coefficient kind {kind!r}")
+    def l1(self) -> Fraction:
+        return sum((e.l1() for row in self.entries for e in row), Fraction(0))
 
     def _check_shape(self, other: "RingMatrix", same: bool):
         if self.model.model_id != other.model.model_id:
@@ -351,7 +258,7 @@ class RingMatrix:
             "entries": [
                 [
                     [
-                        [self.model.key_to_json(g.key), _coeff_to_json(c)]
+                        [self.model.key_to_json(g.key), str(c)]
                         for g, c in sorted(e.coeffs.items(), key=lambda t: t[0])
                     ]
                     for e in row
@@ -372,29 +279,13 @@ class RingMatrix:
                 coeffs = {}
                 for key_json, coeff_json in cell:
                     g = GroupElement(model, model.key_from_json(key_json))
-                    coeffs[g] = _coeff_from_json(coeff_json)
+                    coeffs[g] = Fraction(coeff_json)
                 out_row.append(RingElement(model, coeffs))
             entries.append(out_row)
         got = cls(model, entries)
         if got.n_rows != data["n_rows"] or got.n_cols != data["n_cols"]:
             raise ValueError("matrix shape does not match header")
         return got
-
-
-def _coeff_to_json(c: Coefficient):
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, float):
-        return repr(c)
-    return [repr(c.lo), repr(c.hi)]
-
-
-def _coeff_from_json(data) -> Coefficient:
-    if isinstance(data, list):
-        return Interval(float(data[0]), float(data[1]))
-    if any(ch in data for ch in ".eE"):
-        return float(data)
-    return Fraction(data)
 
 
 Factor = Union[RingMatrix, Tuple[object, RingMatrix]]
@@ -412,15 +303,14 @@ def _normalize_factors(factors: Iterable[Factor]):
 
 
 def verify_sos(M: RingMatrix, factors: Iterable[Factor]) -> RingMatrix:
-    """Residual M - sum(scale * F.adjoint() * F), in M's coefficient mode.
+    """Residual M - sum(scale * F.adjoint() * F), exactly.
 
-    Exact zero residual in rational mode certifies cone membership.  Each
-    factor must have M's column count; row counts are free.
+    A zero residual certifies cone membership.  Each factor must have M's
+    column count; row counts are free.
     """
     if M.n_rows != M.n_cols:
         raise ValueError("target must be square")
     residual = M
-    kind = M.kind
     for scale, f in _normalize_factors(factors):
         if f.model.model_id != M.model.model_id:
             raise ValueError("factor model mismatch")
@@ -428,15 +318,7 @@ def verify_sos(M: RingMatrix, factors: Iterable[Factor]) -> RingMatrix:
             raise ValueError(
                 f"factor has {f.n_cols} columns, target needs {M.n_cols}"
             )
-        fc = f.convert_like(kind)
-        square = fc.adjoint() * fc
-        if kind == FLOAT:
-            scale = float(scale)
-        elif kind == INTERVAL:
-            scale = Interval.enclose(scale)
-        elif not isinstance(scale, Fraction):
-            raise ValueError("exact verification requires exact scales")
-        residual = residual - square.scaled(scale)
+        residual = residual - (f.adjoint() * f).scaled(scale)
     return residual
 
 
@@ -454,8 +336,6 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
     l1 budget a position does not consume is emitted as a plain constant
     diagonal square.
     """
-    if M.kind != EXACT:
-        raise ValueError("order-unit construction requires exact coefficients")
     if not M.is_star_invariant():
         raise NotStarInvariantError("target is not *-invariant")
     model = M.model

@@ -2,9 +2,13 @@
 
 The Gram matrix P lives on coordinates (matrix row i, basis element x),
 flattened as i*m + x.  For every product g = x^-1 y and every entry (i, j)
-with i <= j there is one linear constraint <A_g, P^{i,j}> = target_{i,j}(g);
-targets outside the support of Delta are zero but still constrained, and
-the objective variable enters the (i, i, identity) constraints only.
+there is one linear constraint <A_g, P^{i,j}> = target_{i,j}(g); targets
+outside the support of Delta are zero but still constrained, and the
+objective variable enters the (i, i, identity) constraints only.  The
+basis' ProductTable holds the one integer index all of this reads: the
+class pid[x, y] of x^-1 y, its slots (i*n + j)*npairs + pid and its
+member lists.  target_coefficients is the one walk of an exact target
+into those classes; the SDP, the SDPA export and the certifier share it.
 
 The embedded solver is a first-order operator-splitting scheme: it
 alternates exact projection onto the affine constraint subspace (the
@@ -20,12 +24,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, islice, zip_longest
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .groups import GroupElement, SupportBasis, model_from_spec
-from .ring import EXACT, RingElement, RingMatrix
+from .ring import RingElement, RingMatrix
 from .fox import Laplacian1
 
 
@@ -42,28 +47,25 @@ class SupportTooSmallError(ValueError):
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class SdpProblem:
+    """targets[i, j, pid] is entry (i, j)'s coefficient on class pid, both triangles.
+
+    Compare problems with same_problem.
+    """
+
     n: int
     basis: SupportBasis
-    targets: Dict[Tuple[int, int, int], float]
+    targets: np.ndarray
 
     def __post_init__(self):
-        table = self.basis.products()
-        self._table = table
+        self.table = self.basis.products()
         self.m = len(self.basis)
-        self.npairs = len(table)
-        self.identity_pid = table.identity_pid
-        self.inverse_pid = table.inverse_pid
-
-    @property
-    def table(self):
-        return self._table
-
-    def target(self, i: int, j: int, pid: int) -> float:
-        if i <= j:
-            return self.targets.get((i, j, pid), 0.0)
-        return self.targets.get((j, i, self.inverse_pid[pid]), 0.0)
+        self.npairs = len(self.table)
+        self.identity_pid = self.table.identity_pid
+        self.inverse_pid = self.table.inverse_pid
+        if self.targets.shape != (self.n, self.n, self.npairs):
+            raise ValueError(f"targets must have shape {(self.n, self.n, self.npairs)}")
 
     def constraint_count(self) -> int:
         """Logical constraints: one per (i <= j, product)."""
@@ -71,11 +73,12 @@ class SdpProblem:
 
     def export_keys(self) -> List[Tuple[int, int, int]]:
         """Deterministic constraint order used by the SDPA export."""
+        inverse_pid = self.inverse_pid.tolist()
         keys = []
         for i in range(self.n):
             for j in range(i, self.n):
                 for pid in range(self.npairs):
-                    if i == j and self.inverse_pid[pid] < pid:
+                    if i == j and inverse_pid[pid] < pid:
                         continue
                     keys.append((i, j, pid))
         return keys
@@ -86,8 +89,33 @@ class SdpProblem:
             and self.basis.model.spec() == other.basis.model.spec()
             and [e.key for e in self.basis] == [e.key for e in other.basis]
             and self.basis.radius == other.basis.radius
-            and self.targets == other.targets
+            and np.array_equal(self.targets, other.targets)
         )
+
+
+def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
+    """Exact coefficients of a *-invariant target, split by the product table.
+
+    Returns ({(i, j, pid): c} for the products x^-1 y over the basis,
+    [(g, c)] for every coefficient on a product outside them), both in
+    row-major entry order and sorted support.
+    """
+    if matrix.model.model_id != basis.model.model_id:
+        raise ValueError("target and basis use different models")
+    if not matrix.is_star_invariant():
+        raise ValueError("target matrix must be square and *-invariant")
+    index = basis.products().pair_index
+    inside: Dict[Tuple[int, int, int], Fraction] = {}
+    outside: List[Tuple[GroupElement, Fraction]] = []
+    for i, row in enumerate(matrix.entries):
+        for j, entry in enumerate(row):
+            for g in entry.support():
+                pid = index.get(g.key)
+                if pid is None:
+                    outside.append((g, entry.coeffs[g]))
+                else:
+                    inside[i, j, pid] = entry.coeffs[g]
+    return inside, outside
 
 
 def build_problem(source, basis: SupportBasis) -> SdpProblem:
@@ -97,33 +125,13 @@ def build_problem(source, basis: SupportBasis) -> SdpProblem:
     support must be covered by products over the basis.
     """
     matrix = source.matrix if isinstance(source, Laplacian1) else source
-    if matrix.n_rows != matrix.n_cols:
-        raise ValueError("target matrix must be square")
-    if matrix.kind != EXACT:
-        raise ValueError("problem targets must be exact")
-    if matrix.model.model_id != basis.model.model_id:
-        raise ValueError("target and basis use different models")
-    if not matrix.is_star_invariant():
-        raise ValueError("target matrix must be *-invariant")
-    table = basis.products()
-    uncovered = []
-    seen_uncovered = set()
-    for row in matrix.entries:
-        for e in row:
-            for g in e.support():
-                if g.key not in table.pair_index and g.key not in seen_uncovered:
-                    seen_uncovered.add(g.key)
-                    uncovered.append(g.key)
-    if uncovered:
-        raise SupportTooSmallError(uncovered)
+    inside, outside = target_coefficients(matrix, basis)
+    if outside:
+        raise SupportTooSmallError(dict.fromkeys(g.key for g, _ in outside))
     n = matrix.n_rows
-    targets: Dict[Tuple[int, int, int], float] = {}
-    for i in range(n):
-        for j in range(i, n):
-            e = matrix.entry(i, j)
-            for g in e.support():
-                pid = table.pair_index[g.key]
-                targets[(i, j, pid)] = float(e.coefficient(g))
+    targets = np.zeros((n, n, len(basis.products())))
+    for cell, c in inside.items():
+        targets[cell] = float(c)
     return SdpProblem(n, basis, targets)
 
 
@@ -135,18 +143,13 @@ def reconstruct_exact(problem: SdpProblem, P) -> RingMatrix:
     solver state.
     """
     table = problem.table
-    basis = problem.basis
-    model = basis.model
+    model = problem.basis.model
     n, m = problem.n, problem.m
 
     def frac(v) -> Fraction:
         return v if isinstance(v, Fraction) else Fraction(float(v))
 
-    pairs_by_pid: List[List[Tuple[int, int]]] = [[] for _ in range(problem.npairs)]
-    for x in range(m):
-        row = table.pid[x]
-        for y in range(m):
-            pairs_by_pid[row[y]].append((x, y))
+    members = table.members()
     entries = []
     for i in range(n):
         row_out = []
@@ -154,7 +157,7 @@ def reconstruct_exact(problem: SdpProblem, P) -> RingMatrix:
             coeffs = {}
             for pid, elem in enumerate(table.pair_elements):
                 total = Fraction(0)
-                for x, y in pairs_by_pid[pid]:
+                for x, y in members[pid]:
                     total += frac(P[i * m + x][j * m + y] if isinstance(P, list) else P[i * m + x, j * m + y])
                 if total:
                     coeffs[elem] = total
@@ -170,16 +173,9 @@ def reconstruct_exact(problem: SdpProblem, P) -> RingMatrix:
 _META_PREFIX = "*META "
 
 
-def export_sdpa(problem: SdpProblem) -> str:
-    """Sparse SDPA (.dat-s) text for the problem.
-
-    File is the standard SDPA dual form: maximize <F0, Y> subject to
-    <Fk, Y> = c_k with Y PSD.  Y = blockdiag(P, s, t), where P is the
-    nm x nm Gram block and lambda = s - t splits the free objective
-    variable over a diagonal block of size 2.
-    """
-    table = problem.table
-    n, m, npairs = problem.n, problem.m, problem.npairs
+def _sdpa_lines(problem: SdpProblem) -> Iterator[str]:
+    """The lines of the SDPA export, one by one."""
+    n, m = problem.n, problem.m
     keys = problem.export_keys()
     meta = {
         "version": 1,
@@ -188,7 +184,7 @@ def export_sdpa(problem: SdpProblem) -> str:
         "radius": problem.basis.radius,
         "basis": [problem.basis.model.key_to_json(e.key) for e in problem.basis],
     }
-    lines = [
+    yield from (
         "* gapcert sparse SDPA export (format v1)",
         "* dual form: maximize <F0,Y> s.t. <Fk,Y>=c_k, Y PSD",
         "* Y = blockdiag(P, s, t); P is the nm x nm Gram block, lambda = s - t",
@@ -196,50 +192,62 @@ def export_sdpa(problem: SdpProblem) -> str:
         f"{len(keys)}",
         "2",
         f"{n * m} -2",
-        " ".join(repr(problem.targets.get(k, 0.0)) for k in keys),
+        " ".join(map(repr, problem.targets[tuple(np.array(keys).T)].tolist())),
         "0 2 1 1 1.0",
         "0 2 2 2 -1.0",
-    ]
-    inverse_pid = problem.inverse_pid
-    pairs_by_pid: List[List[Tuple[int, int]]] = [[] for _ in range(npairs)]
-    for x in range(m):
-        row = table.pid[x]
-        for y in range(m):
-            pairs_by_pid[row[y]].append((x, y))
+    )
+    inverse_pid = problem.inverse_pid.tolist()
+    members = problem.table.members()
     for k, (i, j, pid) in enumerate(keys, start=1):
         if i == j:
-            pattern = list(pairs_by_pid[pid])
+            pattern = members[pid]
             if inverse_pid[pid] != pid:
-                pattern += pairs_by_pid[inverse_pid[pid]]
+                pattern = pattern + members[inverse_pid[pid]]
             for x, y in pattern:
                 p, q = i * m + x, i * m + y
                 if p < q:
-                    lines.append(f"{k} 1 {p + 1} {q + 1} 0.5")
+                    yield f"{k} 1 {p + 1} {q + 1} 0.5"
                 elif p == q:
-                    lines.append(f"{k} 1 {p + 1} {q + 1} 1.0")
+                    yield f"{k} 1 {p + 1} {q + 1} 1.0"
             if pid == problem.identity_pid:
-                lines.append(f"{k} 2 1 1 1.0")
-                lines.append(f"{k} 2 2 2 -1.0")
+                yield f"{k} 2 1 1 1.0"
+                yield f"{k} 2 2 2 -1.0"
         else:
-            for x, y in pairs_by_pid[pid]:
+            for x, y in members[pid]:
                 p, q = i * m + x, j * m + y
-                lines.append(f"{k} 1 {p + 1} {q + 1} 0.5")
-    return "\n".join(lines) + "\n"
+                yield f"{k} 1 {p + 1} {q + 1} 0.5"
+
+
+def export_sdpa(problem: SdpProblem) -> str:
+    """Sparse SDPA (.dat-s) text for the problem.
+
+    File is the standard SDPA dual form: maximize <F0, Y> subject to
+    <Fk, Y> = c_k with Y PSD.  Y = blockdiag(P, s, t), where P is the
+    nm x nm Gram block and lambda = s - t splits the free objective
+    variable over a diagonal block of size 2.
+    """
+    return "\n".join(_sdpa_lines(problem)) + "\n"
+
+
+def _tokens(lines: Iterable[str]) -> Iterator[str]:
+    """Whitespace tokens of the lines that are not comments."""
+    return chain.from_iterable(
+        line.split() for line in lines if not line.lstrip().startswith(("*", '"'))
+    )
 
 
 def import_sdpa(text: str) -> SdpProblem:
-    """Rebuild an SdpProblem from an export; inverse of export_sdpa."""
-    meta = None
-    body_tokens: List[str] = []
-    entry_lines = 0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith(_META_PREFIX):
-            meta = json.loads(line[len(_META_PREFIX):])
-            continue
-        if not line or line.startswith("*") or line.startswith('"'):
-            continue
-        body_tokens.extend(line.split())
+    """Rebuild an SdpProblem from an export; inverse of export_sdpa.
+
+    The entry lines must carry exactly the tokens export_sdpa writes for
+    the rebuilt problem; they are compared as streams, never held twice.
+    """
+    lines = text.splitlines()
+    meta = next(
+        (json.loads(line.strip()[len(_META_PREFIX):]) for line in lines
+         if line.strip().startswith(_META_PREFIX)),
+        None,
+    )
     if meta is None:
         raise ValueError("missing *META line; not a gapcert export")
     model = model_from_spec(meta["model"])
@@ -247,11 +255,12 @@ def import_sdpa(text: str) -> SdpProblem:
     basis = SupportBasis(elements, meta.get("radius"))
     n = int(meta["n"])
     m = len(basis)
+    tokens = _tokens(lines)
     pos = 0
 
     def take(count):
         nonlocal pos
-        out = body_tokens[pos:pos + count]
+        out = list(islice(tokens, count))
         if len(out) != count:
             raise ValueError("truncated SDPA file")
         pos += count
@@ -265,26 +274,19 @@ def import_sdpa(text: str) -> SdpProblem:
     if block1 != n * m or block2 != -2:
         raise ValueError("block structure does not match metadata")
     c = [float(t) for t in take(mdim)]
-    # remaining tokens are entry quintuples; validated by count only
-    remaining = len(body_tokens) - pos
-    if remaining % 5 != 0:
-        raise ValueError("malformed entry lines")
-    shell = SdpProblem(n, basis, {})
-    keys = shell.export_keys()
+    problem = SdpProblem(n, basis, np.zeros((n, n, len(basis.products()))))
+    keys = problem.export_keys()
     if len(keys) != mdim:
         raise ValueError(
             f"constraint count mismatch: file has {mdim}, basis implies {len(keys)}"
         )
-    targets: Dict[Tuple[int, int, int], float] = {}
-    inverse_pid = shell.inverse_pid
-    for key, value in zip(keys, c):
-        if value == 0.0:
-            continue
-        i, j, pid = key
-        targets[key] = value
-        if i == j and inverse_pid[pid] != pid:
-            targets[(i, j, inverse_pid[pid])] = value
-    return SdpProblem(n, basis, targets)
+    inverse_pid = problem.inverse_pid.tolist()
+    for (i, j, pid), value in zip(keys, c):
+        problem.targets[i, j, pid] = problem.targets[j, i, inverse_pid[pid]] = value
+    expected = islice(_tokens(_sdpa_lines(problem)), pos, None)
+    if any(a != b for a, b in zip_longest(tokens, expected)):
+        raise ValueError("entry lines do not match the constraints the basis implies")
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +344,9 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     n, m, npairs = problem.n, problem.m, problem.npairs
     N = n * m
     K = n * n * npairs
-    pid_np = np.asarray(problem.table.pid, dtype=np.int64)
-    base = (np.arange(n)[:, None] * n + np.arange(n)[None, :]) * npairs
-    cid = (base[:, None, :, None] + pid_np[None, :, None, :]).reshape(N, N)
-    cidf = np.ascontiguousarray(cid).ravel()
-    cnt = np.tile(np.bincount(pid_np.ravel(), minlength=npairs).astype(float), n * n)
-    b = np.zeros(K)
-    for (i, j, pid), v in problem.targets.items():
-        b[(i * n + j) * npairs + pid] = v
-        if i != j:
-            b[(j * n + i) * npairs + problem.inverse_pid[pid]] = v
+    cidf = problem.table.slots(n).ravel()
+    cnt = np.tile(np.bincount(problem.table.pid.ravel(), minlength=npairs).astype(float), n * n)
+    b = problem.targets.ravel()
     lam_ids = np.array(
         [(i * n + i) * npairs + problem.identity_pid for i in range(n)], dtype=np.int64
     )

@@ -97,18 +97,6 @@ class Word:
         return f"Word({' '.join(parts)})"
 
 
-def free_reduce(letters: Iterable[Tuple[int, int]]) -> Word:
-    return Word(letters)
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
-def concat(u: Word, v: Word) -> Word:
-    return u * v
-
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 

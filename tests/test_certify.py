@@ -293,12 +293,12 @@ def test_pair_block_sums_enclose_every_gram_in_the_enclosure():
     for G, D, signs in cases:
         S = [[Fraction(G[a, b]) + int(signs[a, b]) * Fraction(D[a, b]) for b in range(N)]
              for a in range(N)]
-        Slo, Shi = _pair_block_sums(G, D, table.pid, len(table))
+        Slo, Shi = _pair_block_sums(G, D, table)
         for p, cls in enumerate(members):
             for i in range(n):
                 for j in range(n):
                     value = sum(S[i * m + x][j * m + y] for x, y in cls)
-                    assert Fraction(Slo[p, i, j]) <= value <= Fraction(Shi[p, i, j])
+                    assert Fraction(Slo[i, j, p]) <= value <= Fraction(Shi[i, j, p])
 
 
 def test_non_finite_lambda_is_rejected():

@@ -176,6 +176,45 @@ def test_verify_rejects_hostile_certificate(capsys, tmp_path):
         assert err.startswith("error:") and reason in err
 
 
+def _set(path, value):
+    def edit(data):
+        *outer, last = path
+        for key in outer:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["solver_lambda"], None),
+        _set(["certified_lambda0"], None),
+        _set(["q", "entries", 0, 1], None),
+        _set(["basis", "keys", 1], None),
+        _set(["basis", "radius"], "1"),
+        _set(["relators", "indices", 0], "0"),
+        _set(["model"], None),
+        _set(["presentation", "text"], None),
+        _set(["presentation"], None),
+        lambda data: [data],
+    ],
+    ids=["solver_lambda", "certified_lambda0", "q_entry", "basis_key", "basis_radius",
+         "relator_index", "model", "presentation_text", "presentation", "list_root"],
+)
+def test_verify_rejects_malformed_certificate(capsys, tmp_path, edit):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = _run(
+        capsys, "pipeline", "--preset", "z3", "--radius", "1", "--out", str(cert_path),
+    )
+    assert code == 0
+    data = json.loads(cert_path.read_text())
+    cert_path.write_text(json.dumps(edit(data) or data))
+    code, out, err = _run(capsys, "verify", str(cert_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_certify_accepts_external_q(capsys, tmp_path):
     # externally produced exact square root of the optimal z3 Gram matrix
     sol = {"lambda": 3.0, "Q": [[(2.0 / 3.0) ** 0.5 / 3 ** 0.5] * 3] * 3}

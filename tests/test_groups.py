@@ -192,7 +192,7 @@ def test_inverse_pid_matches_group_inversion(preset, radius):
     _, model = load_preset(preset)
     table = ball(model, radius).products()
     expected = [table.pair_index[model.inverse(g).key] for g in table.pair_elements]
-    assert table.inverse_pid == expected
+    assert table.inverse_pid.tolist() == expected
 
 
 def test_cyclic_model_overflow_free_large_entries():

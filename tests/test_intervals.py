@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gapcert.intervals import Interval, down, isum, up
+from gapcert.intervals import Interval, down, up
 
 
 def test_point_and_invalid():
@@ -68,12 +68,6 @@ def test_chained_operations_stay_enclosing():
             exact = exact + f * f - f
             iv = iv + Interval.from_fraction(f) * Interval.from_fraction(f) - Interval.from_fraction(f)
         assert iv.contains(exact)
-
-
-def test_isum_matches_loop():
-    vals = [Interval.point(0.1)] * 10
-    total = isum(vals)
-    assert total.contains(Fraction(1))
 
 
 def test_scalar_promotion():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,7 @@ def test_build_z3_constraint_structure():
     for x in range(3):
         for y in range(3):
             assert (table.pid[x][y] == table.identity_pid) == (x == y)
-    assert prob.target(0, 0, table.identity_pid) == 5.0
+    assert prob.targets[0, 0, table.identity_pid] == 5.0
 
 
 def test_build_rejects_small_basis():
@@ -82,14 +83,14 @@ def test_constraint_completeness_rational_reconstruction():
         rows = n * m
         P = [[Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rows)] for _ in range(rows)]
         # symmetrize and star-symmetrize the target
-        M = reconstruct_exact(SdpProblem(n, basis, {}), P)
+        M = reconstruct_exact(SdpProblem(n, basis, np.zeros((n, n, len(basis.products())))), P)
         prob = build_problem(M + M.adjoint(), basis)
         Psym = [
             [P[i][j] + P[j][i] for j in range(rows)] for i in range(rows)
         ]
         back = reconstruct_exact(prob, Psym)
         assert back == M + M.adjoint()
-        for (i, j, pid), v in prob.targets.items():
+        for (i, j, pid), v in np.ndenumerate(prob.targets):
             coeff = (M + M.adjoint()).entry(i, j).coefficient(prob.table.pair_elements[pid])
             assert float(coeff) == v
 
@@ -109,6 +110,30 @@ def test_export_import_round_trip_z3_and_sl3z_mod2():
     basis = ball(model, 1)
     prob2 = build_problem(lap, basis)
     assert import_sdpa(export_sdpa(prob2)).same_problem(prob2)
+
+
+def test_export_bytes_sl3z_mod2_radius2():
+    # pins the order of the class member lists in the entry lines
+    p, model = load_preset("sl3z-mod:2")
+    prob = build_problem(laplacian1(model, p), ball(model, 2))
+    text = export_sdpa(prob).encode()
+    assert len(text) == 314644
+    assert hashlib.sha256(text).hexdigest() == (
+        "9d2dcc940fff6878c02f6d140c1e2b1a42e1498beafcc43a505d1d9ce7184056"
+    )
+
+
+def test_import_rejects_an_edited_entry_line():
+    _, _, prob = _z3_problem()
+    lines = export_sdpa(prob).splitlines(keepends=True)
+    # the first entry line after the objective's two
+    k = next(i for i, line in enumerate(lines) if line.startswith("1 1 "))
+    for edited in ("1 1 1 1 2.0\n", "1 1 1 2 1.0\n", "2 1 1 1 1.0\n", ""):
+        assert lines[k] != edited
+        with pytest.raises(ValueError, match="entry lines"):
+            import_sdpa("".join(lines[:k] + [edited] + lines[k + 1:]))
+    # whitespace is not significant
+    assert import_sdpa("".join(lines[:k] + ["  " + lines[k].replace(" ", "\t")] + lines[k + 1:])).same_problem(prob)
 
 
 def test_import_rejects_foreign_files():

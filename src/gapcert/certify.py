@@ -30,12 +30,20 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fox import Laplacian1, laplacian1
-from .groups import GroupElement, ProductTable, SupportBasis, ball, model_from_spec, validate_model
+from .groups import (
+    GroupElement,
+    ProductTable,
+    SupportBasis,
+    ball_elements,
+    model_from_spec,
+    validate_model,
+)
 from .intervals import Interval, down, up
 from .sdp import target_coefficients
 from .words import parse_presentation
@@ -93,11 +101,31 @@ def _gram_enclosure(Q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     optimization runs numpy's own loops: BLAS results change with the
     thread count, which could make a certificate fail to re-verify.
     """
-    G = np.einsum("ki,kj->ij", Q, Q, optimize=False)
-    A = np.abs(Q)
-    D = np.nextafter(np.einsum("ki,kj->ij", A, A, optimize=False) * _rho(len(Q)), np.inf)
-    del A
+    G = _symmetric_gram(Q)
+    D = np.nextafter(_symmetric_gram(np.abs(Q)) * _rho(len(Q)), np.inf)
     return G, np.nextafter(D + len(Q) * 4 * _ETA, np.inf)
+
+
+_BLOCK = 32  # Gram columns per einsum call
+
+
+def _symmetric_gram(X: np.ndarray) -> np.ndarray:
+    """fl(X^T X) from the upper triangle, one block of rows at a time.
+
+    Each entry is the same einsum dot product as in the full product, so
+    the bound above holds unchanged; the lower triangle is a mirror copy,
+    which halves the work and makes the result exactly symmetric.
+    """
+    N = X.shape[1]
+    out = np.empty((N, N))
+    for s in range(0, N, _BLOCK):
+        w = min(_BLOCK, N - s)
+        block = np.einsum("ki,kj->ij", X[:, s:s + w], X[:, s:], optimize=False)
+        lower = np.tril_indices(w, -1)
+        block[lower] = block.T[lower]
+        out[s:s + w, s:] = block
+        out[s:, s:s + w] = block.T
+    return out
 
 
 def _pair_block_sums(G, D, table: ProductTable) -> Tuple[np.ndarray, np.ndarray]:
@@ -201,7 +229,7 @@ def floor_display(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Certificate:
     presentation_text: str
     presentation_sha256: str
@@ -214,7 +242,7 @@ class Certificate:
     lambda0: str
     residual_l1_sup: str
     status: str
-    q_entries: List[List[str]]
+    q: np.ndarray
     toolchain: dict
 
     def to_json_dict(self) -> dict:
@@ -237,9 +265,9 @@ class Certificate:
             "residual_l1_sup": self.residual_l1_sup,
             "status": self.status,
             "q": {
-                "rows": len(self.q_entries),
-                "cols": len(self.q_entries[0]) if self.q_entries else 0,
-                "entries": self.q_entries,
+                "rows": len(self.q),
+                "cols": self.q.shape[1] if len(self.q) else 0,
+                "entries": [list(map(repr, row)) for row in self.q.tolist()],
             },
         }
 
@@ -263,10 +291,11 @@ class Certificate:
                 lambda0=data["certified_lambda0"],
                 residual_l1_sup=data["residual_l1_sup"],
                 status=data["status"],
-                q_entries=data["q"]["entries"],
+                q=np.array([list(map(float, row)) for row in data["q"]["entries"]], dtype=float),
                 toolchain=data["toolchain"],
             )
-        except TypeError as exc:  # a section that is not an object, or null
+        # a section that is not an object, a null, a non-decimal or ragged Q
+        except (TypeError, ValueError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from None
 
     def save(self, path) -> None:
@@ -276,13 +305,7 @@ class Certificate:
     @classmethod
     def load(cls, path) -> "Certificate":
         with open(path, "rb") as fh:
-            return cls.from_json_dict(json.loads(fh.read().decode("utf-8")))
-
-    def q_matrix(self) -> np.ndarray:
-        try:
-            return np.array([list(map(float, row)) for row in self.q_entries], dtype=float)
-        except TypeError as exc:
-            raise CertificateError(f"Q must be rows of decimal strings: {exc}") from None
+            return cls.from_json_dict(json.loads(fh.read()))
 
 
 def _toolchain() -> dict:
@@ -314,7 +337,7 @@ def make_certificate(
         lambda0=repr(float(lambda0)),
         residual_l1_sup=repr(float(residual_l1.hi)),
         status=status,
-        q_entries=[list(map(repr, row)) for row in np.asarray(Q, dtype=float).tolist()],
+        q=np.array(Q, dtype=float),
         toolchain=_toolchain(),
     )
 
@@ -378,13 +401,14 @@ def verify_certificate(
     if cert.basis_radius is not None:
         if not isinstance(cert.basis_radius, int):
             raise SupportReconstructionError(f"stored radius {cert.basis_radius!r} is not an integer")
-        expected = ball(model, cert.basis_radius)
+        # one element past the stored basis settles it, however large the radius
+        expected = islice(ball_elements(model, cert.basis_radius), len(basis) + 1)
         if [e.key for e in expected] != [e.key for e in basis]:
             raise SupportReconstructionError(
                 "stored basis does not match the ball of the stored radius"
             )
     lap = laplacian1(model, p, stored)
-    lambda0, _, _ = _certified_bound(lap.matrix, basis, cert.q_matrix(), lam)
+    lambda0, _, _ = _certified_bound(lap.matrix, basis, cert.q, lam)
     passed = lambda0 >= stored_lambda0
     message = (
         "re-verified" if passed else

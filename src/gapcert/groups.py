@@ -2,14 +2,15 @@
 
 A model realizes the presented group concretely so that equal group
 elements get equal hashable keys.  Integer matrix entries are Python ints,
-so products never overflow.
+so products never overflow; the product table uses int64 arrays only
+where a bound on the entries rules overflow out.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -411,42 +412,89 @@ def validate_model(p: Presentation, model: GroupModel) -> None:
             )
 
 
+_INT64_LIMIT = 2 ** 63  # int64 holds magnitudes below this
+
+
+def _generic_products(basis: "SupportBasis"):
+    """(pid, first, pair_elements) from one model.multiply per pair.
+
+    first[p] is the flat cell x*m + y where class p is first seen.
+    """
+    model = basis.model
+    inverses = [model.inverse(el) for el in basis.elements]
+    pair_elements: List[GroupElement] = []
+    index: dict = {}
+    pid, first = [], []
+    for x, inv_x in enumerate(inverses):
+        for y, el in enumerate(basis.elements):
+            g = model.multiply(inv_x, el)
+            p = index.get(g.key)
+            if p is None:
+                p = index[g.key] = len(pair_elements)
+                pair_elements.append(g)
+                first.append(len(pid))
+            pid.append(p)
+    pid = np.array(pid, dtype=np.int64).reshape(len(basis), -1)
+    return pid, np.array(first, dtype=np.int64), pair_elements
+
+
+def _batched_products(basis: "SupportBasis"):
+    """`_generic_products` from one int64 matmul, or None if it does not apply.
+
+    Applies to (modular) matrix models whose products provably fit in
+    int64: every entry, and every partial sum, of x^-1 y is at most
+    dim * max|x^-1| * max|y| in magnitude.
+    """
+    model = basis.model
+    if not isinstance(model, (MatrixModel, ModularMatrixModel)):
+        return None
+    keys = [el.key for el in basis.elements]
+    inverses = [model.inverse(el).key for el in basis.elements]
+    largest = lambda ks: max(abs(v) for k in ks for row in k for v in row)
+    if model.dim * largest(inverses) * largest(keys) >= _INT64_LIMIT:
+        return None
+    m, d = len(keys), model.dim
+    prod = np.matmul(
+        np.array(inverses, dtype=np.int64)[:, None], np.array(keys, dtype=np.int64)[None, :]
+    ).reshape(m * m, d * d)
+    if isinstance(model, ModularMatrixModel):
+        prod %= model.modulus
+    rows = prod.view(np.dtype((np.void, prod.itemsize * d * d))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    # np.unique ranks classes by bytes; re-rank them by first occurrence
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    pair_elements = [
+        GroupElement(model, tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)))
+        for flat in prod[first].tolist()
+    ]
+    return rank[inverse.ravel()].reshape(m, m), first, pair_elements
+
+
 class ProductTable:
     """Products x^-1 y over a support basis: the integer index of a problem.
 
     pair_elements enumerates the distinct products (classes) in first-seen
     order (x-major, then y); pid[x, y] is the class of E[x]^-1 E[y] and
     inverse_pid[p] the class of the inverse product, both int64 arrays.
-    slots() and members() derive every other index from pid.
+    slots() and members() derive every other index from pid.  Matrix
+    models build the table with int64 array products when no entry can
+    overflow, every other model with one model.multiply per pair.
     """
 
     __slots__ = ("pair_elements", "pair_index", "pid", "inverse_pid", "identity_pid")
 
     def __init__(self, basis: "SupportBasis"):
-        model = basis.model
-        inverses = [model.inverse(el) for el in basis.elements]
-        pair_elements: List[GroupElement] = []
-        pair_index: dict = {}
+        pid, first, pair_elements = _batched_products(basis) or _generic_products(basis)
         m = len(basis)
-        pid = [[0] * m for _ in range(m)]
-        first_seen = []
-        for x in range(m):
-            inv_x = inverses[x]
-            for y in range(m):
-                g = model.multiply(inv_x, basis.elements[y])
-                p = pair_index.get(g.key)
-                if p is None:
-                    p = len(pair_elements)
-                    pair_index[g.key] = p
-                    pair_elements.append(g)
-                    first_seen.append((x, y))
-                pid[x][y] = p
         self.pair_elements = pair_elements
-        self.pair_index = pair_index
-        self.pid = np.array(pid, dtype=np.int64)
+        self.pair_index = {g.key: p for p, g in enumerate(pair_elements)}
+        self.pid = pid
         # (x^-1 y)^-1 = y^-1 x, so no group inversion is needed
-        self.inverse_pid = np.array([pid[y][x] for x, y in first_seen], dtype=np.int64)
-        self.identity_pid = pair_index[model.identity().key]
+        self.inverse_pid = pid[first % m, first // m]
+        self.identity_pid = self.pair_index[basis.model.identity().key]
 
     def __len__(self):
         return len(self.pair_elements)
@@ -540,25 +588,35 @@ def symmetrized_generators(model: GroupModel) -> List[GroupElement]:
 
 def ball(model: GroupModel, radius: int) -> SupportBasis:
     """Metric ball of the given radius, in deterministic BFS order."""
+    # a BFS ball over symmetrized generators is closed under inversion;
+    # SupportBasis checks it
+    return SupportBasis(list(ball_elements(model, radius)), radius)
+
+
+def ball_elements(model: GroupModel, radius: int) -> Iterator[GroupElement]:
+    """The elements of `ball`, yielded as the BFS finds them.
+
+    A caller that needs only a prefix can stop early, without paying for
+    a ball that grows exponentially with the radius.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if isinstance(model, FreeModel) and not model.sound:
         raise ValueError("refusing to enumerate a ball for an unsound free model")
     gens = symmetrized_generators(model)
     ident = model.identity()
-    order: dict = {ident.key: ident}
+    seen = {ident.key}
+    yield ident
     frontier = [ident]
     for _ in range(radius):
         nxt = []
         for el in frontier:
             for s in gens:
                 prod = model.multiply(el, s)
-                if prod.key not in order:
-                    order[prod.key] = prod
+                if prod.key not in seen:
+                    seen.add(prod.key)
                     nxt.append(prod)
+                    yield prod
         if not nxt:
             break
         frontier = nxt
-    # a BFS ball over symmetrized generators is closed under inversion;
-    # SupportBasis checks it
-    return SupportBasis(list(order.values()), radius)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,6 +204,20 @@ def test_tampered_radius_fails_support_reconstruction():
         verify_certificate(Certificate.from_json_dict(data))
 
 
+def test_huge_stored_radius_is_rejected_quickly():
+    p, model = load_preset("sl3z")
+    lap = laplacian1(model, p)
+    basis = ball(model, 1)
+    Q = np.zeros((1, lap.matrix.n_rows * len(basis)))
+    data = json.loads(certified_gap(lap, basis, Q, 0.0).certificate.to_bytes())
+    data["basis"]["radius"] = 12  # a ball of billions of elements
+    cert = Certificate.from_json_dict(data)
+    start = time.perf_counter()
+    with pytest.raises(SupportReconstructionError):
+        verify_certificate(cert)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_certificate_for_raw_matrix_is_none():
     model = CyclicModel(3)
     basis = ball(model, 1)
@@ -258,8 +273,11 @@ def test_gram_enclosure_contains_exact_gram():
     cases = [_hostile_q(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6))) for _ in range(30)]
     # 40 products of 0.49 * 2^-1074 each round to zero; only the underflow term covers them
     cases.append(np.array([[2.0 ** -537, 0.49 * 2.0 ** -537]] * 40))
+    # widths off the einsum block size, with more and with fewer rows than columns
+    cases += [_hostile_q(rng, k, N) for k, N in ((3, 1), (2, 31), (20, 33), (4, 65))]
     for Q in cases:
         G, D = _gram_enclosure(Q)
+        assert np.array_equal(G, G.T)
         assert np.isfinite(D).all() and (D >= 0).all()
         _assert_encloses(_exact_gram(Q), G, D)
 

@@ -191,6 +191,7 @@ def _set(path, value):
         _set(["solver_lambda"], None),
         _set(["certified_lambda0"], None),
         _set(["q", "entries", 0, 1], None),
+        _set(["q", "entries", 0], ["1.0"]),
         _set(["basis", "keys", 1], None),
         _set(["basis", "radius"], "1"),
         _set(["relators", "indices", 0], "0"),
@@ -199,8 +200,9 @@ def _set(path, value):
         _set(["presentation"], None),
         lambda data: [data],
     ],
-    ids=["solver_lambda", "certified_lambda0", "q_entry", "basis_key", "basis_radius",
-         "relator_index", "model", "presentation_text", "presentation", "list_root"],
+    ids=["solver_lambda", "certified_lambda0", "q_entry", "ragged_q", "basis_key",
+         "basis_radius", "relator_index", "model", "presentation_text", "presentation",
+         "list_root"],
 )
 def test_verify_rejects_malformed_certificate(capsys, tmp_path, edit):
     cert_path = tmp_path / "cert.json"

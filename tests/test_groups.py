@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
+from gapcert import groups
 from gapcert.groups import (
     CyclicModel,
     FreeModel,
     InconsistentModelError,
     MatrixModel,
+    ProductTable,
     SupportBasis,
     ball,
     model_from_spec,
@@ -193,6 +196,35 @@ def test_inverse_pid_matches_group_inversion(preset, radius):
     table = ball(model, radius).products()
     expected = [table.pair_index[model.inverse(g).key] for g in table.pair_elements]
     assert table.inverse_pid.tolist() == expected
+
+
+@pytest.mark.parametrize("preset", ["sl3z", "sl3z-mod:2"])
+def test_batched_product_table_matches_generic_loop(monkeypatch, preset):
+    _, model = load_preset(preset)
+    basis = ball(model, 2)
+    assert groups._batched_products(basis) is not None
+    batched = ProductTable(basis)
+    monkeypatch.setattr(groups, "_batched_products", lambda basis: None)
+    generic = ProductTable(basis)
+    assert batched.pid.dtype == batched.inverse_pid.dtype == np.int64
+    assert np.array_equal(batched.pid, generic.pid)
+    assert np.array_equal(batched.inverse_pid, generic.inverse_pid)
+    assert [g.key for g in batched.pair_elements] == [g.key for g in generic.pair_elements]
+    assert list(batched.pair_index.items()) == list(generic.pair_index.items())
+    assert batched.identity_pid == generic.identity_pid
+
+
+def test_product_table_guard_keeps_large_entries_exact():
+    # radius-2 entries reach 2^64, so int64 products could wrap around
+    model = MatrixModel([[[1, 2 ** 32], [0, 1]], [[1, 0], [2 ** 32, 1]]])
+    basis = ball(model, 2)
+    assert groups._batched_products(basis) is None
+    table = basis.products()
+    assert len(table) == 161
+    assert max(abs(v) for g in table.pair_elements for row in g.key for v in row) > 2 ** 63
+    for x, ex in enumerate(basis):
+        for y, ey in enumerate(basis):
+            assert table.pair_elements[table.pid[x, y]] == ex.inverse() * ey
 
 
 def test_cyclic_model_overflow_free_large_entries():

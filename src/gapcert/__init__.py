@@ -56,7 +56,6 @@ from .sdp import (  # noqa: F401
     build_problem,
     export_sdpa,
     import_sdpa,
-    reconstruct_exact,
     solve,
 )
 from .certify import (  # noqa: F401

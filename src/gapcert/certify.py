@@ -265,8 +265,8 @@ class Certificate:
             "residual_l1_sup": self.residual_l1_sup,
             "status": self.status,
             "q": {
-                "rows": len(self.q),
-                "cols": self.q.shape[1] if len(self.q) else 0,
+                "rows": self.q.shape[0],
+                "cols": self.q.shape[1],
                 "entries": [list(map(repr, row)) for row in self.q.tolist()],
             },
         }
@@ -291,7 +291,7 @@ class Certificate:
                 lambda0=data["certified_lambda0"],
                 residual_l1_sup=data["residual_l1_sup"],
                 status=data["status"],
-                q=np.array([list(map(float, row)) for row in data["q"]["entries"]], dtype=float),
+                q=_q_from_json(data["q"]),
                 toolchain=data["toolchain"],
             )
         # a section that is not an object, a null, a non-decimal or ragged Q
@@ -306,6 +306,15 @@ class Certificate:
     def load(cls, path) -> "Certificate":
         with open(path, "rb") as fh:
             return cls.from_json_dict(json.loads(fh.read()))
+
+
+def _q_from_json(data: dict) -> np.ndarray:
+    """Q from its decimal entries, shaped by the stored rows and cols."""
+    rows = [list(map(float, row)) for row in data["entries"]]
+    shape = (data["rows"], data["cols"])
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise CertificateError(f"Q entries do not fill its stored shape {shape}")
+    return np.array(rows, dtype=float).reshape(shape)
 
 
 def _toolchain() -> dict:

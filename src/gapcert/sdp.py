@@ -13,9 +13,14 @@ into those classes; the SDP, the SDPA export and the certifier share it.
 The embedded solver is a first-order operator-splitting scheme: it
 alternates exact projection onto the affine constraint subspace (the
 constraint Gram operator is diagonal apart from a rank-one coupling
-through lambda) with projection onto the PSD cone by dense
-eigendecomposition.  It is adequate up to nm of about 1500; larger
-instances should go through the SDPA export to an external solver.
+through lambda) with projection onto the PSD cone by eigendecomposition.
+When the index permutations e_ij -> e_s(i)s(j), s in S3, fix the problem
+exactly (gram_symmetry), every iterate is S3-invariant and the PSD step
+splits into three blocks of sizes N/6, N/6 and N/3 instead of one N x N
+eigendecomposition; any other problem takes the dense step.  Each
+iteration still holds several dense N x N arrays, so radius 3 of SL(3,Z)
+(N = 5298, 225 MB per array) is beyond it: such instances should go
+through the SDPA export to an external solver.
 """
 
 from __future__ import annotations
@@ -24,13 +29,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, zip_longest
+from itertools import chain, islice, permutations, zip_longest
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .groups import GroupElement, SupportBasis, model_from_spec
-from .ring import RingElement, RingMatrix
+from .groups import (
+    GroupElement,
+    MatrixModel,
+    ModularMatrixModel,
+    SupportBasis,
+    model_from_spec,
+)
+from .ring import RingMatrix
 from .fox import Laplacian1
 
 
@@ -133,37 +144,6 @@ def build_problem(source, basis: SupportBasis) -> SdpProblem:
     for cell, c in inside.items():
         targets[cell] = float(c)
     return SdpProblem(n, basis, targets)
-
-
-def reconstruct_exact(problem: SdpProblem, P) -> RingMatrix:
-    """Exact x* P x as a rational RingMatrix.
-
-    P entries are converted to Fractions (exact for floats), so this is a
-    rational evaluation of the constraint linear map, independent of any
-    solver state.
-    """
-    table = problem.table
-    model = problem.basis.model
-    n, m = problem.n, problem.m
-
-    def frac(v) -> Fraction:
-        return v if isinstance(v, Fraction) else Fraction(float(v))
-
-    members = table.members()
-    entries = []
-    for i in range(n):
-        row_out = []
-        for j in range(n):
-            coeffs = {}
-            for pid, elem in enumerate(table.pair_elements):
-                total = Fraction(0)
-                for x, y in members[pid]:
-                    total += frac(P[i * m + x][j * m + y] if isinstance(P, list) else P[i * m + x, j * m + y])
-                if total:
-                    coeffs[elem] = total
-            row_out.append(RingElement(model, coeffs))
-        entries.append(row_out)
-    return RingMatrix(model, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +270,90 @@ def import_sdpa(text: str) -> SdpProblem:
 
 
 # ---------------------------------------------------------------------------
+# Symmetry of the Gram coordinates
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GramSymmetry:
+    """A group H of Gram-coordinate permutations that fixes the problem.
+
+    order[o*|H| + h] is the coordinate h.r_o, r_o the smallest coordinate
+    of orbit o: the orbit-major layout the solver keeps its iterates in.
+    fourier is |H| x |H| real orthogonal; an irrep rho of dimension d (in
+    the order of dims) owns d*d consecutive columns, column (a, b) holding
+    sqrt(d/|H|) rho(h)[a, b] in row h.
+    """
+
+    order: np.ndarray
+    fourier: np.ndarray
+    dims: Tuple[int, ...]
+
+    @classmethod
+    def trivial(cls, size: int) -> "GramSymmetry":
+        return cls(np.arange(size), np.ones((1, 1)), (1,))
+
+
+# an orthonormal basis of the plane orthogonal to (1, 1, 1)
+_PLANE = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]) / np.sqrt([2.0, 6.0])
+
+
+def _fixing_conjugations(problem: SdpProblem) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(Q, sigma, phi) for each 3x3 permutation matrix Q whose conjugation fixes the problem.
+
+    g -> Q g Q^T must map generator image a to image sigma[a] and basis
+    element x to phi[x]; pid[phi x, phi y] must be a class permutation pi;
+    and targets[sigma, sigma, pi] must equal targets exactly.
+    """
+    model = problem.basis.model
+    if not isinstance(model, (MatrixModel, ModularMatrixModel)) or model.dim != 3:
+        return []
+    images = {key: a for a, key in enumerate(model.images)}
+    if not len(images) == model.n_generators == problem.n:
+        return []
+    keys = [el.key for el in problem.basis]
+    pid, targets = problem.table.pid, problem.targets
+    kept = []
+    for p in permutations(range(3)):
+        conj = [tuple(tuple(key[a][b] for b in p) for a in p) for key in model.images + keys]
+        sigma = [images.get(key) for key in conj[:problem.n]]
+        phi = [problem.basis.index.get(key) for key in conj[problem.n:]]
+        if None in sigma or None in phi:
+            continue
+        moved = pid[np.ix_(phi, phi)]
+        pi = np.empty(len(problem.table), dtype=np.int64)
+        pi[pid] = moved
+        if np.array_equal(pi[pid], moved) and np.array_equal(
+            targets[np.ix_(sigma, sigma, pi)], targets
+        ):
+            kept.append((np.eye(3)[list(p)], np.array(sigma), np.array(phi)))
+    return kept
+
+
+def gram_symmetry(problem: SdpProblem) -> GramSymmetry:
+    """The S3 symmetry e_ij -> e_s(i)s(j) of a problem, or the trivial group.
+
+    S3 is used when all six conjugations by 3x3 permutation matrices fix
+    the problem (_fixing_conjugations) and act freely on the Gram
+    coordinates (i, x) -> (sigma i, phi x).  Its real orthogonal irreps
+    are 1, det Q and the action of Q on the plane orthogonal to (1, 1, 1).
+    """
+    n, m = problem.n, problem.m
+    kept = _fixing_conjugations(problem)
+    if len(kept) == 6:
+        act = np.array([(sigma[:, None] * m + phi).ravel() for _, sigma, phi in kept])
+        smallest = np.flatnonzero(act.min(axis=0) == np.arange(n * m))
+        order = act[:, smallest].T.ravel()
+        if np.array_equal(np.sort(order), np.arange(n * m)):
+            fourier = np.array([
+                [1.0, round(np.linalg.det(Q)), *(np.sqrt(2.0) * _PLANE.T @ Q @ _PLANE).ravel()]
+                for Q, _, _ in kept
+            ]) / np.sqrt(6.0)
+            return GramSymmetry(order, fourier, (1, 1, 2))
+    return GramSymmetry.trivial(n * m)
+
+
+# ---------------------------------------------------------------------------
 # Embedded solver
 # ---------------------------------------------------------------------------
 
@@ -332,19 +396,51 @@ def _psd_project(A: np.ndarray) -> np.ndarray:
     return 0.5 * (Z + Z.T)
 
 
+def _psd_project_blocks(A: np.ndarray, sym: GramSymmetry) -> np.ndarray:
+    """_psd_project of an H-invariant A in orbit-major layout, block by block.
+
+    With k = N/|H|, the Fourier basis splits A into d equal copies of a
+    kd x kd block per irrep of dimension d.  Each block is averaged over
+    its copies and projected; entries outside the blocks, rounding noise
+    for an invariant A, are dropped.
+    """
+    F = sym.fourier
+    g = len(F)
+    if g == 1:  # one block, no change of basis
+        return _psd_project(A)
+    N = len(A)
+    k = N // g
+    C = np.matmul(F.T, (A.reshape(N * k, g) @ F).reshape(k, g, N)).reshape(k, g, k, g)
+    out = np.zeros_like(C)
+    col = 0
+    for d in sym.dims:
+        copies = [slice(col + a * d, col + a * d + d) for a in range(d)]
+        block = sum(C[:, c, :, c] for c in copies) / d
+        block = _psd_project(block.reshape(k * d, k * d)).reshape(k, d, k, d)
+        for c in copies:
+            out[:, c, :, c] = block
+        col += d * d
+    del C  # before the back transform allocates two more N x N arrays
+    return np.matmul(F, (out.reshape(N * k, g) @ F.T).reshape(k, g, N)).reshape(N, N)
+
+
 def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     """Maximize lambda over the problem's affine slice of the PSD cone.
 
     Deterministic cold start at P = 0, lambda = 0.  Status is "optimal"
     when both residuals pass their tolerances, "infeasible-suspected" when
     the primal residual plateaus well above tolerance while the iterates
-    stop moving, and "max-iter" otherwise.
+    stop moving, and "max-iter" otherwise.  The iterates are held in the
+    orbit-major layout of gram_symmetry(problem); both projections commute
+    with its group, so every iterate is invariant up to rounding and the
+    PSD step goes block by block.  P is returned in the original layout.
     """
     opts = opts or SolveOptions()
     n, m, npairs = problem.n, problem.m, problem.npairs
     N = n * m
     K = n * n * npairs
-    cidf = problem.table.slots(n).ravel()
+    sym = gram_symmetry(problem)
+    cidf = problem.table.slots(n)[np.ix_(sym.order, sym.order)].ravel()
     cnt = np.tile(np.bincount(problem.table.pid.ravel(), minlength=npairs).astype(float), n * n)
     b = problem.targets.ravel()
     lam_ids = np.array(
@@ -387,7 +483,7 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
         X, xlam = proj_affine(Z - U, zlam + push)
         Xr = alpha * X + (1.0 - alpha) * Z
         xrlam = alpha * xlam + (1.0 - alpha) * zlam
-        Z_new = _psd_project(Xr + U)
+        Z_new = _psd_project_blocks(Xr + U, sym)
         U = U + Xr - Z_new
         rp = float(np.linalg.norm(X - Z_new))
         rd = rho * float(np.linalg.norm(Z_new - Z))
@@ -427,9 +523,10 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     if not fixed:
         err[lam_ids] += xlam
     constraint_residual = float(np.linalg.norm(err))
+    back = np.argsort(sym.order)
     return SdpSolution(
         lam=float(xlam),
-        P=Z,
+        P=Z[np.ix_(back, back)],
         primal_residual=rp,
         dual_residual=rd,
         constraint_residual=constraint_residual,

@@ -126,3 +126,34 @@ def exact_certified_gap(target, basis, Q_rows, lam):
     shifted = target - RingMatrix.identity(model, n, lam)
     residual = verify_sos(shifted, factors)
     return lam - residual.l1(), residual
+
+
+def reconstruct_exact(problem, P):
+    """Exact x* P x as a rational RingMatrix.
+
+    P entries are converted to Fractions (exact for floats), so this is a
+    rational evaluation of the constraint linear map, independent of any
+    solver state.
+    """
+    table = problem.table
+    model = problem.basis.model
+    n, m = problem.n, problem.m
+
+    def frac(v) -> Fraction:
+        return v if isinstance(v, Fraction) else Fraction(float(v))
+
+    members = table.members()
+    entries = []
+    for i in range(n):
+        row_out = []
+        for j in range(n):
+            coeffs = {}
+            for pid, elem in enumerate(table.pair_elements):
+                total = Fraction(0)
+                for x, y in members[pid]:
+                    total += frac(P[i * m + x][j * m + y] if isinstance(P, list) else P[i * m + x, j * m + y])
+                if total:
+                    coeffs[elem] = total
+            row_out.append(RingElement(model, coeffs))
+        entries.append(row_out)
+    return RingMatrix(model, entries)

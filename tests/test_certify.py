@@ -13,6 +13,7 @@ import pytest
 import gapcert
 from gapcert.certify import (
     Certificate,
+    CertificateError,
     HashMismatchError,
     SupportReconstructionError,
     _gram_enclosure,
@@ -86,6 +87,28 @@ def test_zero_square_root_gives_minus_l1_bound():
     # degenerate but valid: the certificate still verifies
     check = verify_certificate(result.certificate)
     assert check.passed
+
+
+def test_zero_row_q_round_trips_and_reverifies(tmp_path):
+    p, model = load_preset("z3")
+    result = certified_gap(laplacian1(model, p), ball(model, 1), np.zeros((0, 3)), 0.0)
+    path = tmp_path / "cert.json"
+    result.certificate.save(path)
+    loaded = Certificate.load(path)
+    assert loaded.q.shape == (0, 3)
+    assert loaded.to_bytes() == result.certificate.to_bytes()
+    check = verify_certificate(loaded)
+    assert check.passed and check.lambda0 == result.lambda0
+    # Q is shaped by the stored rows and cols, which its entries must fill
+    data = result.certificate.to_json_dict()
+    data["q"] = {"rows": 1, "cols": 3, "entries": []}
+    with pytest.raises(CertificateError, match="shape"):
+        Certificate.from_json_dict(data)
+    _, _, _, full = _z3_pipeline()
+    data = full.certificate.to_json_dict()
+    data["q"] = dict(data["q"], rows=1, cols=9)
+    with pytest.raises(CertificateError, match="shape"):
+        Certificate.from_json_dict(data)
 
 
 def test_certified_gap_dimension_mismatch():

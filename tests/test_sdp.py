@@ -1,25 +1,34 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gapcert import sdp
+from gapcert.certify import certified_gap, psd_sqrt
 from gapcert.fox import laplacian1
-from gapcert.groups import CyclicModel, SupportBasis, ball
+from gapcert.groups import CyclicModel, SupportBasis, ball, model_from_spec
 from gapcert.presets import load_preset
 from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import (
+    GramSymmetry,
     SdpProblem,
     SolveOptions,
     SupportTooSmallError,
+    _psd_project,
+    _psd_project_blocks,
     build_problem,
     export_sdpa,
+    gram_symmetry,
     import_sdpa,
-    reconstruct_exact,
     solve,
 )
+from gapcert.words import Presentation, Word
+
+from _oracles import reconstruct_exact
 
 DATA = Path(__file__).parent / "data"
 
@@ -212,5 +221,111 @@ def test_solver_is_deterministic():
     lap, basis, prob = _z3_problem()
     a = solve(prob, SolveOptions(tol_primal=1e-9, tol_dual=1e-9))
     b = solve(prob, SolveOptions(tol_primal=1e-9, tol_dual=1e-9))
+    assert a.lam == b.lam and a.iterations == b.iterations
+    assert np.array_equal(a.P, b.P)
+
+
+def _sl3_instance(preset, seed=0, relators=None):
+    """(lap, basis, problem) with generators, images and relators permuted by the seed."""
+    p, model = load_preset(preset)
+    rng = random.Random(seed)
+    gens = rng.sample(range(6), 6) if seed else list(range(6))
+    rels = rng.sample(range(len(p.relators)), len(p.relators)) if seed else list(range(len(p.relators)))
+    new = {old: k for k, old in enumerate(gens)}
+    p = Presentation(
+        generators=tuple(p.generators[k] for k in gens),
+        relators=tuple(Word([(new[i], e) for i, e in p.relators[k]]) for k in rels),
+        labels=tuple(p.labels[k] for k in rels),
+    )
+    spec = model.spec()
+    model = model_from_spec(dict(spec, images=[spec["images"][k] for k in gens]))
+    lap = laplacian1(model, p, relators)
+    basis = ball(model, 2)
+    return lap, basis, build_problem(lap, basis)
+
+
+def _conjugation_actions(problem):
+    """The Gram-coordinate permutation of each conjugation by a 3x3 permutation matrix.
+
+    Computed with numpy matrix products, apart from the code under test.
+    """
+    model, m = problem.basis.model, problem.m
+    images = {tuple(map(tuple, k)): a for a, k in enumerate(model.images)}
+    keys = np.array([el.key for el in problem.basis])
+    acts = []
+    for Q in np.eye(3, dtype=np.int64)[list(permutations(range(3)))]:
+        conj = [tuple(map(tuple, c)) for c in Q @ np.concatenate([model.images, keys]) @ Q.T]
+        sigma = np.array([images[k] for k in conj[:problem.n]])
+        phi = np.array([problem.basis.index[k] for k in conj[problem.n:]])
+        acts.append((sigma[:, None] * m + phi).ravel())
+    return acts
+
+
+@pytest.mark.parametrize("preset,seed", [("sl3z", 0), ("sl3z", 11), ("sl3z-mod:2", 0), ("sl3z-mod:2", 3)])
+def test_gram_symmetry_finds_s3(preset, seed):
+    _, _, prob = _sl3_instance(preset, seed)
+    sym = gram_symmetry(prob)
+    N = prob.n * prob.m
+    assert sym.dims == (1, 1, 2) and sym.fourier.shape == (6, 6)
+    assert np.allclose(sym.fourier.T @ sym.fourier, np.eye(6), atol=1e-15)
+    assert np.array_equal(np.sort(sym.order), np.arange(N))
+    # every orbit is one coordinate's image under the six conjugations
+    orbits = {frozenset(orbit) for orbit in np.array(_conjugation_actions(prob)).T.tolist()}
+    assert orbits == {frozenset(o) for o in sym.order.reshape(-1, 6).tolist()}
+
+
+def test_gram_symmetry_is_trivial_without_an_exact_symmetry():
+    p, model = load_preset("z3")
+    problems = [build_problem(laplacian1(model, p), ball(model, 1))]
+    p, model = load_preset("free:2")
+    problems.append(build_problem(laplacian1(model, p), ball(model, 2)))
+    # the torsion relator is not invariant under the index permutations
+    problems.append(_sl3_instance("sl3z-mod:2", relators=range(13))[2])
+    _, _, prob = _sl3_instance("sl3z-mod:2")
+    targets = prob.targets.copy()
+    pid = prob.table.pid[0, 5]
+    targets[0, 1, pid] += 1.0
+    targets[1, 0, prob.inverse_pid[pid]] += 1.0
+    problems.append(SdpProblem(prob.n, prob.basis, targets))
+    for prob in problems:
+        sym = gram_symmetry(prob)
+        assert sym.fourier.shape == (1, 1) and sym.dims == (1,)
+        assert np.array_equal(sym.order, np.arange(prob.n * prob.m))
+
+
+@pytest.mark.parametrize("preset", ["sl3z-mod:2", "sl3z"])
+def test_reduced_projection_matches_dense_projection(preset):
+    _, _, prob = _sl3_instance(preset)
+    sym = gram_symmetry(prob)
+    N = prob.n * prob.m
+    assert N == {"sl3z-mod:2": 186, "sl3z": 726}[preset]
+    A = np.random.default_rng(5).normal(size=(N, N))
+    acts = _conjugation_actions(prob)
+    invariant = sum(A[np.ix_(act, act)] for act in acts) / len(acts)
+    # an indefinite and a positive semidefinite invariant matrix
+    for A in (invariant, invariant @ invariant.T):
+        A = A[np.ix_(sym.order, sym.order)]
+        dense = _psd_project(A)
+        reduced = _psd_project_blocks(A, sym)
+        assert np.abs(reduced - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_reduced_solve_matches_dense_solve(monkeypatch):
+    lap, basis, prob = _sl3_instance("sl3z-mod:2")
+    opts = SolveOptions(tol_primal=1e-5, tol_dual=1e-5, max_iter=8000)
+    reduced = solve(prob, opts)
+    monkeypatch.setattr(sdp, "gram_symmetry", lambda problem: GramSymmetry.trivial(problem.n * problem.m))
+    dense = solve(prob, opts)
+    assert reduced.status == dense.status == "optimal"
+    assert reduced.iterations == dense.iterations
+    assert abs(reduced.lam - dense.lam) <= 1e-10
+    gaps = [certified_gap(lap, basis, psd_sqrt(s.P), s.lam).lambda0 for s in (reduced, dense)]
+    assert gaps[0] > 0 and abs(gaps[0] - gaps[1]) <= 1e-10
+
+
+def test_symmetric_solver_is_deterministic():
+    _, _, prob = _sl3_instance("sl3z-mod:2")
+    a = solve(prob, SolveOptions(max_iter=300))
+    b = solve(prob, SolveOptions(max_iter=300))
     assert a.lam == b.lam and a.iterations == b.iterations
     assert np.array_equal(a.P, b.P)

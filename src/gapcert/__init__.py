@@ -24,26 +24,19 @@ from .groups import (  # noqa: F401
     GroupModel,
     InconsistentModelError,
     MatrixModel,
-    ModularMatrixModel,
     SupportBasis,
     ball,
     model_from_spec,
     validate_model,
 )
 from .intervals import Interval  # noqa: F401
-from .ring import (  # noqa: F401
-    RingElement,
-    RingMatrix,
-    order_unit_sos,
-    verify_sos,
-)
+from .ring import RingElement, RingMatrix  # noqa: F401
 from .fox import (  # noqa: F401
     Laplacian1,
     d0,
     default_relator_indices,
     evaluate_representation,
     fox_derivative,
-    jacobian,
     laplacian1,
     regular_representation_images,
     relator_square,

@@ -384,8 +384,6 @@ def verify_certificate(
     if recomputed != cert.presentation_sha256:
         raise HashMismatchError("presentation text does not match its stored hash")
     p = parse_presentation(cert.presentation_text)
-    if not isinstance(cert.model_spec, dict):
-        raise CertificateError("model must be a JSON object")
     model = model_from_spec(cert.model_spec)
     validate_model(p, model)
     stored = tuple(cert.relator_indices)

@@ -28,7 +28,6 @@ from .groups import (
     FreeModel,
     InconsistentModelError,
     MatrixModel,
-    ModularMatrixModel,
     SupportBasis,
     ball,
     validate_model,
@@ -63,11 +62,11 @@ def _load_input(args) -> tuple:
         if kind == "free":
             model = FreeModel(p.n_generators, sound=not p.relators)
         elif kind == "modular":
-            if not isinstance(model, MatrixModel):
+            if not isinstance(model, MatrixModel) or model.modulus is not None:
                 raise CliError("--model modular:<m> needs a matrix-model preset")
-            model = ModularMatrixModel(model.images, int(arg))
+            model = MatrixModel(model.images, int(arg))
         elif kind == "matrix":
-            if not isinstance(model, (MatrixModel, ModularMatrixModel)):
+            if not isinstance(model, MatrixModel):
                 raise CliError("--model matrix needs a matrix-model preset")
         else:
             raise CliError(f"unknown model choice {model_opt!r}")

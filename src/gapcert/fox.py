@@ -54,22 +54,6 @@ def d0(model: GroupModel, p: Presentation) -> RingMatrix:
     return RingMatrix(model, col)
 
 
-def jacobian(
-    model: GroupModel,
-    p: Presentation,
-    relator_indices: Optional[Sequence[int]] = None,
-) -> RingMatrix:
-    """Rows of Fox derivatives, one per selected relator, in presentation order."""
-    indices = list(range(len(p.relators))) if relator_indices is None else list(relator_indices)
-    if not indices:
-        raise ValueError("jacobian needs at least one relator")
-    rows = []
-    for k in indices:
-        r = p.relators[k]
-        rows.append([fox_derivative(model, r, j) for j in range(p.n_generators)])
-    return RingMatrix(model, rows)
-
-
 def relator_square(model: GroupModel, p: Presentation, r: Word) -> RingMatrix:
     """n x n matrix J(r): first row the derivatives of r, other rows zero."""
     n = p.n_generators
@@ -115,8 +99,6 @@ def laplacian1(
     relator_indices: Optional[Sequence[int]] = None,
 ) -> Laplacian1:
     if relator_indices is None:
-        relator_indices = p.designated
-    if relator_indices is None:
         indices = default_relator_indices(p)
     else:
         indices = sorted(set(relator_indices))
@@ -146,16 +128,13 @@ def representation_table(
     model: GroupModel,
     images: Sequence[np.ndarray],
     support: Sequence[GroupElement],
-    unitary_tol: float = 1e-10,
-    consistency_tol: float = 1e-8,
-    max_radius: int = 64,
 ) -> Dict:
     """Map each support element's key to its image matrix.
 
-    Images extend generator-by-generator along a BFS of the model; when a
-    normal form is reached along two paths the two products must agree to
-    consistency_tol, which catches images that do not factor through the
-    model's quotient.
+    Images must be unitary to 1e-10 and extend generator-by-generator
+    along a BFS of the model of at most 64 steps; when a normal form is
+    reached along two paths the two products must agree to 1e-8, which
+    catches images that do not factor through the model's quotient.
     """
     if len(images) != model.n_generators:
         raise RepresentationError("one image per generator required")
@@ -165,7 +144,7 @@ def representation_table(
     for m in mats:
         if m.shape != (k, k):
             raise RepresentationError("generator images must share one dimension")
-        if np.max(np.abs(m.conj().T @ m - eye)) > unitary_tol:
+        if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
             raise RepresentationError("generator image is not unitary")
     gen_elems = []
     gen_mats = []
@@ -181,7 +160,7 @@ def representation_table(
     table = {ident.key: eye}
     pending = {el.key for el in support if el.key not in table}
     frontier = [ident]
-    for _ in range(max_radius):
+    for _ in range(64):
         if not pending or not frontier:
             break
         nxt = []
@@ -195,7 +174,7 @@ def representation_table(
                     table[prod.key] = pm
                     nxt.append(prod)
                     pending.discard(prod.key)
-                elif np.max(np.abs(pm - known)) > consistency_tol:
+                elif np.max(np.abs(pm - known)) > 1e-8:
                     raise RepresentationError(
                         "images are inconsistent with the model's relations"
                     )
@@ -211,9 +190,11 @@ def evaluate_representation(
     M: RingMatrix,
     images: Sequence[np.ndarray],
     presentation: Optional[Presentation] = None,
-    relator_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Block matrix of the entrywise image sums; hermitian for *-invariant M."""
+    """Block matrix of the entrywise image sums; hermitian for *-invariant M.
+
+    With a presentation, each relator's image must be the identity to 1e-10.
+    """
     model = M.model
     support: List[GroupElement] = []
     seen = set()
@@ -234,7 +215,7 @@ def evaluate_representation(
             for idx, sign in rel:
                 g = mats[idx]
                 img = img @ (g if sign > 0 else g.conj().T)
-            if np.max(np.abs(img - eye)) > relator_tol:
+            if np.max(np.abs(img - eye)) > 1e-10:
                 raise RepresentationError(f"images violate relator {label}")
     k = next(iter(table.values())).shape[0]
     any_complex = any(np.iscomplexobj(t) for t in table.values())
@@ -251,11 +232,12 @@ def evaluate_representation(
     return out
 
 
-def regular_representation_images(model: GroupModel, max_size: int = 200000):
+def regular_representation_images(model: GroupModel):
     """Left-regular permutation images for a finite model.
 
-    Enumerates the whole group by BFS and returns (images, elements);
-    images[i][x, y] = 1 iff generator_i * elements[y] == elements[x].
+    Enumerates the whole group, at most 200000 elements, by BFS and
+    returns (images, elements); images[i][x, y] = 1 iff
+    generator_i * elements[y] == elements[x].
     """
     gens = model.generators()
     ident = model.identity()
@@ -269,7 +251,7 @@ def regular_representation_images(model: GroupModel, max_size: int = 200000):
             for s in sym:
                 prod = model.multiply(el, s)
                 if prod.key not in order:
-                    if len(elements) >= max_size:
+                    if len(elements) >= 200000:
                         raise ValueError("group appears infinite or too large")
                     order[prod.key] = len(elements)
                     elements.append(prod)

@@ -128,9 +128,6 @@ class GroupModel:
             out = self.multiply(out, gens[idx] if sign > 0 else invs[idx])
         return out
 
-    def validate_key(self, key) -> None:
-        raise NotImplementedError
-
     def spec(self) -> dict:
         raise NotImplementedError
 
@@ -138,6 +135,7 @@ class GroupModel:
         raise NotImplementedError
 
     def key_from_json(self, data):
+        """The key a JSON value names; ValueError unless it is a valid key."""
         raise NotImplementedError
 
     def _wrap(self, key) -> GroupElement:
@@ -150,99 +148,46 @@ def _spec_id(spec: dict) -> str:
 
 
 class MatrixModel(GroupModel):
-    """Generators as invertible integer matrices (det +-1)."""
+    """Generators as integer matrices, invertible over Z (det +-1) or, with
+    a modulus m >= 2, over Z/m with entries reduced to [0, m)."""
 
-    def __init__(self, images: Sequence[Sequence[Sequence[int]]]):
+    def __init__(self, images: Sequence[Sequence[Sequence[int]]], modulus: Optional[int] = None):
+        if modulus is not None and modulus < 2:
+            raise ValueError("modulus must be >= 2")
         if not images:
             raise ValueError("need at least one generator image")
-        keys = [tuple(tuple(int(x) for x in row) for row in img) for img in images]
-        d = len(keys[0])
-        for k in keys:
-            if len(k) != d or any(len(row) != d for row in k):
-                raise ValueError("generator images must be square of equal size")
-            if _det(k) not in (1, -1):
-                raise ValueError("generator image is not invertible over Z")
-        self.dim = d
-        self.images = keys
-        self.inv_images = [self._invert_key(k) for k in keys]
-        self.n_generators = len(keys)
-        self.model_id = f"matrix:{_spec_id(self.spec())}"
-
-    def _invert_key(self, key: MatrixKey) -> MatrixKey:
-        det = _det(key)
-        adj = _adjugate(key)
-        return tuple(tuple(x * det for x in row) for row in adj)  # det is +-1
-
-    def identity(self) -> GroupElement:
-        return self._wrap(_mat_identity(self.dim))
-
-    def generator(self, i: int) -> GroupElement:
-        return self._wrap(self.images[i])
-
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self._wrap(_mat_mul(a.key, b.key))
-
-    def inverse(self, a: GroupElement) -> GroupElement:
-        return self._wrap(self._invert_key(a.key))
-
-    def validate_key(self, key) -> None:
-        if (
-            len(key) != self.dim
-            or any(len(row) != self.dim for row in key)
-            or any(not isinstance(x, int) for row in key for x in row)
-        ):
-            raise ValueError(f"malformed matrix key {key!r}")
-        if _det(key) not in (1, -1):
-            raise ValueError("matrix key is not invertible over Z")
-
-    def spec(self) -> dict:
-        return {
-            "type": "matrix",
-            "dim": self.dim,
-            "images": [[list(r) for r in k] for k in self.images],
-        }
-
-    def key_to_json(self, key):
-        return [list(r) for r in key]
-
-    def key_from_json(self, data):
-        key = tuple(tuple(int(x) for x in row) for row in data)
-        self.validate_key(key)
-        return key
-
-
-class ModularMatrixModel(GroupModel):
-    """Matrix model with entries reduced mod m >= 2."""
-
-    def __init__(self, images, modulus: int):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        keys = [
-            tuple(tuple(int(x) % modulus for x in row) for row in img)
-            for img in images
-        ]
-        if not keys:
-            raise ValueError("need at least one generator image")
-        d = len(keys[0])
         self.modulus = modulus
-        self.dim = d
+        keys = [tuple(tuple(self._reduce(int(x)) for x in row) for row in img) for img in images]
+        d = len(keys[0])
         for k in keys:
             if len(k) != d or any(len(row) != d for row in k):
                 raise ValueError("generator images must be square of equal size")
-            try:
-                pow(_det(k) % modulus, -1, modulus)
-            except ValueError:
-                raise ValueError("generator image is not invertible mod m") from None
+            self._det_inverse(k)
+        self.dim = d
         self.images = keys
         self.inv_images = [self._invert_key(k) for k in keys]
         self.n_generators = len(keys)
-        self.model_id = f"modular:{_spec_id(self.spec())}"
+        spec = self.spec()
+        self.model_id = f"{spec['type']}:{_spec_id(spec)}"
+
+    def _reduce(self, x: int) -> int:
+        return x if self.modulus is None else x % self.modulus
+
+    def _det_inverse(self, key: MatrixKey) -> int:
+        """det(key)^-1 in Z or Z/m; ValueError if det(key) is not a unit."""
+        det = _det(key)
+        if self.modulus is None:
+            if det not in (1, -1):
+                raise ValueError(f"matrix {key!r} is not invertible over Z")
+            return det
+        try:
+            return pow(det % self.modulus, -1, self.modulus)
+        except ValueError:
+            raise ValueError(f"matrix {key!r} is not invertible mod {self.modulus}") from None
 
     def _invert_key(self, key: MatrixKey) -> MatrixKey:
-        m = self.modulus
-        det_inv = pow(_det(key) % m, -1, m)
-        adj = _adjugate(key)
-        return tuple(tuple((x * det_inv) % m for x in row) for row in adj)
+        det_inv = self._det_inverse(key)
+        return tuple(tuple(self._reduce(x * det_inv) for x in row) for row in _adjugate(key))
 
     def identity(self) -> GroupElement:
         return self._wrap(_mat_identity(self.dim))
@@ -256,27 +201,23 @@ class ModularMatrixModel(GroupModel):
     def inverse(self, a: GroupElement) -> GroupElement:
         return self._wrap(self._invert_key(a.key))
 
-    def validate_key(self, key) -> None:
-        if len(key) != self.dim or any(len(row) != self.dim for row in key):
-            raise ValueError(f"malformed matrix key {key!r}")
-        if any(not (0 <= x < self.modulus) for row in key for x in row):
-            raise ValueError("matrix key entries out of range for modulus")
-        pow(_det(key) % self.modulus, -1, self.modulus)
-
     def spec(self) -> dict:
-        return {
-            "type": "modular",
-            "dim": self.dim,
-            "modulus": self.modulus,
-            "images": [[list(r) for r in k] for k in self.images],
-        }
+        spec = {"type": "matrix" if self.modulus is None else "modular", "dim": self.dim}
+        if self.modulus is not None:
+            spec["modulus"] = self.modulus
+        spec["images"] = [[list(r) for r in k] for k in self.images]
+        return spec
 
     def key_to_json(self, key):
         return [list(r) for r in key]
 
     def key_from_json(self, data):
-        key = tuple(tuple(int(x) for x in row) for row in data)
-        self.validate_key(key)
+        key = _json_matrix(data, "matrix key")
+        if len(key) != self.dim or any(len(row) != self.dim for row in key):
+            raise ValueError(f"malformed matrix key {key!r}")
+        if any(self._reduce(x) != x for row in key for x in row):
+            raise ValueError(f"matrix key {key!r} has entries outside [0, {self.modulus})")
+        self._det_inverse(key)
         return key
 
 
@@ -309,10 +250,6 @@ class CyclicModel(GroupModel):
     def inverse(self, a: GroupElement) -> GroupElement:
         return self._wrap((-a.key) % self.n)
 
-    def validate_key(self, key) -> None:
-        if not isinstance(key, int) or not 0 <= key < self.n:
-            raise ValueError(f"invalid residue {key!r} mod {self.n}")
-
     def spec(self) -> dict:
         return {"type": "cyclic", "n": self.n}
 
@@ -320,8 +257,9 @@ class CyclicModel(GroupModel):
         return key
 
     def key_from_json(self, data):
-        key = int(data)
-        self.validate_key(key)
+        key = _json_int(data, "residue")
+        if not 0 <= key < self.n:
+            raise ValueError(f"invalid residue {key!r} mod {self.n}")
         return key
 
 
@@ -359,14 +297,6 @@ class FreeModel(GroupModel):
     def inverse(self, a: GroupElement) -> GroupElement:
         return self._wrap(tuple(-x for x in reversed(a.key)))
 
-    def validate_key(self, key) -> None:
-        for x in key:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.n_generators:
-                raise ValueError(f"invalid letter {x!r} in free key")
-        for a, b in zip(key, key[1:]):
-            if a == -b:
-                raise ValueError("free key is not freely reduced")
-
     def spec(self) -> dict:
         return {"type": "free", "generators": self.n_generators, "sound": self.sound}
 
@@ -374,21 +304,46 @@ class FreeModel(GroupModel):
         return list(key)
 
     def key_from_json(self, data):
-        key = tuple(int(x) for x in data)
-        self.validate_key(key)
+        if not isinstance(data, list):
+            raise ValueError(f"free key must be a list of letters, got {data!r}")
+        key = tuple(_json_int(x, "free letter") for x in data)
+        for x in key:
+            if x == 0 or abs(x) > self.n_generators:
+                raise ValueError(f"invalid letter {x!r} in free key")
+        for a, b in zip(key, key[1:]):
+            if a == -b:
+                raise ValueError("free key is not freely reduced")
         return key
 
 
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer; floats, strings, null and bools are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_matrix(data, what: str) -> MatrixKey:
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError(f"{what} must be a list of integer rows, got {data!r}")
+    return tuple(tuple(_json_int(x, what) for x in row) for row in data)
+
+
 def model_from_spec(spec: dict) -> GroupModel:
+    """The model a spec() describes; a malformed spec is a ValueError."""
+    if not isinstance(spec, dict):
+        raise ValueError("model spec must be a JSON object")
     kind = spec.get("type")
-    if kind == "matrix":
-        return MatrixModel(spec["images"])
-    if kind == "modular":
-        return ModularMatrixModel(spec["images"], spec["modulus"])
+    if kind in ("matrix", "modular"):
+        images = spec["images"]
+        if not isinstance(images, list):
+            raise ValueError(f"generator images must be a list, got {images!r}")
+        modulus = _json_int(spec["modulus"], "modulus") if kind == "modular" else None
+        return MatrixModel([_json_matrix(img, "generator image") for img in images], modulus)
     if kind == "cyclic":
-        return CyclicModel(spec["n"])
+        return CyclicModel(_json_int(spec["n"], "cyclic order"))
     if kind == "free":
-        return FreeModel(spec["generators"], spec.get("sound", True))
+        return FreeModel(_json_int(spec["generators"], "generator count"), spec.get("sound", True))
     raise ValueError(f"unknown model spec type {kind!r}")
 
 
@@ -441,12 +396,12 @@ def _generic_products(basis: "SupportBasis"):
 def _batched_products(basis: "SupportBasis"):
     """`_generic_products` from one int64 matmul, or None if it does not apply.
 
-    Applies to (modular) matrix models whose products provably fit in
+    Applies to matrix models whose products provably fit in
     int64: every entry, and every partial sum, of x^-1 y is at most
     dim * max|x^-1| * max|y| in magnitude.
     """
     model = basis.model
-    if not isinstance(model, (MatrixModel, ModularMatrixModel)):
+    if not isinstance(model, MatrixModel):
         return None
     keys = [el.key for el in basis.elements]
     inverses = [model.inverse(el).key for el in basis.elements]
@@ -457,7 +412,7 @@ def _batched_products(basis: "SupportBasis"):
     prod = np.matmul(
         np.array(inverses, dtype=np.int64)[:, None], np.array(keys, dtype=np.int64)[None, :]
     ).reshape(m * m, d * d)
-    if isinstance(model, ModularMatrixModel):
+    if model.modulus is not None:
         prod %= model.modulus
     rows = prod.view(np.dtype((np.void, prod.itemsize * d * d))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)

@@ -22,7 +22,6 @@ from .groups import (
     FreeModel,
     GroupModel,
     MatrixModel,
-    ModularMatrixModel,
     validate_model,
 )
 from .words import Presentation, parse_presentation
@@ -96,7 +95,7 @@ def load_preset(name: str) -> Tuple[Presentation, GroupModel]:
         p, model = parse_presentation(SL3Z_TEXT), MatrixModel(sl3z_images())
     elif base == "sl3z-mod":
         m = int(arg)
-        p, model = parse_presentation(SL3Z_TEXT), ModularMatrixModel(sl3z_images(), m)
+        p, model = parse_presentation(SL3Z_TEXT), MatrixModel(sl3z_images(), m)
     else:
         raise KeyError(f"unknown preset {name!r}")
     validate_model(p, model)

@@ -27,20 +27,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, permutations, zip_longest
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .groups import (
-    GroupElement,
-    MatrixModel,
-    ModularMatrixModel,
-    SupportBasis,
-    model_from_spec,
-)
+from .groups import GroupElement, MatrixModel, SupportBasis, model_from_spec
 from .ring import RingMatrix
 from .fox import Laplacian1
 
@@ -306,7 +300,7 @@ def _fixing_conjugations(problem: SdpProblem) -> List[Tuple[np.ndarray, np.ndarr
     and targets[sigma, sigma, pi] must equal targets exactly.
     """
     model = problem.basis.model
-    if not isinstance(model, (MatrixModel, ModularMatrixModel)) or model.dim != 3:
+    if not isinstance(model, MatrixModel) or model.dim != 3:
         return []
     images = {key: a for a, key in enumerate(model.images)}
     if not len(images) == model.n_generators == problem.n:
@@ -358,17 +352,18 @@ def gram_symmetry(problem: SdpProblem) -> GramSymmetry:
 # ---------------------------------------------------------------------------
 
 
+_OVER_RELAXATION = 1.6
+_RHO = 1.0  # initial penalty; doubled or halved every 100 iterations while unbalanced
+_CHECK_EVERY = 25  # iterations between residual checks
+_STALL_CHECKS = 40  # checks over which a flat primal residual means infeasible
+
+
 @dataclass
 class SolveOptions:
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
     max_iter: int = 20000
-    over_relaxation: float = 1.6
-    rho: float = 1.0
-    adaptive_rho: bool = True
     fixed_lambda: Optional[float] = None
-    check_every: int = 25
-    stall_window: int = 1000
     progress: Optional[object] = None  # callable(iter, lam, rp, rd)
 
 
@@ -381,7 +376,6 @@ class SdpSolution:
     constraint_residual: float
     iterations: int
     status: str
-    accepted: List[Tuple[int, float]] = field(default_factory=list)
 
 
 def _psd_project(A: np.ndarray) -> np.ndarray:
@@ -468,12 +462,11 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
         X = (V.ravel() - mu[cidf]).reshape(N, N)
         return X, lam_out
 
-    rho = opts.rho
-    alpha = opts.over_relaxation
+    rho = _RHO
+    alpha = _OVER_RELAXATION
     Z = np.zeros((N, N))
     U = np.zeros((N, N))
     zlam = 0.0
-    accepted: List[Tuple[int, float]] = []
     history: List[float] = []
     status = "max-iter"
     X, xlam, rp, rd = Z, 0.0, math.inf, math.inf
@@ -489,35 +482,28 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
         rd = rho * float(np.linalg.norm(Z_new - Z))
         Z = Z_new
         zlam = xrlam
-        if it % opts.check_every == 0 or it == 1:
+        if it % _CHECK_EVERY == 0 or it == 1:
             if opts.progress is not None:
                 opts.progress(it, xlam, rp, rd)
-            if rp <= 10 * opts.tol_primal and rd <= 10 * opts.tol_dual:
-                if not accepted or xlam >= accepted[-1][1] - 1e-12:
-                    accepted.append((it, xlam))
             if rp <= opts.tol_primal and rd <= opts.tol_dual:
                 status = "optimal"
                 break
             history.append(rp)
-            window = max(2, opts.stall_window // opts.check_every)
             if (
-                len(history) > window
+                len(history) > _STALL_CHECKS
                 and rp > 100 * opts.tol_primal
-                and history[-1] > 0.999 * history[-window]
+                and history[-1] > 0.999 * history[-_STALL_CHECKS]
                 and rd < max(10 * opts.tol_dual, 1e-6)
             ):
                 status = "infeasible-suspected"
                 break
-            if opts.adaptive_rho and it % 100 == 0:
+            if it % 100 == 0:
                 if rp > 10 * rd:
                     rho *= 2.0
                     U /= 2.0
                 elif rd > 10 * rp:
                     rho /= 2.0
                     U *= 2.0
-    if status == "optimal" and (not accepted or accepted[-1][0] != it):
-        if not accepted or xlam >= accepted[-1][1] - 1e-12:
-            accepted.append((it, xlam))
     sums = np.bincount(cidf, weights=Z.ravel(), minlength=K)
     err = sums - b
     if not fixed:
@@ -532,5 +518,4 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
         constraint_residual=constraint_residual,
         iterations=it,
         status=status,
-        accepted=accepted,
     )

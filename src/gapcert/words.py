@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 
@@ -109,12 +109,11 @@ class PresentationSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generator names plus freely reduced relator words."""
+    """Generator names plus freely reduced relator words with unique labels."""
 
     generators: Tuple[str, ...]
     relators: Tuple[Word, ...] = ()
     labels: Tuple[str, ...] = ()
-    designated: Optional[Tuple[int, ...]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -130,13 +129,12 @@ class Presentation:
             )
         if len(self.labels) != len(self.relators):
             raise ValueError("one label per relator required")
+        repeated = [lab for i, lab in enumerate(self.labels) if lab in self.labels[:i]]
+        if repeated:
+            raise ValueError(f"duplicate relator label {repeated[0]!r}")
         for rel in self.relators:
             if rel.max_index() >= len(self.generators):
                 raise ValueError("relator uses an unknown generator index")
-        if self.designated is not None:
-            bad = [i for i in self.designated if not 0 <= i < len(self.relators)]
-            if bad:
-                raise ValueError(f"designated relator indices out of range: {bad}")
 
     @property
     def n_generators(self) -> int:

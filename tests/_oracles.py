@@ -2,13 +2,141 @@
 
 Everything here is deliberately primitive (brute-force enumeration, naive
 matrix products, exact rational ring arithmetic routed through verify_sos
-factors) so that expected values never come from the code paths under
-test.
+factors, the order-unit construction) so that expected values never come
+from the code paths under test.
 """
 
 from fractions import Fraction
+from typing import Iterable, List, Tuple, Union
 
-from gapcert.ring import RingElement, RingMatrix, verify_sos
+from gapcert.ring import RingElement, RingMatrix
+
+
+Factor = Union[RingMatrix, Tuple[object, RingMatrix]]
+
+
+def _normalize_factors(factors: Iterable[Factor]):
+    out = []
+    for f in factors:
+        if isinstance(f, RingMatrix):
+            out.append((Fraction(1), f))
+        else:
+            scale, mat = f
+            out.append((scale, mat))  # scaled() promotes it, or rejects a float
+    return out
+
+
+def verify_sos(M: RingMatrix, factors: Iterable[Factor]) -> RingMatrix:
+    """Residual M - sum(scale * F.adjoint() * F), exactly.
+
+    A zero residual certifies cone membership.  Each factor must have M's
+    column count; row counts are free.
+    """
+    if M.n_rows != M.n_cols:
+        raise ValueError("target must be square")
+    residual = M
+    for scale, f in _normalize_factors(factors):
+        if f.model.model_id != M.model.model_id:
+            raise ValueError("factor model mismatch")
+        if f.n_cols != M.n_cols:
+            raise ValueError(
+                f"factor has {f.n_cols} columns, target needs {M.n_cols}"
+            )
+        residual = residual - (f.adjoint() * f).scaled(scale)
+    return residual
+
+
+class NotStarInvariantError(ValueError):
+    pass
+
+
+def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
+    """Constructive squares for M + l1(M) * I, M *-invariant and exact.
+
+    Returns (scale, factor) pairs with nonnegative rational scales such
+    that M + l1(M)*I == sum(scale * F.adjoint() * F) exactly.  Factors are
+    built from the elementary blocks (1 +- g) on the diagonal and
+    (I2 +- X_g) across symmetric off-diagonal pairs; whatever part of the
+    l1 budget a position does not consume is emitted as a plain constant
+    diagonal square.
+    """
+    if not M.is_star_invariant():
+        raise NotStarInvariantError("target is not *-invariant")
+    model = M.model
+    n = M.n_rows
+    ident = model.identity()
+    total = M.l1()
+    used = [Fraction(0)] * n
+    factors: List[Tuple[Fraction, RingMatrix]] = []
+
+    def embedded(positions):
+        mat = [[RingElement.zero(model) for _ in range(n)] for _ in range(n)]
+        for (i, j), elem in positions.items():
+            mat[i][j] = elem
+        return RingMatrix(model, mat)
+
+    for i in range(n):
+        x = M.entry(i, i)
+        seen = set()
+        for g in x.support():
+            if g.key in seen:
+                continue
+            c = x.coefficient(g)
+            g_inv = model.inverse(g)
+            if g == ident:
+                seen.add(g.key)
+                used[i] += abs(c)
+                if c + abs(c) != 0:
+                    factors.append(
+                        (c + abs(c), embedded({(i, i): RingElement.one(model)}))
+                    )
+            elif g_inv == g:
+                # involution: (1 +- g)*(1 +- g) = 2 +- 2g
+                seen.add(g.key)
+                used[i] += abs(c)
+                sign = 1 if c > 0 else -1
+                f = RingElement.one(model) + RingElement.of(g, Fraction(sign))
+                factors.append((abs(c) / 2, embedded({(i, i): f})))
+            else:
+                seen.add(g.key)
+                seen.add(g_inv.key)
+                if x.coefficient(g_inv) != c:
+                    raise NotStarInvariantError(
+                        f"diagonal entry {i} is not *-invariant"
+                    )
+                # pair: (1 +- g)*(1 +- g) = 2 +- (g + g^-1)
+                used[i] += 2 * abs(c)
+                sign = 1 if c > 0 else -1
+                f = RingElement.one(model) + RingElement.of(g, Fraction(sign))
+                factors.append((abs(c), embedded({(i, i): f})))
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = M.entry(i, j)
+            for g in x.support():
+                c = x.coefficient(g)
+                g_inv = model.inverse(g)
+                sign = Fraction(1 if c > 0 else -1)
+                # (I2 + X)*(I2 + X) = 2 I2 + 2 X for X = [[0, +-g], [+-g^-1, 0]]
+                f = embedded(
+                    {
+                        (i, i): RingElement.one(model),
+                        (i, j): RingElement.of(g, sign),
+                        (j, i): RingElement.of(g_inv, sign),
+                        (j, j): RingElement.one(model),
+                    }
+                )
+                factors.append((abs(c) / 2, f))
+                used[i] += abs(c)
+                used[j] += abs(c)
+
+    for i in range(n):
+        slack = total - used[i]
+        if slack < 0:
+            raise AssertionError("order-unit bookkeeping went negative")
+        if slack > 0:
+            factors.append((slack, embedded({(i, i): RingElement.one(model)})))
+    return factors
 
 
 def mat_mul_3x3(a, b):

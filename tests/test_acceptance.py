@@ -24,11 +24,16 @@ from gapcert.fox import (
 )
 from gapcert.groups import CyclicModel, FreeModel, ball
 from gapcert.presets import load_preset
-from gapcert.ring import RingElement, RingMatrix, order_unit_sos, verify_sos
+from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, export_sdpa, import_sdpa, solve
 from gapcert.words import Word
 
-from _oracles import q_rows_as_factors, random_star_invariant_matrix
+from _oracles import (
+    order_unit_sos,
+    q_rows_as_factors,
+    random_star_invariant_matrix,
+    verify_sos,
+)
 
 
 class _Timer:

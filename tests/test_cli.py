@@ -185,32 +185,50 @@ def _set(path, value):
     return edit
 
 
+@pytest.fixture(scope="module")
+def good_certificates(tmp_path_factory):
+    """Certificate JSON by preset, from one radius-1 pipeline run each."""
+    out = {}
+    for preset in ("z3", "sl3z-mod:2"):
+        path = tmp_path_factory.mktemp("cert") / "cert.json"
+        code = main(["pipeline", "--preset", preset, "--radius", "1", "--out", str(path)])
+        assert code == 0
+        out[preset] = path.read_text()
+    return out
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "preset,edit",
     [
-        _set(["solver_lambda"], None),
-        _set(["certified_lambda0"], None),
-        _set(["q", "entries", 0, 1], None),
-        _set(["q", "entries", 0], ["1.0"]),
-        _set(["basis", "keys", 1], None),
-        _set(["basis", "radius"], "1"),
-        _set(["relators", "indices", 0], "0"),
-        _set(["model"], None),
-        _set(["presentation", "text"], None),
-        _set(["presentation"], None),
-        lambda data: [data],
+        pytest.param("z3", _set(["solver_lambda"], None), id="solver_lambda"),
+        pytest.param("z3", _set(["certified_lambda0"], None), id="certified_lambda0"),
+        pytest.param("z3", _set(["q", "entries", 0, 1], None), id="q_entry"),
+        pytest.param("z3", _set(["q", "entries", 0], ["1.0"]), id="ragged_q"),
+        pytest.param("z3", _set(["basis", "keys", 1], None), id="basis_key"),
+        pytest.param("z3", _set(["basis", "radius"], "1"), id="basis_radius"),
+        pytest.param("z3", _set(["relators", "indices", 0], "0"), id="relator_index"),
+        pytest.param("z3", _set(["model"], None), id="model"),
+        pytest.param("z3", _set(["presentation", "text"], None), id="presentation_text"),
+        pytest.param("z3", _set(["presentation"], None), id="presentation"),
+        pytest.param("z3", lambda data: [data], id="list_root"),
+        pytest.param("z3", _set(["model", "n"], "3"), id="cyclic_n_string"),
+        pytest.param("z3", _set(["model", "n"], None), id="cyclic_n_null"),
+        pytest.param("z3", _set(["basis", "keys", 1], 1.5), id="cyclic_key_float"),
+        pytest.param("z3", _set(["model"], {"type": "free", "generators": "6"}),
+                     id="free_generators_string"),
+        pytest.param("sl3z-mod:2", _set(["model", "modulus"], 2.5), id="modulus_float"),
+        pytest.param("sl3z-mod:2", _set(["model", "modulus"], "2"), id="modulus_string"),
+        pytest.param("sl3z-mod:2", _set(["model", "modulus"], None), id="modulus_null"),
+        pytest.param("sl3z-mod:2", _set(["model", "images"], None), id="images_null"),
+        pytest.param("sl3z-mod:2", _set(["model", "images", 0, 0, 0], 1.5),
+                     id="image_entry_float"),
+        pytest.param("sl3z-mod:2", _set(["basis", "keys", 1, 0, 0], 1.5),
+                     id="matrix_key_float"),
     ],
-    ids=["solver_lambda", "certified_lambda0", "q_entry", "ragged_q", "basis_key",
-         "basis_radius", "relator_index", "model", "presentation_text", "presentation",
-         "list_root"],
 )
-def test_verify_rejects_malformed_certificate(capsys, tmp_path, edit):
+def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificates, preset, edit):
+    data = json.loads(good_certificates[preset])
     cert_path = tmp_path / "cert.json"
-    code, _, _ = _run(
-        capsys, "pipeline", "--preset", "z3", "--radius", "1", "--out", str(cert_path),
-    )
-    assert code == 0
-    data = json.loads(cert_path.read_text())
     cert_path.write_text(json.dumps(edit(data) or data))
     code, out, err = _run(capsys, "verify", str(cert_path))
     assert code == 1 and out == ""
@@ -250,6 +268,14 @@ def test_file_input_needs_free_model(capsys, tmp_path):
     assert code == 1 and "--model free" in err
     code, out, _ = _run(capsys, "show", "--file", str(path), "--model", "free")
     assert code == 0
+
+
+def test_file_with_duplicate_relator_labels_exits_1(capsys, tmp_path):
+    path = tmp_path / "pres.txt"
+    path.write_text("gens: a\nrel x: a^2\nrel x: a^3\n")
+    code, out, err = _run(capsys, "show", "--file", str(path), "--model", "free")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "duplicate relator label" in err
 
 
 def test_model_override_modular(capsys):

@@ -10,7 +10,6 @@ from gapcert.fox import (
     default_relator_indices,
     evaluate_representation,
     fox_derivative,
-    jacobian,
     laplacian1,
     regular_representation_images,
     relator_square,
@@ -146,12 +145,11 @@ def test_d0_cases():
 
 def test_jacobian_commutator_row_in_abelianized_model():
     p, model = load_preset("z2-abelian")
-    jac = jacobian(model, p)
     a = RingElement.of(model.generator(0))
     b = RingElement.of(model.generator(1))
     # product rule on a b a^-1 b^-1 lands on [1 - b, a - 1] after collisions
-    assert jac.entry(0, 0) == _one(model) - b
-    assert jac.entry(0, 1) == a - _one(model)
+    assert fox_derivative(model, p.relators[0], 0) == _one(model) - b
+    assert fox_derivative(model, p.relators[0], 1) == a - _one(model)
 
 
 def test_relator_square_structure():
@@ -203,17 +201,6 @@ def test_default_relator_policy():
     assert default_relator_indices(pz) == [0]
 
 
-def test_designated_subset_overrides_default_policy():
-    from dataclasses import replace
-
-    p, model = load_preset("sl3z")
-    designated = replace(p, designated=(0, 1))
-    lap = laplacian1(model, designated)
-    assert lap.relator_indices == (0, 1)
-    explicit = laplacian1(model, designated, [3])
-    assert explicit.relator_indices == (3,)
-
-
 def test_laplacian_sl3z_regression_pins():
     # frozen after first exact assembly; guards against relator drift
     p, model = load_preset("sl3z")
@@ -238,7 +225,7 @@ def test_laplacian_star_invariant_exact():
 def test_monotone_relator_augmentation_keeps_sos():
     # adding relators only adds squares: an SOS list for Delta(R') extends
     # to one for Delta(R' + extra) by appending the extra J(r) factors
-    from gapcert.ring import verify_sos
+    from _oracles import verify_sos
 
     p, model = load_preset("sl3z")
     small = laplacian1(model, p, [6, 7])

@@ -163,11 +163,36 @@ def test_support_basis_json_round_trip():
 
 
 def test_model_spec_round_trip():
-    for name in ("z3", "z2-abelian", "free:2", "sl3z", "sl3z-mod:3"):
+    for name in ("z3", "z2-abelian", "free:2", "sl3z", "sl3z-mod:2", "sl3z-mod:3"):
         _, model = load_preset(name)
         again = model_from_spec(model.spec())
         assert again.spec() == model.spec()
         assert again.model_id == model.model_id
+        assert model.model_id.split(":")[0] == model.spec()["type"]
+
+
+@pytest.mark.parametrize("name", ["sl3z", "sl3z-mod:2", "sl3z-mod:3", "z2-abelian"])
+def test_matrix_model_rejects_keys_outside_its_ring(name):
+    _, model = load_preset(name)
+    d, m = model.dim, model.modulus
+    ident = [[int(a == b) for b in range(d)] for a in range(d)]
+    for entry in (-1, 2 if m is None else m):
+        key = [list(row) for row in ident]
+        key[0][1] = entry  # det stays 1
+        if m is None:
+            assert model.key_from_json(key) == tuple(map(tuple, key))
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                model.key_from_json(key)
+    # det 0 is a unit in no ring, det 2 not over Z
+    non_units = [[[0] * d] + ident[1:]]
+    if m is None:
+        non_units.append([[2] + [0] * (d - 1)] + ident[1:])
+    for key in non_units:
+        with pytest.raises(ValueError, match="not invertible"):
+            model.key_from_json(key)
+        with pytest.raises(ValueError, match="not invertible"):
+            MatrixModel([key], m)
 
 
 def test_product_table_identities():

@@ -5,15 +5,15 @@ import pytest
 
 from gapcert.groups import CyclicModel, FreeModel, ball
 from gapcert.presets import load_preset
-from gapcert.ring import (
+from gapcert.ring import RingElement, RingMatrix
+
+from _oracles import (
     NotStarInvariantError,
-    RingElement,
-    RingMatrix,
     order_unit_sos,
+    random_ring_element,
+    random_star_invariant_matrix,
     verify_sos,
 )
-
-from _oracles import random_ring_element, random_star_invariant_matrix
 
 
 @pytest.fixture

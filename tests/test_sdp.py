@@ -195,15 +195,6 @@ def test_solve_feasible_fixed_lambda():
     assert sol.lam == 2.5
 
 
-def test_accepted_lambdas_nondecreasing():
-    lap, basis, prob = _z3_problem()
-    sol = solve(prob, SolveOptions(tol_primal=1e-10, tol_dual=1e-10))
-    assert sol.accepted, "converged solve must record accepted iterates"
-    lams = [lam for _, lam in sol.accepted]
-    for a, b in zip(lams, lams[1:]):
-        assert b >= a - 1e-12
-
-
 def test_optimal_solution_exact_l1_residual_bound():
     # reconstruct x* P x exactly from the returned P and compare with the
     # exact target Delta - lambda*I in l1

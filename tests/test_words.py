@@ -127,5 +127,16 @@ def test_presentation_validation():
         Presentation(("a",), (Word([(3, 1)]),))
     with pytest.raises(ValueError):
         Presentation(())
-    with pytest.raises(ValueError):
-        Presentation(("a",), (Word([(0, 1)]),), designated=(5,))
+
+
+@pytest.mark.parametrize(
+    "text,label",
+    [
+        ("gens: a\nrel x: a^2\nrel x: a^3\n", "x"),
+        ("gens: a\nrel rel1: a^2\nrel: a^3\n", "rel1"),
+    ],
+    ids=["explicit", "explicit_then_default"],
+)
+def test_duplicate_relator_labels_are_rejected(text, label):
+    with pytest.raises(ValueError, match=f"duplicate relator label '{label}'"):
+        parse_presentation(text)

@@ -15,12 +15,14 @@ alternates exact projection onto the affine constraint subspace (the
 constraint Gram operator is diagonal apart from a rank-one coupling
 through lambda) with projection onto the PSD cone by eigendecomposition.
 When the index permutations e_ij -> e_s(i)s(j), s in S3, fix the problem
-exactly (gram_symmetry), every iterate is S3-invariant and the PSD step
-splits into three blocks of sizes N/6, N/6 and N/3 instead of one N x N
-eigendecomposition; any other problem takes the dense step.  Each
-iteration still holds several dense N x N arrays, so radius 3 of SL(3,Z)
-(N = 5298, 225 MB per array) is beyond it: such instances should go
-through the SDPA export to an external solver.
+exactly (gram_symmetry), every iterate is S3-invariant and is held in
+invariant coordinates, N^2/6 values: the affine step sums over orbits
+of constraint slots, and the PSD step splits into three blocks of sizes
+N/6, N/6 and N/3 instead of one N x N eigendecomposition.  Any other
+problem is the same code with the trivial group.  The dense P exists
+only at exit.  At radius 3 of SL(3,Z) (N = 5298) an iterate is 37 MB
+and the dense P 225 MB, so such instances should go through the SDPA
+export to an external solver.
 """
 
 from __future__ import annotations
@@ -76,17 +78,16 @@ class SdpProblem:
         """Logical constraints: one per (i <= j, product)."""
         return self.n * (self.n + 1) // 2 * self.npairs
 
-    def export_keys(self) -> List[Tuple[int, int, int]]:
-        """Deterministic constraint order used by the SDPA export."""
-        inverse_pid = self.inverse_pid.tolist()
-        keys = []
-        for i in range(self.n):
-            for j in range(i, self.n):
-                for pid in range(self.npairs):
-                    if i == j and inverse_pid[pid] < pid:
-                        continue
-                    keys.append((i, j, pid))
-        return keys
+    def export_keys(self) -> np.ndarray:
+        """Deterministic constraint order used by the SDPA export: (K, 3) rows (i, j, pid).
+
+        Entries i <= j row-major, classes in order; a diagonal entry keeps
+        one of each pair of mutually inverse classes, the smaller pid.
+        """
+        i, j = np.triu_indices(self.n)
+        keep = (i != j)[:, None] | (self.inverse_pid >= np.arange(self.npairs))[None, :]
+        entry, pid = np.nonzero(keep)
+        return np.stack([i[entry], j[entry], pid], axis=1)
 
     def same_problem(self, other: "SdpProblem") -> bool:
         return (
@@ -166,13 +167,13 @@ def _sdpa_lines(problem: SdpProblem) -> Iterator[str]:
         f"{len(keys)}",
         "2",
         f"{n * m} -2",
-        " ".join(map(repr, problem.targets[tuple(np.array(keys).T)].tolist())),
+        " ".join(map(repr, problem.targets[tuple(keys.T)].tolist())),
         "0 2 1 1 1.0",
         "0 2 2 2 -1.0",
     )
     inverse_pid = problem.inverse_pid.tolist()
     members = problem.table.members()
-    for k, (i, j, pid) in enumerate(keys, start=1):
+    for k, (i, j, pid) in enumerate(zip(*keys.T.tolist()), start=1):
         if i == j:
             pattern = members[pid]
             if inverse_pid[pid] != pid:
@@ -203,6 +204,17 @@ def export_sdpa(problem: SdpProblem) -> str:
     return "\n".join(_sdpa_lines(problem)) + "\n"
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text, one by one, without a copy of the whole."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
 def _tokens(lines: Iterable[str]) -> Iterator[str]:
     """Whitespace tokens of the lines that are not comments."""
     return chain.from_iterable(
@@ -216,9 +228,8 @@ def import_sdpa(text: str) -> SdpProblem:
     The entry lines must carry exactly the tokens export_sdpa writes for
     the rebuilt problem; they are compared as streams, never held twice.
     """
-    lines = text.splitlines()
     meta = next(
-        (json.loads(line.strip()[len(_META_PREFIX):]) for line in lines
+        (json.loads(line.strip()[len(_META_PREFIX):]) for line in _lines(text)
          if line.strip().startswith(_META_PREFIX)),
         None,
     )
@@ -229,7 +240,7 @@ def import_sdpa(text: str) -> SdpProblem:
     basis = SupportBasis(elements, meta.get("radius"))
     n = int(meta["n"])
     m = len(basis)
-    tokens = _tokens(lines)
+    tokens = _tokens(_lines(text))
     pos = 0
 
     def take(count):
@@ -247,16 +258,16 @@ def import_sdpa(text: str) -> SdpProblem:
     block1, block2 = (int(t) for t in take(2))
     if block1 != n * m or block2 != -2:
         raise ValueError("block structure does not match metadata")
-    c = [float(t) for t in take(mdim)]
+    c = np.array(take(mdim), dtype=float)
     problem = SdpProblem(n, basis, np.zeros((n, n, len(basis.products()))))
     keys = problem.export_keys()
     if len(keys) != mdim:
         raise ValueError(
             f"constraint count mismatch: file has {mdim}, basis implies {len(keys)}"
         )
-    inverse_pid = problem.inverse_pid.tolist()
-    for (i, j, pid), value in zip(keys, c):
-        problem.targets[i, j, pid] = problem.targets[j, i, inverse_pid[pid]] = value
+    i, j, pid = keys.T
+    problem.targets[i, j, pid] = c
+    problem.targets[j, i, problem.inverse_pid[pid]] = c
     expected = islice(_tokens(_sdpa_lines(problem)), pos, None)
     if any(a != b for a, b in zip_longest(tokens, expected)):
         raise ValueError("entry lines do not match the constraints the basis implies")
@@ -272,20 +283,34 @@ def import_sdpa(text: str) -> SdpProblem:
 class GramSymmetry:
     """A group H of Gram-coordinate permutations that fixes the problem.
 
+    Element 0 of H is the identity and ldiv[h, h'] the index of h^-1 h'.
     order[o*|H| + h] is the coordinate h.r_o, r_o the smallest coordinate
-    of orbit o: the orbit-major layout the solver keeps its iterates in.
-    fourier is |H| x |H| real orthogonal; an irrep rho of dimension d (in
-    the order of dims) owns d*d consecutive columns, column (a, b) holding
-    sqrt(d/|H|) rho(h)[a, b] in row h.
+    of orbit o: the orbit-major layout.  With k = N/|H|, an H-invariant P
+    is held once per value in invariant coordinates C[t][o, o'] =
+    P[r_o, t.r_o'], a (|H|, k, k) array; orbit-major cell (o, h, o', h')
+    holds C[ldiv[h, h']][o, o'].  fourier is |H| x |H| real orthogonal; an
+    irrep rho of dimension d (in the order of dims) owns d*d consecutive
+    columns, column (a, b) holding sqrt(d/|H|) rho(h)[a, b] in row h.
     """
 
     order: np.ndarray
     fourier: np.ndarray
     dims: Tuple[int, ...]
+    ldiv: np.ndarray
 
     @classmethod
     def trivial(cls, size: int) -> "GramSymmetry":
-        return cls(np.arange(size), np.ones((1, 1)), (1,))
+        return cls(np.arange(size), np.ones((1, 1)), (1,), np.zeros((1, 1), dtype=np.int64))
+
+    def expand(self, C: np.ndarray) -> np.ndarray:
+        """The dense N x N matrix with invariant coordinates C, in the original layout."""
+        g, k = C.shape[:2]
+        coords = self.order.reshape(k, g)
+        P = np.empty((g * k, g * k))
+        for h in range(g):
+            for h2 in range(g):
+                P[np.ix_(coords[:, h], coords[:, h2])] = C[self.ldiv[h, h2]]
+        return P
 
 
 # an orthonormal basis of the plane orthogonal to (1, 1, 1)
@@ -343,7 +368,12 @@ def gram_symmetry(problem: SdpProblem) -> GramSymmetry:
                 [1.0, round(np.linalg.det(Q)), *(np.sqrt(2.0) * _PLANE.T @ Q @ _PLANE).ravel()]
                 for Q, _, _ in kept
             ]) / np.sqrt(6.0)
-            return GramSymmetry(order, fourier, (1, 1, 2))
+            # act_t = act_h^-1 act_h' is the t that agrees with it at
+            # coordinate 0, since the action is free
+            at = np.empty(n * m, dtype=np.int64)
+            at[act[:, 0]] = np.arange(6)
+            ldiv = at[np.argsort(act, axis=1)[:, act[:, 0]]]
+            return GramSymmetry(order, fourier, (1, 1, 2), ldiv)
     return GramSymmetry.trivial(n * m)
 
 
@@ -390,32 +420,112 @@ def _psd_project(A: np.ndarray) -> np.ndarray:
     return 0.5 * (Z + Z.T)
 
 
-def _psd_project_blocks(A: np.ndarray, sym: GramSymmetry) -> np.ndarray:
-    """_psd_project of an H-invariant A in orbit-major layout, block by block.
+def _block_maps(sym: GramSymmetry) -> Tuple[np.ndarray, np.ndarray]:
+    """(into, back): |H| x |H| maps between invariant coordinates and isotypic blocks.
 
-    With k = N/|H|, the Fourier basis splits A into d equal copies of a
-    kd x kd block per irrep of dimension d.  Each block is averaged over
-    its copies and projected; entries outside the blocks, rounding noise
-    for an invariant A, are dropped.
+    R = into.T @ C stacks, per irrep of dimension d, the d*d tiles (k x k)
+    of its kd x kd Fourier block averaged over the block's d copies, and
+    C = back @ R maps such blocks back; both follow from expanding C,
+    F^T P F and F R F^T through ldiv.
     """
     F = sym.fourier
-    g = len(F)
-    if g == 1:  # one block, no change of basis
-        return _psd_project(A)
-    N = len(A)
-    k = N // g
-    C = np.matmul(F.T, (A.reshape(N * k, g) @ F).reshape(k, g, N)).reshape(k, g, k, g)
-    out = np.zeros_like(C)
+    times = sym.ldiv[sym.ldiv[:, 0]]  # times[h, t] is the index of h t
+    into, back = np.zeros_like(F), np.zeros_like(F)
     col = 0
     for d in sym.dims:
-        copies = [slice(col + a * d, col + a * d + d) for a in range(d)]
-        block = sum(C[:, c, :, c] for c in copies) / d
-        block = _psd_project(block.reshape(k * d, k * d)).reshape(k, d, k, d)
-        for c in copies:
-            out[:, c, :, c] = block
+        for a in range(d):
+            for i in range(d):
+                for j in range(d):
+                    u, v, w = col + a * d + i, col + a * d + j, col + i * d + j
+                    into[:, w] += F[:, u] @ F[times, v] / d
+                    back[:, w] += F[0, u] * F[:, v]
         col += d * d
-    del C  # before the back transform allocates two more N x N arrays
-    return np.matmul(F, (out.reshape(N * k, g) @ F.T).reshape(k, g, N)).reshape(N, N)
+    return into, back
+
+
+def _psd_project_invariant(
+    C: np.ndarray, sym: GramSymmetry, maps: Tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """_psd_project of the H-invariant matrix with invariant coordinates C.
+
+    Each isotypic block (_block_maps(sym)) is projected on its own; the
+    part of C outside the blocks, rounding noise for a symmetric
+    invariant matrix, is dropped.
+    """
+    into, back = maps
+    g, k = C.shape[:2]
+    R = into.T @ C.reshape(g, k * k)
+    col = 0
+    for d in sym.dims:
+        tiles = R[col:col + d * d]
+        block = tiles.reshape(d, d, k, k).transpose(2, 0, 3, 1).reshape(k * d, k * d)
+        tiles[:] = _psd_project(block).reshape(k, d, k, d).transpose(1, 3, 0, 2).reshape(d * d, k * k)
+        col += d * d
+    return (back @ R).reshape(g, k, k)
+
+
+class _InvariantConstraints:
+    """The problem's constraints on an H-invariant P, one row per slot orbit.
+
+    cid[c] is the orbit of the slot of the cell (r_o, t.r_o') behind flat
+    invariant coordinate c = (t, o, o').  The slot sum of the dense P at
+    a slot of orbit q is |Stab| = |H|/size[q] times the sum of the
+    coordinates c with cid[c] = q, and the affine projection moves every
+    slot of an orbit alike.
+    """
+
+    def __init__(self, problem: SdpProblem, sym: GramSymmetry, fixed_lambda: Optional[float]):
+        n, m, npairs = problem.n, problem.m, problem.npairs
+        g = len(sym.ldiv)
+        i, x = np.divmod(sym.order.reshape(-1, g), m)
+        times = sym.ldiv[sym.ldiv[:, 0]]  # times[h, t] is the index of h t
+        # images[h][t, o, o'] is the slot of cell (h.r_o, ht.r_o'), the
+        # image under h of the cell behind C[t][o, o']
+        images = np.stack([
+            (i[:, h, None] * n + i[:, times[h]].T[:, None, :]) * npairs
+            + problem.table.pid[x[:, h, None], x[:, times[h]].T[:, None, :]]
+            for h in range(g)
+        ])
+        rep, self.cid = np.unique(images.min(axis=0).ravel(), return_inverse=True)
+        # every cell is the image of one behind C, so every slot gets an orbit
+        orbit = np.empty(n * n * npairs, dtype=np.int64)
+        orbit[images] = self.cid.reshape(images.shape[1:])
+        self.size = np.bincount(orbit, minlength=len(rep))
+        self.stab = g / self.size
+        self.cnt = np.bincount(problem.table.pid.ravel(), minlength=npairs)[rep % npairs].astype(float)
+        self.b = problem.targets.ravel()[rep]
+        # the orbits of the slots (i, i, identity), where lambda enters
+        self.lam_orbits = orbit[np.arange(n) * (n + 1) * npairs + problem.identity_pid]
+        self.lam_rows = np.unique(self.lam_orbits)
+        self.fixed_lambda = fixed_lambda
+        if fixed_lambda is not None:
+            self.b[self.lam_rows] -= fixed_lambda
+        self.n, self.m = n, float(m)
+
+    def residual(self, C: np.ndarray, lam: float) -> np.ndarray:
+        """Constraint value minus target per orbit, lambda entering the (i, i, identity) rows."""
+        r = self.stab * np.bincount(self.cid, weights=C.ravel(), minlength=len(self.b)) - self.b
+        if self.fixed_lambda is None:
+            r[self.lam_rows] += lam
+        return r
+
+    def norm(self, r: np.ndarray) -> float:
+        """The 2-norm of the full-slot vector with orbit values r."""
+        return math.sqrt(np.dot(self.size * r, r))
+
+    def project(self, V: np.ndarray, vlam: float) -> Tuple[np.ndarray, float]:
+        """Exact projection of (V, vlam) onto the affine constraint subspace."""
+        resid = self.residual(V, vlam)
+        mu = resid / self.cnt
+        if self.fixed_lambda is not None:
+            lam_out = float(self.fixed_lambda)
+        else:
+            n, m = self.n, self.m
+            rl = resid[self.lam_orbits]
+            mu_l = rl / m - rl.sum() / (m * (m + n))
+            mu[self.lam_orbits] = mu_l
+            lam_out = vlam - mu_l.sum()
+        return V - mu[self.cid].reshape(V.shape), lam_out
 
 
 def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
@@ -424,48 +534,25 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     Deterministic cold start at P = 0, lambda = 0.  Status is "optimal"
     when both residuals pass their tolerances, "infeasible-suspected" when
     the primal residual plateaus well above tolerance while the iterates
-    stop moving, and "max-iter" otherwise.  The iterates are held in the
-    orbit-major layout of gram_symmetry(problem); both projections commute
-    with its group, so every iterate is invariant up to rounding and the
-    PSD step goes block by block.  P is returned in the original layout.
+    stop moving, and "max-iter" otherwise.  Both projections commute with
+    the group of gram_symmetry(problem), so the iterates are held in its
+    invariant coordinates (N^2/|H| values): the affine step works on slot
+    orbits and the PSD step block by block.  The dense P is built once,
+    at exit, in the original layout.
     """
     opts = opts or SolveOptions()
-    n, m, npairs = problem.n, problem.m, problem.npairs
-    N = n * m
-    K = n * n * npairs
     sym = gram_symmetry(problem)
-    cidf = problem.table.slots(n)[np.ix_(sym.order, sym.order)].ravel()
-    cnt = np.tile(np.bincount(problem.table.pid.ravel(), minlength=npairs).astype(float), n * n)
-    b = problem.targets.ravel()
-    lam_ids = np.array(
-        [(i * n + i) * npairs + problem.identity_pid for i in range(n)], dtype=np.int64
-    )
+    g = len(sym.ldiv)
+    k = problem.n * problem.m // g
     fixed = opts.fixed_lambda is not None
-    if fixed:
-        b = b.copy()
-        b[lam_ids] -= opts.fixed_lambda
-    m_f = float(m)
-
-    def proj_affine(V: np.ndarray, vlam: float) -> Tuple[np.ndarray, float]:
-        sums = np.bincount(cidf, weights=V.ravel(), minlength=K)
-        resid = sums - b
-        if fixed:
-            mu = resid / cnt
-            lam_out = float(opts.fixed_lambda)
-        else:
-            resid[lam_ids] += vlam
-            rl = resid[lam_ids]
-            mu_l = rl / m_f - rl.sum() / (m_f * (m_f + n))
-            mu = resid / cnt
-            mu[lam_ids] = mu_l
-            lam_out = vlam - mu_l.sum()
-        X = (V.ravel() - mu[cidf]).reshape(N, N)
-        return X, lam_out
+    cons = _InvariantConstraints(problem, sym, opts.fixed_lambda)
+    maps = _block_maps(sym)
+    scale = math.sqrt(g)  # Frobenius norm of a dense P over that of its C
 
     rho = _RHO
     alpha = _OVER_RELAXATION
-    Z = np.zeros((N, N))
-    U = np.zeros((N, N))
+    Z = np.zeros((g, k, k))
+    U = np.zeros((g, k, k))
     zlam = 0.0
     history: List[float] = []
     status = "max-iter"
@@ -473,13 +560,13 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     it = 0
     for it in range(1, opts.max_iter + 1):
         push = 0.0 if fixed else 1.0 / rho
-        X, xlam = proj_affine(Z - U, zlam + push)
+        X, xlam = cons.project(Z - U, zlam + push)
         Xr = alpha * X + (1.0 - alpha) * Z
         xrlam = alpha * xlam + (1.0 - alpha) * zlam
-        Z_new = _psd_project_blocks(Xr + U, sym)
+        Z_new = _psd_project_invariant(Xr + U, sym, maps)
         U = U + Xr - Z_new
-        rp = float(np.linalg.norm(X - Z_new))
-        rd = rho * float(np.linalg.norm(Z_new - Z))
+        rp = scale * float(np.linalg.norm(X - Z_new))
+        rd = rho * scale * float(np.linalg.norm(Z_new - Z))
         Z = Z_new
         zlam = xrlam
         if it % _CHECK_EVERY == 0 or it == 1:
@@ -504,18 +591,12 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
                 elif rd > 10 * rp:
                     rho /= 2.0
                     U *= 2.0
-    sums = np.bincount(cidf, weights=Z.ravel(), minlength=K)
-    err = sums - b
-    if not fixed:
-        err[lam_ids] += xlam
-    constraint_residual = float(np.linalg.norm(err))
-    back = np.argsort(sym.order)
     return SdpSolution(
         lam=float(xlam),
-        P=Z[np.ix_(back, back)],
+        P=sym.expand(Z),
         primal_residual=rp,
         dual_residual=rd,
-        constraint_residual=constraint_residual,
+        constraint_residual=cons.norm(cons.residual(Z, xlam)),
         iterations=it,
         status=status,
     )

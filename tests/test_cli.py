@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gapcert
 from gapcert.cli import main
 
 
@@ -309,3 +314,20 @@ def test_usage_error_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["sdp"])  # missing action
     assert exc.value.code == 2
+
+
+def test_closed_pipe_exits_quietly():
+    # the sl3z radius-3 ball is far more JSON than a pipe buffer holds, so
+    # the writer is still printing when the reader goes away
+    src = str(Path(gapcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gapcert", "ball", "--preset", "sl3z", "--radius", "3", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -18,8 +19,10 @@ from gapcert.sdp import (
     SdpProblem,
     SolveOptions,
     SupportTooSmallError,
+    _InvariantConstraints,
+    _block_maps,
     _psd_project,
-    _psd_project_blocks,
+    _psd_project_invariant,
     build_problem,
     export_sdpa,
     gram_symmetry,
@@ -129,6 +132,37 @@ def test_export_bytes_sl3z_mod2_radius2():
     assert len(text) == 314644
     assert hashlib.sha256(text).hexdigest() == (
         "9d2dcc940fff6878c02f6d140c1e2b1a42e1498beafcc43a505d1d9ce7184056"
+    )
+
+
+def test_import_memory_is_a_small_multiple_of_the_text():
+    # no list of all lines or of all keys: the import walks the text
+    p, model = load_preset("sl3z-mod:2")
+    prob = build_problem(laplacian1(model, p), ball(model, 2))
+    text = export_sdpa(prob)
+    tracemalloc.start()
+    try:
+        back = import_sdpa(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.same_problem(prob)
+    assert peak < 3 * len(text)
+
+
+def test_export_keys_order():
+    _, _, prob = _sl3_instance("sl3z-mod:2")
+    keys = [
+        (i, j, pid)
+        for i in range(prob.n)
+        for j in range(i, prob.n)
+        for pid in range(prob.npairs)
+        if i != j or prob.inverse_pid[pid] >= pid
+    ]
+    got = prob.export_keys()
+    assert got.dtype == np.int64 and got.tolist() == [list(k) for k in keys]
+    assert len(keys) == prob.constraint_count() - sum(
+        prob.n for pid in range(prob.npairs) if prob.inverse_pid[pid] < pid
     )
 
 
@@ -261,8 +295,15 @@ def test_gram_symmetry_finds_s3(preset, seed):
     assert np.allclose(sym.fourier.T @ sym.fourier, np.eye(6), atol=1e-15)
     assert np.array_equal(np.sort(sym.order), np.arange(N))
     # every orbit is one coordinate's image under the six conjugations
-    orbits = {frozenset(orbit) for orbit in np.array(_conjugation_actions(prob)).T.tolist()}
+    acts = np.array(_conjugation_actions(prob))
+    orbits = {frozenset(orbit) for orbit in acts.T.tolist()}
     assert orbits == {frozenset(o) for o in sym.order.reshape(-1, 6).tolist()}
+    # column h of the layout is the image under conjugation h, and ldiv
+    # composes the actions: act[h^-1 h'] = act[h]^-1 act[h']
+    assert np.array_equal(sym.order.reshape(-1, 6), acts[:, sym.order[::6]].T)
+    for h in range(6):
+        for h2 in range(6):
+            assert np.array_equal(acts[sym.ldiv[h, h2]], np.argsort(acts[h])[acts[h2]])
 
 
 def test_gram_symmetry_is_trivial_without_an_exact_symmetry():
@@ -280,7 +321,7 @@ def test_gram_symmetry_is_trivial_without_an_exact_symmetry():
     problems.append(SdpProblem(prob.n, prob.basis, targets))
     for prob in problems:
         sym = gram_symmetry(prob)
-        assert sym.fourier.shape == (1, 1) and sym.dims == (1,)
+        assert sym.fourier.shape == (1, 1) and sym.dims == (1,) and sym.ldiv.tolist() == [[0]]
         assert np.array_equal(sym.order, np.arange(prob.n * prob.m))
 
 
@@ -297,7 +338,8 @@ def test_reduced_projection_matches_dense_projection(preset):
     for A in (invariant, invariant @ invariant.T):
         A = A[np.ix_(sym.order, sym.order)]
         dense = _psd_project(A)
-        reduced = _psd_project_blocks(A, sym)
+        C = _psd_project_invariant(_invariant_coordinates(A, sym), sym, _block_maps(sym))
+        reduced = sym.expand(C)[np.ix_(sym.order, sym.order)]
         assert np.abs(reduced - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -320,3 +362,142 @@ def test_symmetric_solver_is_deterministic():
     b = solve(prob, SolveOptions(max_iter=300))
     assert a.lam == b.lam and a.iterations == b.iterations
     assert np.array_equal(a.P, b.P)
+
+
+def _invariant_coordinates(A, sym):
+    """C[t][o, o'] = A[(o, e), (o', t)] of an orbit-major matrix A."""
+    g = len(sym.ldiv)
+    k = len(A) // g
+    return A.reshape(k, g, k, g)[:, 0].transpose(2, 0, 1).copy()
+
+
+def _random_invariant(prob, seed):
+    """A random symmetric matrix that every conjugation fixes exactly.
+
+    Each entry is a random value chosen by the smallest flat index in the
+    orbit of its cell and of the transposed cell.
+    """
+    N = prob.n * prob.m
+    label = np.full((N, N), N * N)
+    for act in _conjugation_actions(prob):
+        cells = act[:, None] * N + act[None, :]
+        np.minimum(label, np.minimum(cells, cells.T), out=label)
+    return np.random.default_rng(seed).normal(size=N * N)[label]
+
+
+def _dense_residual(prob, V, vlam, fixed_lambda=None):
+    """Constraint value minus target at every slot, for a dense P in the original layout."""
+    n, npairs = prob.n, prob.npairs
+    r = np.bincount(prob.table.slots(n).ravel(), weights=V.ravel(), minlength=n * n * npairs)
+    r -= prob.targets.ravel()
+    r[np.arange(n) * (n + 1) * npairs + prob.identity_pid] += vlam if fixed_lambda is None else fixed_lambda
+    return r
+
+
+def _dense_affine_projection(prob, V, vlam, fixed_lambda=None):
+    """The solver's affine step on a dense P, one row per slot."""
+    n, m = prob.n, float(prob.m)
+    slots = prob.table.slots(n).ravel()
+    cnt = np.tile(np.bincount(prob.table.pid.ravel(), minlength=prob.npairs), n * n)
+    lam_ids = np.arange(n) * (n + 1) * prob.npairs + prob.identity_pid
+    resid = _dense_residual(prob, V, vlam, fixed_lambda)
+    mu = resid / cnt
+    lam = fixed_lambda
+    if fixed_lambda is None:
+        rl = resid[lam_ids]
+        mu[lam_ids] = rl / m - rl.sum() / (m * (m + n))
+        lam = vlam - mu[lam_ids].sum()
+    return V - mu[slots].reshape(V.shape), lam
+
+
+_INVARIANT_CASES = [("sl3z-mod:2", 0), ("sl3z-mod:2", 11), ("sl3z", 0), ("sl3z", 11)]
+
+
+@pytest.mark.parametrize("preset,seed", _INVARIANT_CASES)
+def test_invariant_coordinates_expand_exactly(preset, seed):
+    _, _, prob = _sl3_instance(preset, seed)
+    sym = gram_symmetry(prob)
+    P = _random_invariant(prob, seed)
+    C = _invariant_coordinates(P[np.ix_(sym.order, sym.order)], sym)
+    assert C.shape == (6, len(P) // 6, len(P) // 6)
+    assert np.array_equal(sym.expand(C), P)
+
+
+@pytest.mark.parametrize("preset,seed", _INVARIANT_CASES)
+def test_invariant_affine_step_matches_dense(preset, seed):
+    _, _, prob = _sl3_instance(preset, seed)
+    sym = gram_symmetry(prob)
+    P = _random_invariant(prob, seed)
+    C = _invariant_coordinates(P[np.ix_(sym.order, sym.order)], sym)
+    for fixed_lambda in (None, 0.25):
+        cons = _InvariantConstraints(prob, sym, fixed_lambda)
+        X, lam = cons.project(C, 0.7)
+        dense, dense_lam = _dense_affine_projection(prob, P, 0.7, fixed_lambda)
+        assert np.abs(sym.expand(X) - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert abs(lam - dense_lam) <= 1e-12 * abs(dense_lam)
+        assert cons.norm(cons.residual(X, lam)) <= 1e-12 * np.linalg.norm(P)
+        assert cons.norm(cons.residual(C, 0.7)) == pytest.approx(
+            np.linalg.norm(_dense_residual(prob, P, 0.7, fixed_lambda)), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("preset,seed", _INVARIANT_CASES)
+def test_invariant_psd_step_matches_dense(preset, seed):
+    _, _, prob = _sl3_instance(preset, seed)
+    sym = gram_symmetry(prob)
+    P = _random_invariant(prob, seed)
+    C = _invariant_coordinates(P[np.ix_(sym.order, sym.order)], sym)
+    dense = _psd_project(P)
+    reduced = sym.expand(_psd_project_invariant(C, sym, _block_maps(sym)))
+    assert np.abs(reduced - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_trivial_group_coordinates_are_the_matrix():
+    _, _, prob = _z3_problem()
+    sym = gram_symmetry(prob)
+    A = np.random.default_rng(2).normal(size=(3, 3))
+    A = A + A.T
+    assert np.array_equal(sym.expand(A[None]), A)
+    assert np.array_equal(_psd_project_invariant(A[None], sym, _block_maps(sym))[0], _psd_project(A))
+
+
+def _z2_translation():
+    """zn:2 over its whole group, with H = Z/2 acting by translation x -> x + 1.
+
+    Translation fixes every class x^-1 y, so each slot is fixed by all of
+    H, unlike under the S3 conjugations, whose slot stabilizers are trivial.
+    """
+    p, model = load_preset("zn:2")
+    prob = build_problem(laplacian1(model, p), ball(model, 1))
+    assert (prob.n, prob.m) == (1, 2)
+    fourier = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return prob, GramSymmetry(np.array([0, 1]), fourier, (1, 1), np.array([[0, 1], [1, 0]]))
+
+
+def test_affine_step_with_nontrivial_stabilizers():
+    prob, sym = _z2_translation()
+    P = np.array([[0.9, -0.4], [-0.4, 0.9]])
+    C = _invariant_coordinates(P[np.ix_(sym.order, sym.order)], sym)
+    assert np.array_equal(sym.expand(C), P)
+    for fixed_lambda in (None, 0.25):
+        cons = _InvariantConstraints(prob, sym, fixed_lambda)
+        assert cons.stab.tolist() == [2.0, 2.0]
+        X, lam = cons.project(C, 0.7)
+        dense, dense_lam = _dense_affine_projection(prob, P, 0.7, fixed_lambda)
+        assert np.abs(sym.expand(X) - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert abs(lam - dense_lam) <= 1e-12 * abs(dense_lam)
+        assert cons.norm(cons.residual(C, 0.7)) == pytest.approx(
+            np.linalg.norm(_dense_residual(prob, P, 0.7, fixed_lambda)), rel=1e-12
+        )
+
+
+def test_translation_reduced_solve_matches_dense_solve(monkeypatch):
+    prob, sym = _z2_translation()
+    opts = SolveOptions(tol_primal=1e-9, tol_dual=1e-9)
+    dense = solve(prob, opts)
+    monkeypatch.setattr(sdp, "gram_symmetry", lambda problem: sym)
+    reduced = solve(prob, opts)
+    assert reduced.status == dense.status == "optimal"
+    assert reduced.iterations == dense.iterations
+    assert abs(reduced.lam - dense.lam) <= 1e-10
+    assert np.abs(reduced.P - dense.P).max() <= 1e-10

@@ -29,7 +29,6 @@ from .groups import (  # noqa: F401
     model_from_spec,
     validate_model,
 )
-from .intervals import Interval  # noqa: F401
 from .ring import RingElement, RingMatrix  # noqa: F401
 from .fox import (  # noqa: F401
     Laplacian1,

@@ -13,9 +13,12 @@ residual is dominated by |r|_1 * I through the order-unit construction.
 Q^T Q and its sums over product classes are enclosed in midpoint-radius
 form (Rump, BIT 39, 1999): one floating-point product gives the midpoint,
 an a-priori error bound valid for any summation order (Higham, *Accuracy
-and Stability of Numerical Algorithms*, 3.1-3.5) the radius.  Every other
-step is widened one ulp outward or is an exact compensated sum, so the
-reported lambda0 is a mathematically valid lower bound.
+and Stability of Numerical Algorithms*, 3.1-3.5) the radius.  This module
+is the package's only rounding policy, in one arithmetic with no interval
+type: each enclosure is a pair of doubles or of arrays.  An exact target
+coefficient becomes the doubles at or next to it (_enclose); every other
+step is widened one ulp outward with nextafter or is an exact compensated
+sum, so the reported lambda0 is a mathematically valid lower bound.
 
 Certificates are self-contained canonical JSON: they store the
 presentation text, the model, the relator subset, the support basis, Q at
@@ -30,8 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,11 +42,11 @@ from .groups import (
     GroupElement,
     ProductTable,
     SupportBasis,
-    ball_elements,
+    _json_int,
+    check_ball_radius,
     model_from_spec,
     validate_model,
 )
-from .intervals import Interval, down, up
 from .sdp import target_coefficients
 from .words import parse_presentation
 
@@ -79,12 +81,27 @@ def psd_sqrt(P: np.ndarray) -> np.ndarray:
 _ETA = 2.0 ** -1074  # smallest positive subnormal
 
 
+class Bounds(NamedTuple):  # doubles lo <= hi around a real number
+    lo: float
+    hi: float
+
+
+def _enclose(q: Fraction) -> Bounds:
+    """The doubles just at or below and at or above q; equal when q is a double."""
+    x = float(q)  # rounds to nearest; the off endpoint is one ulp outward
+    if x == q:
+        return Bounds(x, x)
+    if x < q:
+        return Bounds(x, math.nextafter(x, math.inf))
+    return Bounds(math.nextafter(x, -math.inf), x)
+
+
 def _rho(k: int) -> float:
     """A double >= gamma_k/(1-gamma_k) = k*u/(1-2*k*u), gamma_k = k*u/(1-k*u)."""
     ku = Fraction(k, 2 ** 53)
     if 3 * ku > 1:
         raise ValueError(f"{k} terms are too many for the a-priori error bound")
-    return Interval.from_fraction(ku / (1 - 2 * ku)).hi
+    return _enclose(ku / (1 - 2 * ku)).hi
 
 
 def _gram_enclosure(Q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -153,7 +170,7 @@ def _pair_block_sums(G, D, table: ProductTable) -> Tuple[np.ndarray, np.ndarray]
 @dataclass
 class GapResult:
     lambda0: float
-    residual_l1: Interval
+    residual_l1: Bounds
     status: str
     certificate: Optional["Certificate"]
 
@@ -196,11 +213,13 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
     for i in range(n):
         inside.setdefault((i, i, table.identity_pid), Fraction(0))
     for (i, j, pid), c in inside.items():
-        iv = Interval.from_fraction(c)
+        lo, hi = _enclose(c)
         if i == j and pid == table.identity_pid:
-            iv = iv - lam
-        Clo[i, j, pid], Chi[i, j, pid] = iv.lo, iv.hi
-    outside = [abs(Interval.from_fraction(c)) for _, c in outside]
+            # outward even when exact: keeps the certified bits of earlier releases
+            lo, hi = math.nextafter(lo - lam, -math.inf), math.nextafter(hi - lam, math.inf)
+        Clo[i, j, pid], Chi[i, j, pid] = lo, hi
+    # round to nearest is sign-symmetric, so this is c's enclosure mirrored
+    outside = [_enclose(abs(c)) for _, c in outside]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         Slo, Shi = _pair_block_sums(*_gram_enclosure(Q), table)
         lo, hi = np.nextafter(Clo - Shi, -np.inf), np.nextafter(Chi - Slo, np.inf)
@@ -208,15 +227,20 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
         abs_hi = np.maximum(-lo, hi)
     # math.fsum is exactly rounded, so one outward ulp makes the sums safe
     try:
-        total_lo = down(math.fsum(abs_lo.ravel().tolist() + [a.lo for a in outside]))
-        total_hi = up(math.fsum(abs_hi.ravel().tolist() + [a.hi for a in outside]))
+        total_lo = math.fsum(abs_lo.ravel().tolist() + [a.lo for a in outside])
+        total_hi = math.fsum(abs_hi.ravel().tolist() + [a.hi for a in outside])
     except OverflowError:
         total_lo = total_hi = math.inf
-    lambda0 = down(lam - total_hi)
+    total_hi = math.nextafter(total_hi, math.inf)
+    lambda0 = math.nextafter(lam - total_hi, -math.inf)
     if not math.isfinite(lambda0):
         raise ValueError("Q or lambda too large: the residual bound overflows")
-    status = "certified-positive" if lambda0 > 0.0 else "no-positive-gap"
-    return lambda0, Interval(max(0.0, total_lo), total_hi), status
+    residual = Bounds(max(0.0, math.nextafter(total_lo, -math.inf)), total_hi)
+    return lambda0, residual, _status(lambda0)
+
+
+def _status(lambda0: float) -> str:
+    return "certified-positive" if lambda0 > 0.0 else "no-positive-gap"
 
 
 def floor_display(x: float) -> str:
@@ -283,7 +307,9 @@ class Certificate:
                 presentation_text=data["presentation"]["text"],
                 presentation_sha256=data["presentation"]["sha256"],
                 model_spec=data["model"],
-                relator_indices=tuple(data["relators"]["indices"]),
+                relator_indices=tuple(
+                    _json_int(k, "relator index") for k in data["relators"]["indices"]
+                ),
                 relator_labels=tuple(data["relators"]["labels"]),
                 basis_keys=data["basis"]["keys"],
                 basis_radius=data["basis"]["radius"],
@@ -329,7 +355,7 @@ def make_certificate(
     Q: np.ndarray,
     lam: float,
     lambda0: float,
-    residual_l1: Interval,
+    residual_l1: Bounds,
     status: str,
 ) -> Certificate:
     p = lap.presentation
@@ -375,8 +401,11 @@ def verify_certificate(
     Recomputes the Laplacian from the stored presentation, model and
     relator subset, re-enumerates the basis, and re-runs the interval
     certification from the stored Q and lambda.  Passes iff the recomputed
-    lambda0 is at least the stored one.  A target relator superset is
-    accepted because extra relators only add squares to the Laplacian.
+    lambda0 is at least the stored one.  The other claims must hold too, or
+    the certificate is malformed: the status is the one the stored lambda0
+    implies, the labels are the presentation's, and the stored residual sup
+    is at least the recomputed one.  A target relator superset is accepted
+    because extra relators only add squares to the Laplacian.
     """
     if not isinstance(cert.presentation_text, str):
         raise CertificateError("presentation text must be a string")
@@ -390,8 +419,13 @@ def verify_certificate(
     for k in stored:
         if not isinstance(k, int) or not 0 <= k < len(p.relators):
             raise CertificateError(f"stored relator index {k!r} out of range")
+    if tuple(cert.relator_labels) != tuple(p.labels[k] for k in stored):
+        raise CertificateError("stored relator labels are not the presentation's")
     lam = _decimal(cert.lam, "solver_lambda")
     stored_lambda0 = _decimal(cert.lambda0, "certified_lambda0")
+    stored_sup = _decimal(cert.residual_l1_sup, "residual_l1_sup")
+    if cert.status != _status(stored_lambda0):
+        raise CertificateError(f"stored status {cert.status!r} contradicts its lambda0")
     if target_relator_indices is not None:
         if not set(target_relator_indices) >= set(stored):
             return VerifyResult(
@@ -403,22 +437,14 @@ def verify_certificate(
     try:
         elements = [GroupElement(model, model.key_from_json(k)) for k in cert.basis_keys]
         basis = SupportBasis(elements, cert.basis_radius)
+        check_ball_radius(basis)
     except (TypeError, ValueError) as exc:
         raise SupportReconstructionError(f"stored basis is invalid: {exc}") from exc
-    if cert.basis_radius is not None:
-        if not isinstance(cert.basis_radius, int):
-            raise SupportReconstructionError(f"stored radius {cert.basis_radius!r} is not an integer")
-        # one element past the stored basis settles it, however large the radius
-        expected = islice(ball_elements(model, cert.basis_radius), len(basis) + 1)
-        if [e.key for e in expected] != [e.key for e in basis]:
-            raise SupportReconstructionError(
-                "stored basis does not match the ball of the stored radius"
-            )
     lap = laplacian1(model, p, stored)
-    lambda0, _, _ = _certified_bound(lap.matrix, basis, cert.q, lam)
-    passed = lambda0 >= stored_lambda0
-    message = (
-        "re-verified" if passed else
-        f"recomputed lambda0 {lambda0!r} fell below stored {stored_lambda0!r}"
-    )
-    return VerifyResult(passed, lambda0, stored_lambda0, message)
+    lambda0, residual, _ = _certified_bound(lap.matrix, basis, cert.q, lam)
+    if not lambda0 >= stored_lambda0:
+        message = f"recomputed lambda0 {lambda0!r} fell below stored {stored_lambda0!r}"
+        return VerifyResult(False, lambda0, stored_lambda0, message)
+    if not stored_sup >= residual.hi:
+        raise CertificateError(f"residual_l1_sup {stored_sup!r} < recomputed {residual.hi!r}")
+    return VerifyResult(True, lambda0, stored_lambda0, "re-verified")

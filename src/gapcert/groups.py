@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -509,9 +510,6 @@ class SupportBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def position(self, element: GroupElement) -> Optional[int]:
-        return self.index.get(element.key)
-
     def to_json(self) -> dict:
         return {
             "model": self.model.spec(),
@@ -575,3 +573,14 @@ def ball_elements(model: GroupModel, radius: int) -> Iterator[GroupElement]:
         if not nxt:
             break
         frontier = nxt
+
+
+def check_ball_radius(basis: SupportBasis) -> None:
+    """ValueError unless basis.radius is None or an int whose ball is the basis."""
+    if basis.radius is None:
+        return
+    radius = _json_int(basis.radius, "basis radius")
+    # one element past the basis settles it, however large the radius
+    expected = islice(ball_elements(basis.model, radius), len(basis) + 1)
+    if [e.key for e in expected] != [e.key for e in basis]:
+        raise ValueError(f"basis does not match the ball of radius {radius}")

@@ -36,7 +36,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .groups import GroupElement, MatrixModel, SupportBasis, model_from_spec
+from .groups import (
+    GroupElement,
+    MatrixModel,
+    SupportBasis,
+    _json_int,
+    check_ball_radius,
+    model_from_spec,
+)
 from .ring import RingMatrix
 from .fox import Laplacian1
 
@@ -238,7 +245,8 @@ def import_sdpa(text: str) -> SdpProblem:
     model = model_from_spec(meta["model"])
     elements = [GroupElement(model, model.key_from_json(k)) for k in meta["basis"]]
     basis = SupportBasis(elements, meta.get("radius"))
-    n = int(meta["n"])
+    check_ball_radius(basis)
+    n = _json_int(meta["n"], "n")
     m = len(basis)
     tokens = _tokens(_lines(text))
     pos = 0

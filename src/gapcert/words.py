@@ -57,10 +57,6 @@ class Word:
     def identity(cls) -> "Word":
         return cls(())
 
-    @classmethod
-    def generator(cls, index: int, sign: int = 1) -> "Word":
-        return cls(((index, sign),))
-
     def inverse(self) -> "Word":
         return Word(tuple((idx, -sign) for idx, sign in reversed(self.letters)))
 

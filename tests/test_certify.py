@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -16,8 +17,10 @@ from gapcert.certify import (
     CertificateError,
     HashMismatchError,
     SupportReconstructionError,
+    _enclose,
     _gram_enclosure,
     _pair_block_sums,
+    _rho,
     certified_gap,
     floor_display,
     psd_sqrt,
@@ -340,6 +343,78 @@ def test_pair_block_sums_enclose_every_gram_in_the_enclosure():
                 for j in range(n):
                     value = sum(S[i * m + x][j * m + y] for x, y in cls)
                     assert Fraction(Slo[i, j, p]) <= value <= Fraction(Shi[i, j, p])
+
+
+_TINY = Fraction(2) ** -1074  # smallest positive subnormal
+
+
+def _enclosure_cases():
+    rng = random.Random(41)
+    yield from (Fraction(1, 3), Fraction(1, 10), Fraction(10) ** 400 / Fraction(3) ** 800)
+    yield Fraction(2, 3) * 2 ** -1060  # subnormal range
+    # below the smallest subnormal, and between two (5/2 is a tie)
+    yield from (_TINY / 3, _TINY * 2 / 3, _TINY * 5 / 2, Fraction(1, 10 ** 400))
+    for _ in range(300):
+        scale = Fraction(2) ** rng.randint(-1130, 60)
+        yield Fraction(rng.randint(1, 10 ** 20), rng.randint(1, 10 ** 20)) * scale
+
+
+def test_enclose_gives_equal_endpoints_on_doubles():
+    rng = random.Random(40)
+    doubles = [0.0, 0.75, 0.1, 1e308, 2.0 ** -1074, 3 * 2.0 ** -1074, 2.0 ** -1022]
+    doubles += [rng.uniform(0, 1) * 2.0 ** rng.randint(-1074, 1000) for _ in range(200)]
+    for x in doubles + [-x for x in doubles]:
+        lo, hi = _enclose(Fraction(x))
+        assert lo == hi == x
+
+
+def test_enclose_is_one_ulp_around_inexact_rationals():
+    inexact = 0
+    for r in _enclosure_cases():
+        for q in (r, -r):
+            lo, hi = _enclose(q)
+            assert Fraction(lo) <= q <= Fraction(hi)
+            if q in (Fraction(lo), Fraction(hi)):
+                assert lo == hi  # q is a double
+            else:
+                assert hi == math.nextafter(lo, math.inf)
+                inexact += 1
+    assert inexact >= 500
+
+
+def test_enclose_of_abs_mirrors_the_enclosure():
+    # certify encloses |c| as _enclose(abs(c)): that must be c's enclosure
+    # mirrored, never one that straddles 0
+    for q in _enclosure_cases():
+        lo, hi = _enclose(-q)
+        assert _enclose(q) == (-hi, -lo)
+        assert not lo < 0.0 < hi
+
+
+def test_rho_rounds_up():
+    for k in (1, 2, 3, 726, 5298, 10 ** 6, 2 ** 40, 2 ** 51 - 1):
+        ku = Fraction(k, 2 ** 53)
+        exact = ku / (1 - 2 * ku)
+        rho = _rho(k)
+        assert Fraction(math.nextafter(rho, -math.inf)) < exact <= Fraction(rho)
+    with pytest.raises(ValueError, match="too many"):
+        _rho(2 ** 53)
+
+
+def test_bound_bits_are_pinned_on_a_dyadic_q():
+    # every Gram product and class sum of this Q is exact, so the bits below
+    # depend only on the rounding policy, including the outward ulps on the
+    # identity diagonal that an exact subtraction of lambda does not need
+    p, model = load_preset("z3")
+    lap = laplacian1(model, p)
+    Q = np.array([[3, -1, 2], [0, 4, -3], [-2, 1, 1]]) / 8.0
+    expected = {
+        0.1: (-8.53437500000001, 8.634374999999993, 8.634375000000007),
+        1.5: (-5.734375000000005, 7.234374999999996, 7.234375000000004),
+    }
+    for lam, bits in expected.items():
+        got = certified_gap(lap, ball(model, 1), Q, lam)
+        assert (got.lambda0, *got.residual_l1) == bits
 
 
 def test_non_finite_lambda_is_rejected():

@@ -229,6 +229,16 @@ def good_certificates(tmp_path_factory):
                      id="image_entry_float"),
         pytest.param("sl3z-mod:2", _set(["basis", "keys", 1, 0, 0], 1.5),
                      id="matrix_key_float"),
+        pytest.param("z3", _set(["basis", "radius"], True), id="basis_radius_bool"),
+        pytest.param("sl3z-mod:2", _set(["relators", "indices", 1], True), id="relator_index_bool"),
+        # stored claims the certificate does not bear out
+        pytest.param("sl3z-mod:2", _set(["status"], "certified-positive"), id="status_positive"),
+        pytest.param("z3", _set(["status"], "no-positive-gap"), id="status_no_gap"),
+        pytest.param("sl3z-mod:2", _set(["status"], None), id="status_null"),
+        pytest.param("sl3z-mod:2", lambda data: data["relators"].update(
+            labels=["torsion"] * len(data["relators"]["labels"])), id="relator_labels"),
+        pytest.param("sl3z-mod:2", _set(["residual_l1_sup"], "0.0"), id="residual_l1_sup_zero"),
+        pytest.param("z3", _set(["residual_l1_sup"], "nan"), id="residual_l1_sup_nan"),
     ],
 )
 def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificates, preset, edit):

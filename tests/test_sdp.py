@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -177,6 +178,36 @@ def test_import_rejects_an_edited_entry_line():
             import_sdpa("".join(lines[:k] + [edited] + lines[k + 1:]))
     # whitespace is not significant
     assert import_sdpa("".join(lines[:k] + ["  " + lines[k].replace(" ", "\t")] + lines[k + 1:])).same_problem(prob)
+
+
+def _with_meta(text, **changes):
+    lines = text.splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.startswith("*META "))
+    meta = dict(json.loads(lines[k][len("*META "):]), **changes)
+    return "".join(lines[:k] + ["*META " + json.dumps(meta) + "\n"] + lines[k + 1:])
+
+
+@pytest.mark.parametrize(
+    "preset,changes",
+    [
+        pytest.param("z3", {"n": 1.9}, id="n_float"),
+        pytest.param("z3", {"n": "1"}, id="n_string"),
+        pytest.param("z3", {"n": True}, id="n_bool"),
+        pytest.param("z3", {"radius": "abc"}, id="radius_string"),
+        pytest.param("z3", {"radius": True}, id="radius_bool"),
+        pytest.param("z3", {"radius": 0}, id="radius_too_small"),
+        pytest.param("z3", {"radius": -1}, id="radius_negative"),
+        pytest.param("sl3z-mod:2", {"radius": 7}, id="radius_too_large"),
+    ],
+)
+def test_import_rejects_meta_integers_the_basis_does_not_bear_out(preset, changes):
+    p, model = load_preset(preset)
+    prob = build_problem(laplacian1(model, p), ball(model, 1))
+    text = export_sdpa(prob)
+    assert import_sdpa(_with_meta(text)).same_problem(prob)
+    assert import_sdpa(_with_meta(text, radius=None)).basis.radius is None
+    with pytest.raises(ValueError):
+        import_sdpa(_with_meta(text, **changes))
 
 
 def test_import_rejects_foreign_files():

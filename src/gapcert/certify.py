@@ -1,8 +1,9 @@
 """Turn an inexact SDP solution into a rigorous spectral-gap bound.
 
-Given a numeric (P, lambda) for `target - lambda*I = x* P x`, take a real
-square root Q of P (so Q^T Q is PSD by construction even when P has tiny
-negative eigenvalues), evaluate the residual
+Given a numeric (P, lambda) for `target - lambda*I = x* P x`, take a Gram
+factor Q of P with one row per eigenvalue above rounding noise (so Q^T Q
+is PSD by construction even when P has tiny negative eigenvalues, and Q
+is rank(P) x N rather than N x N), evaluate the residual
 
     r = target - lambda*I - x* Q^T Q x
 
@@ -64,18 +65,21 @@ class SupportReconstructionError(CertificateError):
 
 
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
-    """Symmetric square root of the PSD part of P.
+    """Gram factor Q = diag(sqrt(w)) V^T of the PSD part of P, r x N.
 
-    P is symmetrized first; negative eigenvalues are clamped to zero, so
-    Q^T Q is positive semidefinite whatever numerical noise P carries.
+    P is symmetrized first.  Only the eigenpairs with w > N*eps*max(w)
+    (np.linalg.matrix_rank's tolerance) are kept, so Q has as many rows as
+    P has numerical rank; what is dropped is eigh's own rounding noise.
+    Q^T Q is positive semidefinite whatever noise P carries.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("psd_sqrt needs a square matrix")
-    S = 0.5 * (P + P.T)
-    w, V = np.linalg.eigh(S)
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
+    if not np.isfinite(P).all():  # eigh's NaNs would pass no tolerance test
+        raise ValueError("P contains non-finite entries")
+    w, V = np.linalg.eigh(0.5 * (P + P.T))
+    keep = w > len(w) * np.finfo(float).eps * w.max(initial=0.0)
+    return np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T)
 
 
 _ETA = 2.0 ** -1074  # smallest positive subnormal
@@ -378,10 +382,9 @@ def make_certificate(
 
 
 def _decimal(value, field: str) -> float:
-    try:
-        return float(value)
-    except TypeError:
-        raise CertificateError(f"{field} must be a decimal string, got {value!r}") from None
+    if not isinstance(value, str):
+        raise CertificateError(f"{field} must be a decimal string, got {value!r}")
+    return float(value)
 
 
 @dataclass

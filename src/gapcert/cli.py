@@ -196,7 +196,7 @@ def cmd_sdp(args) -> int:
         "primal_residual": sol.primal_residual,
         "dual_residual": sol.dual_residual,
         "constraint_residual": sol.constraint_residual,
-        "P": [[float(v) for v in row] for row in sol.P],
+        "P": sol.P.tolist(),
     }
     _emit(payload, args.out)
     return 0

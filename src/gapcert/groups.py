@@ -517,14 +517,6 @@ class SupportBasis:
             "keys": [self.model.key_to_json(el.key) for el in self.elements],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SupportBasis":
-        model = model_from_spec(data["model"])
-        elements = [
-            GroupElement(model, model.key_from_json(k)) for k in data["keys"]
-        ]
-        return cls(elements, data.get("radius"))
-
 
 def symmetrized_generators(model: GroupModel) -> List[GroupElement]:
     """Generators and their inverses, deduplicated, in generator order."""

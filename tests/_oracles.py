@@ -9,6 +9,9 @@ from the code paths under test.
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
 
+import numpy as np
+
+from gapcert.groups import GroupElement, SupportBasis, model_from_spec
 from gapcert.ring import RingElement, RingMatrix
 
 
@@ -285,3 +288,16 @@ def reconstruct_exact(problem, P):
             row_out.append(RingElement(model, coeffs))
         entries.append(row_out)
     return RingMatrix(model, entries)
+
+
+def symmetric_psd_sqrt(P):
+    """The N x N symmetric square root V sqrt(max(w, 0)) V^T of P's PSD part."""
+    w, V = np.linalg.eigh(0.5 * (P + P.T))
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
+def support_basis_from_json(data: dict) -> SupportBasis:
+    """Inverse of SupportBasis.to_json (the `gapcert ball --json` output)."""
+    model = model_from_spec(data["model"])
+    elements = [GroupElement(model, model.key_from_json(k)) for k in data["keys"]]
+    return SupportBasis(elements, data.get("radius"))

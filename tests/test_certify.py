@@ -33,7 +33,7 @@ from gapcert.ring import RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, solve
 from gapcert.words import parse_presentation
 
-from _oracles import exact_certified_gap
+from _oracles import exact_certified_gap, symmetric_psd_sqrt
 
 
 def test_psd_sqrt_identity():
@@ -42,7 +42,8 @@ def test_psd_sqrt_identity():
 
 def test_psd_sqrt_clamps_negative_eigenvalues():
     Q = psd_sqrt(np.diag([4.0, -1e-12]))
-    assert np.allclose(Q, np.diag([2.0, 0.0]))
+    assert Q.shape == (1, 2)
+    assert np.allclose(Q.T @ Q, np.diag([4.0, 0.0]))
     w = np.linalg.eigvalsh(Q.T @ Q)
     assert w[0] >= 0.0
 
@@ -59,6 +60,52 @@ def test_psd_sqrt_random_psd_reconstruction():
 def test_psd_sqrt_rejects_nonsquare():
     with pytest.raises(ValueError):
         psd_sqrt(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psd_sqrt_rejects_non_finite_entries(bad):
+    # a rank cut on NaN eigenvalues would silently drop every row
+    with pytest.raises(ValueError, match="non-finite"):
+        psd_sqrt(np.diag([bad, 1.0]))
+
+
+def test_psd_sqrt_keeps_only_the_numerical_rank():
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(8, 3))
+    P = A @ A.T
+    Q = psd_sqrt(P)
+    assert Q.shape == (3, 8) and Q.flags.c_contiguous
+    assert np.abs(Q.T @ Q - P).max() <= 1e-10
+    # rows in eigh's ascending order: squared row norms are the eigenvalues
+    assert np.allclose((Q ** 2).sum(axis=1), np.linalg.eigvalsh(P)[-3:])
+
+
+@pytest.mark.parametrize("P", [-np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))],
+                         ids=["negative_definite", "zero"])
+def test_psd_sqrt_without_positive_eigenvalues_has_no_rows(tmp_path, P):
+    Q = psd_sqrt(P)
+    assert Q.shape == (0, 3)
+    p, model = load_preset("z3")
+    result = certified_gap(laplacian1(model, p), ball(model, 1), Q, -1.0)
+    path = tmp_path / "cert.json"
+    result.certificate.save(path)
+    loaded = Certificate.load(path)
+    assert loaded.q.shape == (0, 3)
+    assert loaded.to_bytes() == result.certificate.to_bytes()
+    check = verify_certificate(loaded)
+    assert check.passed and check.lambda0 == result.lambda0
+
+
+def test_rank_sized_factor_certifies_like_the_symmetric_root():
+    p, model = load_preset("sl3z-mod:2")
+    lap = laplacian1(model, p)
+    basis = ball(model, 2)
+    sol = solve(build_problem(lap, basis), SolveOptions(max_iter=300))
+    Q = psd_sqrt(sol.P)
+    assert Q.shape[0] < lap.matrix.n_rows * len(basis) == Q.shape[1]
+    ours = certified_gap(lap, basis, Q, sol.lam).lambda0
+    oracle = certified_gap(lap, basis, symmetric_psd_sqrt(sol.P), sol.lam).lambda0
+    assert abs(ours - oracle) <= 1e-9
 
 
 def _z3_pipeline(tol=1e-9):

@@ -239,6 +239,11 @@ def good_certificates(tmp_path_factory):
             labels=["torsion"] * len(data["relators"]["labels"])), id="relator_labels"),
         pytest.param("sl3z-mod:2", _set(["residual_l1_sup"], "0.0"), id="residual_l1_sup_zero"),
         pytest.param("z3", _set(["residual_l1_sup"], "nan"), id="residual_l1_sup_nan"),
+        # decimal fields are JSON strings, as the writer stores them
+        pytest.param("z3", _set(["certified_lambda0"], True), id="certified_lambda0_bool"),
+        pytest.param("z3", _set(["residual_l1_sup"], 1e9), id="residual_l1_sup_number"),
+        pytest.param("z3", lambda data: data.update(solver_lambda=float(data["solver_lambda"])),
+                     id="solver_lambda_number"),
     ],
 )
 def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificates, preset, edit):

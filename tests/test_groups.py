@@ -23,6 +23,7 @@ from _oracles import (
     invert_3x3_unimodular,
     mat_identity_3x3,
     mat_mul_3x3,
+    support_basis_from_json,
     word_image_3x3,
 )
 
@@ -156,7 +157,7 @@ def test_support_basis_json_round_trip():
     _, model = load_preset("sl3z")
     b = ball(model, 1)
     data = b.to_json()
-    back = SupportBasis.from_json(data)
+    back = support_basis_from_json(data)
     assert [e.key for e in back] == [e.key for e in b]
     assert back.radius == b.radius
     assert back.model.spec() == model.spec()

@@ -32,13 +32,11 @@ from .groups import (  # noqa: F401
 from .ring import RingElement, RingMatrix  # noqa: F401
 from .fox import (  # noqa: F401
     Laplacian1,
-    d0,
     default_relator_indices,
     evaluate_representation,
     fox_derivative,
     laplacian1,
     regular_representation_images,
-    relator_square,
 )
 from .sdp import (  # noqa: F401
     SdpProblem,

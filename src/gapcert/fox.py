@@ -1,4 +1,4 @@
-"""Fox derivatives, the differentials d0/d1, and the degree-1 Laplacian.
+"""Fox derivatives and the degree-1 Laplacian.
 
 Derivatives are evaluated directly in the group model, not in the free
 group, so normal-form collisions (finite quotients, abelianizations)
@@ -6,6 +6,10 @@ merge coefficients the way the group ring does.  The defining rules are
 d(e) = 0, d(s_i)/d(s_j) = delta_ij and d(uv) = du + u dv; the rule for an
 inverse letter, d(s^-1)/d(s) = -s^-1, is forced by applying the product
 rule to s s^-1 = e and is covered by a dedicated unit test.
+
+laplacian1 adds the outer products (1 - s_i)(1 - s_j)* and d_i(r)* d_j(r)
+straight into one exact coefficient dict per entry (i, j); the RingMatrix
+formula d0 d0* + sum_r J(r)* J(r) is the test oracle reference_laplacian.
 """
 
 from __future__ import annotations
@@ -45,24 +49,6 @@ def fox_derivative(model: GroupModel, w: Word, j: int) -> RingElement:
     return RingElement(model, coeffs)
 
 
-def d0(model: GroupModel, p: Presentation) -> RingMatrix:
-    """Column [1 - s_1; ...; 1 - s_n]."""
-    col = []
-    for i in range(p.n_generators):
-        e = RingElement.one(model) - RingElement.of(model.generator(i))
-        col.append([e])
-    return RingMatrix(model, col)
-
-
-def relator_square(model: GroupModel, p: Presentation, r: Word) -> RingMatrix:
-    """n x n matrix J(r): first row the derivatives of r, other rows zero."""
-    n = p.n_generators
-    zero = RingElement.zero(model)
-    rows = [[fox_derivative(model, r, j) for j in range(n)]]
-    rows.extend([[zero] * n for _ in range(n - 1)])
-    return RingMatrix(model, rows)
-
-
 def default_relator_indices(p: Presentation) -> List[int]:
     """All relators except the longest, when there is more than one.
 
@@ -98,6 +84,7 @@ def laplacian1(
     p: Presentation,
     relator_indices: Optional[Sequence[int]] = None,
 ) -> Laplacian1:
+    """d0 d0* + sum_r J(r)* J(r) over the given relators (default_relator_indices if None)."""
     if relator_indices is None:
         indices = default_relator_indices(p)
     else:
@@ -105,12 +92,30 @@ def laplacian1(
         for k in indices:
             if not 0 <= k < len(p.relators):
                 raise ValueError(f"relator index {k} out of range")
-    col = d0(model, p)
-    acc = col * col.adjoint()
+    n = p.n_generators
+    cells: List[List[Dict[GroupElement, Fraction]]] = [[{} for _ in range(n)] for _ in range(n)]
+
+    def add_outer(left, right):
+        """cells[i][j] += left[i] * right[j]; each a list of (element, coefficient)."""
+        for row, a in zip(cells, left):
+            for cell, b in zip(row, right):
+                for g, c in a:
+                    for h, d in b:
+                        gh = model.multiply(g, h)
+                        cell[gh] = cell.get(gh, 0) + c * d
+
+    def star(terms):
+        return [[(model.inverse(g), c) for g, c in t] for t in terms]
+
+    # d0 d0* = u u* for the column u = [1 - s_i]
+    u = [[(model.identity(), Fraction(1)), (s, Fraction(-1))] for s in model.generators()]
+    add_outer(u, star(u))
     for k in indices:
-        jr = relator_square(model, p, p.relators[k])
-        acc = acc + jr.adjoint() * jr
-    return Laplacian1(acc, p, model, tuple(indices))
+        # J(r)* J(r) = D* D for the derivative row D of r; J's zero rows add nothing
+        row = [list(fox_derivative(model, p.relators[k], j).coeffs.items()) for j in range(n)]
+        add_outer(star(row), row)
+    matrix = RingMatrix(model, [[RingElement(model, cell) for cell in r] for r in cells])
+    return Laplacian1(matrix, p, model, tuple(indices))
 
 
 class RepresentationError(ValueError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import islice
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,16 +57,10 @@ class GroupElement:
 
 
 def _mat_mul(a: MatrixKey, b: MatrixKey, mod: Optional[int] = None) -> MatrixKey:
-    d = len(a)
+    cols = tuple(zip(*b))
     if mod is None:
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-            for i in range(d)
-        )
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) % mod for j in range(d))
-        for i in range(d)
-    )
+        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) % mod for col in cols) for row in a)
 
 
 def _mat_identity(d: int) -> MatrixKey:
@@ -150,7 +145,9 @@ def _spec_id(spec: dict) -> str:
 
 class MatrixModel(GroupModel):
     """Generators as integer matrices, invertible over Z (det +-1) or, with
-    a modulus m >= 2, over Z/m with entries reduced to [0, m)."""
+    a modulus m >= 2, over Z/m with entries reduced to [0, m).  inverse()
+    computes each key's inverse once and keeps it in a per-model dict; a
+    key that is not invertible is never stored."""
 
     def __init__(self, images: Sequence[Sequence[Sequence[int]]], modulus: Optional[int] = None):
         if modulus is not None and modulus < 2:
@@ -166,7 +163,7 @@ class MatrixModel(GroupModel):
             self._det_inverse(k)
         self.dim = d
         self.images = keys
-        self.inv_images = [self._invert_key(k) for k in keys]
+        self._inverses = {}
         self.n_generators = len(keys)
         spec = self.spec()
         self.model_id = f"{spec['type']}:{_spec_id(spec)}"
@@ -200,7 +197,10 @@ class MatrixModel(GroupModel):
         return self._wrap(_mat_mul(a.key, b.key, self.modulus))
 
     def inverse(self, a: GroupElement) -> GroupElement:
-        return self._wrap(self._invert_key(a.key))
+        key = self._inverses.get(a.key)
+        if key is None:
+            key = self._inverses[a.key] = self._invert_key(a.key)
+        return self._wrap(key)
 
     def spec(self) -> dict:
         spec = {"type": "matrix" if self.modulus is None else "modular", "dim": self.dim}

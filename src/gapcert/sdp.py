@@ -31,8 +31,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, permutations, zip_longest
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import permutations, zip_longest
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -175,9 +175,14 @@ def _sdpa_lines(problem: SdpProblem) -> Iterator[str]:
         "2",
         f"{n * m} -2",
         " ".join(map(repr, problem.targets[tuple(keys.T)].tolist())),
-        "0 2 1 1 1.0",
-        "0 2 2 2 -1.0",
     )
+    yield from _entry_lines(problem, keys)
+
+
+def _entry_lines(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
+    """The export's lines after the objective vector: the entries of F0, F1, ..."""
+    m = problem.m
+    yield from ("0 2 1 1 1.0", "0 2 2 2 -1.0")
     inverse_pid = problem.inverse_pid.tolist()
     members = problem.table.members()
     for k, (i, j, pid) in enumerate(zip(*keys.T.tolist()), start=1):
@@ -222,18 +227,13 @@ def _lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
-def _tokens(lines: Iterable[str]) -> Iterator[str]:
-    """Whitespace tokens of the lines that are not comments."""
-    return chain.from_iterable(
-        line.split() for line in lines if not line.lstrip().startswith(("*", '"'))
-    )
-
-
 def import_sdpa(text: str) -> SdpProblem:
     """Rebuild an SdpProblem from an export; inverse of export_sdpa.
 
-    The entry lines must carry exactly the tokens export_sdpa writes for
-    the rebuilt problem; they are compared as streams, never held twice.
+    After the objective vector, the file's lines must be the entry lines
+    export_sdpa writes for the rebuilt problem, one for one: a line equal
+    to its expected string passes at once, any other must carry the same
+    whitespace tokens.  Neither text is held twice.
     """
     meta = next(
         (json.loads(line.strip()[len(_META_PREFIX):]) for line in _lines(text)
@@ -248,15 +248,18 @@ def import_sdpa(text: str) -> SdpProblem:
     check_ball_radius(basis)
     n = _json_int(meta["n"], "n")
     m = len(basis)
-    tokens = _tokens(_lines(text))
-    pos = 0
+    # blank and comment lines carry no data
+    lines = (line for line in _lines(text) if line.lstrip()[:1] not in ("", "*", '"'))
+    pending: List[str] = []
 
     def take(count):
-        nonlocal pos
-        out = list(islice(tokens, count))
-        if len(out) != count:
-            raise ValueError("truncated SDPA file")
-        pos += count
+        while len(pending) < count:
+            line = next(lines, None)
+            if line is None:
+                raise ValueError("truncated SDPA file")
+            pending.extend(line.split())
+        out = pending[:count]
+        del pending[:count]
         return out
 
     mdim = int(take(1)[0])
@@ -276,8 +279,11 @@ def import_sdpa(text: str) -> SdpProblem:
     i, j, pid = keys.T
     problem.targets[i, j, pid] = c
     problem.targets[j, i, problem.inverse_pid[pid]] = c
-    expected = islice(_tokens(_sdpa_lines(problem)), pos, None)
-    if any(a != b for a, b in zip_longest(tokens, expected)):
+    # a token left after the objective vector is an entry sharing its line
+    if pending or any(
+        a != b and (a is None or b is None or a.split() != b.split())
+        for a, b in zip_longest(lines, _entry_lines(problem, keys))
+    ):
         raise ValueError("entry lines do not match the constraints the basis implies")
     return problem
 

@@ -11,6 +11,7 @@ from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
+from gapcert.fox import fox_derivative
 from gapcert.groups import GroupElement, SupportBasis, model_from_spec
 from gapcert.ring import RingElement, RingMatrix
 
@@ -301,3 +302,31 @@ def support_basis_from_json(data: dict) -> SupportBasis:
     model = model_from_spec(data["model"])
     elements = [GroupElement(model, model.key_from_json(k)) for k in data["keys"]]
     return SupportBasis(elements, data.get("radius"))
+
+
+def d0(model, p) -> RingMatrix:
+    """Column [1 - s_1; ...; 1 - s_n]."""
+    col = []
+    for i in range(p.n_generators):
+        e = RingElement.one(model) - RingElement.of(model.generator(i))
+        col.append([e])
+    return RingMatrix(model, col)
+
+
+def relator_square(model, p, r) -> RingMatrix:
+    """n x n matrix J(r): first row the derivatives of r, other rows zero."""
+    n = p.n_generators
+    zero = RingElement.zero(model)
+    rows = [[fox_derivative(model, r, j) for j in range(n)]]
+    rows.extend([[zero] * n for _ in range(n - 1)])
+    return RingMatrix(model, rows)
+
+
+def reference_laplacian(model, p, indices) -> RingMatrix:
+    """d0 d0* + sum_{k in indices} J(r_k)* J(r_k), through RingMatrix products."""
+    col = d0(model, p)
+    acc = col * col.adjoint()
+    for k in indices:
+        jr = relator_square(model, p, p.relators[k])
+        acc = acc + jr.adjoint() * jr
+    return acc

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from gapcert.certify import (
     verify_certificate,
 )
 from gapcert.fox import laplacian1
-from gapcert.groups import CyclicModel, FreeModel, ball
+from gapcert.groups import CyclicModel, FreeModel, MatrixModel, ball
 from gapcert.presets import load_preset
 from gapcert.ring import RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, solve
@@ -106,6 +107,26 @@ def test_rank_sized_factor_certifies_like_the_symmetric_root():
     ours = certified_gap(lap, basis, Q, sol.lam).lambda0
     oracle = certified_gap(lap, basis, symmetric_psd_sqrt(sol.P), sol.lam).lambda0
     assert abs(ours - oracle) <= 1e-9
+
+
+def test_verify_inverts_each_matrix_key_once(tmp_path, monkeypatch):
+    # a count, not a timing: every repeat inversion is answered from the model's memo
+    p, model = load_preset("sl3z-mod:2")
+    basis = ball(model, 1)
+    Q = np.random.default_rng(8).normal(size=(6 * len(basis), 6 * len(basis))) / 40
+    path = tmp_path / "cert.json"
+    certified_gap(laplacian1(model, p), basis, Q, 0.1).certificate.save(path)
+    cert = Certificate.load(path)
+    calls = Counter()
+    invert = MatrixModel._invert_key
+
+    def counting(self, key):
+        calls[key] += 1
+        return invert(self, key)
+
+    monkeypatch.setattr(MatrixModel, "_invert_key", counting)
+    assert verify_certificate(cert).passed
+    assert calls and max(calls.values()) == 1
 
 
 def _z3_pipeline(tol=1e-9):

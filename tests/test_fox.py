@@ -6,18 +6,18 @@ import pytest
 
 from gapcert.fox import (
     RepresentationError,
-    d0,
     default_relator_indices,
     evaluate_representation,
     fox_derivative,
     laplacian1,
     regular_representation_images,
-    relator_square,
 )
-from gapcert.groups import CyclicModel, FreeModel
+from gapcert.groups import CyclicModel, FreeModel, MatrixModel, validate_model
 from gapcert.presets import load_preset
 from gapcert.ring import RingElement, RingMatrix
-from gapcert.words import Word, parse_presentation
+from gapcert.words import Presentation, Word, parse_presentation
+
+from _oracles import d0, reference_laplacian, relator_square
 
 
 def _elem(model, *word):
@@ -220,6 +220,51 @@ def test_laplacian_star_invariant_exact():
             isinstance(c, Fraction)
             for row in lap.matrix.entries for e in row for c in e.coeffs.values()
         )
+
+
+def _keyed(M):
+    """Each entry of a ring matrix as a dict from group key to coefficient."""
+    return [[{g.key: c for g, c in e.coeffs.items()} for e in row] for row in M.entries]
+
+
+def _assert_matches_reference(model, p, indices):
+    lap = laplacian1(model, p, indices)
+    got = _keyed(lap.matrix)
+    assert got == _keyed(reference_laplacian(model, p, lap.relator_indices))
+    assert all(type(c) is Fraction and c for row in got for e in row for c in e.values())
+
+
+@pytest.mark.parametrize(
+    "preset", ["z3", "zn:5", "z2-abelian", "free:2", "sl3z-mod:2", "sl3z-mod:3", "sl3z"]
+)
+def test_laplacian_equals_the_ring_matrix_formula(preset):
+    # outer-product assembly against d0 d0* + sum J(r)* J(r) through RingMatrix
+    p, model = load_preset(preset)
+    r = len(p.relators)
+    subsets = [None, list(range(r))] + ([[0], [r - 1]] if r else [])
+    for indices in subsets:
+        _assert_matches_reference(model, p, indices)
+
+
+def test_laplacian_equals_the_ring_matrix_formula_on_a_relabelled_presentation():
+    p, model = load_preset("sl3z")
+    rng = random.Random(13)
+    gens = rng.sample(range(p.n_generators), p.n_generators)
+    rels = rng.sample(range(len(p.relators)), len(p.relators))
+    new_index = {old: new for new, old in enumerate(gens)}
+    q = Presentation(
+        generators=tuple(p.generators[k] for k in gens),
+        relators=tuple(Word([(new_index[i], s) for i, s in p.relators[k]]) for k in rels),
+        labels=tuple(p.labels[k] for k in rels),
+    )
+    relabelled = MatrixModel([model.images[k] for k in gens])
+    validate_model(q, relabelled)
+    for indices in (None, [2, 5, 11], [7]):
+        _assert_matches_reference(relabelled, q, indices)
+    # over all relators, relabelling permutes the rows and columns
+    ours = _keyed(laplacian1(relabelled, q, range(len(rels))).matrix)
+    theirs = _keyed(laplacian1(model, p, range(len(rels))).matrix)
+    assert ours == [[theirs[a][b] for b in gens] for a in gens]
 
 
 def test_monotone_relator_augmentation_keeps_sos():

@@ -7,6 +7,7 @@ from gapcert import groups
 from gapcert.groups import (
     CyclicModel,
     FreeModel,
+    GroupElement,
     InconsistentModelError,
     MatrixModel,
     ProductTable,
@@ -140,6 +141,46 @@ def test_modular_model_collapses_inverses_mod_2():
     g = model.generator(0)
     assert model.inverse(g) == g
     assert len(ball(model, 1)) == 7
+
+
+@pytest.mark.parametrize("preset", ["sl3z", "sl3z-mod:2", "sl3z-mod:3"])
+def test_memoized_inverse_is_the_fresh_inverse(preset):
+    _, model = load_preset(preset)
+    ident = model.identity()
+    for x in ball(model, 2):
+        inv = model.inverse(x)
+        assert model.multiply(x, inv) == ident == model.multiply(inv, x)
+        assert inv.key == model._invert_key(x.key)
+        assert model.inverse(x) == inv
+
+
+@pytest.mark.parametrize("modulus", [None, 2])
+def test_a_key_that_fails_to_invert_fails_every_time(monkeypatch, modulus):
+    model = MatrixModel(sl3z_images(), modulus)
+    singular = GroupElement(model, ((0, 0, 0), (0, 1, 0), (0, 0, 1)))
+    calls = []
+    invert = MatrixModel._invert_key
+
+    def counting(self, key):
+        calls.append(key)
+        return invert(self, key)
+
+    monkeypatch.setattr(MatrixModel, "_invert_key", counting)
+    for attempt in range(1, 4):
+        with pytest.raises(ValueError, match="not invertible"):
+            model.inverse(singular)
+        assert len(calls) == attempt  # never answered from the memo
+
+
+def test_integer_and_mod_2_models_keep_their_own_inverses():
+    # the generators have equal keys in both models, their inverses differ
+    over_z, mod_2 = MatrixModel(sl3z_images()), MatrixModel(sl3z_images(), 2)
+    for i in range(6):
+        g2, gz = mod_2.generator(i), over_z.generator(i)
+        assert g2.key == gz.key
+        assert mod_2.inverse(g2).key == g2.key
+        assert min(min(row) for row in over_z.inverse(gz).key) == -1
+        assert mod_2.inverse(g2).key == g2.key
 
 
 def test_support_basis_invariants():

@@ -47,6 +47,7 @@ from .sdp import (  # noqa: F401
     export_sdpa,
     import_sdpa,
     solve,
+    write_sdpa,
 )
 from .certify import (  # noqa: F401
     Certificate,

@@ -274,6 +274,9 @@ class Certificate:
     toolchain: dict
 
     def to_json_dict(self) -> dict:
+        return self._json_dict([list(map(repr, row)) for row in self.q.tolist()])
+
+    def _json_dict(self, entries: list) -> dict:
         # field order is fixed; certificates are canonical byte streams
         return {
             "format": "gapcert-certificate-v1",
@@ -295,12 +298,21 @@ class Certificate:
             "q": {
                 "rows": self.q.shape[0],
                 "cols": self.q.shape[1],
-                "entries": [list(map(repr, row)) for row in self.q.tolist()],
+                "entries": entries,
             },
         }
 
     def to_bytes(self) -> bytes:
-        return json.dumps(self.to_json_dict(), separators=(",", ":")).encode("utf-8")
+        """The compact JSON of to_json_dict(), with Q's rows written directly.
+
+        A float's repr needs no JSON escaping, so each row is its reprs in
+        quotes, spliced in after the header's empty entry list.
+        """
+        head = json.dumps(self._json_dict([]), separators=(",", ":"))  # ends '[]}}'
+        rows = ",".join(
+            '["' + '","'.join(map(repr, row)) + '"]' if row else "[]" for row in self.q.tolist()
+        )
+        return (head[:-4] + "[" + rows + "]}}").encode("utf-8")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":

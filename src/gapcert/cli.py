@@ -38,8 +38,8 @@ from .sdp import (
     SolveOptions,
     SupportTooSmallError,
     build_problem,
-    export_sdpa,
     solve,
+    write_sdpa,
 )
 from .words import Presentation, parse_presentation
 
@@ -119,6 +119,11 @@ def _emit(data: dict, out: Optional[str] = None):
         print(blob)
 
 
+def _write_export(problem, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        write_sdpa(problem, fh)
+
+
 def _build_stage(args):
     p, model = _load_input(args)
     indices = _relator_indices(args, p)
@@ -176,19 +181,16 @@ def cmd_sdp(args) -> int:
         )
         return 0
     if args.sdp_action == "export":
-        text = export_sdpa(problem)
         if args.export:
-            with open(args.export, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_export(problem, args.export)
             _emit({"written": args.export, "constraints": problem.constraint_count()})
         else:
-            sys.stdout.write(text)
+            write_sdpa(problem, sys.stdout)
         return 0
     # solve
     sol = solve(problem, _solve_opts(args))
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(export_sdpa(problem))
+        _write_export(problem, args.export)
     payload = {
         "lambda": sol.lam,
         "status": sol.status,
@@ -252,8 +254,7 @@ def cmd_verify(args) -> int:
 def cmd_pipeline(args) -> int:
     p, model, lap, basis, problem = _build_stage(args)
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(export_sdpa(problem))
+        _write_export(problem, args.export)
     sol = solve(problem, _solve_opts(args))
     result = _certify_from_solution(lap, basis, sol.lam, P=sol.P)
     cert_path = args.out or "certificate.json"
@@ -295,9 +296,16 @@ def _add_stage_opts(sub):
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_solver_opts(sub):
     sub.add_argument("--tol", type=float, default=1e-8, help="solver residual tolerance")
-    sub.add_argument("--max-iter", type=int, default=20000)
+    sub.add_argument("--max-iter", type=_positive_int, default=20000)
     sub.add_argument("--export", help="also write the SDPA problem file here")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 from itertools import islice
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -372,7 +373,7 @@ _INT64_LIMIT = 2 ** 63  # int64 holds magnitudes below this
 
 
 def _generic_products(basis: "SupportBasis"):
-    """(pid, first, pair_elements) from one model.multiply per pair.
+    """(pid, first, pair_elements, pair_index) from one model.multiply per pair.
 
     first[p] is the flat cell x*m + y where class p is first seen.
     """
@@ -391,14 +392,16 @@ def _generic_products(basis: "SupportBasis"):
                 first.append(len(pid))
             pid.append(p)
     pid = np.array(pid, dtype=np.int64).reshape(len(basis), -1)
-    return pid, np.array(first, dtype=np.int64), pair_elements
+    return pid, np.array(first, dtype=np.int64), pair_elements, index
 
 
 def _batched_products(basis: "SupportBasis"):
-    """`_generic_products` from one int64 matmul, or None if it does not apply.
+    """(pid, first, rows, rank) from one int64 matmul, or None if it does not apply.
 
-    Applies to matrix models whose products provably fit in
-    int64: every entry, and every partial sum, of x^-1 y is at most
+    rows holds the distinct products x^-1 y as flat int64 entries, one
+    void item each, in byte order; rank[r] is the class of rows[r].
+    Applies to matrix models whose products provably fit in int64: every
+    entry, and every partial sum, of x^-1 y is at most
     dim * max|x^-1| * max|y| in magnitude.
     """
     model = basis.model
@@ -416,44 +419,73 @@ def _batched_products(basis: "SupportBasis"):
     if model.modulus is not None:
         prod %= model.modulus
     rows = prod.view(np.dtype((np.void, prod.itemsize * d * d))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    rows, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     # np.unique ranks classes by bytes; re-rank them by first occurrence
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    first = first[order]
-    pair_elements = [
-        GroupElement(model, tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d)))
-        for flat in prod[first].tolist()
-    ]
-    return rank[inverse.ravel()].reshape(m, m), first, pair_elements
+    return rank[inverse.ravel()].reshape(m, m), first[order], rows, rank
 
 
 class ProductTable:
     """Products x^-1 y over a support basis: the integer index of a problem.
 
-    pair_elements enumerates the distinct products (classes) in first-seen
-    order (x-major, then y); pid[x, y] is the class of E[x]^-1 E[y] and
-    inverse_pid[p] the class of the inverse product, both int64 arrays.
-    slots() and members() derive every other index from pid.  Matrix
-    models build the table with int64 array products when no entry can
-    overflow, every other model with one model.multiply per pair.
+    pid[x, y] is the class of E[x]^-1 E[y], classes numbered in first-seen
+    order (x-major, then y), and inverse_pid[p] the class of the inverse
+    product, both int64 arrays; slots() derives the constraint index from
+    pid.  pair_elements lists the classes as group elements and
+    pair_index maps their keys to classes.  Matrix models build the table
+    with int64 array products when no entry can overflow; then those two
+    are built on first use, and find() looks keys up among the int64
+    product rows.  Every other model builds all of it with one
+    model.multiply per pair.
     """
 
-    __slots__ = ("pair_elements", "pair_index", "pid", "inverse_pid", "identity_pid")
-
     def __init__(self, basis: "SupportBasis"):
-        pid, first, pair_elements = _batched_products(basis) or _generic_products(basis)
+        batched = _batched_products(basis)
+        if batched is None:
+            self.pid, first, self.pair_elements, self.pair_index = _generic_products(basis)
+            self._rows = None
+        else:
+            self.pid, first, self._rows, self._rank = batched
+        self._model = basis.model
         m = len(basis)
-        self.pair_elements = pair_elements
-        self.pair_index = {g.key: p for p, g in enumerate(pair_elements)}
-        self.pid = pid
         # (x^-1 y)^-1 = y^-1 x, so no group inversion is needed
-        self.inverse_pid = pid[first % m, first // m]
-        self.identity_pid = self.pair_index[basis.model.identity().key]
+        self.inverse_pid = self.pid[first % m, first // m]
+        # the basis starts with the identity, and e^-1 e = e
+        self.identity_pid = int(self.pid[0, 0])
 
     def __len__(self):
-        return len(self.pair_elements)
+        return len(self.inverse_pid)
+
+    @cached_property
+    def pair_elements(self) -> List[GroupElement]:
+        """The classes as group elements, in class order."""
+        d = self._model.dim
+        flat = self._rows.view(np.int64).reshape(len(self), d * d)[np.argsort(self._rank)]
+        return [
+            GroupElement(self._model, tuple(tuple(row[i:i + d]) for i in range(0, d * d, d)))
+            for row in flat.tolist()
+        ]
+
+    @cached_property
+    def pair_index(self) -> dict:
+        """The class of each product's key."""
+        return {g.key: p for p, g in enumerate(self.pair_elements)}
+
+    def find(self, keys: Sequence) -> List[Optional[int]]:
+        """The class of each group element key, None for a key that is no product x^-1 y."""
+        if self._rows is None or not keys:
+            return [self.pair_index.get(key) for key in keys]
+        try:
+            flat = np.array([[v for row in key for v in row] for key in keys], dtype=np.int64)
+        except OverflowError:
+            # no product in an int64 table has such an entry
+            return [self.pair_index.get(key) for key in keys]
+        wanted = flat.view(self._rows.dtype).ravel()
+        at = np.searchsorted(self._rows, wanted).clip(max=len(self._rows) - 1)
+        found = self._rows[at] == wanted
+        return [int(p) if ok else None for p, ok in zip(self._rank[at], found)]
 
     def slots(self, n: int) -> np.ndarray:
         """Slot (i*n + j)*npairs + pid[x, y] of Gram cell (i*m + x, j*m + y).
@@ -464,14 +496,6 @@ class ProductTable:
         m = len(self.pid)
         base = np.arange(n * n, dtype=np.int64).reshape(n, n) * len(self)
         return (base[:, None, :, None] + self.pid[None, :, None, :]).reshape(n * m, n * m)
-
-    def members(self) -> List[List[Tuple[int, int]]]:
-        """The cells (x, y) of each class, x-major, as Python ints."""
-        order = np.argsort(self.pid, axis=None, kind="stable")
-        x, y = np.divmod(order, len(self.pid))
-        cells = list(zip(x.tolist(), y.tolist()))
-        ends = np.cumsum(np.bincount(self.pid.ravel(), minlength=len(self))).tolist()
-        return [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 class SupportBasis:

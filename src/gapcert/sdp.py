@@ -6,9 +6,10 @@ there is one linear constraint <A_g, P^{i,j}> = target_{i,j}(g); targets
 outside the support of Delta are zero but still constrained, and the
 objective variable enters the (i, i, identity) constraints only.  The
 basis' ProductTable holds the one integer index all of this reads: the
-class pid[x, y] of x^-1 y, its slots (i*n + j)*npairs + pid and its
-member lists.  target_coefficients is the one walk of an exact target
-into those classes; the SDP, the SDPA export and the certifier share it.
+class pid[x, y] of x^-1 y and its slots (i*n + j)*npairs + pid; the
+SDPA export lists each class's cells by the stable argsort of pid.
+target_coefficients is the one walk of an exact target into those
+classes; the SDP, the SDPA export and the certifier share it.
 
 The embedded solver is a first-order operator-splitting scheme: it
 alternates exact projection onto the affine constraint subspace (the
@@ -31,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, zip_longest
+from itertools import chain, permutations, zip_longest
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -117,17 +118,22 @@ def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
         raise ValueError("target and basis use different models")
     if not matrix.is_star_invariant():
         raise ValueError("target matrix must be square and *-invariant")
-    index = basis.products().pair_index
+    terms = [
+        (i, j, g, entry.coeffs[g])
+        for i, row in enumerate(matrix.entries)
+        for j, entry in enumerate(row)
+        for g in entry.support()
+    ]
+    keys = list(dict.fromkeys(g.key for _, _, g, _ in terms))
+    index = dict(zip(keys, basis.products().find(keys)))
     inside: Dict[Tuple[int, int, int], Fraction] = {}
     outside: List[Tuple[GroupElement, Fraction]] = []
-    for i, row in enumerate(matrix.entries):
-        for j, entry in enumerate(row):
-            for g in entry.support():
-                pid = index.get(g.key)
-                if pid is None:
-                    outside.append((g, entry.coeffs[g]))
-                else:
-                    inside[i, j, pid] = entry.coeffs[g]
+    for i, j, g, c in terms:
+        pid = index[g.key]
+        if pid is None:
+            outside.append((g, c))
+        else:
+            inside[i, j, pid] = c
     return inside, outside
 
 
@@ -153,10 +159,88 @@ def build_problem(source, basis: SupportBasis) -> SdpProblem:
 # ---------------------------------------------------------------------------
 
 _META_PREFIX = "*META "
+_CHUNK = 512  # constraints per block of export text
+# an entry's code c is its block's " b " _BLOCKS[c // 2] and its value's " v\n" _VALUES[c]
+_BLOCKS = np.frombuffer(b" 1  2 ", dtype="V3")
+_VALUES = np.frombuffer(b" \x000.5\n \x001.0\n \x001.0\n -1.0\n", dtype="V6")
 
 
-def _sdpa_lines(problem: SdpProblem) -> Iterator[str]:
-    """The lines of the SDPA export, one by one."""
+def _digit_table(top: int) -> np.ndarray:
+    """The ASCII decimal digits of 0..top, NUL-padded on the left to one width, as void items."""
+    v = np.arange(top + 1)
+    width = len(str(top))
+    table = np.zeros((top + 1, width), dtype=np.uint8)
+    for d in range(width):
+        digit = v // 10 ** d % 10 + ord("0")
+        table[:, width - 1 - d] = np.where(v >= 10 ** d, digit, 0) if d else digit
+    return table.view(f"V{width}").ravel()
+
+
+def _ascii(fields: np.ndarray) -> str:
+    """The bytes of an array, NUL bytes dropped, as text."""
+    return fields.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _entry_chunks(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
+    """The export's lines after the objective vector, _CHUNK constraints at a time.
+
+    Line "k b p q v" puts v at (p, q) in block b of F_k; F_0 is lambda =
+    s - t.  Constraint k = (i, j, pid) has one line per cell (x, y) of
+    class pid at (i*m + x + 1, j*m + y + 1), 0.5 each, when i != j.  When
+    i == j it has one per cell x <= y of class pid and then of its inverse
+    class if that differs, 1.0 on the diagonal and 0.5 off it, and the
+    identity class adds lambda's two entries.  Cells run x-major, by the
+    stable argsort of pid.
+    """
+    yield "0 2 1 1 1.0\n0 2 2 2 -1.0\n"
+    m, pid = problem.m, problem.table.pid.ravel()
+    inverse_pid, npairs = problem.inverse_pid, problem.npairs
+    order = np.argsort(pid, kind="stable")
+    x, y = np.divmod(order, m)
+    upper = x <= y
+    # source cells: every class's, then every class's x <= y part, then
+    # lambda's two block-2 entries at offsets (1, 1) and (2, 2)
+    src_x = np.concatenate([x, x[upper], [1, 2]])
+    src_y = np.concatenate([y, y[upper], [1, 2]])
+    src_code = np.concatenate([np.zeros_like(x), x[upper] == y[upper], [2, 3]])
+    counts = np.bincount(pid, minlength=npairs)
+    ucounts = np.bincount(pid[order[upper]], minlength=npairs)
+    # start and length in the source of the three segments of a
+    # constraint, off (0) or on (1) the diagonal, by class: the class's
+    # cells, its inverse class's and lambda's entries
+    start = np.zeros((2, npairs, 3), dtype=np.int64)
+    length = np.zeros((2, npairs, 3), dtype=np.int64)
+    start[0, :, 0], length[0, :, 0] = np.cumsum(counts) - counts, counts
+    start[1, :, 0], length[1, :, 0] = len(order) + np.cumsum(ucounts) - ucounts, ucounts
+    start[1, :, 1] = start[1, inverse_pid, 0]
+    length[1, :, 1] = np.where(inverse_pid != np.arange(npairs), ucounts[inverse_pid], 0)
+    start[1, problem.identity_pid, 2], length[1, problem.identity_pid, 2] = len(src_x) - 2, 2
+    offset = np.array([1, 1, 0])  # only cell segments sit at row i*m + 1, column j*m + 1
+    digits = _digit_table(max(len(keys), problem.n * m))
+    number = digits.dtype
+    line = np.dtype([("k", number), ("b", "V3"), ("p", number), ("sep", "u1"), ("q", number),
+                     ("v", "V6")])
+    for a in range(0, len(keys), _CHUNK):
+        i, j, p = keys[a:a + _CHUNK].T
+        diag = (i == j).astype(np.intp)
+        seg_length = length[diag, p]
+        # one line per source cell of each segment
+        flat = seg_length.ravel()
+        first = np.cumsum(flat) - flat
+        src = np.arange(flat.sum()) + np.repeat(start[diag, p].ravel() - first, flat)
+        code = src_code[src]
+        out = np.empty(len(src), dtype=line)
+        out["k"] = np.repeat(digits[a + 1:a + 1 + len(p)], seg_length.sum(axis=1))
+        out["b"] = _BLOCKS[code // 2]
+        out["p"] = digits[np.repeat(np.outer(i * m + 1, offset), flat) + src_x[src]]
+        out["sep"] = ord(" ")
+        out["q"] = digits[np.repeat(np.outer(j * m + 1, offset), flat) + src_y[src]]
+        out["v"] = _VALUES[code]
+        yield _ascii(out)
+
+
+def _sdpa_chunks(problem: SdpProblem) -> Iterator[str]:
+    """The text of the SDPA export in blocks, the header first."""
     n, m = problem.n, problem.m
     keys = problem.export_keys()
     meta = {
@@ -166,7 +250,7 @@ def _sdpa_lines(problem: SdpProblem) -> Iterator[str]:
         "radius": problem.basis.radius,
         "basis": [problem.basis.model.key_to_json(e.key) for e in problem.basis],
     }
-    yield from (
+    yield "\n".join((
         "* gapcert sparse SDPA export (format v1)",
         "* dual form: maximize <F0,Y> s.t. <Fk,Y>=c_k, Y PSD",
         "* Y = blockdiag(P, s, t); P is the nm x nm Gram block, lambda = s - t",
@@ -174,35 +258,16 @@ def _sdpa_lines(problem: SdpProblem) -> Iterator[str]:
         f"{len(keys)}",
         "2",
         f"{n * m} -2",
-        " ".join(map(repr, problem.targets[tuple(keys.T)].tolist())),
-    )
-    yield from _entry_lines(problem, keys)
-
-
-def _entry_lines(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
-    """The export's lines after the objective vector: the entries of F0, F1, ..."""
-    m = problem.m
-    yield from ("0 2 1 1 1.0", "0 2 2 2 -1.0")
-    inverse_pid = problem.inverse_pid.tolist()
-    members = problem.table.members()
-    for k, (i, j, pid) in enumerate(zip(*keys.T.tolist()), start=1):
-        if i == j:
-            pattern = members[pid]
-            if inverse_pid[pid] != pid:
-                pattern = pattern + members[inverse_pid[pid]]
-            for x, y in pattern:
-                p, q = i * m + x, i * m + y
-                if p < q:
-                    yield f"{k} 1 {p + 1} {q + 1} 0.5"
-                elif p == q:
-                    yield f"{k} 1 {p + 1} {q + 1} 1.0"
-            if pid == problem.identity_pid:
-                yield f"{k} 2 1 1 1.0"
-                yield f"{k} 2 2 2 -1.0"
-        else:
-            for x, y in members[pid]:
-                p, q = i * m + x, j * m + y
-                yield f"{k} 1 {p + 1} {q + 1} 0.5"
+        "",
+    ))
+    # the objective line: one repr per distinct bit pattern, so that -0.0
+    # and a nan print as repr prints them
+    bits, code = np.unique(problem.targets[tuple(keys.T)].view(np.int64), return_inverse=True)
+    words = [repr(v) for v in bits.view(np.float64).tolist()]
+    for a in range(0, len(keys), _CHUNK):
+        yield " " * (a > 0) + " ".join(map(words.__getitem__, code[a:a + _CHUNK].tolist()))
+    yield "\n"
+    yield from _entry_chunks(problem, keys)
 
 
 def export_sdpa(problem: SdpProblem) -> str:
@@ -213,18 +278,50 @@ def export_sdpa(problem: SdpProblem) -> str:
     nm x nm Gram block and lambda = s - t splits the free objective
     variable over a diagonal block of size 2.
     """
-    return "\n".join(_sdpa_lines(problem)) + "\n"
+    return "".join(_sdpa_chunks(problem))
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of text, one by one, without a copy of the whole."""
-    start = 0
+def write_sdpa(problem: SdpProblem, fh) -> None:
+    """Write export_sdpa(problem) to the text stream fh block by block, never the whole at once."""
+    for chunk in _sdpa_chunks(problem):
+        fh.write(chunk)
+
+
+def _lines(text: str, start: int = 0) -> Iterator[Tuple[int, str]]:
+    """(end, line) for the lines of text from offset start on, end the offset past the line."""
     while start < len(text):
         end = text.find("\n", start)
         if end < 0:
             end = len(text)
-        yield text[start:end]
+        yield end + 1, text[start:end]
         start = end + 1
+
+
+def _data_lines(text: str, start: int = 0) -> Iterator[Tuple[int, str]]:
+    """_lines without the blank and comment lines, which carry no data."""
+    return (
+        (end, line) for end, line in _lines(text, start) if line.lstrip()[:1] not in ("", "*", '"')
+    )
+
+
+def _entries_match(text: str, start: int, chunks: Iterator[str]) -> bool:
+    """Whether the data lines of text from offset start on are the lines of chunks, one for one.
+
+    A line equal to its expected string passes, any other must carry the
+    same whitespace tokens.  While the text runs on exactly as the chunks
+    do it is compared a chunk at a time.
+    """
+    for chunk in chunks:
+        if not text.startswith(chunk, start):
+            break
+        start += len(chunk)
+    else:
+        chunk = ""
+    expected = chain.from_iterable(c.splitlines() for c in chain([chunk], chunks))
+    return not any(
+        a != b and (a is None or b is None or a.split() != b.split())
+        for a, b in zip_longest((line for _, line in _data_lines(text, start)), expected)
+    )
 
 
 def import_sdpa(text: str) -> SdpProblem:
@@ -236,7 +333,7 @@ def import_sdpa(text: str) -> SdpProblem:
     whitespace tokens.  Neither text is held twice.
     """
     meta = next(
-        (json.loads(line.strip()[len(_META_PREFIX):]) for line in _lines(text)
+        (json.loads(line.strip()[len(_META_PREFIX):]) for _, line in _lines(text)
          if line.strip().startswith(_META_PREFIX)),
         None,
     )
@@ -248,13 +345,14 @@ def import_sdpa(text: str) -> SdpProblem:
     check_ball_radius(basis)
     n = _json_int(meta["n"], "n")
     m = len(basis)
-    # blank and comment lines carry no data
-    lines = (line for line in _lines(text) if line.lstrip()[:1] not in ("", "*", '"'))
+    lines = _data_lines(text)
     pending: List[str] = []
+    pos = 0  # the offset past the last line read
 
     def take(count):
+        nonlocal pos
         while len(pending) < count:
-            line = next(lines, None)
+            pos, line = next(lines, (None, None))
             if line is None:
                 raise ValueError("truncated SDPA file")
             pending.extend(line.split())
@@ -280,10 +378,7 @@ def import_sdpa(text: str) -> SdpProblem:
     problem.targets[i, j, pid] = c
     problem.targets[j, i, problem.inverse_pid[pid]] = c
     # a token left after the objective vector is an entry sharing its line
-    if pending or any(
-        a != b and (a is None or b is None or a.split() != b.split())
-        for a, b in zip_longest(lines, _entry_lines(problem, keys))
-    ):
+    if pending or not _entries_match(text, pos, _entry_chunks(problem, keys)):
         raise ValueError("entry lines do not match the constraints the basis implies")
     return problem
 
@@ -555,6 +650,8 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     at exit, in the original layout.
     """
     opts = opts or SolveOptions()
+    if opts.max_iter < 1:  # no iteration, no residuals to report
+        raise ValueError(f"max_iter must be at least 1, got {opts.max_iter}")
     sym = gram_symmetry(problem)
     g = len(sym.ldiv)
     k = problem.n * problem.m // g

@@ -6,8 +6,9 @@ factors, the order-unit construction) so that expected values never come
 from the code paths under test.
 """
 
+import json
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -274,7 +275,7 @@ def reconstruct_exact(problem, P):
     def frac(v) -> Fraction:
         return v if isinstance(v, Fraction) else Fraction(float(v))
 
-    members = table.members()
+    cells = members(table)
     entries = []
     for i in range(n):
         row_out = []
@@ -282,13 +283,84 @@ def reconstruct_exact(problem, P):
             coeffs = {}
             for pid, elem in enumerate(table.pair_elements):
                 total = Fraction(0)
-                for x, y in members[pid]:
+                for x, y in cells[pid]:
                     total += frac(P[i * m + x][j * m + y] if isinstance(P, list) else P[i * m + x, j * m + y])
                 if total:
                     coeffs[elem] = total
             row_out.append(RingElement(model, coeffs))
         entries.append(row_out)
     return RingMatrix(model, entries)
+
+
+def members(table) -> List[List[Tuple[int, int]]]:
+    """The cells (x, y) of each class of a ProductTable, x-major, as Python ints."""
+    order = np.argsort(table.pid, axis=None, kind="stable")
+    x, y = np.divmod(order, len(table.pid))
+    cells = list(zip(x.tolist(), y.tolist()))
+    ends = np.cumsum(np.bincount(table.pid.ravel(), minlength=len(table))).tolist()
+    return [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def sdpa_text(problem) -> str:
+    """The SDPA export of a problem, built one formatted line at a time."""
+    n, m = problem.n, problem.m
+    keys = problem.export_keys()
+    meta = {
+        "version": 1,
+        "n": n,
+        "model": problem.basis.model.spec(),
+        "radius": problem.basis.radius,
+        "basis": [problem.basis.model.key_to_json(e.key) for e in problem.basis],
+    }
+    header = [
+        "* gapcert sparse SDPA export (format v1)",
+        "* dual form: maximize <F0,Y> s.t. <Fk,Y>=c_k, Y PSD",
+        "* Y = blockdiag(P, s, t); P is the nm x nm Gram block, lambda = s - t",
+        "*META " + json.dumps(meta, separators=(",", ":"), sort_keys=True),
+        f"{len(keys)}",
+        "2",
+        f"{n * m} -2",
+        " ".join(map(repr, problem.targets[tuple(keys.T)].tolist())),
+    ]
+    return "\n".join([*header, *entry_lines(problem, keys)]) + "\n"
+
+
+def first_difference(got: str, want: str):
+    """None if two texts are equal, else the first line that differs: (index, got's, want's).
+
+    A short failure report, where pytest's diff of two large texts takes minutes.
+    """
+    if got == want:
+        return None
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return k, a[k] if k < len(a) else None, b[k] if k < len(b) else None
+
+
+def entry_lines(problem, keys) -> Iterator[str]:
+    """The export's lines after the objective vector: the entries of F0, F1, ..."""
+    m = problem.m
+    yield from ("0 2 1 1 1.0", "0 2 2 2 -1.0")
+    inverse_pid = problem.inverse_pid.tolist()
+    cells = members(problem.table)
+    for k, (i, j, pid) in enumerate(zip(*keys.T.tolist()), start=1):
+        if i == j:
+            pattern = cells[pid]
+            if inverse_pid[pid] != pid:
+                pattern = pattern + cells[inverse_pid[pid]]
+            for x, y in pattern:
+                p, q = i * m + x, i * m + y
+                if p < q:
+                    yield f"{k} 1 {p + 1} {q + 1} 0.5"
+                elif p == q:
+                    yield f"{k} 1 {p + 1} {q + 1} 1.0"
+            if pid == problem.identity_pid:
+                yield f"{k} 2 1 1 1.0"
+                yield f"{k} 2 2 2 -1.0"
+        else:
+            for x, y in cells[pid]:
+                p, q = i * m + x, j * m + y
+                yield f"{k} 1 {p + 1} {q + 1} 0.5"
 
 
 def symmetric_psd_sqrt(P):

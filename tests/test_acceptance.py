@@ -274,6 +274,39 @@ def test_criterion_8_stretch_full_reproduction():
     assert result.lambda0 >= 0.28
 
 
+@pytest.mark.stretch
+def test_radius3_export_streams_in_bounded_memory(tmp_path, monkeypatch):
+    """`gapcert sdp export --preset sl3z --radius 3 --export f` (not gating).
+
+    The file has 8 header lines and 14,037,065 entry lines (336 MB).
+    Once the problem is built, the peak RSS grows by less than the file's
+    size: the writer holds no list of lines and no copy of the text.  The
+    peak is per process, so run this test on its own.
+    """
+    import resource
+
+    from gapcert import cli
+
+    built = {}
+    build_problem_ = cli.build_problem
+
+    def measured(*args):
+        problem = build_problem_(*args)
+        built["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return problem
+
+    monkeypatch.setattr(cli, "build_problem", measured)
+    path = tmp_path / "sl3z_r3.dat-s"
+    assert main(["sdp", "export", "--preset", "sl3z", "--radius", "3", "--export", str(path)]) == 0
+    grown = 1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - built["maxrss_kb"])
+    lines = 0
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            lines += block.count(b"\n")
+    assert lines == 8 + 14_037_065
+    assert grown < path.stat().st_size
+
+
 def test_criterion_9_certificate_tamper_resistance():
     with _Timer(9, "certificate tamper resistance, 50 trials", 60.0):
         p, model = load_preset("z3")

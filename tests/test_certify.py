@@ -251,6 +251,22 @@ def test_certificate_round_trip_and_determinism(tmp_path):
     assert result2.certificate.to_bytes() == result.certificate.to_bytes()
 
 
+def _json_bytes(cert):
+    return json.dumps(cert.to_json_dict(), separators=(",", ":")).encode("utf-8")
+
+
+def test_certificate_bytes_are_the_compact_json_of_the_dict():
+    lap, basis, _, z3 = _z3_pipeline()
+    no_rows = certified_gap(lap, basis, np.zeros((0, 3)), 0.0)
+    p, model = load_preset("sl3z-mod:2")
+    lap, basis = laplacian1(model, p), ball(model, 2)
+    sol = solve(build_problem(lap, basis), SolveOptions(max_iter=50))
+    mod2 = certified_gap(lap, basis, psd_sqrt(sol.P), sol.lam)
+    for result in (z3, mod2, no_rows):
+        assert result.certificate.to_bytes() == _json_bytes(result.certificate)
+    assert mod2.certificate.q.shape[0] > 0 and no_rows.certificate.q.shape == (0, 3)
+
+
 def test_verify_accepts_relator_superset():
     p = parse_presentation("gens: t\nrel: t^3\nrel: t^6\n")
     model = CyclicModel(3)

@@ -346,3 +346,51 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_solve_with_no_iterations_is_a_usage_error(capsys):
+    args = ("sdp", "solve", "--preset", "z3", "--radius", "1")
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--max-iter", "0"])
+    assert exc.value.code == 2
+    assert "--max-iter" in capsys.readouterr().err
+    code, out, _ = _run(capsys, *args, "--max-iter", "1")
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["iterations"] == 1 and payload["status"] == "max-iter"
+
+
+def test_streamed_exports_equal_export_sdpa(capsys, tmp_path, monkeypatch):
+    from gapcert import sdp
+    from _oracles import first_difference, sdpa_text
+
+    # blocks of 3 constraints, so every writer writes many blocks
+    monkeypatch.setattr(sdp, "_CHUNK", 3)
+    pres = tmp_path / "free.txt"
+    pres.write_text("gens: a, b\n")
+    for source in (
+        ("--preset", "sl3z-mod:2", "--radius", "1"),
+        ("--file", str(pres), "--model", "free", "--radius", "2"),
+    ):
+        path = tmp_path / "export.dat-s"
+        code, out, _ = _run(capsys, "sdp", "export", *source, "--export", str(path))
+        assert code == 0 and json.loads(out)["written"] == str(path)
+        expected = path.read_bytes().decode("ascii")
+        prob = sdp.import_sdpa(expected)
+        assert first_difference(sdp.export_sdpa(prob), expected) is None
+        assert first_difference(sdpa_text(prob), expected) is None
+        code, out, _ = _run(capsys, "sdp", "export", *source)
+        assert code == 0 and first_difference(out, expected) is None
+        for argv in (
+            ("sdp", "solve", *source, "--max-iter", "1", "--out", str(tmp_path / "sol.json")),
+            ("pipeline", *source, "--max-iter", "1", "--out", str(tmp_path / "cert.json")),
+        ):
+            path.unlink()
+            code, _, _ = _run(capsys, *argv, "--export", str(path))
+            assert first_difference(path.read_bytes().decode("ascii"), expected) is None

@@ -16,7 +16,9 @@ from gapcert.groups import (
     model_from_spec,
     validate_model,
 )
+from gapcert.fox import laplacian1
 from gapcert.presets import load_preset, sl3z_images
+from gapcert.sdp import build_problem
 from gapcert.words import Word, parse_presentation
 
 from _oracles import (
@@ -302,3 +304,33 @@ def test_cyclic_model_overflow_free_large_entries():
     for _ in range(200):
         big = model.multiply(big, g)
     assert big.key[0][1] == 200
+
+
+@pytest.mark.parametrize(
+    "preset,outside",
+    [
+        ("sl3z", ((1, 100, 0), (0, 1, 0), (0, 0, 1))),  # e_12^100, far outside radius 4
+        ("sl3z-mod:2", ((0, 0, 0), (0, 0, 0), (0, 0, 0))),  # not a group element
+        ("free:2", (1,) * 10),
+    ],
+)
+def test_find_agrees_with_the_pair_index(preset, outside):
+    _, model = load_preset(preset)
+    table = ball(model, 2).products()
+    keys = [g.key for g in table.pair_elements]
+    assert table.find(keys) == list(range(len(table)))
+    assert outside not in table.pair_index
+    assert table.find([outside, keys[3]]) == [None, 3]
+    assert table.find([]) == []
+
+
+def test_product_table_builds_its_elements_on_first_use():
+    p, model = load_preset("sl3z")
+    basis = ball(model, 2)
+    problem = build_problem(laplacian1(model, p), basis)
+    table = problem.table
+    assert "pair_elements" not in vars(table) and "pair_index" not in vars(table)
+    assert table.identity_pid == table.pair_index[model.identity().key]
+    # a key with an entry beyond int64 is no product of the int64 table
+    huge = ((2 ** 70, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert table.find([huge, model.identity().key]) == [None, table.identity_pid]

@@ -32,7 +32,7 @@ from gapcert.sdp import (
 )
 from gapcert.words import Presentation, Word
 
-from _oracles import reconstruct_exact
+from _oracles import first_difference, reconstruct_exact, sdpa_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,6 +180,63 @@ def test_import_rejects_an_edited_entry_line():
     assert import_sdpa("".join(lines[:k] + ["  " + lines[k].replace(" ", "\t")] + lines[k + 1:])).same_problem(prob)
 
 
+def _preset_problem(preset, radius):
+    p, model = load_preset(preset)
+    return build_problem(laplacian1(model, p), ball(model, radius))
+
+
+@pytest.mark.parametrize(
+    "preset,radius",
+    [("z3", 1), ("sl3z-mod:2", 1), ("sl3z-mod:2", 2), ("sl3z", 2), ("free:2", 2)],
+)
+def test_export_matches_the_line_by_line_oracle(preset, radius):
+    prob = _preset_problem(preset, radius)
+    text = export_sdpa(prob)
+    assert first_difference(text, sdpa_text(prob)) is None
+    back = import_sdpa(text)
+    assert back.same_problem(prob) and export_sdpa(back) == text
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_export_blocks_join_to_the_oracle_at_any_block_size(monkeypatch, chunk):
+    monkeypatch.setattr(sdp, "_CHUNK", chunk)
+    for preset, radius in (("z3", 1), ("sl3z-mod:2", 1)):
+        prob = _preset_problem(preset, radius)
+        keys = prob.export_keys()
+        # every block but the entry lines' first holds at most `chunk` constraints
+        entries = list(sdp._entry_chunks(prob, keys))
+        assert len(entries) == 1 + -(-len(keys) // chunk)
+        text = export_sdpa(prob)
+        assert first_difference(text, sdpa_text(prob)) is None
+        assert import_sdpa(text).same_problem(prob)
+
+
+def test_export_prints_hand_edited_objective_values_as_repr_does():
+    # -0.0 and nan differ from 0.0 only in their bits
+    _, _, prob = _z3_problem()
+    lines = export_sdpa(prob).splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.startswith("0 2 1 1 "))
+    assert lines[k - 1] != "-0.0 nan\n"
+    back = import_sdpa("".join(lines[:k - 1] + ["-0.0 nan\n"] + lines[k:]))
+    text = export_sdpa(back)
+    assert first_difference(text, sdpa_text(back)) is None
+    assert "\n-0.0 nan\n" in text
+
+
+def test_import_rejects_an_entry_line_past_the_first_block(monkeypatch):
+    monkeypatch.setattr(sdp, "_CHUNK", 1)
+    prob = _preset_problem("sl3z-mod:2", 1)
+    lines = export_sdpa(prob).splitlines(keepends=True)
+    last = lines[-1]
+    for edited in (last.replace(" 0.5", " 0.25"), "", last + last):
+        with pytest.raises(ValueError, match="entry lines"):
+            import_sdpa("".join(lines[:-1] + [edited]))
+    # a comment line, a missing final newline and tabs are no change
+    edited = lines[:-1] + ["* note\n", last.replace(" ", "\t")]
+    assert import_sdpa("".join(edited)).same_problem(prob)
+    assert import_sdpa("".join(lines).rstrip("\n")).same_problem(prob)
+
+
 def _with_meta(text, **changes):
     lines = text.splitlines(keepends=True)
     k = next(i for i, line in enumerate(lines) if line.startswith("*META "))
@@ -237,6 +294,12 @@ def test_solve_z2_abelian_no_gap():
     sol = solve(prob, SolveOptions(tol_primal=1e-8, tol_dual=1e-8, max_iter=40000))
     assert sol.status == "optimal"
     assert abs(sol.lam) < 1e-4
+
+
+def test_solve_needs_an_iteration():
+    _, _, prob = _z3_problem()
+    with pytest.raises(ValueError, match="max_iter"):
+        solve(prob, SolveOptions(max_iter=0))
 
 
 def test_solve_infeasible_fixed_lambda():

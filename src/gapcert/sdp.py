@@ -124,12 +124,10 @@ def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
         for j, entry in enumerate(row)
         for g in entry.support()
     ]
-    keys = list(dict.fromkeys(g.key for _, _, g, _ in terms))
-    index = dict(zip(keys, basis.products().find(keys)))
+    pids = basis.products().find([g.key for _, _, g, _ in terms])
     inside: Dict[Tuple[int, int, int], Fraction] = {}
     outside: List[Tuple[GroupElement, Fraction]] = []
-    for i, j, g, c in terms:
-        pid = index[g.key]
+    for (i, j, g, c), pid in zip(terms, pids):
         if pid is None:
             outside.append((g, c))
         else:
@@ -159,7 +157,7 @@ def build_problem(source, basis: SupportBasis) -> SdpProblem:
 # ---------------------------------------------------------------------------
 
 _META_PREFIX = "*META "
-_CHUNK = 512  # constraints per block of export text
+_CHUNK = 512  # constraints per block of export text: bounds what export and import hold
 # an entry's code c is its block's " b " _BLOCKS[c // 2] and its value's " v\n" _VALUES[c]
 _BLOCKS = np.frombuffer(b" 1  2 ", dtype="V3")
 _VALUES = np.frombuffer(b" \x000.5\n \x001.0\n \x001.0\n -1.0\n", dtype="V6")
@@ -176,11 +174,6 @@ def _digit_table(top: int) -> np.ndarray:
     return table.view(f"V{width}").ravel()
 
 
-def _ascii(fields: np.ndarray) -> str:
-    """The bytes of an array, NUL bytes dropped, as text."""
-    return fields.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def _entry_chunks(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
     """The export's lines after the objective vector, _CHUNK constraints at a time.
 
@@ -190,7 +183,9 @@ def _entry_chunks(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
     i == j it has one per cell x <= y of class pid and then of its inverse
     class if that differs, 1.0 on the diagonal and 0.5 off it, and the
     identity class adds lambda's two entries.  Cells run x-major, by the
-    stable argsort of pid.
+    stable argsort of pid.  A block is built as fixed-width records of
+    NUL-padded fields, the numbers taken from one digit table, and the
+    NULs are dropped.
     """
     yield "0 2 1 1 1.0\n0 2 2 2 -1.0\n"
     m, pid = problem.m, problem.table.pid.ravel()
@@ -236,7 +231,7 @@ def _entry_chunks(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
         out["sep"] = ord(" ")
         out["q"] = digits[np.repeat(np.outer(j * m + 1, offset), flat) + src_y[src]]
         out["v"] = _VALUES[code]
-        yield _ascii(out)
+        yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _sdpa_chunks(problem: SdpProblem) -> Iterator[str]:

@@ -165,12 +165,15 @@ _VALUES = np.frombuffer(b" \x000.5\n \x001.0\n \x001.0\n -1.0\n", dtype="V6")
 
 def _digit_table(top: int) -> np.ndarray:
     """The ASCII decimal digits of 0..top, NUL-padded on the left to one width, as void items."""
-    v = np.arange(top + 1)
     width = len(str(top))
-    table = np.zeros((top + 1, width), dtype=np.uint8)
+    rest = np.arange(top + 1)
+    table = np.empty((top + 1, width), dtype=np.uint8)
     for d in range(width):
-        digit = v // 10 ** d % 10 + ord("0")
-        table[:, width - 1 - d] = np.where(v >= 10 ** d, digit, 0) if d else digit
+        np.remainder(rest, 10, out=table[:, -1 - d], casting="unsafe")
+        rest //= 10
+    table += ord("0")
+    for d in range(1, width):
+        table[:10 ** d, -1 - d] = 0  # the numbers below 10^d have no digit d
     return table.view(f"V{width}").ravel()
 
 

@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -273,9 +273,6 @@ class Certificate:
     q: np.ndarray
     toolchain: dict
 
-    def to_json_dict(self) -> dict:
-        return self._json_dict([list(map(repr, row)) for row in self.q.tolist()])
-
     def _json_dict(self, entries: list) -> dict:
         # field order is fixed; certificates are canonical byte streams
         return {
@@ -303,7 +300,7 @@ class Certificate:
         }
 
     def to_bytes(self) -> bytes:
-        """The compact JSON of to_json_dict(), with Q's rows written directly.
+        """The compact JSON of the certificate, Q's entries as repr strings.
 
         A float's repr needs no JSON escaping, so each row is its reprs in
         quotes, spliced in after the header's empty entry list.
@@ -351,8 +348,11 @@ class Certificate:
 
 
 def _q_from_json(data: dict) -> np.ndarray:
-    """Q from its decimal entries, shaped by the stored rows and cols."""
-    rows = [list(map(float, row)) for row in data["entries"]]
+    """Q from its decimal strings, shaped by the stored rows and cols."""
+    entries = data["entries"]
+    if not all(type(row) is list and set(map(type, row)) <= {str} for row in entries):
+        raise CertificateError("Q entries must be lists of decimal strings")
+    rows = [list(map(float, row)) for row in entries]
     shape = (data["rows"], data["cols"])
     if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
         raise CertificateError(f"Q entries do not fill its stored shape {shape}")
@@ -407,10 +407,7 @@ class VerifyResult:
     message: str
 
 
-def verify_certificate(
-    cert: Certificate,
-    target_relator_indices: Optional[Sequence[int]] = None,
-) -> VerifyResult:
+def verify_certificate(cert: Certificate) -> VerifyResult:
     """Re-derive the bound from the certificate alone.
 
     Recomputes the Laplacian from the stored presentation, model and
@@ -419,8 +416,7 @@ def verify_certificate(
     lambda0 is at least the stored one.  The other claims must hold too, or
     the certificate is malformed: the status is the one the stored lambda0
     implies, the labels are the presentation's, and the stored residual sup
-    is at least the recomputed one.  A target relator superset is accepted
-    because extra relators only add squares to the Laplacian.
+    is at least the recomputed one.
     """
     if not isinstance(cert.presentation_text, str):
         raise CertificateError("presentation text must be a string")
@@ -441,14 +437,6 @@ def verify_certificate(
     stored_sup = _decimal(cert.residual_l1_sup, "residual_l1_sup")
     if cert.status != _status(stored_lambda0):
         raise CertificateError(f"stored status {cert.status!r} contradicts its lambda0")
-    if target_relator_indices is not None:
-        if not set(target_relator_indices) >= set(stored):
-            return VerifyResult(
-                False,
-                float("nan"),
-                stored_lambda0,
-                "target relator set does not contain the certified subset",
-            )
     try:
         elements = [GroupElement(model, model.key_from_json(k)) for k in cert.basis_keys]
         basis = SupportBasis(elements, cert.basis_radius)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -57,7 +58,7 @@ def _load_input(args) -> tuple:
         with open(args.file, "r", encoding="utf-8") as fh:
             p = parse_presentation(fh.read())
         model = None
-    model_opt = getattr(args, "model", None)
+    model_opt = args.model
     if model_opt:
         kind, _, arg = model_opt.partition(":")
         if kind == "free":
@@ -91,14 +92,9 @@ def _relator_indices(args, p: Presentation) -> List[int]:
     return [k for k in range(len(p.relators)) if k != idx]
 
 
-def _progress(every: int = 200):
-    def callback(it, lam, rp, rd):
-        if it == 1 or it % every == 0:
-            print(
-                f"iter {it}: lambda={lam:.8f} primal={rp:.3e} dual={rd:.3e}",
-                file=sys.stderr,
-            )
-    return callback
+def _progress(it, lam, rp, rd):
+    if it == 1 or it % 200 == 0:
+        print(f"iter {it}: lambda={lam:.8f} primal={rp:.3e} dual={rd:.3e}", file=sys.stderr)
 
 
 def _solve_opts(args) -> SolveOptions:
@@ -106,7 +102,7 @@ def _solve_opts(args) -> SolveOptions:
         tol_primal=args.tol,
         tol_dual=args.tol,
         max_iter=args.max_iter,
-        progress=_progress(),
+        progress=_progress,
     )
 
 
@@ -278,17 +274,14 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _add_input_opts(sub, model_opt=True):
+def _add_input_opts(sub):
     sub.add_argument("--preset", help="builtin preset: " + ", ".join(PRESET_NAMES))
     sub.add_argument("--file", help="presentation file path")
-    if model_opt:
-        sub.add_argument(
-            "--model", help="model override: matrix | modular:<m> | free"
-        )
+    sub.add_argument("--model", help="model override: matrix | modular:<m> | free")
 
 
 def _add_stage_opts(sub):
-    sub.add_argument("--radius", type=int, required=True, help="support ball radius")
+    sub.add_argument("--radius", type=_radius, required=True, help="support ball radius")
     sub.add_argument(
         "--exclude-relator",
         help="relator subset policy: longest | none | <label> (default: longest "
@@ -303,8 +296,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _radius(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:  # no residual is ever <= nan or <= a negative
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
+    return value
+
+
 def _add_solver_opts(sub):
-    sub.add_argument("--tol", type=float, default=1e-8, help="solver residual tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=1e-8, help="solver residual tolerance")
     sub.add_argument("--max-iter", type=_positive_int, default=20000)
     sub.add_argument("--export", help="also write the SDPA problem file here")
 
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("ball", help="enumerate a metric ball")
     _add_input_opts(s)
-    s.add_argument("--radius", type=int, required=True)
+    s.add_argument("--radius", type=_radius, required=True)
     s.add_argument("--json", action="store_true", help="emit the basis as JSON")
     s.add_argument("--out")
     s.set_defaults(func=cmd_ball)

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import GroupElement, GroupModel
+from .groups import GroupElement, GroupModel, ball_elements
 from .ring import RingElement, RingMatrix
 from .words import Presentation, Word
 
@@ -240,31 +241,18 @@ def evaluate_representation(
 def regular_representation_images(model: GroupModel):
     """Left-regular permutation images for a finite model.
 
-    Enumerates the whole group, at most 200000 elements, by BFS and
-    returns (images, elements); images[i][x, y] = 1 iff
+    Enumerates the whole group, at most 200000 elements, as the ball of
+    radius 200000 and returns (images, elements); images[i][x, y] = 1 iff
     generator_i * elements[y] == elements[x].
     """
-    gens = model.generators()
-    ident = model.identity()
-    order: Dict = {ident.key: 0}
-    elements = [ident]
-    frontier = [ident]
-    sym = gens + [model.inverse(g) for g in gens]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for s in sym:
-                prod = model.multiply(el, s)
-                if prod.key not in order:
-                    if len(elements) >= 200000:
-                        raise ValueError("group appears infinite or too large")
-                    order[prod.key] = len(elements)
-                    elements.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    # a group of at most 200000 elements has diameter below 200000
+    elements = list(islice(ball_elements(model, 200000), 200001))
+    if len(elements) > 200000:
+        raise ValueError("group appears infinite or too large")
+    order = {el.key: x for x, el in enumerate(elements)}
     size = len(elements)
     images = []
-    for g in gens:
+    for g in model.generators():
         mat = np.zeros((size, size))
         for y, h in enumerate(elements):
             x = order[model.multiply(g, h).key]

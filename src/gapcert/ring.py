@@ -268,23 +268,3 @@ class RingMatrix:
                 for row in self.entries
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RingMatrix":
-        from .groups import model_from_spec
-
-        model = model_from_spec(data["model"])
-        entries = []
-        for row in data["entries"]:
-            out_row = []
-            for cell in row:
-                coeffs = {}
-                for key_json, coeff_json in cell:
-                    g = GroupElement(model, model.key_from_json(key_json))
-                    coeffs[g] = Fraction(coeff_json)
-                out_row.append(RingElement(model, coeffs))
-            entries.append(out_row)
-        got = cls(model, entries)
-        if got.n_rows != data["n_rows"] or got.n_cols != data["n_cols"]:
-            raise ValueError("matrix shape does not match header")
-        return got

@@ -492,7 +492,6 @@ def gram_symmetry(problem: SdpProblem) -> GramSymmetry:
 _OVER_RELAXATION = 1.6
 _RHO = 1.0  # initial penalty; doubled or halved every 100 iterations while unbalanced
 _CHECK_EVERY = 25  # iterations between residual checks
-_STALL_CHECKS = 40  # checks over which a flat primal residual means infeasible
 
 
 @dataclass
@@ -500,7 +499,6 @@ class SolveOptions:
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
     max_iter: int = 20000
-    fixed_lambda: Optional[float] = None
     progress: Optional[object] = None  # callable(iter, lam, rp, rd)
 
 
@@ -581,7 +579,7 @@ class _InvariantConstraints:
     slot of an orbit alike.
     """
 
-    def __init__(self, problem: SdpProblem, sym: GramSymmetry, fixed_lambda: Optional[float]):
+    def __init__(self, problem: SdpProblem, sym: GramSymmetry):
         n, m, npairs = problem.n, problem.m, problem.npairs
         g = len(sym.ldiv)
         i, x = np.divmod(sym.order.reshape(-1, g), m)
@@ -604,16 +602,12 @@ class _InvariantConstraints:
         # the orbits of the slots (i, i, identity), where lambda enters
         self.lam_orbits = orbit[np.arange(n) * (n + 1) * npairs + problem.identity_pid]
         self.lam_rows = np.unique(self.lam_orbits)
-        self.fixed_lambda = fixed_lambda
-        if fixed_lambda is not None:
-            self.b[self.lam_rows] -= fixed_lambda
         self.n, self.m = n, float(m)
 
     def residual(self, C: np.ndarray, lam: float) -> np.ndarray:
         """Constraint value minus target per orbit, lambda entering the (i, i, identity) rows."""
         r = self.stab * np.bincount(self.cid, weights=C.ravel(), minlength=len(self.b)) - self.b
-        if self.fixed_lambda is None:
-            r[self.lam_rows] += lam
+        r[self.lam_rows] += lam
         return r
 
     def norm(self, r: np.ndarray) -> float:
@@ -624,28 +618,24 @@ class _InvariantConstraints:
         """Exact projection of (V, vlam) onto the affine constraint subspace."""
         resid = self.residual(V, vlam)
         mu = resid / self.cnt
-        if self.fixed_lambda is not None:
-            lam_out = float(self.fixed_lambda)
-        else:
-            n, m = self.n, self.m
-            rl = resid[self.lam_orbits]
-            mu_l = rl / m - rl.sum() / (m * (m + n))
-            mu[self.lam_orbits] = mu_l
-            lam_out = vlam - mu_l.sum()
-        return V - mu[self.cid].reshape(V.shape), lam_out
+        n, m = self.n, self.m
+        rl = resid[self.lam_orbits]
+        mu_l = rl / m - rl.sum() / (m * (m + n))
+        mu[self.lam_orbits] = mu_l
+        return V - mu[self.cid].reshape(V.shape), vlam - mu_l.sum()
 
 
 def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     """Maximize lambda over the problem's affine slice of the PSD cone.
 
     Deterministic cold start at P = 0, lambda = 0.  Status is "optimal"
-    when both residuals pass their tolerances, "infeasible-suspected" when
-    the primal residual plateaus well above tolerance while the iterates
-    stop moving, and "max-iter" otherwise.  Both projections commute with
-    the group of gram_symmetry(problem), so the iterates are held in its
-    invariant coordinates (N^2/|H| values): the affine step works on slot
-    orbits and the PSD step block by block.  The dense P is built once,
-    at exit, in the original layout.
+    when both residuals pass their tolerances and "max-iter" otherwise; a
+    free lambda makes every *-invariant target feasible, so there is no
+    infeasible status.  Both projections commute with the group of
+    gram_symmetry(problem), so the iterates are held in its invariant
+    coordinates (N^2/|H| values): the affine step works on slot orbits and
+    the PSD step block by block.  The dense P is built once, at exit, in
+    the original layout.
     """
     opts = opts or SolveOptions()
     if opts.max_iter < 1:  # no iteration, no residuals to report
@@ -653,8 +643,7 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     sym = gram_symmetry(problem)
     g = len(sym.ldiv)
     k = problem.n * problem.m // g
-    fixed = opts.fixed_lambda is not None
-    cons = _InvariantConstraints(problem, sym, opts.fixed_lambda)
+    cons = _InvariantConstraints(problem, sym)
     maps = _block_maps(sym)
     scale = math.sqrt(g)  # Frobenius norm of a dense P over that of its C
 
@@ -663,13 +652,11 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     Z = np.zeros((g, k, k))
     U = np.zeros((g, k, k))
     zlam = 0.0
-    history: List[float] = []
     status = "max-iter"
     X, xlam, rp, rd = Z, 0.0, math.inf, math.inf
     it = 0
     for it in range(1, opts.max_iter + 1):
-        push = 0.0 if fixed else 1.0 / rho
-        X, xlam = cons.project(Z - U, zlam + push)
+        X, xlam = cons.project(Z - U, zlam + 1.0 / rho)
         Xr = alpha * X + (1.0 - alpha) * Z
         xrlam = alpha * xlam + (1.0 - alpha) * zlam
         Z_new = _psd_project_invariant(Xr + U, sym, maps)
@@ -683,15 +670,6 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
                 opts.progress(it, xlam, rp, rd)
             if rp <= opts.tol_primal and rd <= opts.tol_dual:
                 status = "optimal"
-                break
-            history.append(rp)
-            if (
-                len(history) > _STALL_CHECKS
-                and rp > 100 * opts.tol_primal
-                and history[-1] > 0.999 * history[-_STALL_CHECKS]
-                and rd < max(10 * opts.tol_dual, 1e-6)
-            ):
-                status = "infeasible-suspected"
                 break
             if it % 100 == 0:
                 if rp > 10 * rd:

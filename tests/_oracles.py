@@ -376,6 +376,29 @@ def support_basis_from_json(data: dict) -> SupportBasis:
     return SupportBasis(elements, data.get("radius"))
 
 
+def ring_matrix_from_json(data: dict) -> RingMatrix:
+    """Inverse of RingMatrix.to_json (the `gapcert laplacian` output)."""
+    model = model_from_spec(data["model"])
+    entries = [
+        [
+            RingElement(model, {
+                GroupElement(model, model.key_from_json(key)): Fraction(c) for key, c in cell
+            })
+            for cell in row
+        ]
+        for row in data["entries"]
+    ]
+    got = RingMatrix(model, entries)
+    if got.n_rows != data["n_rows"] or got.n_cols != data["n_cols"]:
+        raise ValueError("matrix shape does not match header")
+    return got
+
+
+def certificate_json_dict(cert) -> dict:
+    """The certificate as the dict that Certificate.to_bytes writes compactly."""
+    return cert._json_dict([list(map(repr, row)) for row in cert.q.tolist()])
+
+
 def d0(model, p) -> RingMatrix:
     """Column [1 - s_1; ...; 1 - s_n]."""
     col = []

@@ -46,11 +46,11 @@ def test_ball_text_and_json(capsys, tmp_path):
 
 
 def test_laplacian_json_round_trip(capsys):
-    from gapcert.ring import RingMatrix
+    from _oracles import ring_matrix_from_json
 
     code, out, _ = _run(capsys, "laplacian", "--preset", "z3")
     assert code == 0
-    mat = RingMatrix.from_json(json.loads(out))
+    mat = ring_matrix_from_json(json.loads(out))
     assert mat.n_rows == 1
     assert float(mat.l1()) == 9.0
 
@@ -244,6 +244,9 @@ def good_certificates(tmp_path_factory):
         pytest.param("z3", _set(["residual_l1_sup"], 1e9), id="residual_l1_sup_number"),
         pytest.param("z3", lambda data: data.update(solver_lambda=float(data["solver_lambda"])),
                      id="solver_lambda_number"),
+        pytest.param("z3", lambda data: data["q"]["entries"][0].__setitem__(
+            0, float(data["q"]["entries"][0][0])), id="q_entry_number"),
+        pytest.param("z3", _set(["q", "entries", 0, 0], False), id="q_entry_bool"),
     ],
 )
 def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificates, preset, edit):
@@ -364,6 +367,26 @@ def test_solve_with_no_iterations_is_a_usage_error(capsys):
     assert code == 0
     payload = _strict_json(out)
     assert payload["iterations"] == 1 and payload["status"] == "max-iter"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_tolerance_must_be_finite_and_positive(capsys, tol):
+    # no residual is ever <= nan or <= -1: such a run would only stop at --max-iter
+    for command in (("sdp", "solve"), ("pipeline",)):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--preset", "z3", "--radius", "1", "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+def test_negative_radius_is_a_usage_error(capsys):
+    for command in (("ball",), ("sdp", "build"), ("pipeline",)):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--preset", "z3", "--radius", "-1"])
+        assert exc.value.code == 2
+        assert "--radius" in capsys.readouterr().err
+    code, out, _ = _run(capsys, "ball", "--preset", "z3", "--radius", "0")
+    assert code == 0 and out.split() == ["0"]
 
 
 def test_streamed_exports_equal_export_sdpa(capsys, tmp_path, monkeypatch):

@@ -302,25 +302,23 @@ def test_solve_needs_an_iteration():
         solve(prob, SolveOptions(max_iter=0))
 
 
-def test_solve_infeasible_fixed_lambda():
-    # demanding lambda = 3.5 forces tr(P) = 1.5 while the off-diagonal
-    # constraint needs mass 2, impossible for a PSD matrix on this basis
-    lap, basis, prob = _z3_problem()
-    sol = solve(
-        prob,
-        SolveOptions(tol_primal=1e-9, tol_dual=1e-9, max_iter=20000, fixed_lambda=3.5),
-    )
-    assert sol.status == "infeasible-suspected"
-
-
-def test_solve_feasible_fixed_lambda():
-    lap, basis, prob = _z3_problem()
-    sol = solve(
-        prob,
-        SolveOptions(tol_primal=1e-9, tol_dual=1e-9, fixed_lambda=2.5),
-    )
-    assert sol.status == "optimal"
-    assert sol.lam == 2.5
+@pytest.mark.parametrize("preset,radius", [("z3", 1), ("sl3z-mod:2", 1), ("free:2", 2)])
+def test_free_lambda_problem_has_a_positive_definite_feasible_point(preset, radius):
+    # why solve has no infeasible status: spread each target evenly over
+    # the cells of its class, which *-invariance makes symmetric, add c*I
+    # to lift the smallest eigenvalue to 1 and cancel its m*c per diagonal
+    # identity slot through lambda = -m*c
+    p, model = load_preset(preset)
+    prob = build_problem(laplacian1(model, p), ball(model, radius))
+    n, m, pid = prob.n, prob.m, prob.table.pid
+    count = np.bincount(pid.ravel(), minlength=prob.npairs)
+    spread = (prob.targets[:, :, pid] / count[pid]).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    assert np.array_equal(spread, spread.T)
+    c = 1.0 - np.linalg.eigvalsh(spread)[0]
+    P, lam = spread + c * np.eye(n * m), -m * c
+    scale = np.abs(prob.targets).max() + m * c
+    assert np.abs(_dense_residual(prob, P, lam)).max() <= 1e-14 * scale
+    assert np.linalg.eigvalsh(P)[0] >= 0.0
 
 
 def test_optimal_solution_exact_l1_residual_bound():
@@ -479,29 +477,26 @@ def _random_invariant(prob, seed):
     return np.random.default_rng(seed).normal(size=N * N)[label]
 
 
-def _dense_residual(prob, V, vlam, fixed_lambda=None):
+def _dense_residual(prob, V, vlam):
     """Constraint value minus target at every slot, for a dense P in the original layout."""
     n, npairs = prob.n, prob.npairs
     r = np.bincount(prob.table.slots(n).ravel(), weights=V.ravel(), minlength=n * n * npairs)
     r -= prob.targets.ravel()
-    r[np.arange(n) * (n + 1) * npairs + prob.identity_pid] += vlam if fixed_lambda is None else fixed_lambda
+    r[np.arange(n) * (n + 1) * npairs + prob.identity_pid] += vlam
     return r
 
 
-def _dense_affine_projection(prob, V, vlam, fixed_lambda=None):
+def _dense_affine_projection(prob, V, vlam):
     """The solver's affine step on a dense P, one row per slot."""
     n, m = prob.n, float(prob.m)
     slots = prob.table.slots(n).ravel()
     cnt = np.tile(np.bincount(prob.table.pid.ravel(), minlength=prob.npairs), n * n)
     lam_ids = np.arange(n) * (n + 1) * prob.npairs + prob.identity_pid
-    resid = _dense_residual(prob, V, vlam, fixed_lambda)
+    resid = _dense_residual(prob, V, vlam)
     mu = resid / cnt
-    lam = fixed_lambda
-    if fixed_lambda is None:
-        rl = resid[lam_ids]
-        mu[lam_ids] = rl / m - rl.sum() / (m * (m + n))
-        lam = vlam - mu[lam_ids].sum()
-    return V - mu[slots].reshape(V.shape), lam
+    rl = resid[lam_ids]
+    mu[lam_ids] = rl / m - rl.sum() / (m * (m + n))
+    return V - mu[slots].reshape(V.shape), vlam - mu[lam_ids].sum()
 
 
 _INVARIANT_CASES = [("sl3z-mod:2", 0), ("sl3z-mod:2", 11), ("sl3z", 0), ("sl3z", 11)]
@@ -523,16 +518,15 @@ def test_invariant_affine_step_matches_dense(preset, seed):
     sym = gram_symmetry(prob)
     P = _random_invariant(prob, seed)
     C = _invariant_coordinates(P[np.ix_(sym.order, sym.order)], sym)
-    for fixed_lambda in (None, 0.25):
-        cons = _InvariantConstraints(prob, sym, fixed_lambda)
-        X, lam = cons.project(C, 0.7)
-        dense, dense_lam = _dense_affine_projection(prob, P, 0.7, fixed_lambda)
-        assert np.abs(sym.expand(X) - dense).max() <= 1e-12 * np.abs(dense).max()
-        assert abs(lam - dense_lam) <= 1e-12 * abs(dense_lam)
-        assert cons.norm(cons.residual(X, lam)) <= 1e-12 * np.linalg.norm(P)
-        assert cons.norm(cons.residual(C, 0.7)) == pytest.approx(
-            np.linalg.norm(_dense_residual(prob, P, 0.7, fixed_lambda)), rel=1e-12
-        )
+    cons = _InvariantConstraints(prob, sym)
+    X, lam = cons.project(C, 0.7)
+    dense, dense_lam = _dense_affine_projection(prob, P, 0.7)
+    assert np.abs(sym.expand(X) - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert abs(lam - dense_lam) <= 1e-12 * abs(dense_lam)
+    assert cons.norm(cons.residual(X, lam)) <= 1e-12 * np.linalg.norm(P)
+    assert cons.norm(cons.residual(C, 0.7)) == pytest.approx(
+        np.linalg.norm(_dense_residual(prob, P, 0.7)), rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("preset,seed", _INVARIANT_CASES)
@@ -573,16 +567,15 @@ def test_affine_step_with_nontrivial_stabilizers():
     P = np.array([[0.9, -0.4], [-0.4, 0.9]])
     C = _invariant_coordinates(P[np.ix_(sym.order, sym.order)], sym)
     assert np.array_equal(sym.expand(C), P)
-    for fixed_lambda in (None, 0.25):
-        cons = _InvariantConstraints(prob, sym, fixed_lambda)
-        assert cons.stab.tolist() == [2.0, 2.0]
-        X, lam = cons.project(C, 0.7)
-        dense, dense_lam = _dense_affine_projection(prob, P, 0.7, fixed_lambda)
-        assert np.abs(sym.expand(X) - dense).max() <= 1e-12 * np.abs(dense).max()
-        assert abs(lam - dense_lam) <= 1e-12 * abs(dense_lam)
-        assert cons.norm(cons.residual(C, 0.7)) == pytest.approx(
-            np.linalg.norm(_dense_residual(prob, P, 0.7, fixed_lambda)), rel=1e-12
-        )
+    cons = _InvariantConstraints(prob, sym)
+    assert cons.stab.tolist() == [2.0, 2.0]
+    X, lam = cons.project(C, 0.7)
+    dense, dense_lam = _dense_affine_projection(prob, P, 0.7)
+    assert np.abs(sym.expand(X) - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert abs(lam - dense_lam) <= 1e-12 * abs(dense_lam)
+    assert cons.norm(cons.residual(C, 0.7)) == pytest.approx(
+        np.linalg.norm(_dense_residual(prob, P, 0.7)), rel=1e-12
+    )
 
 
 def test_translation_reduced_solve_matches_dense_solve(monkeypatch):

@@ -11,20 +11,22 @@ with exact target coefficients and the exact values of lambda and Q, and
 bound it by its l1 norm: for any lambda0 <= inf(lambda - |r|_1), the
 matrix target - lambda0*I is a sum of hermitian squares, because the
 residual is dominated by |r|_1 * I through the order-unit construction.
-Q^T Q and its sums over product classes are enclosed in midpoint-radius
-form (Rump, BIT 39, 1999): one floating-point product gives the midpoint,
-an a-priori error bound valid for any summation order (Higham, *Accuracy
-and Stability of Numerical Algorithms*, 3.1-3.5) the radius.  This module
-is the package's only rounding policy, in one arithmetic with no interval
-type: each enclosure is a pair of doubles or of arrays.  An exact target
+One floating-point product G = fl(Q^T Q), summed over each product class,
+gives the residual's midpoints; a single a-priori radius (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 3.1-3.5), valid for any
+summation order, bounds the total error of all the class sums at once, so
+|r|_1 lies within that radius of the sum of the midpoint residuals.  This
+module is the package's only rounding policy, in one arithmetic with no
+interval type: each enclosure is a pair of doubles.  An exact target
 coefficient becomes the doubles at or next to it (_enclose); every other
 step is widened one ulp outward with nextafter or is an exact compensated
 sum, so the reported lambda0 is a mathematically valid lower bound.
 
 Certificates are self-contained canonical JSON: they store the
-presentation text, the model, the relator subset, the support basis, Q at
-full precision, and the solver's lambda, so verification recomputes
-everything without touching solver state.
+presentation text, the model, the relator subset, the support basis, Q
+(its entries rounded to 15 significant digits by psd_sqrt, and taken as
+the exact values of the stored decimals), and the solver's lambda, so
+verification recomputes everything without touching solver state.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -41,7 +44,6 @@ import numpy as np
 from .fox import Laplacian1, laplacian1
 from .groups import (
     GroupElement,
-    ProductTable,
     SupportBasis,
     _json_int,
     check_ball_radius,
@@ -70,7 +72,9 @@ def psd_sqrt(P: np.ndarray) -> np.ndarray:
     P is symmetrized first.  Only the eigenpairs with w > N*eps*max(w)
     (np.linalg.matrix_rank's tolerance) are kept, so Q has as many rows as
     P has numerical rank; what is dropped is eigh's own rounding noise.
-    Q^T Q is positive semidefinite whatever noise P carries.
+    Q^T Q is positive semidefinite whatever noise P carries.  The entries
+    are rounded to 15 significant digits (_round_digits), which the
+    certified bound pays for like any other error of Q.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -79,7 +83,28 @@ def psd_sqrt(P: np.ndarray) -> np.ndarray:
         raise ValueError("P contains non-finite entries")
     w, V = np.linalg.eigh(0.5 * (P + P.T))
     keep = w > len(w) * np.finfo(float).eps * w.max(initial=0.0)
-    return np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T)
+    return _round_digits(np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T))
+
+
+_POW10 = np.array([float(10 ** e) for e in range(23)])  # the powers of ten that are doubles
+
+
+def _round_digits(X: np.ndarray) -> np.ndarray:
+    """X with each entry moved to the double nearest a 15-digit decimal.
+
+    Such a double prints in at most 15 significant digits, which float()
+    parses on its exact fast path.  The entry is scaled by the power of
+    ten that makes it a 15-digit integer, rounded, and scaled back; both
+    scalings are exact or correctly rounded only while that power is a
+    double, so entries beyond 1e37 or below 1e-8 may keep more digits.
+    """
+    mag = np.abs(X)
+    places = 14 - np.floor(np.log10(mag, out=np.full_like(mag, 14.0), where=mag > 0))
+    exact = np.abs(places) < len(_POW10)
+    scale = _POW10[np.where(exact, np.abs(places), 0).astype(np.intp)]
+    below = np.rint(X * scale) / scale  # |X| < 1e15
+    above = np.rint(X / scale) * scale
+    return np.where(exact, np.where(places >= 0, below, above), X)
 
 
 _ETA = 2.0 ** -1074  # smallest positive subnormal
@@ -108,34 +133,17 @@ def _rho(k: int) -> float:
     return _enclose(ku / (1 - 2 * ku)).hi
 
 
-def _gram_enclosure(Q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Midpoint G and radius D with |Q^T Q - G| <= D entrywise, exactly.
-
-    An entry is a dot product of length k = Q.shape[0].  In any summation
-    order, with or without FMA, each product meets at most k roundings
-    (1+d)x + e, |d| <= u = 2^-53, |e| <= eta/2 = 2^-1075 (underflow only),
-    so |fl(Q^T Q) - Q^T Q| <= gamma_k A + 2k eta with A = |Q|^T |Q| and
-    gamma_k = k u/(1-k u) <= 1/2.  The same bound for R = fl(A) gives
-    A <= (R + 2k eta)/(1-gamma_k), hence |G - Q^T Q| <= rho R + 4k eta with
-    rho = gamma_k/(1-gamma_k) <= 1, rounded up; each operation on the
-    radius is followed by one outward ulp.  einsum without path
-    optimization runs numpy's own loops: BLAS results change with the
-    thread count, which could make a certificate fail to re-verify.
-    """
-    G = _symmetric_gram(Q)
-    D = np.nextafter(_symmetric_gram(np.abs(Q)) * _rho(len(Q)), np.inf)
-    return G, np.nextafter(D + len(Q) * 4 * _ETA, np.inf)
-
-
 _BLOCK = 32  # Gram columns per einsum call
 
 
 def _symmetric_gram(X: np.ndarray) -> np.ndarray:
     """fl(X^T X) from the upper triangle, one block of rows at a time.
 
-    Each entry is the same einsum dot product as in the full product, so
-    the bound above holds unchanged; the lower triangle is a mirror copy,
-    which halves the work and makes the result exactly symmetric.
+    Each entry is an einsum dot product, as in the full product; the lower
+    triangle is a mirror copy, which halves the work and makes the result
+    exactly symmetric.  einsum without path optimization runs numpy's own
+    loops: BLAS results change with the thread count, which could make a
+    certificate fail to re-verify.
     """
     N = X.shape[1]
     out = np.empty((N, N))
@@ -149,26 +157,43 @@ def _symmetric_gram(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_block_sums(G, D, table: ProductTable) -> Tuple[np.ndarray, np.ndarray]:
-    """Interval sums of Gram blocks over each product class.
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
 
-    [Slo, Shi][i, j, p] encloses sum_{x^-1 y = g_p} (Q^T Q)_{(i,x),(j,y)} if
-    |Q^T Q - G| <= D.  Summing c terms errs by at most gamma_c times their
-    magnitudes (additions cannot underflow), c the largest class size.  So
-    the midpoint sum is off by at most rho_c sum|G|, and the computed sum
-    of W = D + rho_c |G| (rounded up) is at least (1-gamma_c) sum W: the
-    radius (1+rho_c) fl(sum W) covers both.
+
+def _gram_class_sums(Q: np.ndarray, slots: np.ndarray, size: int) -> Tuple[np.ndarray, float]:
+    """Sums of G = fl(Q^T Q) over classes of Gram cells, and one radius for all of them.
+
+    slots[a, b] is the class, one of `size`, of cell (a, b).  mid(c) is
+    the computed sum of G over class c, and sum_c |mid(c) - S(c)| <=
+    radius, S(c) the exact sum of Q^T Q over the class.  An entry of G is
+    a dot product of length k = Q.shape[0]: in any summation order, with
+    or without FMA, each product meets at most k roundings (1+d)x + e,
+    |d| <= u = 2^-53, |e| <= eta/2 = 2^-1075 (underflow only), so
+    |G - Q^T Q| <= gamma_k |Q|^T |Q| + 2k eta, gamma_k = k u/(1-k u).
+    Summing c terms errs by at most gamma_c times their magnitudes
+    (additions cannot underflow), c the largest class size.  Summed over
+    the classes,
+
+        sum_c |mid(c) - S(c)| <= gamma_c sum|G| + gamma_k sum_l s_l^2 + 2k eta N^2,
+
+    since the entries of |Q|^T |Q| add up to sum_l s_l^2, s_l = sum_a |Q_la|
+    the row l1 norms.  A computed sum of N nonnegative terms is at least
+    1 - gamma_N times the exact one, so (1 + rho_N) times it covers the
+    exact sum.  _rho(k) >= gamma_k stands in for gamma_k, and every other
+    step is rounded up.
     """
-    n = len(G) // len(table.pid)
-    size = n * n * len(table)
-    rho = _rho(int(np.bincount(table.pid.ravel()).max()))
-    idx = table.slots(n).ravel()
+    k, N = Q.shape
+    G = _symmetric_gram(Q)
+    idx = slots.ravel()
     mid = np.bincount(idx, weights=G.ravel(), minlength=size)
-    W = np.nextafter(np.abs(G) * rho, np.inf) + D
-    rad = np.bincount(idx, weights=np.nextafter(W, np.inf).ravel(), minlength=size)
-    rad = np.nextafter(rad + np.nextafter(rad * rho, np.inf), np.inf)
-    lo, hi = np.nextafter(mid - rad, -np.inf), np.nextafter(mid + rad, np.inf)
-    return lo.reshape(n, n, -1), hi.reshape(n, n, -1)
+    grow = _up(1.0 + _rho(N))
+    abs_g = _up(_up(math.fsum(np.abs(G).sum(axis=1).tolist())) * grow)
+    s = np.nextafter(np.abs(Q).sum(axis=1) * grow, np.inf)
+    abs_a = _up(math.fsum(np.nextafter(s * s, np.inf).tolist()))
+    gamma_c = _rho(int(np.bincount(idx, minlength=size).max(initial=0)))
+    terms = [_up(gamma_c * abs_g), _up(_rho(k) * abs_a), _up(2 * k * N * N * _ETA)]
+    return mid, _up(math.fsum(terms))
 
 
 @dataclass
@@ -225,17 +250,19 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
     # round to nearest is sign-symmetric, so this is c's enclosure mirrored
     outside = [_enclose(abs(c)) for _, c in outside]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        Slo, Shi = _pair_block_sums(*_gram_enclosure(Q), table)
-        lo, hi = np.nextafter(Clo - Shi, -np.inf), np.nextafter(Chi - Slo, np.inf)
-        abs_lo = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
-        abs_hi = np.maximum(-lo, hi)
+        mid, radius = _gram_class_sums(Q, table.slots(n), n * n * len(table))
+        mid = mid.reshape(n, n, -1)
+        # for C in [Clo, Chi]: dist(mid, [Clo, Chi]) <= |C - mid| <= dev, and
+        # |C - S| is within |mid - S| of |C - mid|, whose sum is <= radius
+        dev = np.nextafter(np.maximum(mid - Clo, Chi - mid), np.inf)
+        dist = np.maximum(np.nextafter(np.maximum(Clo - mid, mid - Chi), -np.inf), 0.0)
     # math.fsum is exactly rounded, so one outward ulp makes the sums safe
     try:
-        total_lo = math.fsum(abs_lo.ravel().tolist() + [a.lo for a in outside])
-        total_hi = math.fsum(abs_hi.ravel().tolist() + [a.hi for a in outside])
-    except OverflowError:
+        total_hi = math.fsum(dev.ravel().tolist() + [a.hi for a in outside] + [radius])
+        total_lo = math.fsum(dist.ravel().tolist() + [a.lo for a in outside] + [-radius])
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
         total_lo = total_hi = math.inf
-    total_hi = math.nextafter(total_hi, math.inf)
+    total_hi = _up(total_hi)
     lambda0 = math.nextafter(lam - total_hi, -math.inf)
     if not math.isfinite(lambda0):
         raise ValueError("Q or lambda too large: the residual bound overflows")
@@ -352,11 +379,10 @@ def _q_from_json(data: dict) -> np.ndarray:
     entries = data["entries"]
     if not all(type(row) is list and set(map(type, row)) <= {str} for row in entries):
         raise CertificateError("Q entries must be lists of decimal strings")
-    rows = [list(map(float, row)) for row in entries]
     shape = (data["rows"], data["cols"])
-    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+    if len(entries) != shape[0] or any(len(row) != shape[1] for row in entries):
         raise CertificateError(f"Q entries do not fill its stored shape {shape}")
-    return np.array(rows, dtype=float).reshape(shape)
+    return np.fromiter(map(float, chain.from_iterable(entries)), dtype=float).reshape(shape)
 
 
 def _toolchain() -> dict:

@@ -289,22 +289,29 @@ def _add_stage_opts(sub):
     )
 
 
+def _number(kind, text: str, expected: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _number(int, text, "an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def _radius(text: str) -> int:
-    value = int(text)
+    value = _number(int, text, "an integer")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    value = _number(float, text, "a number")
     if not 0.0 < value < math.inf:  # no residual is ever <= nan or <= a negative
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
     return value

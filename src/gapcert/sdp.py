@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, zip_longest
@@ -158,6 +159,7 @@ def build_problem(source, basis: SupportBasis) -> SdpProblem:
 
 _META_PREFIX = "*META "
 _CHUNK = 512  # constraints per block of export text: bounds what export and import hold
+_PIECE = re.compile(r"\S+(?:\s+\S+){0,%d}" % (_CHUNK - 1))  # up to _CHUNK tokens, as str.split cuts them
 # an entry's code c is its block's " b " _BLOCKS[c // 2] and its value's " v\n" _VALUES[c]
 _BLOCKS = np.frombuffer(b" 1  2 ", dtype="V3")
 _VALUES = np.frombuffer(b" \x000.5\n \x001.0\n \x001.0\n -1.0\n", dtype="V6")
@@ -328,7 +330,8 @@ def import_sdpa(text: str) -> SdpProblem:
     After the objective vector, the file's lines must be the entry lines
     export_sdpa writes for the rebuilt problem, one for one: a line equal
     to its expected string passes at once, any other must carry the same
-    whitespace tokens.  Neither text is held twice.
+    whitespace tokens.  Neither text is held twice, and the objective
+    vector is read _CHUNK tokens at a time.
     """
     meta = next(
         (json.loads(line.strip()[len(_META_PREFIX):]) for _, line in _lines(text)
@@ -344,19 +347,28 @@ def import_sdpa(text: str) -> SdpProblem:
     n = _json_int(meta["n"], "n")
     m = len(basis)
     lines = _data_lines(text)
-    pending: List[str] = []
+    line, at = "", 0  # the last line read and the offset of its unread part
     pos = 0  # the offset past the last line read
 
+    def pieces(count):
+        """The next count tokens, in lists of at most _CHUNK, never copying a line's tail."""
+        nonlocal pos, line, at
+        while count > 0:
+            found = _PIECE.search(line, at)
+            if found is None:
+                pos, line = next(lines, (None, None))
+                if line is None:
+                    raise ValueError("truncated SDPA file")
+                at = 0
+                continue
+            tokens = found.group().split(None, count)
+            unread = tokens.pop() if len(tokens) > count else ""
+            at = found.end() - len(unread)
+            count -= len(tokens)
+            yield tokens
+
     def take(count):
-        nonlocal pos
-        while len(pending) < count:
-            pos, line = next(lines, (None, None))
-            if line is None:
-                raise ValueError("truncated SDPA file")
-            pending.extend(line.split())
-        out = pending[:count]
-        del pending[:count]
-        return out
+        return [t for piece in pieces(count) for t in piece]
 
     mdim = int(take(1)[0])
     nblocks = int(take(1)[0])
@@ -365,7 +377,7 @@ def import_sdpa(text: str) -> SdpProblem:
     block1, block2 = (int(t) for t in take(2))
     if block1 != n * m or block2 != -2:
         raise ValueError("block structure does not match metadata")
-    c = np.array(take(mdim), dtype=float)
+    c = np.concatenate([np.zeros(0)] + [np.array(p, dtype=float) for p in pieces(mdim)])
     problem = SdpProblem(n, basis, np.zeros((n, n, len(basis.products()))))
     keys = problem.export_keys()
     if len(keys) != mdim:
@@ -376,7 +388,7 @@ def import_sdpa(text: str) -> SdpProblem:
     problem.targets[i, j, pid] = c
     problem.targets[j, i, problem.inverse_pid[pid]] = c
     # a token left after the objective vector is an entry sharing its line
-    if pending or not _entries_match(text, pos, _entry_chunks(problem, keys)):
+    if _PIECE.search(line, at) or not _entries_match(text, pos, _entry_chunks(problem, keys)):
         raise ValueError("entry lines do not match the constraints the basis implies")
     return problem
 

@@ -19,8 +19,7 @@ from gapcert.certify import (
     HashMismatchError,
     SupportReconstructionError,
     _enclose,
-    _gram_enclosure,
-    _pair_block_sums,
+    _gram_class_sums,
     _rho,
     certified_gap,
     floor_display,
@@ -355,13 +354,19 @@ def _exact_gram(Q):
     return [[sum(row[i] * row[j] for row in F) for j in range(N)] for i in range(N)]
 
 
-def _assert_encloses(exact, mid, rad):
-    for (i, j), value in np.ndenumerate(exact):
-        assert Fraction(mid[i, j]) - Fraction(rad[i, j]) <= value
-        assert value <= Fraction(mid[i, j]) + Fraction(rad[i, j])
+def _assert_radius_covers(Q, slots, size):
+    """sum_c |mid(c) - S(c)| <= radius, S the exact class sums of Q^T Q."""
+    mid, radius = _gram_class_sums(Q, slots, size)
+    assert mid.shape == (size,) and math.isfinite(radius) and radius >= 0.0
+    S = [Fraction(0)] * size
+    for row, cls in zip(_exact_gram(Q), slots.tolist()):
+        for value, c in zip(row, cls):
+            S[c] += value
+    assert sum(abs(Fraction(a) - b) for a, b in zip(mid.tolist(), S)) <= Fraction(radius)
+    return mid
 
 
-def test_gram_enclosure_contains_exact_gram():
+def test_gram_class_sums_cover_the_exact_gram_entrywise():
     rng = np.random.default_rng(11)
     cases = [_hostile_q(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6))) for _ in range(30)]
     # 40 products of 0.49 * 2^-1074 each round to zero; only the underflow term covers them
@@ -369,47 +374,64 @@ def test_gram_enclosure_contains_exact_gram():
     # widths off the einsum block size, with more and with fewer rows than columns
     cases += [_hostile_q(rng, k, N) for k, N in ((3, 1), (2, 31), (20, 33), (4, 65))]
     for Q in cases:
-        G, D = _gram_enclosure(Q)
+        N = Q.shape[1]
+        # one class per cell: the class sums are the Gram entries themselves
+        G = _assert_radius_covers(Q, np.arange(N * N).reshape(N, N), N * N).reshape(N, N)
         assert np.array_equal(G, G.T)
-        assert np.isfinite(D).all() and (D >= 0).all()
-        _assert_encloses(_exact_gram(Q), G, D)
 
 
-def test_pair_block_sums_enclose_every_gram_in_the_enclosure():
+def test_gram_class_sums_cover_cancelling_classes():
     rng = np.random.default_rng(12)
-    basis = ball(CyclicModel(12), 6)
-    table = basis.products()
-    m, n = len(basis), 2
-    members = [[] for _ in range(len(table))]
-    for x in range(m):
-        for y in range(m):
-            members[table.pid[x][y]].append((x, y))
-    N = n * m
     cases = []
-    for _ in range(10):
-        G = rng.choice([1e300, 1.0, 1e-300], size=(N, N)) * rng.uniform(-1, 1, (N, N))
-        D = rng.choice([0.0, 1e-16, 1e290], size=(N, N)) * rng.random((N, N))
-        # the first and last summands of each class cancel exactly, so the
-        # small summands between them are lost to rounding
-        for (x0, y0), *_, (x1, y1) in members:
-            for i in range(n):
-                for j in range(n):
-                    G[i * m + x1, j * m + y1] = -G[i * m + x0, j * m + y0]
-        cases.append((G, D, rng.choice([-1, 1], size=(N, N))))
-    # radii 1, 0.9u, 0.9u, ...: each addition to the radius sum rounds down
-    D = np.full((N, N), 0.9 * 2.0 ** -53)
-    for (x0, y0), *_ in members:
-        D[x0::m, y0::m] = 1.0
-    cases.append((np.zeros((N, N)), D, np.ones((N, N), dtype=int)))
-    for G, D, signs in cases:
-        S = [[Fraction(G[a, b]) + int(signs[a, b]) * Fraction(D[a, b]) for b in range(N)]
-             for a in range(N)]
-        Slo, Shi = _pair_block_sums(G, D, table)
-        for p, cls in enumerate(members):
-            for i in range(n):
-                for j in range(n):
-                    value = sum(S[i * m + x][j * m + y] for x, y in cls)
-                    assert Fraction(Slo[i, j, p]) <= value <= Fraction(Shi[i, j, p])
+    for _ in range(8):
+        # Q = [X | Y | -X]: cell (2M + a, b) cancels cell (a, b) exactly, and
+        # the class of the two puts the cell (M + a, b) between them, so its
+        # small summand is lost to rounding
+        X = rng.choice([1e150, 1.0, 1e-150], size=(3, 5)) * rng.uniform(-1, 1, (3, 5))
+        Y = rng.choice([1.0, 1e-150, 1e-170], size=(3, 5)) * rng.uniform(-1, 1, (3, 5))
+        Q = np.hstack([X, Y, -X])
+        M, N = X.shape[1], Q.shape[1]
+        slots = np.arange(N * N).reshape(N, N)
+        slots[M:2 * M, :M] = slots[:M, :M]
+        slots[2 * M:, :M] = slots[:M, :M]
+        cases.append((Q, slots))
+    # the class sums of row 0 are 1 + 0.9u + 0.9u + ...: each addition rounds down
+    Q = np.array([[1.0] + [0.9 * 2.0 ** -53] * 40])
+    cases.append((Q, np.repeat(np.arange(41), 41).reshape(41, 41)))
+    # the product classes of a two-row problem over a cyclic ball
+    table = ball(CyclicModel(12), 6).products()
+    for _ in range(4):
+        Q = _hostile_q(rng, 3, 2 * len(table.pid))
+        cases.append((Q, table.slots(2)))
+    for Q, slots in cases:
+        _, classes = np.unique(slots, return_inverse=True)
+        _assert_radius_covers(Q, classes.reshape(slots.shape), int(classes.max()) + 1)
+
+
+def test_bound_encloses_the_exact_residual_l1():
+    # lo <= |r|_1 <= hi for Qs with inexact Gram products and class sums
+    from _oracles import q_rows_as_factors
+
+    rng = np.random.default_rng(13)
+    for preset, radius in (("z3", 1), ("zn:5", 2), ("free:2", 1)):
+        p, model = load_preset(preset)
+        lap = laplacian1(model, p)
+        basis = ball(model, radius)
+        n = lap.matrix.n_rows
+        N = n * len(basis)
+        for _ in range(3):
+            Q = rng.uniform(-1, 1, size=(int(rng.integers(1, N + 1)), N)) / 3
+            lam = float(rng.uniform(-2, 4))
+            # the Laplacian, and a target that this Q meets exactly: |r|_1 = 0
+            exact_sos = RingMatrix.identity(model, n, Fraction(lam))
+            for f in q_rows_as_factors(model, basis, n, Q.tolist()):
+                exact_sos = exact_sos + f.adjoint() * f
+            for target in (lap.matrix, exact_sos):
+                got = certified_gap(target, basis, Q, lam)
+                exact_bound, residual = exact_certified_gap(target, basis, Q.tolist(), lam)
+                lo, hi = got.residual_l1
+                assert Fraction(lo) <= residual.l1() <= Fraction(hi)
+                assert got.lambda0 <= exact_bound
 
 
 _TINY = Fraction(2) ** -1074  # smallest positive subnormal
@@ -476,8 +498,8 @@ def test_bound_bits_are_pinned_on_a_dyadic_q():
     lap = laplacian1(model, p)
     Q = np.array([[3, -1, 2], [0, 4, -3], [-2, 1, 1]]) / 8.0
     expected = {
-        0.1: (-8.53437500000001, 8.634374999999993, 8.634375000000007),
-        1.5: (-5.734375000000005, 7.234374999999996, 7.234375000000004),
+        0.1: (-8.534375000000008, 8.634374999999995, 8.634375000000006),
+        1.5: (-5.734375000000004, 7.2343749999999964, 7.2343750000000036),
     }
     for lam, bits in expected.items():
         got = certified_gap(lap, ball(model, 1), Q, lam)

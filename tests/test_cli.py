@@ -192,11 +192,18 @@ def _set(path, value):
 
 @pytest.fixture(scope="module")
 def good_certificates(tmp_path_factory):
-    """Certificate JSON by preset, from one radius-1 pipeline run each."""
+    """Certificate JSON by preset, from one radius-1 pipeline run each.
+
+    The tests that use them need valid certificates, not converged ones,
+    so the solver stops at 300 iterations.
+    """
     out = {}
     for preset in ("z3", "sl3z-mod:2"):
         path = tmp_path_factory.mktemp("cert") / "cert.json"
-        code = main(["pipeline", "--preset", preset, "--radius", "1", "--out", str(path)])
+        code = main([
+            "pipeline", "--preset", preset, "--radius", "1", "--max-iter", "300",
+            "--out", str(path),
+        ])
         assert code == 0
         out[preset] = path.read_text()
     return out
@@ -377,6 +384,40 @@ def test_tolerance_must_be_finite_and_positive(capsys, tol):
             main([*command, "--preset", "z3", "--radius", "1", "--tol", tol])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,option,expected",
+    [
+        (("sdp", "solve", "--radius", "1", "--tol", "abc"), "--tol", "expected a number"),
+        (("pipeline", "--radius", "1", "--tol", "1e-x"), "--tol", "expected a number"),
+        (("ball", "--radius", "two"), "--radius", "expected an integer"),
+        (("sdp", "build", "--radius", "1.5"), "--radius", "expected an integer"),
+        (("sdp", "solve", "--radius", "1", "--max-iter", "many"), "--max-iter",
+         "expected an integer"),
+    ],
+)
+def test_non_numeric_option_is_a_plain_usage_error(capsys, args, option, expected):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--preset", "z3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: {expected}" in err
+    # argparse names a type function that raises ValueError: "invalid _radius value"
+    assert not any(name in err for name in ("invalid", "_tolerance", "_radius", "_positive_int"))
+
+
+@pytest.mark.parametrize(
+    "name", ["z3-r1-certificate.json", "sl3z-mod2-r1-certificate.json"]
+)
+def test_committed_certificates_of_an_earlier_release_verify(capsys, name):
+    # made by the release before the single aggregate rounding radius; the
+    # bound recomputed now must be at least the one they store
+    path = Path(__file__).parent / "data" / name
+    code, out, _ = _run(capsys, "verify", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] and payload["reverified_lambda0"] >= payload["stored_lambda0"]
 
 
 def test_negative_radius_is_a_usage_error(capsys):

@@ -223,6 +223,31 @@ def test_export_prints_hand_edited_objective_values_as_repr_does():
     assert "\n-0.0 nan\n" in text
 
 
+def test_import_reads_the_objective_over_any_lines():
+    prob = _preset_problem("sl3z-mod:2", 2)
+    lines = export_sdpa(prob).splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.startswith("0 2 1 1 "))
+    head, objective, entries = lines[:k - 1], lines[k - 1].split(), lines[k:]
+    assert len(objective) > 2 * sdp._CHUNK
+    spread = [
+        # one token a line, with a comment and a blank line in between
+        "\n".join(objective[:700]) + "\n* note\n\n" + "\n".join(objective[700:]) + "\n",
+        # any whitespace str.split() knows, a token cut off at no piece boundary
+        "\u2003".join(objective[:513]) + "\t\xa0" + " ".join(objective[513:]) + "\n",
+    ]
+    for text in spread:
+        assert import_sdpa("".join(head + [text] + entries)).same_problem(prob)
+    # on the line of the block sizes
+    joined = head[:-1] + [head[-1].rstrip("\n") + " " + lines[k - 1]]
+    assert import_sdpa("".join(joined + entries)).same_problem(prob)
+    # a token left on the objective's line, or too few tokens, is rejected
+    moved = [lines[k - 1].rstrip("\n") + " 0\n", entries[0][2:]] + entries[1:]
+    with pytest.raises(ValueError, match="entry lines"):
+        import_sdpa("".join(head + moved))
+    with pytest.raises(ValueError, match="truncated"):
+        import_sdpa("".join(head + [" ".join(objective[:-1])]))
+
+
 def test_import_rejects_an_entry_line_past_the_first_block(monkeypatch):
     monkeypatch.setattr(sdp, "_CHUNK", 1)
     prob = _preset_problem("sl3z-mod:2", 1)

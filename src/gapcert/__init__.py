@@ -3,9 +3,9 @@
 Pipeline: Fox derivatives of a finite presentation assemble the Laplacian
 d0 d0* + sum_r J(r)* J(r) over the group ring; a semidefinite program
 searches for a sum-of-hermitian-squares decomposition of Delta - lambda*I
-over a finite support ball; interval arithmetic turns the inexact solution
-into a rigorous lower bound lambda0 on the spectral gap, valid for every
-unitary representation.
+over a finite support ball; outward-rounded error bounds turn the inexact
+solution into a rigorous lower bound lambda0 on the spectral gap, valid for
+every unitary representation.
 """
 
 __version__ = "0.1.0"

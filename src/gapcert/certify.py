@@ -236,6 +236,7 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
         raise ValueError("Q contains non-finite entries")
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite (got {lam!r})")
+    Q = np.ascontiguousarray(Q)  # one memory layout: certify and verify sum in one order
     table = basis.products()
     # target coefficients, minus lambda on the identity diagonal, per class
     Clo, Chi = np.zeros((2, n, n, len(table)))
@@ -360,6 +361,8 @@ class Certificate:
                 q=_q_from_json(data["q"]),
                 toolchain=data["toolchain"],
             )
+        except KeyError as exc:
+            raise CertificateError(f"malformed certificate: no field {exc.args[0]!r}") from None
         # a section that is not an object, a null, a non-decimal or ragged Q
         except (TypeError, ValueError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from None
@@ -437,8 +440,8 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     """Re-derive the bound from the certificate alone.
 
     Recomputes the Laplacian from the stored presentation, model and
-    relator subset, re-enumerates the basis, and re-runs the interval
-    certification from the stored Q and lambda.  Passes iff the recomputed
+    relator subset, re-enumerates the basis, and re-derives the certified
+    bound from the stored Q and lambda.  Passes iff the recomputed
     lambda0 is at least the stored one.  The other claims must hold too, or
     the certificate is malformed: the status is the one the stored lambda0
     implies, the labels are the presentation's, and the stored residual sup

@@ -50,28 +50,22 @@ class CliError(Exception):
 
 
 def _load_input(args) -> tuple:
-    if bool(args.preset) == bool(args.file):
-        raise CliError("exactly one of --preset or --file is required")
     if args.preset:
-        p, model = load_preset(args.preset)
+        p, model = args.preset
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             p = parse_presentation(fh.read())
         model = None
-    model_opt = args.model
-    if model_opt:
-        kind, _, arg = model_opt.partition(":")
+    if args.model:
+        kind, modulus = args.model
         if kind == "free":
             model = FreeModel(p.n_generators, sound=not p.relators)
         elif kind == "modular":
             if not isinstance(model, MatrixModel) or model.modulus is not None:
-                raise CliError("--model modular:<m> needs a matrix-model preset")
-            model = MatrixModel(model.images, int(arg))
-        elif kind == "matrix":
-            if not isinstance(model, MatrixModel):
-                raise CliError("--model matrix needs a matrix-model preset")
-        else:
-            raise CliError(f"unknown model choice {model_opt!r}")
+                raise CliError("--model modular:<m> needs a matrix preset without a modulus")
+            model = MatrixModel(model.images, modulus)
+        elif not isinstance(model, MatrixModel):
+            raise CliError("--model matrix needs a matrix-model preset")
     if model is None:
         raise CliError(
             "presentation files need --model free; matrix models are preset-bound"
@@ -221,6 +215,8 @@ def cmd_certify(args) -> int:
     p, model, lap, basis, problem = _build_stage(args)
     with open(args.solution, "r", encoding="utf-8") as fh:
         sol = json.load(fh)
+    if not isinstance(sol, dict) or "lambda" not in sol:
+        raise CliError(f"solution {args.solution} has no 'lambda' field")
     result = _certify_from_solution(
         lap, basis, sol["lambda"], P=sol.get("P"), Q=sol.get("Q")
     )
@@ -275,9 +271,10 @@ def cmd_pipeline(args) -> int:
 
 
 def _add_input_opts(sub):
-    sub.add_argument("--preset", help="builtin preset: " + ", ".join(PRESET_NAMES))
-    sub.add_argument("--file", help="presentation file path")
-    sub.add_argument("--model", help="model override: matrix | modular:<m> | free")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", type=_preset, help="builtin preset: " + ", ".join(PRESET_NAMES))
+    source.add_argument("--file", help="presentation file path")
+    sub.add_argument("--model", type=_model_choice, help="model: matrix | modular:<m> | free")
 
 
 def _add_stage_opts(sub):
@@ -315,6 +312,27 @@ def _tolerance(text: str) -> float:
     if not 0.0 < value < math.inf:  # no residual is ever <= nan or <= a negative
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
     return value
+
+
+def _preset(text: str):
+    try:
+        return load_preset(text)
+    except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
+        presets = ", ".join(PRESET_NAMES)
+        raise argparse.ArgumentTypeError(f"{exc.args[0]} (presets: {presets})") from None
+
+
+def _model_choice(text: str):
+    """(kind, modulus) of a --model value; the modulus is None unless kind is modular."""
+    kind, colon, arg = text.partition(":")
+    if kind == "modular":
+        modulus = _number(int, arg, "an integer modulus")
+        if modulus < 2:
+            raise argparse.ArgumentTypeError(f"modulus must be at least 2, got {modulus}")
+        return kind, modulus
+    if kind in ("matrix", "free") and not colon:
+        return kind, None
+    raise argparse.ArgumentTypeError(f"expected matrix, modular:<m> or free, got {text!r}")
 
 
 def _add_solver_opts(sub):
@@ -395,7 +413,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         KeyError,
         ValueError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout early; point it at devnull so that the

@@ -75,10 +75,6 @@ class Laplacian1:
     model: GroupModel
     relator_indices: Tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return self.matrix.n_rows
-
 
 def laplacian1(
     model: GroupModel,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import cached_property
 from itertools import islice
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -33,12 +32,6 @@ class GroupElement:
         self.model = model
         self.key = key
         self._hash = hash(key)
-
-    def inverse(self) -> "GroupElement":
-        return self.model.inverse(self)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.model.multiply(self, other)
 
     def __eq__(self, other):
         return (
@@ -336,16 +329,18 @@ def model_from_spec(spec: dict) -> GroupModel:
     if not isinstance(spec, dict):
         raise ValueError("model spec must be a JSON object")
     kind = spec.get("type")
+    # a missing field reads as null, which each check refuses by name
     if kind in ("matrix", "modular"):
-        images = spec["images"]
+        images = spec.get("images")
         if not isinstance(images, list):
             raise ValueError(f"generator images must be a list, got {images!r}")
-        modulus = _json_int(spec["modulus"], "modulus") if kind == "modular" else None
+        modulus = _json_int(spec.get("modulus"), "modulus") if kind == "modular" else None
         return MatrixModel([_json_matrix(img, "generator image") for img in images], modulus)
     if kind == "cyclic":
-        return CyclicModel(_json_int(spec["n"], "cyclic order"))
+        return CyclicModel(_json_int(spec.get("n"), "cyclic order"))
     if kind == "free":
-        return FreeModel(_json_int(spec["generators"], "generator count"), spec.get("sound", True))
+        count = _json_int(spec.get("generators"), "generator count")
+        return FreeModel(count, spec.get("sound", True))
     raise ValueError(f"unknown model spec type {kind!r}")
 
 
@@ -373,26 +368,25 @@ _INT64_LIMIT = 2 ** 63  # int64 holds magnitudes below this
 
 
 def _generic_products(basis: "SupportBasis"):
-    """(pid, first, pair_elements, pair_index) from one model.multiply per pair.
+    """(pid, first, index) from one model.multiply per pair.
 
-    first[p] is the flat cell x*m + y where class p is first seen.
+    first[p] is the flat cell x*m + y where class p is first seen, and
+    index maps each class's key to the class.
     """
     model = basis.model
     inverses = [model.inverse(el) for el in basis.elements]
-    pair_elements: List[GroupElement] = []
     index: dict = {}
     pid, first = [], []
-    for x, inv_x in enumerate(inverses):
-        for y, el in enumerate(basis.elements):
-            g = model.multiply(inv_x, el)
-            p = index.get(g.key)
+    for inv_x in inverses:
+        for el in basis.elements:
+            key = model.multiply(inv_x, el).key
+            p = index.get(key)
             if p is None:
-                p = index[g.key] = len(pair_elements)
-                pair_elements.append(g)
+                p = index[key] = len(first)
                 first.append(len(pid))
             pid.append(p)
     pid = np.array(pid, dtype=np.int64).reshape(len(basis), -1)
-    return pid, np.array(first, dtype=np.int64), pair_elements, index
+    return pid, np.array(first, dtype=np.int64), index
 
 
 def _batched_products(basis: "SupportBasis"):
@@ -433,22 +427,20 @@ class ProductTable:
     pid[x, y] is the class of E[x]^-1 E[y], classes numbered in first-seen
     order (x-major, then y), and inverse_pid[p] the class of the inverse
     product, both int64 arrays; slots() derives the constraint index from
-    pid.  pair_elements lists the classes as group elements and
-    pair_index maps their keys to classes.  Matrix models build the table
-    with int64 array products when no entry can overflow; then those two
-    are built on first use, and find() looks keys up among the int64
-    product rows.  Every other model builds all of it with one
-    model.multiply per pair.
+    pid, and find() maps group element keys to classes.  Matrix models
+    build the table with int64 array products when no entry can overflow,
+    and find() looks keys up among the sorted int64 product rows.  Every
+    other model builds it with one model.multiply per pair, and find()
+    reads the dict of class keys that loop fills.
     """
 
     def __init__(self, basis: "SupportBasis"):
         batched = _batched_products(basis)
         if batched is None:
-            self.pid, first, self.pair_elements, self.pair_index = _generic_products(basis)
+            self.pid, first, self._index = _generic_products(basis)
             self._rows = None
         else:
             self.pid, first, self._rows, self._rank = batched
-        self._model = basis.model
         m = len(basis)
         # (x^-1 y)^-1 = y^-1 x, so no group inversion is needed
         self.inverse_pid = self.pid[first % m, first // m]
@@ -458,30 +450,17 @@ class ProductTable:
     def __len__(self):
         return len(self.inverse_pid)
 
-    @cached_property
-    def pair_elements(self) -> List[GroupElement]:
-        """The classes as group elements, in class order."""
-        d = self._model.dim
-        flat = self._rows.view(np.int64).reshape(len(self), d * d)[np.argsort(self._rank)]
-        return [
-            GroupElement(self._model, tuple(tuple(row[i:i + d]) for i in range(0, d * d, d)))
-            for row in flat.tolist()
-        ]
-
-    @cached_property
-    def pair_index(self) -> dict:
-        """The class of each product's key."""
-        return {g.key: p for p, g in enumerate(self.pair_elements)}
-
     def find(self, keys: Sequence) -> List[Optional[int]]:
         """The class of each group element key, None for a key that is no product x^-1 y."""
-        if self._rows is None or not keys:
-            return [self.pair_index.get(key) for key in keys]
+        if self._rows is None:
+            return [self._index.get(key) for key in keys]
+        if not keys:
+            return []
         try:
             flat = np.array([[v for row in key for v in row] for key in keys], dtype=np.int64)
         except OverflowError:
-            # no product in an int64 table has such an entry
-            return [self.pair_index.get(key) for key in keys]
+            # no product in an int64 table has an entry int64 cannot hold
+            return [None] if len(keys) == 1 else [p for key in keys for p in self.find([key])]
         wanted = flat.view(self._rows.dtype).ravel()
         at = np.searchsorted(self._rows, wanted).clip(max=len(self._rows) - 1)
         found = self._rows[at] == wanted

@@ -79,23 +79,25 @@ def load_preset(name: str) -> Tuple[Presentation, GroupModel]:
     sl3z-mod:<m>.
     """
     base, _, arg = name.partition(":")
+    if base in ("zn", "free", "sl3z-mod"):
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValueError(f"preset {base} needs an integer after ':', got {name!r}") from None
     if base == "z3" and not arg:
         p, model = _zn_presentation(3), CyclicModel(3)
-    elif base == "zn":
-        n = int(arg)
-        p, model = _zn_presentation(n), CyclicModel(n)
+    elif base == "zn":  # the model first: its check names a bad k, the parser's does not
+        model, p = CyclicModel(k), _zn_presentation(k)
     elif base == "z2-abelian" and not arg:
         p = parse_presentation("gens: a, b\nrel: [a, b]\n")
         # commuting translations: Z^2 embedded as I + p*delta_13 + q*delta_23
         model = MatrixModel([elementary_matrix(1, 3), elementary_matrix(2, 3)])
     elif base == "free":
-        k = int(arg)
-        p, model = _free_presentation(k), FreeModel(k, sound=True)
+        model, p = FreeModel(k, sound=True), _free_presentation(k)
     elif base == "sl3z" and not arg:
         p, model = parse_presentation(SL3Z_TEXT), MatrixModel(sl3z_images())
     elif base == "sl3z-mod":
-        m = int(arg)
-        p, model = parse_presentation(SL3Z_TEXT), MatrixModel(sl3z_images(), m)
+        p, model = parse_presentation(SL3Z_TEXT), MatrixModel(sl3z_images(), k)
     else:
         raise KeyError(f"unknown preset {name!r}")
     validate_model(p, model)

@@ -1,12 +1,12 @@
 """Finitely supported group-ring elements and matrices over them.
 
 Coefficients are exact rationals (Fraction); ints are promoted, and any
-other type, floats included, is a TypeError.  This is the exact side of
-the package, where the Laplacian is assembled.  The SDP and the certifier
-read these matrices once, through the integer index of the problem's
-product table.  The order-unit construction behind the certifier's l1
-bound and the exact sum-of-squares check verify_sos live with the test
-oracles (tests/_oracles.py).
+other type, floats included, is a TypeError.  These are containers with
+no ring arithmetic: fox.laplacian1 adds outer products straight into
+exact coefficient dicts, and the SDP and the certifier read the result
+once, through the integer index of the problem's product table.  The
+exact arithmetic the tests check against (sum, product, identity, l1, the
+order-unit construction and verify_sos) is in tests/_oracles.py.
 """
 
 from __future__ import annotations
@@ -39,77 +39,16 @@ class RingElement:
         self.model = model
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, model: GroupModel) -> "RingElement":
-        return cls(model, {})
-
-    @classmethod
-    def one(cls, model: GroupModel, scale=1) -> "RingElement":
-        return cls(model, {model.identity(): _promote(scale)})
-
-    @classmethod
-    def of(cls, element: GroupElement, scale=1) -> "RingElement":
-        return cls(element.model, {element: _promote(scale)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def support(self) -> List[GroupElement]:
         return sorted(self.coeffs)
 
     def coefficient(self, g: GroupElement) -> Fraction:
         return self.coeffs.get(g, Fraction(0))
 
-    def _check(self, other: "RingElement"):
-        if self.model.model_id != other.model.model_id:
-            raise ValueError("ring elements live over different models")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            if g in out:
-                out[g] = out[g] + c
-            else:
-                out[g] = c
-        return RingElement(self.model, out)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.model, {g: -c for g, c in self.coeffs.items()})
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RingElement):
-            return self.scaled(other)
-        self._check(other)
-        out: Dict[GroupElement, Fraction] = {}
-        model = self.model
-        for g, a in self.coeffs.items():
-            for h, b in other.coeffs.items():
-                k = model.multiply(g, h)
-                prod = a * b
-                if k in out:
-                    out[k] = out[k] + prod
-                else:
-                    out[k] = prod
-        return RingElement(model, out)
-
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
-
-    def scaled(self, scalar) -> "RingElement":
-        scalar = _promote(scalar)
-        return RingElement(self.model, {g: c * scalar for g, c in self.coeffs.items()})
-
     def star(self) -> "RingElement":
         return RingElement(
             self.model, {self.model.inverse(g): c for g, c in self.coeffs.items()}
         )
-
-    def l1(self) -> Fraction:
-        return sum(map(abs, self.coeffs.values()), Fraction(0))
 
     def __eq__(self, other):
         return (
@@ -117,9 +56,6 @@ class RingElement:
             and self.model.model_id == other.model.model_id
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         if not self.coeffs:
@@ -147,20 +83,6 @@ class RingMatrix:
         self.model = model
         self.entries = rows
 
-    @classmethod
-    def zeros(cls, model: GroupModel, n_rows: int, n_cols: int) -> "RingMatrix":
-        z = RingElement.zero(model)
-        return cls(model, [[z] * n_cols for _ in range(n_rows)])
-
-    @classmethod
-    def identity(cls, model: GroupModel, n: int, scale=1) -> "RingMatrix":
-        z = RingElement.zero(model)
-        one = RingElement.one(model, scale)
-        return cls(
-            model,
-            [[one if i == j else z for j in range(n)] for i in range(n)],
-        )
-
     @property
     def n_rows(self) -> int:
         return len(self.entries)
@@ -171,55 +93,6 @@ class RingMatrix:
 
     def entry(self, i: int, j: int) -> RingElement:
         return self.entries[i][j]
-
-    def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        self._check_shape(other, same=True)
-        return RingMatrix(
-            self.model,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        self._check_shape(other, same=True)
-        return RingMatrix(
-            self.model,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, RingMatrix):
-            return self.scaled(other)
-        if self.model.model_id != other.model.model_id:
-            raise ValueError("matrix model mismatch")
-        if self.n_cols != other.n_rows:
-            raise ValueError(
-                f"shape mismatch: {self.n_rows}x{self.n_cols} * "
-                f"{other.n_rows}x{other.n_cols}"
-            )
-        out = []
-        for i in range(self.n_rows):
-            row = []
-            for j in range(other.n_cols):
-                acc = RingElement.zero(self.model)
-                for k in range(self.n_cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.model, out)
-
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
-
-    def scaled(self, scalar) -> "RingMatrix":
-        return RingMatrix(
-            self.model, [[e.scaled(scalar) for e in row] for row in self.entries]
-        )
 
     def adjoint(self) -> "RingMatrix":
         return RingMatrix(
@@ -232,15 +105,6 @@ class RingMatrix:
 
     def is_star_invariant(self) -> bool:
         return self.n_rows == self.n_cols and self.adjoint() == self
-
-    def l1(self) -> Fraction:
-        return sum((e.l1() for row in self.entries for e in row), Fraction(0))
-
-    def _check_shape(self, other: "RingMatrix", same: bool):
-        if self.model.model_id != other.model.model_id:
-            raise ValueError("matrix model mismatch")
-        if same and (self.n_rows != other.n_rows or self.n_cols != other.n_cols):
-            raise ValueError("matrix shape mismatch")
 
     def __eq__(self, other):
         return (

@@ -43,7 +43,7 @@ def _reduce(letters: Iterable[Tuple[int, int]]) -> Tuple[GeneratorSymbol, ...]:
 
 
 class Word:
-    """Freely reduced word; immutable and hashable."""
+    """Freely reduced word, immutable; compare words by their letters."""
 
     __slots__ = ("letters",)
 
@@ -53,24 +53,6 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
-    @classmethod
-    def identity(cls) -> "Word":
-        return cls(())
-
-    def inverse(self) -> "Word":
-        return Word(tuple((idx, -sign) for idx, sign in reversed(self.letters)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Word.identity()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def max_index(self) -> int:
         return max((idx for idx, _ in self.letters), default=-1)
 
@@ -79,18 +61,6 @@ class Word:
 
     def __iter__(self):
         return iter(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        if not self.letters:
-            return "Word(e)"
-        parts = [f"{'-' if s < 0 else ''}{i}" for i, s in self.letters]
-        return f"Word({' '.join(parts)})"
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -103,7 +73,7 @@ class PresentationSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Presentation:
     """Generator names plus freely reduced relator words with unique labels."""
 

@@ -3,11 +3,13 @@
 Everything here is deliberately primitive (brute-force enumeration, naive
 matrix products, exact rational ring arithmetic routed through verify_sos
 factors, the order-unit construction) so that expected values never come
-from the code paths under test.
+from the code paths under test.  gapcert.ring has containers only; the
+exact ring arithmetic (add, mul, identity, l1) lives here.
 """
 
 import json
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
@@ -20,6 +22,60 @@ from gapcert.ring import RingElement, RingMatrix
 Factor = Union[RingMatrix, Tuple[object, RingMatrix]]
 
 
+def element(g, c=1) -> RingElement:
+    """The ring element c*g."""
+    return RingElement(g.model, {g: c})
+
+
+def identity(model, n, c=1) -> RingMatrix:
+    """c times the n x n identity; c = 0 gives the zero matrix."""
+    e = model.identity()
+    return RingMatrix(model, [[element(e, c * (i == j)) for j in range(n)] for i in range(n)])
+
+
+def add(a, b, c=1):
+    """a + c*b, exactly, for two ring elements or two ring matrices of one shape."""
+    if isinstance(a, RingMatrix):
+        assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+        rows = zip(a.entries, b.entries)
+        return RingMatrix(a.model, [[add(x, y, c) for x, y in zip(ra, rb)] for ra, rb in rows])
+    out = dict(a.coeffs)
+    for g, x in b.coeffs.items():
+        out[g] = out.get(g, 0) + c * x
+    return RingElement(a.model, out)
+
+
+def mul(a, b):
+    """The exact product of two ring elements, or of two ring matrices."""
+    if isinstance(a, RingMatrix):
+        assert a.n_cols == b.n_rows
+        rows, cols = a.entries, list(zip(*b.entries))
+        return RingMatrix(a.model, [[reduce(add, map(mul, r, c)) for c in cols] for r in rows])
+    out = {}
+    for g, x in a.coeffs.items():
+        for h, y in b.coeffs.items():
+            gh = a.model.multiply(g, h)
+            out[gh] = out.get(gh, 0) + x * y
+    return RingElement(a.model, out)
+
+
+def l1(a) -> Fraction:
+    """The sum of |coefficient| over a ring element, or over all entries of a matrix."""
+    entries = [e for row in a.entries for e in row] if isinstance(a, RingMatrix) else [a]
+    return sum((abs(x) for e in entries for x in e.coeffs.values()), Fraction(0))
+
+
+def sum_of_squares(model, n, factors, c=0) -> RingMatrix:
+    """c*I + sum F* F over the factors, exactly."""
+    return reduce(add, (mul(f.adjoint(), f) for f in factors), identity(model, n, c))
+
+
+def class_elements(table, basis) -> List[GroupElement]:
+    """Each class of a ProductTable as the group element x^-1 y at its first cell."""
+    model, E = basis.model, basis.elements
+    return [model.multiply(model.inverse(E[x]), E[y]) for (x, y), *_ in members(table)]
+
+
 def _normalize_factors(factors: Iterable[Factor]):
     out = []
     for f in factors:
@@ -27,7 +83,7 @@ def _normalize_factors(factors: Iterable[Factor]):
             out.append((Fraction(1), f))
         else:
             scale, mat = f
-            out.append((scale, mat))  # scaled() promotes it, or rejects a float
+            out.append((scale, mat))  # add() rejects a float scale
     return out
 
 
@@ -47,7 +103,7 @@ def verify_sos(M: RingMatrix, factors: Iterable[Factor]) -> RingMatrix:
             raise ValueError(
                 f"factor has {f.n_cols} columns, target needs {M.n_cols}"
             )
-        residual = residual - (f.adjoint() * f).scaled(scale)
+        residual = add(residual, mul(f.adjoint(), f), -scale)
     return residual
 
 
@@ -70,12 +126,12 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
     model = M.model
     n = M.n_rows
     ident = model.identity()
-    total = M.l1()
+    total = l1(M)
     used = [Fraction(0)] * n
     factors: List[Tuple[Fraction, RingMatrix]] = []
 
     def embedded(positions):
-        mat = [[RingElement.zero(model) for _ in range(n)] for _ in range(n)]
+        mat = [[RingElement(model, {}) for _ in range(n)] for _ in range(n)]
         for (i, j), elem in positions.items():
             mat[i][j] = elem
         return RingMatrix(model, mat)
@@ -93,14 +149,14 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
                 used[i] += abs(c)
                 if c + abs(c) != 0:
                     factors.append(
-                        (c + abs(c), embedded({(i, i): RingElement.one(model)}))
+                        (c + abs(c), embedded({(i, i): element(ident)}))
                     )
             elif g_inv == g:
                 # involution: (1 +- g)*(1 +- g) = 2 +- 2g
                 seen.add(g.key)
                 used[i] += abs(c)
                 sign = 1 if c > 0 else -1
-                f = RingElement.one(model) + RingElement.of(g, Fraction(sign))
+                f = add(element(ident), element(g, sign))
                 factors.append((abs(c) / 2, embedded({(i, i): f})))
             else:
                 seen.add(g.key)
@@ -112,7 +168,7 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
                 # pair: (1 +- g)*(1 +- g) = 2 +- (g + g^-1)
                 used[i] += 2 * abs(c)
                 sign = 1 if c > 0 else -1
-                f = RingElement.one(model) + RingElement.of(g, Fraction(sign))
+                f = add(element(ident), element(g, sign))
                 factors.append((abs(c), embedded({(i, i): f})))
 
     for i in range(n):
@@ -125,10 +181,10 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
                 # (I2 + X)*(I2 + X) = 2 I2 + 2 X for X = [[0, +-g], [+-g^-1, 0]]
                 f = embedded(
                     {
-                        (i, i): RingElement.one(model),
-                        (i, j): RingElement.of(g, sign),
-                        (j, i): RingElement.of(g_inv, sign),
-                        (j, j): RingElement.one(model),
+                        (i, i): element(ident),
+                        (i, j): element(g, sign),
+                        (j, i): element(g_inv, sign),
+                        (j, j): element(ident),
                     }
                 )
                 factors.append((abs(c) / 2, f))
@@ -140,7 +196,7 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
         if slack < 0:
             raise AssertionError("order-unit bookkeeping went negative")
         if slack > 0:
-            factors.append((slack, embedded({(i, i): RingElement.one(model)})))
+            factors.append((slack, embedded({(i, i): element(ident)})))
     return factors
 
 
@@ -221,7 +277,7 @@ def random_star_invariant_matrix(model, elements, rng, n):
         for _ in range(n)
     ]
     A = RingMatrix(model, rows)
-    return A + A.adjoint()
+    return add(A, A.adjoint())
 
 
 def q_rows_as_factors(model, basis, n, Q_rows):
@@ -256,9 +312,9 @@ def exact_certified_gap(target, basis, Q_rows, lam):
     n = target.n_rows
     lam = lam if isinstance(lam, Fraction) else Fraction(float(lam))
     factors = q_rows_as_factors(model, basis, n, Q_rows)
-    shifted = target - RingMatrix.identity(model, n, lam)
+    shifted = add(target, identity(model, n, lam), -1)
     residual = verify_sos(shifted, factors)
-    return lam - residual.l1(), residual
+    return lam - l1(residual), residual
 
 
 def reconstruct_exact(problem, P):
@@ -276,12 +332,13 @@ def reconstruct_exact(problem, P):
         return v if isinstance(v, Fraction) else Fraction(float(v))
 
     cells = members(table)
+    elements = class_elements(table, problem.basis)
     entries = []
     for i in range(n):
         row_out = []
         for j in range(n):
             coeffs = {}
-            for pid, elem in enumerate(table.pair_elements):
+            for pid, elem in enumerate(elements):
                 total = Fraction(0)
                 for x, y in cells[pid]:
                     total += frac(P[i * m + x][j * m + y] if isinstance(P, list) else P[i * m + x, j * m + y])
@@ -403,7 +460,7 @@ def d0(model, p) -> RingMatrix:
     """Column [1 - s_1; ...; 1 - s_n]."""
     col = []
     for i in range(p.n_generators):
-        e = RingElement.one(model) - RingElement.of(model.generator(i))
+        e = add(element(model.identity()), element(model.generator(i)), -1)
         col.append([e])
     return RingMatrix(model, col)
 
@@ -411,17 +468,17 @@ def d0(model, p) -> RingMatrix:
 def relator_square(model, p, r) -> RingMatrix:
     """n x n matrix J(r): first row the derivatives of r, other rows zero."""
     n = p.n_generators
-    zero = RingElement.zero(model)
+    zero = RingElement(model, {})
     rows = [[fox_derivative(model, r, j) for j in range(n)]]
     rows.extend([[zero] * n for _ in range(n - 1)])
     return RingMatrix(model, rows)
 
 
 def reference_laplacian(model, p, indices) -> RingMatrix:
-    """d0 d0* + sum_{k in indices} J(r_k)* J(r_k), through RingMatrix products."""
+    """d0 d0* + sum_{k in indices} J(r_k)* J(r_k), through ring matrix products."""
     col = d0(model, p)
-    acc = col * col.adjoint()
+    acc = mul(col, col.adjoint())
     for k in indices:
         jr = relator_square(model, p, p.relators[k])
-        acc = acc + jr.adjoint() * jr
+        acc = add(acc, mul(jr.adjoint(), jr))
     return acc

@@ -28,6 +28,7 @@ from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, export_sdpa, import_sdpa, solve
 from gapcert.words import Word
 
+from _oracles import add, element, identity, l1, mul, sum_of_squares
 from _oracles import (
     order_unit_sos,
     q_rows_as_factors,
@@ -64,30 +65,30 @@ TRIPLES = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 def test_criterion_1_steinberg_derivative_parity():
     with _Timer(1, "Fox-derivative parity on sl3z", 1.0):
         p, model = load_preset("sl3z")
-        one = RingElement.one(model)
+        one = element(model.identity())
 
         def gen(i, j):
             return p.generators.index(f"e{i}{j}")
 
         def elem(idx):
-            return RingElement.of(model.generator(idx))
+            return element(model.generator(idx))
 
         for (i, j, k) in TRIPLES:
             r = p.relators[p.relator_index(f"r_{i}{j}{k}")]
             rp = p.relators[p.relator_index(f"rp_{i}{j}{k}")]
-            assert fox_derivative(model, r, gen(i, j)) == one - elem(gen(i, k))
-            assert fox_derivative(model, r, gen(i, k)) == elem(gen(i, j)) - one
-            assert fox_derivative(model, rp, gen(i, k)) == -one
-            prod = RingElement.of(
+            assert fox_derivative(model, r, gen(i, j)) == add(one, elem(gen(i, k)), -1)
+            assert fox_derivative(model, r, gen(i, k)) == add(elem(gen(i, j)), one, -1)
+            assert fox_derivative(model, rp, gen(i, k)) == element(model.identity(), -1)
+            prod = element(
                 model.multiply(model.generator(gen(i, k)), model.generator(gen(j, k)))
             )
-            assert fox_derivative(model, rp, gen(i, j)) == one - prod
-            assert fox_derivative(model, rp, gen(j, k)) == elem(gen(i, j)) - elem(gen(i, k))
+            assert fox_derivative(model, rp, gen(i, j)) == add(one, prod, -1)
+            assert fox_derivative(model, rp, gen(j, k)) == add(elem(gen(i, j)), elem(gen(i, k)), -1)
             for other in range(6):
                 if other not in (gen(i, j), gen(i, k)):
-                    assert fox_derivative(model, r, other).is_zero()
+                    assert not fox_derivative(model, r, other).support()
                 if other not in (gen(i, j), gen(j, k), gen(i, k)):
-                    assert fox_derivative(model, rp, other).is_zero()
+                    assert not fox_derivative(model, rp, other).support()
 
 
 def test_criterion_2_fundamental_fox_identity():
@@ -102,12 +103,12 @@ def test_criterion_2_fundamental_fox_identity():
                     for _ in range(rng.randrange(21))
                 ]
             )
-            one = RingElement.one(model)
-            total = RingElement.zero(model)
+            one = element(model.identity())
+            total = RingElement(model, {})
             for j in range(p.n_generators):
-                s_j = RingElement.of(model.generator(j))
-                total = total + fox_derivative(model, w, j) * (s_j - one)
-            assert total == RingElement.of(model.evaluate(w)) - one
+                s_j = element(model.generator(j))
+                total = add(total, mul(fox_derivative(model, w, j), add(s_j, one, -1)))
+            assert total == add(element(model.evaluate(w)), one, -1)
 
 
 def test_criterion_3_z3_end_to_end():
@@ -176,10 +177,8 @@ def test_criterion_5_sos_round_trip_and_recovery():
                 )
                 for _ in range(rng.randint(1, 3))
             ]
-            total = RingMatrix.zeros(model, n, n)
-            for f in factors:
-                total = total + f.adjoint() * f
-            assert verify_sos(total, factors) == RingMatrix.zeros(model, n, n)
+            total = sum_of_squares(model, n, factors)
+            assert verify_sos(total, factors) == identity(model, n, 0)
         # margin recovery with exact (dyadic) square roots
         for mu in (Fraction(1, 10), Fraction(1), Fraction(10)):
             model, basis = CyclicModel(5), None
@@ -189,10 +188,7 @@ def test_criterion_5_sos_round_trip_and_recovery():
                 [Fraction(rng.randint(-4, 4), 2) for _ in range(n * m)]
                 for _ in range(5)
             ]
-            total = RingMatrix.zeros(model, n, n)
-            for f in q_rows_as_factors(model, basis, n, rows):
-                total = total + f.adjoint() * f
-            target = total + RingMatrix.identity(model, n, mu)
+            target = sum_of_squares(model, n, q_rows_as_factors(model, basis, n, rows), mu)
             Q = np.array([[float(v) for v in row] for row in rows])
             got = certified_gap(target, basis, Q, float(mu))
             assert got.lambda0 >= float(mu) - 1e-6
@@ -207,8 +203,8 @@ def test_criterion_6_order_unit_construction():
             n = rng.randint(1, 4)
             M = random_star_invariant_matrix(model, elements, rng, n)
             factors = order_unit_sos(M)
-            shifted = M + RingMatrix.identity(model, n, M.l1())
-            assert verify_sos(shifted, factors) == RingMatrix.zeros(model, n, n)
+            shifted = add(M, identity(model, n, l1(M)))
+            assert verify_sos(shifted, factors) == identity(model, n, 0)
 
 
 def test_criterion_7_finite_quotient_consistency():

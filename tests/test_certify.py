@@ -29,10 +29,10 @@ from gapcert.certify import (
 from gapcert.fox import laplacian1
 from gapcert.groups import CyclicModel, FreeModel, MatrixModel, ball
 from gapcert.presets import load_preset
-from gapcert.ring import RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, solve
 
 from _oracles import certificate_json_dict, exact_certified_gap, symmetric_psd_sqrt
+from _oracles import identity, l1, sum_of_squares
 
 
 def test_psd_sqrt_identity():
@@ -203,13 +203,10 @@ def test_interval_bound_never_beats_exact_rational_oracle():
                 for _ in range(rng.randint(1, n * m))
             ]
             lam = Fraction(rng.randint(-4, 4), 2)
-            factors_target = RingMatrix.zeros(model, n, n)
             from _oracles import q_rows_as_factors
 
-            for f in q_rows_as_factors(model, basis, n, rows):
-                factors_target = factors_target + f.adjoint() * f
             # target = sum F*F + lam*I makes the residual exactly zero
-            target = factors_target + RingMatrix.identity(model, n, lam)
+            target = sum_of_squares(model, n, q_rows_as_factors(model, basis, n, rows), lam)
             Q = np.array([[float(v) for v in row] for row in rows])
             got = certified_gap(target, basis, Q, float(lam))
             exact_bound, _ = exact_certified_gap(target, basis, rows, lam)
@@ -228,11 +225,8 @@ def test_sos_plus_margin_recovers_margin():
     ]
     from _oracles import q_rows_as_factors
 
-    total = RingMatrix.zeros(model, n, n)
-    for f in q_rows_as_factors(model, basis, n, rows):
-        total = total + f.adjoint() * f
     for mu in (Fraction(1, 10), Fraction(1), Fraction(10)):
-        target = total + RingMatrix.identity(model, n, mu)
+        target = sum_of_squares(model, n, q_rows_as_factors(model, basis, n, rows), mu)
         Q = np.array([[float(v) for v in row] for row in rows])
         got = certified_gap(target, basis, Q, float(mu))
         assert got.lambda0 >= float(mu) - 1e-6
@@ -313,7 +307,7 @@ def test_huge_stored_radius_is_rejected_quickly():
 def test_certificate_for_raw_matrix_is_none():
     model = CyclicModel(3)
     basis = ball(model, 1)
-    target = RingMatrix.identity(model, 1, 4)
+    target = identity(model, 1, 4)
     result = certified_gap(target, basis, np.zeros((3, 3)), 0.0)
     assert result.certificate is None
     assert result.lambda0 <= -4.0
@@ -423,14 +417,13 @@ def test_bound_encloses_the_exact_residual_l1():
             Q = rng.uniform(-1, 1, size=(int(rng.integers(1, N + 1)), N)) / 3
             lam = float(rng.uniform(-2, 4))
             # the Laplacian, and a target that this Q meets exactly: |r|_1 = 0
-            exact_sos = RingMatrix.identity(model, n, Fraction(lam))
-            for f in q_rows_as_factors(model, basis, n, Q.tolist()):
-                exact_sos = exact_sos + f.adjoint() * f
+            factors = q_rows_as_factors(model, basis, n, Q.tolist())
+            exact_sos = sum_of_squares(model, n, factors, Fraction(lam))
             for target in (lap.matrix, exact_sos):
                 got = certified_gap(target, basis, Q, lam)
                 exact_bound, residual = exact_certified_gap(target, basis, Q.tolist(), lam)
                 lo, hi = got.residual_l1
-                assert Fraction(lo) <= residual.l1() <= Fraction(hi)
+                assert Fraction(lo) <= l1(residual) <= Fraction(hi)
                 assert got.lambda0 <= exact_bound
 
 
@@ -560,3 +553,16 @@ def test_verify_does_not_depend_on_blas_thread_count(tmp_path):
     stored = run(2, "make")
     assert run(1, "verify") == stored
     assert run(2, "verify") == stored
+
+
+def test_bound_does_not_depend_on_the_memory_layout_of_q():
+    # verify reads Q back in C order, so certify must sum as it does
+    for preset, radius, iters in (("zn:5", 2, 10), ("sl3z-mod:2", 1, 20)):
+        p, model = load_preset(preset)
+        lap, basis = laplacian1(model, p), ball(model, radius)
+        sol = solve(build_problem(lap, basis), SolveOptions(max_iter=iters))
+        Q = psd_sqrt(sol.P)
+        got = certified_gap(lap, basis, np.asfortranarray(Q), sol.lam)
+        assert got.lambda0 == certified_gap(lap, basis, Q, sol.lam).lambda0
+        back = Certificate.from_json_dict(json.loads(got.certificate.to_bytes()))
+        assert verify_certificate(back).passed

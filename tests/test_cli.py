@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -26,10 +27,23 @@ def test_show_preset(capsys):
 
 
 def test_show_requires_exactly_one_source(capsys):
-    code, _, err = _run(capsys, "show")
-    assert code == 1 and "exactly one" in err
-    code, _, err = _run(capsys, "show", "--preset", "z3", "--file", "x")
-    assert code == 1
+    for argv, message in (("", "one of the arguments --preset --file is required"),
+                          ("--preset z3 --file x", "not allowed with argument --preset")):
+        with pytest.raises(SystemExit) as exc:
+            main(["show", *argv.split()])
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", ["--preset foo", "--preset zn:abc", "--preset zn:1",
+                                  "--preset sl3z-mod:0", "--preset free:0",
+                                  "--preset sl3z --model modular:x",
+                                  "--preset sl3z --model modular:1", "--preset sl3z --model bogus"])
+def test_bad_input_selection_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["show", *argv.split()])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"argument {argv.split()[-2]}: " in err
+    assert not any(text in err for text in ("invalid literal", "column", "Traceback"))
 
 
 def test_ball_text_and_json(capsys, tmp_path):
@@ -46,13 +60,22 @@ def test_ball_text_and_json(capsys, tmp_path):
 
 
 def test_laplacian_json_round_trip(capsys):
-    from _oracles import ring_matrix_from_json
+    from _oracles import l1, ring_matrix_from_json
 
     code, out, _ = _run(capsys, "laplacian", "--preset", "z3")
     assert code == 0
     mat = ring_matrix_from_json(json.loads(out))
     assert mat.n_rows == 1
-    assert float(mat.l1()) == 9.0
+    assert float(l1(mat)) == 9.0
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("sl3z", "14bbd266ed45217739fadb146e4784247c2272dcdf2c0ee433221d1d4354f5e4"),
+    ("sl3z-mod:2 --exclude-relator none", "68d6045a6aae121a3ec5962fed0d2a6bac87723dc0a040e232f1ade249ef314c"),
+])
+def test_laplacian_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, "laplacian", "--preset", *argv.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sdp_build_stats(capsys):
@@ -291,6 +314,13 @@ def test_certify_rejects_overclaimed_lambda(capsys, tmp_path):
     assert code == 1
 
 
+def test_certify_names_a_missing_lambda(capsys, tmp_path):
+    sol_path = tmp_path / "no-lambda.json"
+    sol_path.write_text(json.dumps({"Q": [[0.0] * 3]}))
+    code, _, err = _run(capsys, "certify", "--preset", "z3", "--radius", "1", "--solution", str(sol_path))
+    assert code == 1 and err == f"error: solution {sol_path} has no 'lambda' field\n"
+
+
 def test_file_input_needs_free_model(capsys, tmp_path):
     path = tmp_path / "pres.txt"
     path.write_text("gens: a, b\n")
@@ -315,8 +345,6 @@ def test_model_override_modular(capsys):
 
 
 def test_exclude_relator_by_label(capsys):
-    from gapcert.ring import RingMatrix
-
     code, out_all, _ = _run(
         capsys, "laplacian", "--preset", "sl3z", "--exclude-relator", "none"
     )
@@ -332,7 +360,7 @@ def test_exclude_relator_by_label(capsys):
     code, _, err = _run(
         capsys, "laplacian", "--preset", "sl3z", "--exclude-relator", "nope"
     )
-    assert code == 1 and "nope" in err
+    assert code == 1 and err == "error: no relator labeled 'nope'\n"
 
 
 def test_usage_error_exit_code_2():

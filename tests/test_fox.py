@@ -17,22 +17,21 @@ from gapcert.presets import load_preset
 from gapcert.ring import RingElement, RingMatrix
 from gapcert.words import Presentation, Word, parse_presentation
 
-from _oracles import d0, reference_laplacian, relator_square
+from _oracles import add, d0, element, identity, l1, mul, reference_laplacian, relator_square
 
 
 def _elem(model, *word):
-    return RingElement.of(model.evaluate(Word(word)))
+    return element(model.evaluate(Word(word)))
 
 
 def _one(model):
-    return RingElement.one(model)
-
+    return element(model.identity())
 
 def test_fox_derivative_inverse_rule_via_cancellation():
     # d(s s^-1)/ds = 1 + s * (-s^-1) must vanish; this pins the -s^-1 rule
     model = FreeModel(1)
     w = Word([(0, 1), (0, -1)])
-    assert fox_derivative(model, w, 0).is_zero()
+    assert not fox_derivative(model, w, 0).support()
     w_raw = [(0, 1), (0, -1)]
     # also check on the unreduced composite a b b^-1 pattern
     model2 = FreeModel(2)
@@ -66,11 +65,11 @@ def test_steinberg_commutator_derivatives_match_closed_forms():
         e_ik = _sl3z_gen_index(p, i, k)
         d_ij = fox_derivative(model, r, e_ij)
         d_ik = fox_derivative(model, r, e_ik)
-        assert d_ij == _one(model) - _elem(model, (e_ik, 1))
-        assert d_ik == _elem(model, (e_ij, 1)) - _one(model)
+        assert d_ij == add(_one(model), _elem(model, (e_ik, 1)), -1)
+        assert d_ik == add(_elem(model, (e_ij, 1)), _one(model), -1)
         for other in range(6):
             if other not in (e_ij, e_ik):
-                assert fox_derivative(model, r, other).is_zero()
+                assert not fox_derivative(model, r, other).support()
 
 
 def test_steinberg_product_relator_derivatives_match_closed_forms():
@@ -83,15 +82,15 @@ def test_steinberg_product_relator_derivatives_match_closed_forms():
         d_ik = fox_derivative(model, r, e_ik)
         d_ij = fox_derivative(model, r, e_ij)
         d_jk = fox_derivative(model, r, e_jk)
-        assert d_ik == -_one(model)
-        prod = RingElement.of(
+        assert d_ik == element(model.identity(), -1)
+        prod = element(
             model.multiply(model.generator(e_ik), model.generator(e_jk))
         )
-        assert d_ij == _one(model) - prod
-        assert d_jk == _elem(model, (e_ij, 1)) - _elem(model, (e_ik, 1))
+        assert d_ij == add(_one(model), prod, -1)
+        assert d_jk == add(_elem(model, (e_ij, 1)), _elem(model, (e_ik, 1)), -1)
         for other in range(6):
             if other not in (e_ij, e_jk, e_ik):
-                assert fox_derivative(model, r, other).is_zero()
+                assert not fox_derivative(model, r, other).support()
 
 
 def _random_word(rng, n_gens, max_len=20):
@@ -106,11 +105,11 @@ def test_fundamental_fox_identity_random_words():
     for _ in range(100):
         p, model = load_preset(rng.choice(presets))
         w = _random_word(rng, p.n_generators, 12)
-        total = RingElement.zero(model)
+        total = RingElement(model, {})
         for j in range(p.n_generators):
-            s_j = RingElement.of(model.generator(j))
-            total = total + fox_derivative(model, w, j) * (s_j - _one(model))
-        expected = RingElement.of(model.evaluate(w)) - _one(model)
+            s_j = element(model.generator(j))
+            total = add(total, mul(fox_derivative(model, w, j), add(s_j, _one(model), -1)))
+        expected = add(element(model.evaluate(w)), _one(model), -1)
         assert total == expected
 
 
@@ -118,25 +117,25 @@ def test_chain_condition_d1_compose_d0_vanishes():
     for name in ("z3", "z2-abelian", "sl3z"):
         p, model = load_preset(name)
         for r in p.relators:
-            total = RingElement.zero(model)
+            total = RingElement(model, {})
             for j in range(p.n_generators):
-                s_j = RingElement.of(model.generator(j))
-                total = total + fox_derivative(model, r, j) * (_one(model) - s_j)
-            assert total.is_zero()
+                s_j = element(model.generator(j))
+                total = add(total, mul(fox_derivative(model, r, j), add(_one(model), s_j, -1)))
+            assert not total.support()
 
 
 def test_d0_cases():
     p, model = load_preset("z3")
     col = d0(model, p)
     assert col.n_rows == 1 and col.n_cols == 1
-    t = RingElement.of(model.generator(0))
-    assert col.entry(0, 0) == _one(model) - t
+    t = element(model.generator(0))
+    assert col.entry(0, 0) == add(_one(model), t, -1)
 
     p6, m6 = load_preset("sl3z")
     col6 = d0(m6, p6)
     assert col6.n_rows == 6
     for i in range(6):
-        assert col6.entry(i, 0) == _one(m6) - RingElement.of(m6.generator(i))
+        assert col6.entry(i, 0) == add(_one(m6), element(m6.generator(i)), -1)
 
     triv = [np.eye(1)] * 6
     img = evaluate_representation(col6, triv, presentation=p6)
@@ -145,11 +144,11 @@ def test_d0_cases():
 
 def test_jacobian_commutator_row_in_abelianized_model():
     p, model = load_preset("z2-abelian")
-    a = RingElement.of(model.generator(0))
-    b = RingElement.of(model.generator(1))
+    a = element(model.generator(0))
+    b = element(model.generator(1))
     # product rule on a b a^-1 b^-1 lands on [1 - b, a - 1] after collisions
-    assert fox_derivative(model, p.relators[0], 0) == _one(model) - b
-    assert fox_derivative(model, p.relators[0], 1) == a - _one(model)
+    assert fox_derivative(model, p.relators[0], 0) == add(_one(model), b, -1)
+    assert fox_derivative(model, p.relators[0], 1) == add(a, _one(model), -1)
 
 
 def test_relator_square_structure():
@@ -160,18 +159,18 @@ def test_relator_square_structure():
     for j in range(6):
         assert J.entry(0, j) == fox_derivative(model, r, j)
         for i in range(1, 6):
-            assert J.entry(i, j).is_zero()
-    JJ = J.adjoint() * J
+            assert not J.entry(i, j).support()
+    JJ = mul(J.adjoint(), J)
     for i in range(6):
         for j in range(6):
-            expected = fox_derivative(model, r, i).star() * fox_derivative(model, r, j)
+            expected = mul(fox_derivative(model, r, i).star(), fox_derivative(model, r, j))
             assert JJ.entry(i, j) == expected
 
 
 def test_relator_square_of_identity_word():
     p, model = load_preset("sl3z")
-    J = relator_square(model, p, Word.identity())
-    assert J == RingMatrix.zeros(model, 6, 6)
+    J = relator_square(model, p, Word())
+    assert J == identity(model, 6, 0)
 
 
 def test_laplacian_z3_full_relators():
@@ -181,16 +180,16 @@ def test_laplacian_z3_full_relators():
     t2 = model.multiply(t, t)
     assert lap.relator_indices == (0,)
     assert lap.matrix.entry(0, 0) == RingElement(model, {ident: 5, t: 2, t2: 2})
-    assert lap.matrix.l1() == 9
+    assert l1(lap.matrix) == 9
 
 
 def test_laplacian_infinite_cyclic_no_relators():
     p = parse_presentation("gens: t\n")
     model = FreeModel(1)
     lap = laplacian1(model, p)
-    t = RingElement.of(model.generator(0))
-    tinv = RingElement.of(model.inverse(model.generator(0)))
-    assert lap.matrix.entry(0, 0) == 2 * _one(model) - t - tinv
+    t = element(model.generator(0))
+    tinv = element(model.inverse(model.generator(0)))
+    assert lap.matrix.entry(0, 0) == add(add(element(model.identity(), 2), t, -1), tinv, -1)
 
 
 def test_default_relator_policy():
@@ -207,7 +206,7 @@ def test_laplacian_sl3z_regression_pins():
     lap = laplacian1(model, p)
     ident = model.identity()
     assert [lap.matrix.entry(i, i).coefficient(ident) for i in range(6)] == [11] * 6
-    assert lap.matrix.l1() == 246
+    assert l1(lap.matrix) == 246
     assert lap.matrix.is_star_invariant()
 
 
@@ -278,8 +277,8 @@ def test_monotone_relator_augmentation_keeps_sos():
     extra = relator_square(model, p, p.relators[0])
     base_factors = [d0(model, p).adjoint(), relator_square(model, p, p.relators[6]),
                     relator_square(model, p, p.relators[7])]
-    assert verify_sos(small.matrix, base_factors) == RingMatrix.zeros(model, 6, 6)
-    assert verify_sos(big.matrix, base_factors + [extra]) == RingMatrix.zeros(model, 6, 6)
+    assert verify_sos(small.matrix, base_factors) == identity(model, 6, 0)
+    assert verify_sos(big.matrix, base_factors + [extra]) == identity(model, 6, 0)
 
 
 def test_evaluate_representation_trivial_on_z2_abelian():
@@ -320,7 +319,7 @@ def test_evaluate_representation_star_homomorphism_random():
         b = random_ring_element(model, elements, rng)
         A = evaluate_representation(RingMatrix(model, [[a]]), images)
         B = evaluate_representation(RingMatrix(model, [[b]]), images)
-        AB = evaluate_representation(RingMatrix(model, [[a * b]]), images)
+        AB = evaluate_representation(RingMatrix(model, [[mul(a, b)]]), images)
         Astar = evaluate_representation(RingMatrix(model, [[a.star()]]), images)
         assert np.allclose(AB, A @ B, atol=1e-8)
         assert np.allclose(Astar, A.conj().T, atol=1e-8)

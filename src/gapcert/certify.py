@@ -36,7 +36,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -116,11 +115,18 @@ class Bounds(NamedTuple):  # doubles lo <= hi around a real number
 
 
 def _enclose(q: Fraction) -> Bounds:
-    """The doubles just at or below and at or above q; equal when q is a double."""
+    """The doubles just at or below and at or above q; equal when q is a double.
+
+    q is any finite rational with as_integer_ratio (Fraction, int, float).
+    Which side of q the nearest double lies on is decided in integers.
+    """
     x = float(q)  # rounds to nearest; the off endpoint is one ulp outward
-    if x == q:
+    a, b = x.as_integer_ratio()
+    c, d = q.as_integer_ratio()
+    side = a * d - c * b  # the sign of x - q, as b, d > 0
+    if side == 0:
         return Bounds(x, x)
-    if x < q:
+    if side < 0:
         return Bounds(x, math.nextafter(x, math.inf))
     return Bounds(math.nextafter(x, -math.inf), x)
 
@@ -385,7 +391,8 @@ def _q_from_json(data: dict) -> np.ndarray:
     shape = (data["rows"], data["cols"])
     if len(entries) != shape[0] or any(len(row) != shape[1] for row in entries):
         raise CertificateError(f"Q entries do not fill its stored shape {shape}")
-    return np.fromiter(map(float, chain.from_iterable(entries)), dtype=float).reshape(shape)
+    # numpy parses each str as float() does
+    return np.array(entries, dtype=float).reshape(shape)
 
 
 def _toolchain() -> dict:

@@ -60,12 +60,11 @@ def _load_input(args) -> tuple:
         kind, modulus = args.model
         if kind == "free":
             model = FreeModel(p.n_generators, sound=not p.relators)
+        elif not isinstance(model, MatrixModel) or model.modulus is not None:
+            name = "modular:<m>" if kind == "modular" else kind
+            raise CliError(f"--model {name} needs a matrix preset without a modulus")
         elif kind == "modular":
-            if not isinstance(model, MatrixModel) or model.modulus is not None:
-                raise CliError("--model modular:<m> needs a matrix preset without a modulus")
             model = MatrixModel(model.images, modulus)
-        elif not isinstance(model, MatrixModel):
-            raise CliError("--model matrix needs a matrix-model preset")
     if model is None:
         raise CliError(
             "presentation files need --model free; matrix models are preset-bound"

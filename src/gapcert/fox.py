@@ -8,14 +8,18 @@ inverse letter, d(s^-1)/d(s) = -s^-1, is forced by applying the product
 rule to s s^-1 = e and is covered by a dedicated unit test.
 
 laplacian1 adds the outer products (1 - s_i)(1 - s_j)* and d_i(r)* d_j(r)
-straight into one exact coefficient dict per entry (i, j); the RingMatrix
+straight into one coefficient dict per entry (i, j); the RingMatrix
 formula d0 d0* + sum_r J(r)* J(r) is the test oracle reference_laplacian.
+Each relator's derivatives by all generators come from one walk along its
+prefixes, every coefficient is an int until RingElement makes it a
+Fraction at the end, and each distinct product g*h is computed once per
+call, in a memo local to the call: one kept per model would also keep
+every product that ball enumeration asks the model for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,28 +30,33 @@ from .ring import RingElement, RingMatrix
 from .words import Presentation, Word
 
 
+def _derivative_row(model: GroupModel, w: Word, product) -> List[Dict[GroupElement, int]]:
+    """The derivatives of w by every generator, from one walk along w's prefixes.
+
+    Entry j maps each group element to its integer coefficient in d(w)/d(s_j);
+    a coefficient may be 0 where terms cancel.  product(g, h) is g*h in the
+    model.
+    """
+    gens = model.generators()
+    invs = [model.inverse(g) for g in gens]
+    row: List[Dict[GroupElement, int]] = [{} for _ in gens]
+    prefix = model.identity()
+    for idx, sign in w:
+        coeffs = row[idx]
+        if sign > 0:
+            coeffs[prefix] = coeffs.get(prefix, 0) + 1
+            prefix = product(prefix, gens[idx])
+        else:
+            prefix = product(prefix, invs[idx])
+            coeffs[prefix] = coeffs.get(prefix, 0) - 1
+    return row
+
+
 def fox_derivative(model: GroupModel, w: Word, j: int) -> RingElement:
     """Derivative of w with respect to generator j, evaluated in the model."""
     if j < 0 or j >= model.n_generators:
         raise ValueError(f"generator index {j} out of range")
-    gens = model.generators()
-    invs = [model.inverse(g) for g in gens]
-    coeffs: Dict[GroupElement, Fraction] = {}
-
-    def add(g: GroupElement, c: int):
-        coeffs[g] = coeffs.get(g, Fraction(0)) + c
-
-    prefix = model.identity()
-    for idx, sign in w:
-        if sign > 0:
-            if idx == j:
-                add(prefix, 1)
-            prefix = model.multiply(prefix, gens[idx])
-        else:
-            prefix = model.multiply(prefix, invs[idx])
-            if idx == j:
-                add(prefix, -1)
-    return RingElement(model, coeffs)
+    return RingElement(model, _derivative_row(model, w, model.multiply)[j])
 
 
 def default_relator_indices(p: Presentation) -> List[int]:
@@ -90,7 +99,14 @@ def laplacian1(
             if not 0 <= k < len(p.relators):
                 raise ValueError(f"relator index {k} out of range")
     n = p.n_generators
-    cells: List[List[Dict[GroupElement, Fraction]]] = [[{} for _ in range(n)] for _ in range(n)]
+    cells: List[List[Dict[GroupElement, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    products: Dict[Tuple[GroupElement, GroupElement], GroupElement] = {}
+
+    def product(g, h):
+        gh = products.get((g, h))
+        if gh is None:
+            gh = products[g, h] = model.multiply(g, h)
+        return gh
 
     def add_outer(left, right):
         """cells[i][j] += left[i] * right[j]; each a list of (element, coefficient)."""
@@ -98,18 +114,21 @@ def laplacian1(
             for cell, b in zip(row, right):
                 for g, c in a:
                     for h, d in b:
-                        gh = model.multiply(g, h)
+                        gh = product(g, h)
                         cell[gh] = cell.get(gh, 0) + c * d
 
     def star(terms):
         return [[(model.inverse(g), c) for g, c in t] for t in terms]
 
     # d0 d0* = u u* for the column u = [1 - s_i]
-    u = [[(model.identity(), Fraction(1)), (s, Fraction(-1))] for s in model.generators()]
+    u = [[(model.identity(), 1), (s, -1)] for s in model.generators()]
     add_outer(u, star(u))
     for k in indices:
         # J(r)* J(r) = D* D for the derivative row D of r; J's zero rows add nothing
-        row = [list(fox_derivative(model, p.relators[k], j).coeffs.items()) for j in range(n)]
+        row = [
+            [(g, c) for g, c in coeffs.items() if c]
+            for coeffs in _derivative_row(model, p.relators[k], product)
+        ]
         add_outer(star(row), row)
     matrix = RingMatrix(model, [[RingElement(model, cell) for cell in r] for r in cells])
     return Laplacian1(matrix, p, model, tuple(indices))

@@ -52,9 +52,10 @@ class GroupElement:
 
 def _mat_mul(a: MatrixKey, b: MatrixKey, mod: Optional[int] = None) -> MatrixKey:
     cols = tuple(zip(*b))
+    # list comprehensions: tuple() over a generator expression costs more here
     if mod is None:
-        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-    return tuple(tuple(sum(map(mul, row, col)) % mod for col in cols) for row in a)
+        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+    return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
 
 
 def _mat_identity(d: int) -> MatrixKey:

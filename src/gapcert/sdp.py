@@ -287,21 +287,25 @@ def write_sdpa(problem: SdpProblem, fh) -> None:
         fh.write(chunk)
 
 
-def _lines(text: str, start: int = 0) -> Iterator[Tuple[int, str]]:
-    """(end, line) for the lines of text from offset start on, end the offset past the line."""
+def _lines(text: str, start: int = 0) -> Iterator[Tuple[int, int]]:
+    """(start, end) offsets of the lines of text from offset start on, end at the line's newline."""
     while start < len(text):
         end = text.find("\n", start)
         if end < 0:
             end = len(text)
-        yield end + 1, text[start:end]
+        yield start, end
         start = end + 1
 
 
-def _data_lines(text: str, start: int = 0) -> Iterator[Tuple[int, str]]:
-    """_lines without the blank and comment lines, which carry no data."""
-    return (
-        (end, line) for end, line in _lines(text, start) if line.lstrip()[:1] not in ("", "*", '"')
-    )
+_NONSPACE = re.compile(r"\S")  # \s is what str.split and str.strip take for whitespace
+
+
+def _data_lines(text: str, start: int = 0) -> Iterator[Tuple[int, int]]:
+    """_lines without the blank and comment lines, which carry no data; no line is copied."""
+    for a, b in _lines(text, start):
+        first = _NONSPACE.search(text, a, b)
+        if first is not None and text[first.start()] not in '*"':
+            yield a, b
 
 
 def _entries_match(text: str, start: int, chunks: Iterator[str]) -> bool:
@@ -320,7 +324,7 @@ def _entries_match(text: str, start: int, chunks: Iterator[str]) -> bool:
     expected = chain.from_iterable(c.splitlines() for c in chain([chunk], chunks))
     return not any(
         a != b and (a is None or b is None or a.split() != b.split())
-        for a, b in zip_longest((line for _, line in _data_lines(text, start)), expected)
+        for a, b in zip_longest((text[s:e] for s, e in _data_lines(text, start)), expected)
     )
 
 
@@ -333,11 +337,12 @@ def import_sdpa(text: str) -> SdpProblem:
     whitespace tokens.  Neither text is held twice, and the objective
     vector is read _CHUNK tokens at a time.
     """
-    meta = next(
-        (json.loads(line.strip()[len(_META_PREFIX):]) for _, line in _lines(text)
-         if line.strip().startswith(_META_PREFIX)),
-        None,
-    )
+    meta = None
+    for a, b in _lines(text):
+        line = text[a:b].strip()
+        if line.startswith(_META_PREFIX):
+            meta = json.loads(line[len(_META_PREFIX):])
+            break
     if meta is None:
         raise ValueError("missing *META line; not a gapcert export")
     model = model_from_spec(meta["model"])
@@ -347,19 +352,17 @@ def import_sdpa(text: str) -> SdpProblem:
     n = _json_int(meta["n"], "n")
     m = len(basis)
     lines = _data_lines(text)
-    line, at = "", 0  # the last line read and the offset of its unread part
-    pos = 0  # the offset past the last line read
+    at = end = 0  # the offsets of the unread part and the end of the last line read
 
     def pieces(count):
-        """The next count tokens, in lists of at most _CHUNK, never copying a line's tail."""
-        nonlocal pos, line, at
+        """The next count tokens, in lists of at most _CHUNK, read from text in place."""
+        nonlocal at, end
         while count > 0:
-            found = _PIECE.search(line, at)
+            found = _PIECE.search(text, at, end)
             if found is None:
-                pos, line = next(lines, (None, None))
-                if line is None:
+                at, end = next(lines, (None, None))
+                if at is None:
                     raise ValueError("truncated SDPA file")
-                at = 0
                 continue
             tokens = found.group().split(None, count)
             unread = tokens.pop() if len(tokens) > count else ""
@@ -388,7 +391,9 @@ def import_sdpa(text: str) -> SdpProblem:
     problem.targets[i, j, pid] = c
     problem.targets[j, i, problem.inverse_pid[pid]] = c
     # a token left after the objective vector is an entry sharing its line
-    if _PIECE.search(line, at) or not _entries_match(text, pos, _entry_chunks(problem, keys)):
+    if _PIECE.search(text, at, end) or not _entries_match(
+        text, end + 1, _entry_chunks(problem, keys)
+    ):
         raise ValueError("entry lines do not match the constraints the basis implies")
     return problem
 

@@ -439,6 +439,9 @@ def _enclosure_cases():
     for _ in range(300):
         scale = Fraction(2) ** rng.randint(-1130, 60)
         yield Fraction(rng.randint(1, 10 ** 20), rng.randint(1, 10 ** 20)) * scale
+    # integers around and beyond the last run of consecutive doubles, 2^53
+    for k in (0, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 60 + 1, 10 ** 30, 3 * 2 ** 1000):
+        yield from (k, -k)
 
 
 def test_enclose_gives_equal_endpoints_on_doubles():

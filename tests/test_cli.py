@@ -344,6 +344,14 @@ def test_model_override_modular(capsys):
     assert json.loads(out)["model"]["modulus"] == 2
 
 
+def test_model_matrix_refuses_a_modular_preset(capsys):
+    code, out, err = _run(capsys, "show", "--preset", "sl3z-mod:2", "--model", "matrix")
+    assert code == 1 and out == ""
+    assert err == "error: --model matrix needs a matrix preset without a modulus\n"
+    code, out, _ = _run(capsys, "show", "--preset", "sl3z", "--model", "matrix")
+    assert code == 0 and json.loads(out)["model"]["type"] == "matrix"
+
+
 def test_exclude_relator_by_label(capsys):
     code, out_all, _ = _run(
         capsys, "laplacian", "--preset", "sl3z", "--exclude-relator", "none"

@@ -221,6 +221,23 @@ def test_laplacian_star_invariant_exact():
         )
 
 
+@pytest.mark.parametrize("preset, products", [("sl3z-mod:2", 94), ("sl3z", 136)])
+def test_laplacian_multiplies_each_distinct_pair_once(monkeypatch, preset, products):
+    # each distinct product g*h once per call, prefix walks included; walking
+    # each relator once per generator without a memo makes 714 on both
+    p, model = load_preset(preset)
+    calls = []
+    multiply = MatrixModel.multiply
+
+    def counted(self, a, b):
+        calls.append((a.key, b.key))
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(MatrixModel, "multiply", counted)
+    laplacian1(model, p)
+    assert len(calls) == len(set(calls)) == products
+
+
 def _keyed(M):
     """Each entry of a ring matrix as a dict from group key to coefficient."""
     return [[{g.key: c for g, c in e.coeffs.items()} for e in row] for row in M.entries]

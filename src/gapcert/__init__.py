@@ -20,7 +20,6 @@ from .words import (  # noqa: F401
 from .groups import (  # noqa: F401
     CyclicModel,
     FreeModel,
-    GroupElement,
     GroupModel,
     InconsistentModelError,
     MatrixModel,

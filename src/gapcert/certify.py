@@ -42,7 +42,6 @@ import numpy as np
 
 from .fox import Laplacian1, laplacian1
 from .groups import (
-    GroupElement,
     SupportBasis,
     _json_int,
     check_ball_radius,
@@ -418,7 +417,7 @@ def make_certificate(
         model_spec=model.spec(),
         relator_indices=tuple(lap.relator_indices),
         relator_labels=tuple(p.labels[k] for k in lap.relator_indices),
-        basis_keys=[model.key_to_json(e.key) for e in basis],
+        basis_keys=[model.key_to_json(key) for key in basis],
         basis_radius=basis.radius,
         lam=repr(float(lam)),
         lambda0=repr(float(lambda0)),
@@ -474,8 +473,8 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     if cert.status != _status(stored_lambda0):
         raise CertificateError(f"stored status {cert.status!r} contradicts its lambda0")
     try:
-        elements = [GroupElement(model, model.key_from_json(k)) for k in cert.basis_keys]
-        basis = SupportBasis(elements, cert.basis_radius)
+        keys = [model.key_from_json(k) for k in cert.basis_keys]
+        basis = SupportBasis(model, keys, cert.basis_radius)
         check_ball_radius(basis)
     except (TypeError, ValueError) as exc:
         raise SupportReconstructionError(f"stored basis is invalid: {exc}") from exc

@@ -144,8 +144,8 @@ def cmd_ball(args) -> int:
     if args.json:
         _emit(basis.to_json(), args.out)
     else:
-        for el in basis:
-            print(json.dumps(model.key_to_json(el.key)))
+        for key in basis:
+            print(json.dumps(model.key_to_json(key)))
     return 0
 
 

@@ -21,16 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import GroupElement, GroupModel, ball_elements
+from .groups import GroupModel, Key, ball_elements
 from .ring import RingElement, RingMatrix
 from .words import Presentation, Word
 
 
-def _derivative_row(model: GroupModel, w: Word, product) -> List[Dict[GroupElement, int]]:
+def _derivative_row(model: GroupModel, w: Word, product) -> List[Dict[Key, int]]:
     """The derivatives of w by every generator, from one walk along w's prefixes.
 
     Entry j maps each group element to its integer coefficient in d(w)/d(s_j);
@@ -39,7 +39,7 @@ def _derivative_row(model: GroupModel, w: Word, product) -> List[Dict[GroupEleme
     """
     gens = model.generators()
     invs = [model.inverse(g) for g in gens]
-    row: List[Dict[GroupElement, int]] = [{} for _ in gens]
+    row: List[Dict[Key, int]] = [{} for _ in gens]
     prefix = model.identity()
     for idx, sign in w:
         coeffs = row[idx]
@@ -99,8 +99,8 @@ def laplacian1(
             if not 0 <= k < len(p.relators):
                 raise ValueError(f"relator index {k} out of range")
     n = p.n_generators
-    cells: List[List[Dict[GroupElement, int]]] = [[{} for _ in range(n)] for _ in range(n)]
-    products: Dict[Tuple[GroupElement, GroupElement], GroupElement] = {}
+    cells: List[List[Dict[Key, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    products: Dict[Tuple[Key, Key], Key] = {}
 
     def product(g, h):
         gh = products.get((g, h))
@@ -148,9 +148,9 @@ def _as_matrix(img) -> np.ndarray:
 def representation_table(
     model: GroupModel,
     images: Sequence[np.ndarray],
-    support: Sequence[GroupElement],
+    support: Iterable[Key],
 ) -> Dict:
-    """Map each support element's key to its image matrix.
+    """Map each support element to its image matrix.
 
     Images must be unitary to 1e-10 and extend generator-by-generator
     along a BFS of the model of at most 64 steps; when a normal form is
@@ -167,34 +167,29 @@ def representation_table(
             raise RepresentationError("generator images must share one dimension")
         if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
             raise RepresentationError("generator image is not unitary")
-    gen_elems = []
-    gen_mats = []
-    seen_gen = set()
-    for i in range(model.n_generators):
-        g = model.generator(i)
-        for el, mat in ((g, mats[i]), (model.inverse(g), mats[i].conj().T)):
-            if el.key not in seen_gen:
-                seen_gen.add(el.key)
-                gen_elems.append(el)
-                gen_mats.append(mat)
+    # the symmetrized generators' images, in symmetrized_generators' order
+    gen_mats: Dict[Key, np.ndarray] = {}
+    for g, mat in zip(model.generators(), mats):
+        gen_mats.setdefault(g, mat)
+        gen_mats.setdefault(model.inverse(g), mat.conj().T)
     ident = model.identity()
-    table = {ident.key: eye}
-    pending = {el.key for el in support if el.key not in table}
+    table = {ident: eye}
+    pending = set(support) - {ident}
     frontier = [ident]
     for _ in range(64):
         if not pending or not frontier:
             break
         nxt = []
         for el in frontier:
-            cur = table[el.key]
-            for s, smat in zip(gen_elems, gen_mats):
+            cur = table[el]
+            for s, smat in gen_mats.items():
                 prod = model.multiply(el, s)
                 pm = cur @ smat
-                known = table.get(prod.key)
+                known = table.get(prod)
                 if known is None:
-                    table[prod.key] = pm
+                    table[prod] = pm
                     nxt.append(prod)
-                    pending.discard(prod.key)
+                    pending.discard(prod)
                 elif np.max(np.abs(pm - known)) > 1e-8:
                     raise RepresentationError(
                         "images are inconsistent with the model's relations"
@@ -217,14 +212,7 @@ def evaluate_representation(
     With a presentation, each relator's image must be the identity to 1e-10.
     """
     model = M.model
-    support: List[GroupElement] = []
-    seen = set()
-    for row in M.entries:
-        for e in row:
-            for g in e.support():
-                if g.key not in seen:
-                    seen.add(g.key)
-                    support.append(g)
+    support = {g for row in M.entries for e in row for g in e.coeffs}
     table = representation_table(model, images, support)
     if presentation is not None:
         # evaluate each relator word through the raw images; the table's
@@ -248,7 +236,7 @@ def evaluate_representation(
             block = np.zeros((k, k), dtype=dtype)
             e = M.entry(i, j)
             for g in e.support():
-                block += float(e.coefficient(g)) * table[g.key]
+                block += float(e.coefficient(g)) * table[g]
             out[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
     return out
 
@@ -257,20 +245,20 @@ def regular_representation_images(model: GroupModel):
     """Left-regular permutation images for a finite model.
 
     Enumerates the whole group, at most 200000 elements, as the ball of
-    radius 200000 and returns (images, elements); images[i][x, y] = 1 iff
-    generator_i * elements[y] == elements[x].
+    radius 200000 and returns (images, elements), the elements as keys;
+    images[i][x, y] = 1 iff generator_i * elements[y] == elements[x].
     """
     # a group of at most 200000 elements has diameter below 200000
     elements = list(islice(ball_elements(model, 200000), 200001))
     if len(elements) > 200000:
         raise ValueError("group appears infinite or too large")
-    order = {el.key: x for x, el in enumerate(elements)}
+    order = {el: x for x, el in enumerate(elements)}
     size = len(elements)
     images = []
     for g in model.generators():
         mat = np.zeros((size, size))
         for y, h in enumerate(elements):
-            x = order[model.multiply(g, h).key]
+            x = order[model.multiply(g, h)]
             mat[x, y] = 1.0
         images.append(mat)
     return images, elements

@@ -1,9 +1,13 @@
 """Group models: canonical normal forms, multiplication, and metric balls.
 
-A model realizes the presented group concretely so that equal group
-elements get equal hashable keys.  Integer matrix entries are Python ints,
-so products never overflow; the product table uses int64 arrays only
-where a bound on the entries rules overflow out.
+A model realizes the presented group concretely: a group element is its
+key, a hashable normal form that equal elements share (a tuple of integer
+rows for a matrix model, a residue for a cyclic one, a freely reduced
+tuple of letters for a free one), and the model's methods take and return
+keys.  Keys sort in one fixed order, which orders every support.  Integer
+matrix entries are Python ints, so products never overflow; the product
+table uses int64 arrays only where a bound on the entries rules overflow
+out.
 """
 
 from __future__ import annotations
@@ -12,42 +16,18 @@ import hashlib
 import json
 from itertools import islice
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .words import Presentation, Word
 
+Key = Hashable  # a group element: its model's normal form
 MatrixKey = Tuple[Tuple[int, ...], ...]
 
 
 class InconsistentModelError(ValueError):
     """A relator does not evaluate to the identity under the model."""
-
-
-class GroupElement:
-    __slots__ = ("model", "key", "_hash")
-
-    def __init__(self, model: "GroupModel", key):
-        self.model = model
-        self.key = key
-        self._hash = hash(key)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.key == other.key
-            and self.model.model_id == other.model.model_id
-        )
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"GroupElement({self.key!r})"
 
 
 def _mat_mul(a: MatrixKey, b: MatrixKey, mod: Optional[int] = None) -> MatrixKey:
@@ -89,27 +69,27 @@ def _adjugate(a: MatrixKey) -> MatrixKey:
 
 
 class GroupModel:
-    """Interface shared by all models."""
+    """Interface shared by all models; every element is a key."""
 
     model_id: str
     n_generators: int
 
-    def identity(self) -> GroupElement:
+    def identity(self) -> Key:
         raise NotImplementedError
 
-    def generator(self, i: int) -> GroupElement:
+    def generator(self, i: int) -> Key:
         raise NotImplementedError
 
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
+    def multiply(self, a: Key, b: Key) -> Key:
         raise NotImplementedError
 
-    def inverse(self, a: GroupElement) -> GroupElement:
+    def inverse(self, a: Key) -> Key:
         raise NotImplementedError
 
-    def generators(self) -> List[GroupElement]:
+    def generators(self) -> List[Key]:
         return [self.generator(i) for i in range(self.n_generators)]
 
-    def evaluate(self, w: Word) -> GroupElement:
+    def evaluate(self, w: Word) -> Key:
         out = self.identity()
         gens = self.generators()
         invs = [self.inverse(g) for g in gens]
@@ -128,9 +108,6 @@ class GroupModel:
     def key_from_json(self, data):
         """The key a JSON value names; ValueError unless it is a valid key."""
         raise NotImplementedError
-
-    def _wrap(self, key) -> GroupElement:
-        return GroupElement(self, key)
 
 
 def _spec_id(spec: dict) -> str:
@@ -182,20 +159,20 @@ class MatrixModel(GroupModel):
         det_inv = self._det_inverse(key)
         return tuple(tuple(self._reduce(x * det_inv) for x in row) for row in _adjugate(key))
 
-    def identity(self) -> GroupElement:
-        return self._wrap(_mat_identity(self.dim))
+    def identity(self) -> MatrixKey:
+        return _mat_identity(self.dim)
 
-    def generator(self, i: int) -> GroupElement:
-        return self._wrap(self.images[i])
+    def generator(self, i: int) -> MatrixKey:
+        return self.images[i]
 
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self._wrap(_mat_mul(a.key, b.key, self.modulus))
+    def multiply(self, a: MatrixKey, b: MatrixKey) -> MatrixKey:
+        return _mat_mul(a, b, self.modulus)
 
-    def inverse(self, a: GroupElement) -> GroupElement:
-        key = self._inverses.get(a.key)
-        if key is None:
-            key = self._inverses[a.key] = self._invert_key(a.key)
-        return self._wrap(key)
+    def inverse(self, a: MatrixKey) -> MatrixKey:
+        inv = self._inverses.get(a)
+        if inv is None:
+            inv = self._inverses[a] = self._invert_key(a)
+        return inv
 
     def spec(self) -> dict:
         spec = {"type": "matrix" if self.modulus is None else "modular", "dim": self.dim}
@@ -232,19 +209,19 @@ class CyclicModel(GroupModel):
         self.n_generators = 1
         self.model_id = f"cyclic:{n}"
 
-    def identity(self) -> GroupElement:
-        return self._wrap(0)
+    def identity(self) -> int:
+        return 0
 
-    def generator(self, i: int) -> GroupElement:
+    def generator(self, i: int) -> int:
         if i != 0:
             raise ValueError("cyclic model has a single generator")
-        return self._wrap(1 % self.n)
+        return 1 % self.n
 
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self._wrap((a.key + b.key) % self.n)
+    def multiply(self, a: int, b: int) -> int:
+        return (a + b) % self.n
 
-    def inverse(self, a: GroupElement) -> GroupElement:
-        return self._wrap((-a.key) % self.n)
+    def inverse(self, a: int) -> int:
+        return (-a) % self.n
 
     def spec(self) -> dict:
         return {"type": "cyclic", "n": self.n}
@@ -273,25 +250,25 @@ class FreeModel(GroupModel):
         self.sound = sound
         self.model_id = f"free:{n_generators}:{'sound' if sound else 'unsound'}"
 
-    def identity(self) -> GroupElement:
-        return self._wrap(())
+    def identity(self) -> Tuple[int, ...]:
+        return ()
 
-    def generator(self, i: int) -> GroupElement:
+    def generator(self, i: int) -> Tuple[int, ...]:
         if not 0 <= i < self.n_generators:
             raise ValueError("generator index out of range")
-        return self._wrap((i + 1,))
+        return (i + 1,)
 
-    def multiply(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        out = list(a.key)
-        for x in b.key:
+    def multiply(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+        out = list(a)
+        for x in b:
             if out and out[-1] == -x:
                 out.pop()
             else:
                 out.append(x)
-        return self._wrap(tuple(out))
+        return tuple(out)
 
-    def inverse(self, a: GroupElement) -> GroupElement:
-        return self._wrap(tuple(-x for x in reversed(a.key)))
+    def inverse(self, a: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(-x for x in reversed(a))
 
     def spec(self) -> dict:
         return {"type": "free", "generators": self.n_generators, "sound": self.sound}
@@ -375,12 +352,11 @@ def _generic_products(basis: "SupportBasis"):
     index maps each class's key to the class.
     """
     model = basis.model
-    inverses = [model.inverse(el) for el in basis.elements]
     index: dict = {}
     pid, first = [], []
-    for inv_x in inverses:
-        for el in basis.elements:
-            key = model.multiply(inv_x, el).key
+    for inv_x in map(model.inverse, basis.elements):
+        for y in basis.elements:
+            key = model.multiply(inv_x, y)
             p = index.get(key)
             if p is None:
                 p = index[key] = len(first)
@@ -402,8 +378,8 @@ def _batched_products(basis: "SupportBasis"):
     model = basis.model
     if not isinstance(model, MatrixModel):
         return None
-    keys = [el.key for el in basis.elements]
-    inverses = [model.inverse(el).key for el in basis.elements]
+    keys = basis.elements
+    inverses = [model.inverse(x) for x in keys]
     largest = lambda ks: max(abs(v) for k in ks for row in k for v in row)
     if model.dim * largest(inverses) * largest(keys) >= _INT64_LIMIT:
         return None
@@ -428,7 +404,7 @@ class ProductTable:
     pid[x, y] is the class of E[x]^-1 E[y], classes numbered in first-seen
     order (x-major, then y), and inverse_pid[p] the class of the inverse
     product, both int64 arrays; slots() derives the constraint index from
-    pid, and find() maps group element keys to classes.  Matrix models
+    pid, and find() maps group elements to classes.  Matrix models
     build the table with int64 array products when no entry can overflow,
     and find() looks keys up among the sorted int64 product rows.  Every
     other model builds it with one model.multiply per pair, and find()
@@ -452,7 +428,7 @@ class ProductTable:
         return len(self.inverse_pid)
 
     def find(self, keys: Sequence) -> List[Optional[int]]:
-        """The class of each group element key, None for a key that is no product x^-1 y."""
+        """The class of each group element, None for one that is no product x^-1 y."""
         if self._rows is None:
             return [self._index.get(key) for key in keys]
         if not keys:
@@ -479,27 +455,25 @@ class ProductTable:
 
 
 class SupportBasis:
-    """Ordered, inversion-closed list of distinct elements; identity first."""
+    """Ordered, inversion-closed list of distinct keys of one model; identity first."""
 
     __slots__ = ("model", "elements", "index", "radius", "_products")
 
-    def __init__(self, elements: Sequence[GroupElement], radius: Optional[int] = None):
-        elements = list(elements)
+    def __init__(self, model: GroupModel, keys: Iterable[Key], radius: Optional[int] = None):
+        elements = tuple(keys)
         if not elements:
             raise ValueError("support basis must be nonempty")
-        self.model = elements[0].model
-        ident = self.model.identity()
-        if elements[0] != ident:
+        if elements[0] != model.identity():
             raise ValueError("support basis must start with the identity")
         self.index = {}
-        for pos, el in enumerate(elements):
-            if el.key in self.index:
-                raise ValueError(f"duplicate element {el.key!r} in support basis")
-            self.index[el.key] = pos
-        for el in elements:
-            if self.model.inverse(el).key not in self.index:
-                raise ValueError("support basis is not closed under inversion")
-        self.elements = tuple(elements)
+        for pos, key in enumerate(elements):
+            if key in self.index:
+                raise ValueError(f"duplicate element {key!r} in support basis")
+            self.index[key] = pos
+        if any(model.inverse(key) not in self.index for key in elements):
+            raise ValueError("support basis is not closed under inversion")
+        self.model = model
+        self.elements = elements
         self.radius = radius
         self._products = None
 
@@ -518,31 +492,23 @@ class SupportBasis:
         return {
             "model": self.model.spec(),
             "radius": self.radius,
-            "keys": [self.model.key_to_json(el.key) for el in self.elements],
+            "keys": [self.model.key_to_json(key) for key in self.elements],
         }
 
 
-def symmetrized_generators(model: GroupModel) -> List[GroupElement]:
+def symmetrized_generators(model: GroupModel) -> List[Key]:
     """Generators and their inverses, deduplicated, in generator order."""
-    out: List[GroupElement] = []
-    seen = set()
-    for i in range(model.n_generators):
-        g = model.generator(i)
-        for el in (g, model.inverse(g)):
-            if el.key not in seen:
-                seen.add(el.key)
-                out.append(el)
-    return out
+    return list(dict.fromkeys(el for g in model.generators() for el in (g, model.inverse(g))))
 
 
 def ball(model: GroupModel, radius: int) -> SupportBasis:
     """Metric ball of the given radius, in deterministic BFS order."""
     # a BFS ball over symmetrized generators is closed under inversion;
     # SupportBasis checks it
-    return SupportBasis(list(ball_elements(model, radius)), radius)
+    return SupportBasis(model, ball_elements(model, radius), radius)
 
 
-def ball_elements(model: GroupModel, radius: int) -> Iterator[GroupElement]:
+def ball_elements(model: GroupModel, radius: int) -> Iterator[Key]:
     """The elements of `ball`, yielded as the BFS finds them.
 
     A caller that needs only a prefix can stop early, without paying for
@@ -554,7 +520,7 @@ def ball_elements(model: GroupModel, radius: int) -> Iterator[GroupElement]:
         raise ValueError("refusing to enumerate a ball for an unsound free model")
     gens = symmetrized_generators(model)
     ident = model.identity()
-    seen = {ident.key}
+    seen = {ident}
     yield ident
     frontier = [ident]
     for _ in range(radius):
@@ -562,8 +528,8 @@ def ball_elements(model: GroupModel, radius: int) -> Iterator[GroupElement]:
         for el in frontier:
             for s in gens:
                 prod = model.multiply(el, s)
-                if prod.key not in seen:
-                    seen.add(prod.key)
+                if prod not in seen:
+                    seen.add(prod)
                     nxt.append(prod)
                     yield prod
         if not nxt:
@@ -578,5 +544,5 @@ def check_ball_radius(basis: SupportBasis) -> None:
     radius = _json_int(basis.radius, "basis radius")
     # one element past the basis settles it, however large the radius
     expected = islice(ball_elements(basis.model, radius), len(basis) + 1)
-    if [e.key for e in expected] != [e.key for e in basis]:
+    if tuple(expected) != basis.elements:
         raise ValueError(f"basis does not match the ball of radius {radius}")

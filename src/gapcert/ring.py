@@ -1,12 +1,14 @@
 """Finitely supported group-ring elements and matrices over them.
 
-Coefficients are exact rationals (Fraction); ints are promoted, and any
-other type, floats included, is a TypeError.  These are containers with
-no ring arithmetic: fox.laplacian1 adds outer products straight into
-exact coefficient dicts, and the SDP and the certifier read the result
-once, through the integer index of the problem's product table.  The
-exact arithmetic the tests check against (sum, product, identity, l1, the
-order-unit construction and verify_sos) is in tests/_oracles.py.
+A ring element maps group elements, which are their model's keys, to
+coefficients, and its support sorts in key order.  Coefficients are
+exact rationals (Fraction); ints are promoted, and any other type, floats
+included, is a TypeError.  These are containers with no ring arithmetic:
+fox.laplacian1 adds outer products straight into exact coefficient
+dicts, and the SDP and the certifier read the result once, through the
+integer index of the problem's product table.  The exact arithmetic the
+tests check against (sum, product, identity, l1, the order-unit
+construction and verify_sos) is in tests/_oracles.py.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .groups import GroupElement, GroupModel
+from .groups import GroupModel, Key
 
 
 def _promote(value) -> Fraction:
@@ -26,11 +28,11 @@ def _promote(value) -> Fraction:
 
 
 class RingElement:
-    """Sparse element of the group ring: GroupElement -> coefficient."""
+    """Sparse element of the group ring: group element (a key) -> coefficient."""
 
     __slots__ = ("model", "coeffs")
 
-    def __init__(self, model: GroupModel, coeffs: Dict[GroupElement, Fraction]):
+    def __init__(self, model: GroupModel, coeffs: Dict[Key, Fraction]):
         clean = {}
         for g, c in coeffs.items():
             c = _promote(c)
@@ -39,10 +41,10 @@ class RingElement:
         self.model = model
         self.coeffs = clean
 
-    def support(self) -> List[GroupElement]:
+    def support(self) -> List[Key]:
         return sorted(self.coeffs)
 
-    def coefficient(self, g: GroupElement) -> Fraction:
+    def coefficient(self, g: Key) -> Fraction:
         return self.coeffs.get(g, Fraction(0))
 
     def star(self) -> "RingElement":
@@ -60,7 +62,7 @@ class RingElement:
     def __repr__(self):
         if not self.coeffs:
             return "RingElement(0)"
-        parts = [f"{c}*[{g.key}]" for g, c in sorted(self.coeffs.items(), key=lambda t: t[0])]
+        parts = [f"{self.coeffs[g]}*[{g}]" for g in self.support()]
         return "RingElement(" + " + ".join(parts) + ")"
 
 
@@ -124,8 +126,8 @@ class RingMatrix:
             "entries": [
                 [
                     [
-                        [self.model.key_to_json(g.key), str(c)]
-                        for g, c in sorted(e.coeffs.items(), key=lambda t: t[0])
+                        [self.model.key_to_json(g), str(e.coeffs[g])]
+                        for g in e.support()
                     ]
                     for e in row
                 ]

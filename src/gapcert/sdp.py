@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .groups import (
-    GroupElement,
+    Key,
     MatrixModel,
     SupportBasis,
     _json_int,
@@ -84,8 +84,13 @@ class SdpProblem:
             raise ValueError(f"targets must have shape {(self.n, self.n, self.npairs)}")
 
     def constraint_count(self) -> int:
-        """Logical constraints: one per (i <= j, product)."""
-        return self.n * (self.n + 1) // 2 * self.npairs
+        """The number of rows of export_keys(), without building them.
+
+        One constraint per (i < j, class) and, on each diagonal entry, one
+        per pair of mutually inverse classes.
+        """
+        paired = int(np.count_nonzero(self.inverse_pid >= np.arange(self.npairs)))
+        return self.n * (self.n - 1) // 2 * self.npairs + self.n * paired
 
     def export_keys(self) -> np.ndarray:
         """Deterministic constraint order used by the SDPA export: (K, 3) rows (i, j, pid).
@@ -102,7 +107,7 @@ class SdpProblem:
         return (
             self.n == other.n
             and self.basis.model.spec() == other.basis.model.spec()
-            and [e.key for e in self.basis] == [e.key for e in other.basis]
+            and self.basis.elements == other.basis.elements
             and self.basis.radius == other.basis.radius
             and np.array_equal(self.targets, other.targets)
         )
@@ -125,9 +130,9 @@ def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
         for j, entry in enumerate(row)
         for g in entry.support()
     ]
-    pids = basis.products().find([g.key for _, _, g, _ in terms])
+    pids = basis.products().find([g for _, _, g, _ in terms])
     inside: Dict[Tuple[int, int, int], Fraction] = {}
-    outside: List[Tuple[GroupElement, Fraction]] = []
+    outside: List[Tuple[Key, Fraction]] = []
     for (i, j, g, c), pid in zip(terms, pids):
         if pid is None:
             outside.append((g, c))
@@ -145,7 +150,7 @@ def build_problem(source, basis: SupportBasis) -> SdpProblem:
     matrix = source.matrix if isinstance(source, Laplacian1) else source
     inside, outside = target_coefficients(matrix, basis)
     if outside:
-        raise SupportTooSmallError(dict.fromkeys(g.key for g, _ in outside))
+        raise SupportTooSmallError(dict.fromkeys(g for g, _ in outside))
     n = matrix.n_rows
     targets = np.zeros((n, n, len(basis.products())))
     for cell, c in inside.items():
@@ -248,7 +253,7 @@ def _sdpa_chunks(problem: SdpProblem) -> Iterator[str]:
         "n": n,
         "model": problem.basis.model.spec(),
         "radius": problem.basis.radius,
-        "basis": [problem.basis.model.key_to_json(e.key) for e in problem.basis],
+        "basis": [problem.basis.model.key_to_json(key) for key in problem.basis],
     }
     yield "\n".join((
         "* gapcert sparse SDPA export (format v1)",
@@ -346,8 +351,9 @@ def import_sdpa(text: str) -> SdpProblem:
     if meta is None:
         raise ValueError("missing *META line; not a gapcert export")
     model = model_from_spec(meta["model"])
-    elements = [GroupElement(model, model.key_from_json(k)) for k in meta["basis"]]
-    basis = SupportBasis(elements, meta.get("radius"))
+    basis = SupportBasis(
+        model, [model.key_from_json(k) for k in meta["basis"]], meta.get("radius")
+    )
     check_ball_radius(basis)
     n = _json_int(meta["n"], "n")
     m = len(basis)
@@ -454,7 +460,7 @@ def _fixing_conjugations(problem: SdpProblem) -> List[Tuple[np.ndarray, np.ndarr
     images = {key: a for a, key in enumerate(model.images)}
     if not len(images) == model.n_generators == problem.n:
         return []
-    keys = [el.key for el in problem.basis]
+    keys = list(problem.basis)
     pid, targets = problem.table.pid, problem.targets
     kept = []
     for p in permutations(range(3)):

@@ -15,22 +15,23 @@ from typing import Iterable, Iterator, List, Tuple, Union
 import numpy as np
 
 from gapcert.fox import fox_derivative
-from gapcert.groups import GroupElement, SupportBasis, model_from_spec
+from gapcert.groups import Key, SupportBasis, model_from_spec
 from gapcert.ring import RingElement, RingMatrix
 
 
 Factor = Union[RingMatrix, Tuple[object, RingMatrix]]
 
 
-def element(g, c=1) -> RingElement:
-    """The ring element c*g."""
-    return RingElement(g.model, {g: c})
+def element(model, g, c=1) -> RingElement:
+    """The ring element c*g of the model's group ring."""
+    return RingElement(model, {g: c})
 
 
 def identity(model, n, c=1) -> RingMatrix:
     """c times the n x n identity; c = 0 gives the zero matrix."""
     e = model.identity()
-    return RingMatrix(model, [[element(e, c * (i == j)) for j in range(n)] for i in range(n)])
+    rows = [[element(model, e, c * (i == j)) for j in range(n)] for i in range(n)]
+    return RingMatrix(model, rows)
 
 
 def add(a, b, c=1):
@@ -70,7 +71,7 @@ def sum_of_squares(model, n, factors, c=0) -> RingMatrix:
     return reduce(add, (mul(f.adjoint(), f) for f in factors), identity(model, n, c))
 
 
-def class_elements(table, basis) -> List[GroupElement]:
+def class_elements(table, basis) -> List[Key]:
     """Each class of a ProductTable as the group element x^-1 y at its first cell."""
     model, E = basis.model, basis.elements
     return [model.multiply(model.inverse(E[x]), E[y]) for (x, y), *_ in members(table)]
@@ -140,27 +141,27 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
         x = M.entry(i, i)
         seen = set()
         for g in x.support():
-            if g.key in seen:
+            if g in seen:
                 continue
             c = x.coefficient(g)
             g_inv = model.inverse(g)
             if g == ident:
-                seen.add(g.key)
+                seen.add(g)
                 used[i] += abs(c)
                 if c + abs(c) != 0:
                     factors.append(
-                        (c + abs(c), embedded({(i, i): element(ident)}))
+                        (c + abs(c), embedded({(i, i): element(model, ident)}))
                     )
             elif g_inv == g:
                 # involution: (1 +- g)*(1 +- g) = 2 +- 2g
-                seen.add(g.key)
+                seen.add(g)
                 used[i] += abs(c)
                 sign = 1 if c > 0 else -1
-                f = add(element(ident), element(g, sign))
+                f = add(element(model, ident), element(model, g, sign))
                 factors.append((abs(c) / 2, embedded({(i, i): f})))
             else:
-                seen.add(g.key)
-                seen.add(g_inv.key)
+                seen.add(g)
+                seen.add(g_inv)
                 if x.coefficient(g_inv) != c:
                     raise NotStarInvariantError(
                         f"diagonal entry {i} is not *-invariant"
@@ -168,7 +169,7 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
                 # pair: (1 +- g)*(1 +- g) = 2 +- (g + g^-1)
                 used[i] += 2 * abs(c)
                 sign = 1 if c > 0 else -1
-                f = add(element(ident), element(g, sign))
+                f = add(element(model, ident), element(model, g, sign))
                 factors.append((abs(c), embedded({(i, i): f})))
 
     for i in range(n):
@@ -181,10 +182,10 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
                 # (I2 + X)*(I2 + X) = 2 I2 + 2 X for X = [[0, +-g], [+-g^-1, 0]]
                 f = embedded(
                     {
-                        (i, i): element(ident),
-                        (i, j): element(g, sign),
-                        (j, i): element(g_inv, sign),
-                        (j, j): element(ident),
+                        (i, i): element(model, ident),
+                        (i, j): element(model, g, sign),
+                        (j, i): element(model, g_inv, sign),
+                        (j, j): element(model, ident),
                     }
                 )
                 factors.append((abs(c) / 2, f))
@@ -196,7 +197,7 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
         if slack < 0:
             raise AssertionError("order-unit bookkeeping went negative")
         if slack > 0:
-            factors.append((slack, embedded({(i, i): element(ident)})))
+            factors.append((slack, embedded({(i, i): element(model, ident)})))
     return factors
 
 
@@ -367,7 +368,7 @@ def sdpa_text(problem) -> str:
         "n": n,
         "model": problem.basis.model.spec(),
         "radius": problem.basis.radius,
-        "basis": [problem.basis.model.key_to_json(e.key) for e in problem.basis],
+        "basis": [problem.basis.model.key_to_json(key) for key in problem.basis],
     }
     header = [
         "* gapcert sparse SDPA export (format v1)",
@@ -429,8 +430,7 @@ def symmetric_psd_sqrt(P):
 def support_basis_from_json(data: dict) -> SupportBasis:
     """Inverse of SupportBasis.to_json (the `gapcert ball --json` output)."""
     model = model_from_spec(data["model"])
-    elements = [GroupElement(model, model.key_from_json(k)) for k in data["keys"]]
-    return SupportBasis(elements, data.get("radius"))
+    return SupportBasis(model, [model.key_from_json(k) for k in data["keys"]], data.get("radius"))
 
 
 def ring_matrix_from_json(data: dict) -> RingMatrix:
@@ -438,9 +438,7 @@ def ring_matrix_from_json(data: dict) -> RingMatrix:
     model = model_from_spec(data["model"])
     entries = [
         [
-            RingElement(model, {
-                GroupElement(model, model.key_from_json(key)): Fraction(c) for key, c in cell
-            })
+            RingElement(model, {model.key_from_json(key): Fraction(c) for key, c in cell})
             for cell in row
         ]
         for row in data["entries"]
@@ -460,7 +458,7 @@ def d0(model, p) -> RingMatrix:
     """Column [1 - s_1; ...; 1 - s_n]."""
     col = []
     for i in range(p.n_generators):
-        e = add(element(model.identity()), element(model.generator(i)), -1)
+        e = add(element(model, model.identity()), element(model, model.generator(i)), -1)
         col.append([e])
     return RingMatrix(model, col)
 

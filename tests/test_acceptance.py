@@ -65,22 +65,22 @@ TRIPLES = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 def test_criterion_1_steinberg_derivative_parity():
     with _Timer(1, "Fox-derivative parity on sl3z", 1.0):
         p, model = load_preset("sl3z")
-        one = element(model.identity())
+        one = element(model, model.identity())
 
         def gen(i, j):
             return p.generators.index(f"e{i}{j}")
 
         def elem(idx):
-            return element(model.generator(idx))
+            return element(model, model.generator(idx))
 
         for (i, j, k) in TRIPLES:
             r = p.relators[p.relator_index(f"r_{i}{j}{k}")]
             rp = p.relators[p.relator_index(f"rp_{i}{j}{k}")]
             assert fox_derivative(model, r, gen(i, j)) == add(one, elem(gen(i, k)), -1)
             assert fox_derivative(model, r, gen(i, k)) == add(elem(gen(i, j)), one, -1)
-            assert fox_derivative(model, rp, gen(i, k)) == element(model.identity(), -1)
+            assert fox_derivative(model, rp, gen(i, k)) == element(model, model.identity(), -1)
             prod = element(
-                model.multiply(model.generator(gen(i, k)), model.generator(gen(j, k)))
+                model, model.multiply(model.generator(gen(i, k)), model.generator(gen(j, k)))
             )
             assert fox_derivative(model, rp, gen(i, j)) == add(one, prod, -1)
             assert fox_derivative(model, rp, gen(j, k)) == add(elem(gen(i, j)), elem(gen(i, k)), -1)
@@ -103,12 +103,12 @@ def test_criterion_2_fundamental_fox_identity():
                     for _ in range(rng.randrange(21))
                 ]
             )
-            one = element(model.identity())
+            one = element(model, model.identity())
             total = RingElement(model, {})
             for j in range(p.n_generators):
-                s_j = element(model.generator(j))
+                s_j = element(model, model.generator(j))
                 total = add(total, mul(fox_derivative(model, w, j), add(s_j, one, -1)))
-            assert total == add(element(model.evaluate(w)), one, -1)
+            assert total == add(element(model, model.evaluate(w)), one, -1)
 
 
 def test_criterion_3_z3_end_to_end():

@@ -84,7 +84,19 @@ def test_sdp_build_stats(capsys):
     )
     assert code == 0
     stats = json.loads(out)
-    assert stats == {"n": 1, "basis_size": 3, "products": 3, "constraints": 3}
+    assert stats == {"n": 1, "basis_size": 3, "products": 3, "constraints": 2}
+
+
+def test_printed_constraint_count_is_the_exported_one(capsys, tmp_path):
+    # a diagonal entry constrains a class and its inverse class once
+    path = tmp_path / "problem.dat-s"
+    stage = ["--preset", "sl3z-mod:2", "--radius", "2"]
+    code, out, _ = _run(capsys, "sdp", "export", *stage, "--export", str(path))
+    assert code == 0
+    declared = next(x for x in path.read_text().splitlines() if not x.startswith("*"))
+    assert json.loads(out)["constraints"] == int(declared) == 2622
+    code, out, _ = _run(capsys, "sdp", "build", *stage)
+    assert code == 0 and json.loads(out)["constraints"] == 2622
 
 
 def test_sdp_export_writes_file(capsys, tmp_path):

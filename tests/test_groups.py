@@ -7,7 +7,6 @@ from gapcert import groups
 from gapcert.groups import (
     CyclicModel,
     FreeModel,
-    GroupElement,
     InconsistentModelError,
     MatrixModel,
     ProductTable,
@@ -32,13 +31,13 @@ from _oracles import (
 
 def test_evaluate_identity_word():
     model = MatrixModel(sl3z_images())
-    assert model.evaluate(Word()).key == mat_identity_3x3()
+    assert model.evaluate(Word()) == mat_identity_3x3()
 
 
 def test_generator_image_is_elementary_matrix():
     model = MatrixModel(sl3z_images())
     e12 = model.generator(0)
-    assert e12.key == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert e12 == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_sl3z_relators_evaluate_to_identity_against_naive_oracle():
@@ -47,13 +46,13 @@ def test_sl3z_relators_evaluate_to_identity_against_naive_oracle():
     inverses = [invert_3x3_unimodular(img) for img in images]
     for rel in p.relators:
         assert word_image_3x3(rel, images, inverses) == mat_identity_3x3()
-        assert model.evaluate(rel).key == mat_identity_3x3()
+        assert model.evaluate(rel) == mat_identity_3x3()
 
 
 def test_multiply_oracle_e12_e21():
     model = MatrixModel(sl3z_images())
     prod = model.multiply(model.generator(0), model.generator(2))
-    assert prod.key == ((2, 1, 0), (1, 1, 0), (0, 0, 1))
+    assert prod == ((2, 1, 0), (1, 1, 0), (0, 0, 1))
 
 
 def test_group_axioms_on_random_words():
@@ -72,14 +71,14 @@ def test_group_axioms_on_random_words():
 def test_ball_radius_zero():
     model = CyclicModel(5)
     b = ball(model, 0)
-    assert [e.key for e in b] == [0]
+    assert list(b) == [0]
 
 
 def test_ball_z3_brute_force():
     model = CyclicModel(3)
     b = ball(model, 1)
     expected = brute_ball_keys([1], [2], 1, lambda a, g: (a + g) % 3, 0)
-    assert set(e.key for e in b) == expected == {0, 1, 2}
+    assert set(b) == expected == {0, 1, 2}
 
 
 def test_ball_sl3z_radius1_has_13_elements():
@@ -89,7 +88,7 @@ def test_ball_sl3z_radius1_has_13_elements():
     images = [tuple(tuple(r) for r in img) for img in sl3z_images()]
     inverses = [invert_3x3_unimodular(img) for img in images]
     expected = brute_ball_keys(images, inverses, 1, mat_mul_3x3, mat_identity_3x3())
-    assert set(e.key for e in b) == expected
+    assert set(b) == expected
 
 
 def test_ball_monotone_and_inversion_closed():
@@ -97,17 +96,17 @@ def test_ball_monotone_and_inversion_closed():
     prev = set()
     for r in range(3):
         b = ball(model, r)
-        keys = set(e.key for e in b)
+        keys = set(b)
         assert prev <= keys
         prev = keys
         for el in b:
-            assert model.inverse(el).key in keys
+            assert model.inverse(el) in keys
 
 
 def test_ball_bfs_order_deterministic():
     _, model = load_preset("sl3z")
-    a = [e.key for e in ball(model, 2)]
-    b = [e.key for e in ball(model, 2)]
+    a = list(ball(model, 2))
+    b = list(ball(model, 2))
     assert a == b
     assert a[0] == mat_identity_3x3()
     # identity, then the 12 signed generators, then radius 2
@@ -117,7 +116,7 @@ def test_ball_bfs_order_deterministic():
 def test_free_model_ball_and_soundness():
     model = FreeModel(2, sound=True)
     b = ball(model, 1)
-    assert [e.key for e in b] == [(), (1,), (-1,), (2,), (-2,)]
+    assert list(b) == [(), (1,), (-1,), (2,), (-2,)]
     unsound = FreeModel(2, sound=False)
     with pytest.raises(ValueError):
         ball(unsound, 1)
@@ -151,14 +150,14 @@ def test_memoized_inverse_is_the_fresh_inverse(preset):
     for x in ball(model, 2):
         inv = model.inverse(x)
         assert model.multiply(x, inv) == ident == model.multiply(inv, x)
-        assert inv.key == model._invert_key(x.key)
+        assert inv == model._invert_key(x)
         assert model.inverse(x) == inv
 
 
 @pytest.mark.parametrize("modulus", [None, 2])
 def test_a_key_that_fails_to_invert_fails_every_time(monkeypatch, modulus):
     model = MatrixModel(sl3z_images(), modulus)
-    singular = GroupElement(model, ((0, 0, 0), (0, 1, 0), (0, 0, 1)))
+    singular = ((0, 0, 0), (0, 1, 0), (0, 0, 1))
     calls = []
     invert = MatrixModel._invert_key
 
@@ -178,31 +177,35 @@ def test_integer_and_mod_2_models_keep_their_own_inverses():
     over_z, mod_2 = MatrixModel(sl3z_images()), MatrixModel(sl3z_images(), 2)
     for i in range(6):
         g2, gz = mod_2.generator(i), over_z.generator(i)
-        assert g2.key == gz.key
-        assert mod_2.inverse(g2).key == g2.key
-        assert min(min(row) for row in over_z.inverse(gz).key) == -1
-        assert mod_2.inverse(g2).key == g2.key
+        assert g2 == gz
+        assert mod_2.inverse(g2) == g2
+        assert min(min(row) for row in over_z.inverse(gz)) == -1
+        assert mod_2.inverse(g2) == g2
 
 
 def test_support_basis_invariants():
     model = CyclicModel(4)
     with pytest.raises(ValueError):
-        SupportBasis([])
+        SupportBasis(model, [])
     with pytest.raises(ValueError):
-        SupportBasis([model.generator(0)])  # identity must come first
+        SupportBasis(model, [model.generator(0)])  # identity must come first
     with pytest.raises(ValueError):
         # not inversion closed: {e, t} lacks t^-1 = t^3
-        SupportBasis([model.identity(), model.generator(0)])
+        SupportBasis(model, [model.identity(), model.generator(0)])
 
 
-def test_support_basis_json_round_trip():
-    _, model = load_preset("sl3z")
-    b = ball(model, 1)
-    data = b.to_json()
-    back = support_basis_from_json(data)
-    assert [e.key for e in back] == [e.key for e in b]
+@pytest.mark.parametrize("preset", ["z3", "zn:5", "free:2", "sl3z-mod:2", "sl3z"])
+def test_support_basis_json_round_trip(preset):
+    _, model = load_preset(preset)
+    b = ball(model, 2)
+    back = support_basis_from_json(b.to_json())
+    assert back.elements == b.elements
     assert back.radius == b.radius
     assert back.model.spec() == model.spec()
+    ident = model.identity()
+    for key in b:
+        assert model.key_from_json(model.key_to_json(key)) == key
+        assert model.multiply(key, model.inverse(key)) == ident
 
 
 def test_model_spec_round_trip():
@@ -263,7 +266,7 @@ def test_inverse_pid_matches_group_inversion(preset, radius):
     _, model = load_preset(preset)
     basis = ball(model, radius)
     table = basis.products()
-    keys = [model.inverse(g).key for g in class_elements(table, basis)]
+    keys = [model.inverse(g) for g in class_elements(table, basis)]
     assert table.inverse_pid.tolist() == table.find(keys)
 
 
@@ -278,7 +281,7 @@ def test_batched_product_table_matches_generic_loop(monkeypatch, preset):
     assert batched.pid.dtype == batched.inverse_pid.dtype == np.int64
     assert np.array_equal(batched.pid, generic.pid)
     assert np.array_equal(batched.inverse_pid, generic.inverse_pid)
-    keys = [g.key for g in class_elements(generic, basis)]
+    keys = class_elements(generic, basis)
     assert batched.find(keys) == generic.find(keys) == list(range(len(generic)))
     assert batched.identity_pid == generic.identity_pid
 
@@ -291,8 +294,8 @@ def test_product_table_guard_keeps_large_entries_exact():
     table = basis.products()
     assert len(table) == 161
     elements = class_elements(table, basis)
-    assert max(abs(v) for g in elements for row in g.key for v in row) > 2 ** 63
-    assert table.find([g.key for g in elements]) == list(range(161))
+    assert max(abs(v) for g in elements for row in g for v in row) > 2 ** 63
+    assert table.find(elements) == list(range(161))
     for x, ex in enumerate(basis):
         for y, ey in enumerate(basis):
             assert elements[table.pid[x, y]] == model.multiply(model.inverse(ex), ey)
@@ -305,7 +308,7 @@ def test_cyclic_model_overflow_free_large_entries():
     big = model.identity()
     for _ in range(200):
         big = model.multiply(big, g)
-    assert big.key[0][1] == 200
+    assert big[0][1] == 200
 
 
 @pytest.mark.parametrize(
@@ -320,12 +323,12 @@ def test_find_agrees_with_the_pair_index(preset, outside):
     _, model = load_preset(preset)
     basis = ball(model, 2)
     table = basis.products()
-    keys = [g.key for g in class_elements(table, basis)]
+    keys = class_elements(table, basis)
     assert table.find(keys) == list(range(len(table)))
     assert outside not in keys
     assert table.find([outside, keys[3]]) == [None, 3]
     assert table.find([]) == []
-    assert table.identity_pid == keys.index(model.identity().key)
+    assert table.identity_pid == keys.index(model.identity())
     # a key with an entry beyond int64 is no product of an int64 table
     huge = ((2 ** 70, 0, 0), (0, 1, 0), (0, 0, 1))
     assert table.find([huge, outside, keys[2]]) == [None, None, 2]

@@ -40,8 +40,8 @@ def test_convolution_hand_oracle_one_minus_t(z3):
 
 def test_convolution_identity_neutral(z3):
     a = _t_poly(z3, 3, -2, 5)
-    assert mul(a, element(z3.identity())) == a
-    assert mul(element(z3.identity()), a) == a
+    assert mul(a, element(z3, z3.identity())) == a
+    assert mul(element(z3, z3.identity()), a) == a
 
 
 def test_convolution_geometric_square(z3):
@@ -61,8 +61,8 @@ def test_star_cases(z3):
 def test_star_on_sl3z_difference():
     _, model = load_preset("sl3z")
     e12, e13 = model.generator(0), model.generator(1)
-    a = add(element(e12), element(e13), -1)
-    expected = add(element(model.inverse(e12)), element(model.inverse(e13)), -1)
+    a = add(element(model, e12), element(model, e13), -1)
+    expected = add(element(model, model.inverse(e12)), element(model, model.inverse(e13)), -1)
     assert a.star() == expected
 
 
@@ -92,8 +92,8 @@ def test_matrix_ops_d0_oracle(z3):
 
 def test_adjoint_of_column():
     model = FreeModel(2)
-    e = element(model.identity())
-    s1, s2 = (element(model.generator(i)) for i in range(2))
+    e = element(model, model.identity())
+    s1, s2 = (element(model, model.generator(i)) for i in range(2))
     col = RingMatrix(model, [[add(e, s1, -1)], [add(e, s2, -1)]])
     adj = col.adjoint()
     assert adj.n_rows == 1 and adj.n_cols == 2
@@ -167,7 +167,7 @@ def test_order_unit_minus_g_plus_ginv(z3):
     assert len(factors) == 1
     scale, f = factors[0]
     assert scale == 1
-    assert f.entry(0, 0) == add(element(z3.identity()), element(t), -1)
+    assert f.entry(0, 0) == add(element(z3, z3.identity()), element(z3, t), -1)
 
 
 def test_order_unit_zero_matrix(z3):
@@ -181,8 +181,8 @@ def test_order_unit_off_diagonal_block(z3):
     M = RingMatrix(
         z3,
         [
-            [zero, element(t)],
-            [element(z3.inverse(t)), zero],
+            [zero, element(z3, t)],
+            [element(z3, z3.inverse(t)), zero],
         ],
     )
     factors = order_unit_sos(M)
@@ -206,7 +206,7 @@ def test_order_unit_random_star_invariant():
 
 
 def test_order_unit_rejects_non_star_invariant(z3):
-    M = RingMatrix(z3, [[element(z3.generator(0))]])
+    M = RingMatrix(z3, [[element(z3, z3.generator(0))]])
     with pytest.raises(NotStarInvariantError):
         order_unit_sos(M)
 

@@ -48,8 +48,8 @@ def _z3_problem():
 def test_build_z3_constraint_structure():
     lap, basis, prob = _z3_problem()
     assert prob.n == 1 and prob.m == 3 and prob.npairs == 3
-    # one matrix entry (n = 1) times three product classes
-    assert prob.constraint_count() == 3
+    # one matrix entry (n = 1): the class e, and t with its inverse class t^2
+    assert prob.constraint_count() == 2
     table = prob.table
     # A_e is the identity pattern
     for x in range(3):
@@ -61,7 +61,7 @@ def test_build_z3_constraint_structure():
 def test_build_rejects_small_basis():
     p, model = load_preset("z3")
     lap = laplacian1(model, p)
-    tiny = SupportBasis([model.identity()])
+    tiny = SupportBasis(model, [model.identity()])
     with pytest.raises(SupportTooSmallError) as exc:
         build_problem(lap, tiny)
     assert exc.value.uncovered  # names the missing group elements
@@ -70,7 +70,7 @@ def test_build_rejects_small_basis():
 def test_build_rejects_non_star_invariant():
     model = CyclicModel(3)
     basis = ball(model, 1)
-    M = RingMatrix(model, [[element(model.generator(0))]])
+    M = RingMatrix(model, [[element(model, model.generator(0))]])
     with pytest.raises(ValueError):
         build_problem(M, basis)
 
@@ -80,11 +80,12 @@ def test_sl3z_radius2_problem_size_regression():
     lap = laplacian1(model, p)
     basis = ball(model, 2)
     prob = build_problem(lap, basis)
-    # frozen after the first run: |E| = 121, |E*E| = 5455 products,
-    # 21 entry pairs (i <= j) over n = 6
+    # frozen after the first run: |E| = 121, |E*E| = 5455 products; 15
+    # entry pairs i < j over n = 6 take every class, and each of the 6
+    # diagonal entries one class of each mutually inverse pair
     assert prob.m == 121
     assert prob.npairs == 5455
-    assert prob.constraint_count() == 21 * 5455
+    assert prob.constraint_count() == 98193
 
 
 def test_constraint_completeness_rational_reconstruction():
@@ -128,15 +129,24 @@ def test_export_import_round_trip_z3_and_sl3z_mod2():
     assert import_sdpa(export_sdpa(prob2)).same_problem(prob2)
 
 
-def test_export_bytes_sl3z_mod2_radius2():
+@pytest.mark.parametrize(
+    "preset,radius,size,digest",
+    [
+        ("sl3z-mod:2", 2, 314644, "9d2dcc940fff6878c02f6d140c1e2b1a42e1498beafcc43a505d1d9ce7184056"),
+        # the generic product table: cyclic and free models
+        ("z3", 1, 387, "c48d9a1a9ecebcc2a26af5973d356883359b724dc5e1154200e8ad96b3085265"),
+        ("zn:5", 2, 503, "d2787b1f20864c89a5f4c8d6361ba7cb8fd862f89f4d063ca378002ea63dc687"),
+        ("free:2", 2, 10632, "5587fe17449a677e3d9255ab45b55aa8ba6ef1870393b7b2997cf5c8306b5d00"),
+    ],
+    ids=["sl3z-mod:2-r2", "z3-r1", "zn:5-r2", "free:2-r2"],
+)
+def test_export_bytes_sl3z_mod2_radius2(preset, radius, size, digest):
     # pins the order of the class member lists in the entry lines
-    p, model = load_preset("sl3z-mod:2")
-    prob = build_problem(laplacian1(model, p), ball(model, 2))
+    p, model = load_preset(preset)
+    prob = build_problem(laplacian1(model, p), ball(model, radius))
     text = export_sdpa(prob).encode()
-    assert len(text) == 314644
-    assert hashlib.sha256(text).hexdigest() == (
-        "9d2dcc940fff6878c02f6d140c1e2b1a42e1498beafcc43a505d1d9ce7184056"
-    )
+    assert len(text) == size
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 def test_import_memory_is_a_small_multiple_of_the_text():
@@ -165,9 +175,7 @@ def test_export_keys_order():
     ]
     got = prob.export_keys()
     assert got.dtype == np.int64 and got.tolist() == [list(k) for k in keys]
-    assert len(keys) == prob.constraint_count() - sum(
-        prob.n for pid in range(prob.npairs) if prob.inverse_pid[pid] < pid
-    )
+    assert len(keys) == prob.constraint_count()
 
 
 def test_import_rejects_an_edited_entry_line():
@@ -301,8 +309,9 @@ def test_import_rejects_foreign_files():
 
 
 def test_degenerate_empty_basis_rejected_upstream():
+    _, model = load_preset("z3")
     with pytest.raises(ValueError):
-        SupportBasis([])
+        SupportBasis(model, [])
 
 
 def test_solve_z3_reaches_lambda_3():
@@ -359,7 +368,8 @@ def test_optimal_solution_exact_l1_residual_bound():
     lam = Fraction(sol.lam)
     target = add(lap.matrix, identity(lap.matrix.model, 1, lam), -1)
     diff = add(recon, target, -1)
-    assert float(l1(diff)) < 10 * tol * prob.constraint_count()
+    pairs = prob.n * (prob.n + 1) // 2 * prob.npairs  # (i <= j, class) pairs
+    assert float(l1(diff)) < 10 * tol * pairs
 
 
 def test_solver_is_deterministic():
@@ -396,7 +406,7 @@ def _conjugation_actions(problem):
     """
     model, m = problem.basis.model, problem.m
     images = {tuple(map(tuple, k)): a for a, k in enumerate(model.images)}
-    keys = np.array([el.key for el in problem.basis])
+    keys = np.array(problem.basis.elements)
     acts = []
     for Q in np.eye(3, dtype=np.int64)[list(permutations(range(3)))]:
         conj = [tuple(map(tuple, c)) for c in Q @ np.concatenate([model.images, keys]) @ Q.T]

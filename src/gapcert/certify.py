@@ -26,7 +26,9 @@ Certificates are self-contained canonical JSON: they store the
 presentation text, the model, the relator subset, the support basis, Q
 (its entries rounded to 15 significant digits by psd_sqrt, and taken as
 the exact values of the stored decimals), and the solver's lambda, so
-verification recomputes everything without touching solver state.
+verification recomputes everything without touching solver state.  A
+Certificate is that JSON object without Q, plus Q as doubles:
+certified_gap writes it and verify_certificate reads it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import __version__
 from .fox import Laplacian1, laplacian1
 from .groups import (
     SupportBasis,
@@ -218,13 +221,23 @@ def certified_gap(target, basis: SupportBasis, Q: np.ndarray, lam: float) -> Gap
     lambda are taken as the exact values of their doubles.
     """
     Q, lam = np.asarray(Q, dtype=float), float(lam)
-    lap = target if isinstance(target, Laplacian1) else None
-    matrix = target if lap is None else lap.matrix
-    lambda0, residual_l1, status = _certified_bound(matrix, basis, Q, lam)
-    certificate = None
-    if lap is not None:
-        certificate = make_certificate(lap, basis, Q, lam, lambda0, residual_l1, status)
-    return GapResult(lambda0, residual_l1, status, certificate)
+    if not isinstance(target, Laplacian1):
+        return GapResult(*_certified_bound(target, basis, Q, lam), None)
+    lambda0, residual_l1, status = _certified_bound(target.matrix, basis, Q, lam)
+    p, model, indices = target.presentation, target.model, target.relator_indices
+    fields = {  # in file order: certificates are canonical byte streams
+        "format": _FORMAT,
+        "toolchain": {"package": "gapcert", "version": __version__, "numpy": np.__version__},
+        "presentation": {"text": p.to_text(), "sha256": p.sha256()},
+        "model": model.spec(),
+        "relators": {"indices": list(indices), "labels": [p.labels[k] for k in indices]},
+        "basis": {"radius": basis.radius, "keys": [model.key_to_json(key) for key in basis]},
+        "solver_lambda": repr(lam),
+        "certified_lambda0": repr(lambda0),
+        "residual_l1_sup": repr(residual_l1.hi),
+        "status": status,
+    }
+    return GapResult(lambda0, residual_l1, status, Certificate(fields, np.array(Q)))
 
 
 def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
@@ -289,88 +302,46 @@ def floor_display(x: float) -> str:
 # Certificates
 # ---------------------------------------------------------------------------
 
+_FORMAT = "gapcert-certificate-v1"
+
 
 @dataclass(eq=False)
 class Certificate:
-    presentation_text: str
-    presentation_sha256: str
-    model_spec: dict
-    relator_indices: Tuple[int, ...]
-    relator_labels: Tuple[str, ...]
-    basis_keys: list
-    basis_radius: Optional[int]
-    lam: str
-    lambda0: str
-    residual_l1_sup: str
-    status: str
-    q: np.ndarray
-    toolchain: dict
+    """A certificate's JSON object without Q, in file order, and Q as doubles.
 
-    def _json_dict(self, entries: list) -> dict:
-        # field order is fixed; certificates are canonical byte streams
-        return {
-            "format": "gapcert-certificate-v1",
-            "toolchain": self.toolchain,
-            "presentation": {
-                "text": self.presentation_text,
-                "sha256": self.presentation_sha256,
-            },
-            "model": self.model_spec,
-            "relators": {
-                "indices": list(self.relator_indices),
-                "labels": list(self.relator_labels),
-            },
-            "basis": {"radius": self.basis_radius, "keys": self.basis_keys},
-            "solver_lambda": self.lam,
-            "certified_lambda0": self.lambda0,
-            "residual_l1_sup": self.residual_l1_sup,
-            "status": self.status,
-            "q": {
-                "rows": self.q.shape[0],
-                "cols": self.q.shape[1],
-                "entries": entries,
-            },
-        }
+    certified_gap writes the fields and verify_certificate reads them;
+    loading checks only the format and decodes Q.
+    """
+
+    fields: dict
+    q: np.ndarray
 
     def to_bytes(self) -> bytes:
-        """The compact JSON of the certificate, Q's entries as repr strings.
+        """The compact JSON of the certificate, Q last, its entries as repr strings.
 
         A float's repr needs no JSON escaping, so each row is its reprs in
         quotes, spliced in after the header's empty entry list.
         """
-        head = json.dumps(self._json_dict([]), separators=(",", ":"))  # ends '[]}}'
-        rows = ",".join(
+        rows, cols = self.q.shape
+        q = {"rows": rows, "cols": cols, "entries": []}
+        head = json.dumps({**self.fields, "q": q}, separators=(",", ":"))  # ends '[]}}'
+        body = ",".join(
             '["' + '","'.join(map(repr, row)) + '"]' if row else "[]" for row in self.q.tolist()
         )
-        return (head[:-4] + "[" + rows + "]}}").encode("utf-8")
+        return (head[:-4] + "[" + body + "]}}").encode("utf-8")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
-        if not isinstance(data, dict) or data.get("format") != "gapcert-certificate-v1":
+        if not isinstance(data, dict) or data.get("format") != _FORMAT:
             raise CertificateError("unknown certificate format")
         try:
-            return cls(
-                presentation_text=data["presentation"]["text"],
-                presentation_sha256=data["presentation"]["sha256"],
-                model_spec=data["model"],
-                relator_indices=tuple(
-                    _json_int(k, "relator index") for k in data["relators"]["indices"]
-                ),
-                relator_labels=tuple(data["relators"]["labels"]),
-                basis_keys=data["basis"]["keys"],
-                basis_radius=data["basis"]["radius"],
-                lam=data["solver_lambda"],
-                lambda0=data["certified_lambda0"],
-                residual_l1_sup=data["residual_l1_sup"],
-                status=data["status"],
-                q=_q_from_json(data["q"]),
-                toolchain=data["toolchain"],
-            )
+            q = _q_from_json(data["q"])
         except KeyError as exc:
             raise CertificateError(f"malformed certificate: no field {exc.args[0]!r}") from None
-        # a section that is not an object, a null, a non-decimal or ragged Q
+        # a Q that is not an object, or null, non-decimal or ragged entries
         except (TypeError, ValueError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from None
+        return cls({k: v for k, v in data.items() if k != "q"}, q)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -392,40 +363,6 @@ def _q_from_json(data: dict) -> np.ndarray:
         raise CertificateError(f"Q entries do not fill its stored shape {shape}")
     # numpy parses each str as float() does
     return np.array(entries, dtype=float).reshape(shape)
-
-
-def _toolchain() -> dict:
-    from . import __version__
-
-    return {"package": "gapcert", "version": __version__, "numpy": np.__version__}
-
-
-def make_certificate(
-    lap: Laplacian1,
-    basis: SupportBasis,
-    Q: np.ndarray,
-    lam: float,
-    lambda0: float,
-    residual_l1: Bounds,
-    status: str,
-) -> Certificate:
-    p = lap.presentation
-    model = lap.model
-    return Certificate(
-        presentation_text=p.to_text(),
-        presentation_sha256=p.sha256(),
-        model_spec=model.spec(),
-        relator_indices=tuple(lap.relator_indices),
-        relator_labels=tuple(p.labels[k] for k in lap.relator_indices),
-        basis_keys=[model.key_to_json(key) for key in basis],
-        basis_radius=basis.radius,
-        lam=repr(float(lam)),
-        lambda0=repr(float(lambda0)),
-        residual_l1_sup=repr(float(residual_l1.hi)),
-        status=status,
-        q=np.array(Q, dtype=float),
-        toolchain=_toolchain(),
-    )
 
 
 def _decimal(value, field: str) -> float:
@@ -451,30 +388,44 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     lambda0 is at least the stored one.  The other claims must hold too, or
     the certificate is malformed: the status is the one the stored lambda0
     implies, the labels are the presentation's, and the stored residual sup
-    is at least the recomputed one.
+    is at least the recomputed one.  This is the one reader of the stored
+    fields, so a missing field is a CertificateError here, not at load.
     """
-    if not isinstance(cert.presentation_text, str):
-        raise CertificateError("presentation text must be a string")
-    recomputed = hashlib.sha256(cert.presentation_text.encode("utf-8")).hexdigest()
-    if recomputed != cert.presentation_sha256:
-        raise HashMismatchError("presentation text does not match its stored hash")
-    p = parse_presentation(cert.presentation_text)
-    model = model_from_spec(cert.model_spec)
-    validate_model(p, model)
-    stored = tuple(cert.relator_indices)
-    for k in stored:
-        if not isinstance(k, int) or not 0 <= k < len(p.relators):
-            raise CertificateError(f"stored relator index {k!r} out of range")
-    if tuple(cert.relator_labels) != tuple(p.labels[k] for k in stored):
-        raise CertificateError("stored relator labels are not the presentation's")
-    lam = _decimal(cert.lam, "solver_lambda")
-    stored_lambda0 = _decimal(cert.lambda0, "certified_lambda0")
-    stored_sup = _decimal(cert.residual_l1_sup, "residual_l1_sup")
-    if cert.status != _status(stored_lambda0):
-        raise CertificateError(f"stored status {cert.status!r} contradicts its lambda0")
+    f = cert.fields
     try:
-        keys = [model.key_from_json(k) for k in cert.basis_keys]
-        basis = SupportBasis(model, keys, cert.basis_radius)
+        text, sha256 = f["presentation"]["text"], f["presentation"]["sha256"]
+        spec = f["model"]
+        stored = tuple(_json_int(k, "relator index") for k in f["relators"]["indices"])
+        labels = tuple(f["relators"]["labels"])
+        basis_keys, radius = f["basis"]["keys"], f["basis"]["radius"]
+        lam, stored_lambda0 = f["solver_lambda"], f["certified_lambda0"]
+        stored_sup, status = f["residual_l1_sup"], f["status"]
+        f["toolchain"]  # informational, but required like every other field
+    except KeyError as exc:
+        raise CertificateError(f"malformed certificate: no field {exc.args[0]!r}") from None
+    # a section that is not an object, or a relator index that is not an integer
+    except (TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed certificate: {exc}") from None
+    if not isinstance(text, str):
+        raise CertificateError("presentation text must be a string")
+    if hashlib.sha256(text.encode("utf-8")).hexdigest() != sha256:
+        raise HashMismatchError("presentation text does not match its stored hash")
+    p = parse_presentation(text)
+    model = model_from_spec(spec)
+    validate_model(p, model)
+    for k in stored:
+        if not 0 <= k < len(p.relators):
+            raise CertificateError(f"stored relator index {k!r} out of range")
+    if labels != tuple(p.labels[k] for k in stored):
+        raise CertificateError("stored relator labels are not the presentation's")
+    lam = _decimal(lam, "solver_lambda")
+    stored_lambda0 = _decimal(stored_lambda0, "certified_lambda0")
+    stored_sup = _decimal(stored_sup, "residual_l1_sup")
+    if status != _status(stored_lambda0):
+        raise CertificateError(f"stored status {status!r} contradicts its lambda0")
+    try:
+        keys = [model.key_from_json(k) for k in basis_keys]
+        basis = SupportBasis(model, keys, radius)
         check_ball_radius(basis)
     except (TypeError, ValueError) as exc:
         raise SupportReconstructionError(f"stored basis is invalid: {exc}") from exc

@@ -200,8 +200,9 @@ def _certify_from_solution(lap: Laplacian1, basis: SupportBasis, lam, P=None, Q=
 
 
 def _gap_summary(result: GapResult, cert_path: Optional[str]) -> dict:
+    cert = result.certificate
     return {
-        "lambda": float(result.certificate.lam) if result.certificate else None,
+        "lambda": float(cert.fields["solver_lambda"]) if cert else None,
         "lambda0": result.lambda0,
         "lambda0_display": floor_display(result.lambda0),
         "residual_l1_sup": result.residual_l1.hi,
@@ -403,22 +404,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # an OSError, so it must be caught first
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         CliError,
         CertificateError,
         SupportTooSmallError,
         InconsistentModelError,
-        FileNotFoundError,
+        OSError,
         KeyError,
         ValueError,
     ) as exc:
         # str() of a KeyError quotes its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # the reader closed stdout early; point it at devnull so that the
-        # flush at interpreter exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -98,10 +98,7 @@ class SdpProblem:
         Entries i <= j row-major, classes in order; a diagonal entry keeps
         one of each pair of mutually inverse classes, the smaller pid.
         """
-        i, j = np.triu_indices(self.n)
-        keep = (i != j)[:, None] | (self.inverse_pid >= np.arange(self.npairs))[None, :]
-        entry, pid = np.nonzero(keep)
-        return np.stack([i[entry], j[entry], pid], axis=1)
+        return np.concatenate([np.empty((0, 3), dtype=np.int64), *_key_blocks(self)])
 
     def same_problem(self, other: "SdpProblem") -> bool:
         return (
@@ -184,7 +181,28 @@ def _digit_table(top: int) -> np.ndarray:
     return table.view(f"V{width}").ravel()
 
 
-def _entry_chunks(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
+def _key_blocks(problem: SdpProblem) -> Iterator[np.ndarray]:
+    """The rows of export_keys() in blocks of _CHUNK, never all at once.
+
+    Constraint k lies in entry e, the last whose first constraint is at or
+    before k, at offset k - start[e] into the entry's classes: all of them
+    off the diagonal, the kept ones on it.
+    """
+    i, j = np.triu_indices(problem.n)
+    kept = np.flatnonzero(problem.inverse_pid >= np.arange(problem.npairs))
+    size = np.where(i == j, len(kept), problem.npairs)
+    start = np.cumsum(size) - size
+    total = int(size.sum())
+    for a in range(0, total, _CHUNK):
+        k = np.arange(a, min(a + _CHUNK, total))
+        e = np.searchsorted(start, k, side="right") - 1
+        pid = k - start[e]
+        diag = i[e] == j[e]
+        pid[diag] = kept[pid[diag]]
+        yield np.stack([i[e], j[e], pid], axis=1)
+
+
+def _entry_chunks(problem: SdpProblem) -> Iterator[str]:
     """The export's lines after the objective vector, _CHUNK constraints at a time.
 
     Line "k b p q v" puts v at (p, q) in block b of F_k; F_0 is lambda =
@@ -221,12 +239,13 @@ def _entry_chunks(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
     length[1, :, 1] = np.where(inverse_pid != np.arange(npairs), ucounts[inverse_pid], 0)
     start[1, problem.identity_pid, 2], length[1, problem.identity_pid, 2] = len(src_x) - 2, 2
     offset = np.array([1, 1, 0])  # only cell segments sit at row i*m + 1, column j*m + 1
-    digits = _digit_table(max(len(keys), problem.n * m))
+    total = problem.constraint_count()
+    digits = _digit_table(max(total, problem.n * m))
     number = digits.dtype
     line = np.dtype([("k", number), ("b", "V3"), ("p", number), ("sep", "u1"), ("q", number),
                      ("v", "V6")])
-    for a in range(0, len(keys), _CHUNK):
-        i, j, p = keys[a:a + _CHUNK].T
+    for a, keys in zip(range(0, total, _CHUNK), _key_blocks(problem)):
+        i, j, p = keys.T
         diag = (i == j).astype(np.intp)
         seg_length = length[diag, p]
         # one line per source cell of each segment
@@ -247,7 +266,6 @@ def _entry_chunks(problem: SdpProblem, keys: np.ndarray) -> Iterator[str]:
 def _sdpa_chunks(problem: SdpProblem) -> Iterator[str]:
     """The text of the SDPA export in blocks, the header first."""
     n, m = problem.n, problem.m
-    keys = problem.export_keys()
     meta = {
         "version": 1,
         "n": n,
@@ -260,19 +278,19 @@ def _sdpa_chunks(problem: SdpProblem) -> Iterator[str]:
         "* dual form: maximize <F0,Y> s.t. <Fk,Y>=c_k, Y PSD",
         "* Y = blockdiag(P, s, t); P is the nm x nm Gram block, lambda = s - t",
         _META_PREFIX + json.dumps(meta, separators=(",", ":"), sort_keys=True),
-        f"{len(keys)}",
+        f"{problem.constraint_count()}",
         "2",
         f"{n * m} -2",
         "",
     ))
-    # the objective line: one repr per distinct bit pattern, so that -0.0
-    # and a nan print as repr prints them
-    bits, code = np.unique(problem.targets[tuple(keys.T)].view(np.int64), return_inverse=True)
-    words = [repr(v) for v in bits.view(np.float64).tolist()]
-    for a in range(0, len(keys), _CHUNK):
-        yield " " * (a > 0) + " ".join(map(words.__getitem__, code[a:a + _CHUNK].tolist()))
+    # the objective line: one repr per distinct bit pattern of a block, so
+    # that -0.0 and a nan print as repr prints them
+    for a, keys in enumerate(_key_blocks(problem)):
+        bits, code = np.unique(problem.targets[tuple(keys.T)].view(np.int64), return_inverse=True)
+        words = [repr(v) for v in bits.view(np.float64).tolist()]
+        yield " " * (a > 0) + " ".join(map(words.__getitem__, code.tolist()))
     yield "\n"
-    yield from _entry_chunks(problem, keys)
+    yield from _entry_chunks(problem)
 
 
 def export_sdpa(problem: SdpProblem) -> str:
@@ -398,7 +416,7 @@ def import_sdpa(text: str) -> SdpProblem:
     problem.targets[j, i, problem.inverse_pid[pid]] = c
     # a token left after the objective vector is an entry sharing its line
     if _PIECE.search(text, at, end) or not _entries_match(
-        text, end + 1, _entry_chunks(problem, keys)
+        text, end + 1, _entry_chunks(problem)
     ):
         raise ValueError("entry lines do not match the constraints the basis implies")
     return problem

@@ -451,7 +451,9 @@ def ring_matrix_from_json(data: dict) -> RingMatrix:
 
 def certificate_json_dict(cert) -> dict:
     """The certificate as the dict that Certificate.to_bytes writes compactly."""
-    return cert._json_dict([list(map(repr, row)) for row in cert.q.tolist()])
+    rows, cols = cert.q.shape
+    entries = [list(map(repr, row)) for row in cert.q.tolist()]
+    return {**cert.fields, "q": {"rows": rows, "cols": cols, "entries": entries}}
 
 
 def d0(model, p) -> RingMatrix:

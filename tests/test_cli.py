@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gapcert
+from gapcert.certify import Certificate
 from gapcert.cli import main
 
 
@@ -300,6 +301,28 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificate
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "path",
+    [["presentation"], ["model"], ["relators"], ["basis"], ["solver_lambda"],
+     ["certified_lambda0"], ["residual_l1_sup"], ["status"], ["q"],
+     ["presentation", "sha256"], ["relators", "labels"], ["basis", "keys"],
+     ["basis", "radius"], ["q", "rows"]],
+    ids=".".join,
+)
+def test_verify_names_a_missing_field(capsys, tmp_path, good_certificates, path):
+    data = json.loads(good_certificates["z3"])
+    *outer, last = path
+    section = data
+    for key in outer:
+        section = section[key]
+    del section[last]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "verify", str(cert_path))
+    assert code == 1 and out == ""
+    assert err == f"error: malformed certificate: no field {last!r}\n"
+
+
 def test_certify_accepts_external_q(capsys, tmp_path):
     # externally produced exact square root of the optimal z3 Gram matrix
     sol = {"lambda": 3.0, "Q": [[(2.0 / 3.0) ** 0.5 / 3 ** 0.5] * 3] * 3}
@@ -406,6 +429,34 @@ def test_closed_pipe_exits_quietly():
     assert err == b""
 
 
+def test_closed_pipe_wins_over_other_os_errors():
+    # a broken pipe is an OSError, but must end as quietly as above: the
+    # line-by-line text of the sl3z radius-4 ball outgrows a pipe buffer
+    src = str(Path(gapcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gapcert", "ball", "--preset", "sl3z", "--radius", "4"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"[[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["verify", "show --file", "certify --preset z3 --radius 1 --solution",
+     "pipeline --preset z3 --radius 1 --out", "sdp export --preset z3 --radius 1 --export"],
+)
+def test_a_directory_in_place_of_a_file_is_an_error(capsys, tmp_path, argv):
+    code, out, err = _run(capsys, *argv.split(), str(tmp_path))
+    assert code == 1 and out == ""
+    assert "\nerror: " in "\n" + err and "Traceback" not in err
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"not JSON: {name}")
@@ -466,6 +517,28 @@ def test_committed_certificates_of_an_earlier_release_verify(capsys, name):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] and payload["reverified_lambda0"] >= payload["stored_lambda0"]
+
+
+@pytest.mark.parametrize(
+    "name", ["z3-r1-certificate.json", "sl3z-mod2-r1-certificate.json"]
+)
+def test_committed_certificates_round_trip_byte_for_byte(name):
+    path = Path(__file__).parent / "data" / name
+    cert = Certificate.load(path)
+    assert "q" not in cert.fields  # Q is held once, as doubles
+    assert cert.to_bytes() == path.read_bytes()
+
+
+def test_certificate_fields_keep_their_order_and_q_goes_last(capsys, tmp_path):
+    data = json.loads((Path(__file__).parent / "data" / "z3-r1-certificate.json").read_bytes())
+    rest = {k: v for k, v in data.items() if k not in ("q", "format")}
+    moved = {"q": data["q"], **rest, "format": data["format"]}
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(moved))
+    written = json.loads(Certificate.load(path).to_bytes())
+    assert written == moved and list(written) == [*rest, "format", "q"]
+    code, out, _ = _run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_negative_radius_is_a_usage_error(capsys):

@@ -215,7 +215,7 @@ def test_export_blocks_join_to_the_oracle_at_any_block_size(monkeypatch, chunk):
         prob = _preset_problem(preset, radius)
         keys = prob.export_keys()
         # every block but the entry lines' first holds at most `chunk` constraints
-        entries = list(sdp._entry_chunks(prob, keys))
+        entries = list(sdp._entry_chunks(prob))
         assert len(entries) == 1 + -(-len(keys) // chunk)
         text = export_sdpa(prob)
         assert first_difference(text, sdpa_text(prob)) is None

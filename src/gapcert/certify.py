@@ -19,8 +19,10 @@ summation order, bounds the total error of all the class sums at once, so
 module is the package's only rounding policy, in one arithmetic with no
 interval type: each enclosure is a pair of doubles.  An exact target
 coefficient becomes the doubles at or next to it (_enclose); every other
-step is widened one ulp outward with nextafter or is an exact compensated
-sum, so the reported lambda0 is a mathematically valid lower bound.
+step is widened one ulp outward with nextafter or is an exactly rounded
+sum (math.fsum, or for the residual's l1 totals _exact_sum, which gives
+fsum's bits from exponent-indexed np.bincount accumulators), so the
+reported lambda0 is a mathematically valid lower bound.
 
 Certificates are self-contained canonical JSON: they store the
 presentation text, the model, the relator subset, the support basis, Q
@@ -28,7 +30,9 @@ presentation text, the model, the relator subset, the support basis, Q
 the exact values of the stored decimals), and the solver's lambda, so
 verification recomputes everything without touching solver state.  A
 Certificate is that JSON object without Q, plus Q as doubles:
-certified_gap writes it and verify_certificate reads it.
+certified_gap writes it and verify_certificate reads it.  Q's text is
+built with array operations (_reprs), byte-identical to each entry's
+repr, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .fox import Laplacian1, laplacian1
@@ -169,10 +174,45 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _gram_class_sums(Q: np.ndarray, slots: np.ndarray, size: int) -> Tuple[np.ndarray, float]:
+def _exact_sum(x: np.ndarray, extra: List[float]) -> float:
+    """math.fsum(x.ravel().tolist() + extra): the correctly rounded sum, from a few array passes.
+
+    A double is m * 2^(e - 53), m a signed 53-bit integer (np.frexp).  The
+    two halves of m, below 2^26 and 2^27 in magnitude, are summed per
+    exponent with np.bincount, exactly in binary64 while fewer than 2^26
+    terms meet in one bucket (the exponent-indexed accumulators of Demmel
+    and Hida, SIAM J. Sci. Comput. 25, 2003, and of Neal, arXiv:1505.05571).
+    The buckets and the extra terms are added as integers in units of
+    2^-1126, and integer true division rounds the total once.  Non-finite
+    terms, a total that could overflow, or 2^26 terms or more go to
+    math.fsum itself, which returns its value or raises its exception.
+    """
+    frac, exp = np.frexp(x.ravel())
+    top = max([int(exp.max(initial=0))] + [math.frexp(v)[1] for v in extra])
+    count = frac.size + len(extra)
+    if (frac.size >= 1 << 26 or top + count.bit_length() > 1000
+            or not np.isfinite(frac).all() or not all(map(math.isfinite, extra))):
+        return math.fsum(x.ravel().tolist() + extra)
+    t = frac * 2.0 ** 26
+    hi = np.trunc(t)
+    bucket = exp + 1073  # the least exponent, of 2^-1074, is -1073
+    H = np.bincount(bucket, weights=hi)  # integers below 2^52
+    L = np.bincount(bucket, weights=t - hi)  # multiples of 2^-27 below 2^26
+    total = 0
+    for b in np.flatnonzero((H != 0) | (L != 0)).tolist():
+        total += ((int(H[b]) << 27) + int(L[b] * 2.0 ** 27)) << b
+    for v in extra:
+        num, den = v.as_integer_ratio()  # den a power of two up to 2^1074
+        total += (num << 1126) // den
+    return total / (1 << 1126)
+
+
+def _gram_class_sums(Q: np.ndarray, slots: np.ndarray, size: int,
+                     largest: int) -> Tuple[np.ndarray, float]:
     """Sums of G = fl(Q^T Q) over classes of Gram cells, and one radius for all of them.
 
-    slots[a, b] is the class, one of `size`, of cell (a, b).  mid(c) is
+    slots[a, b] is the class, one of `size`, of cell (a, b), and no class
+    has more than `largest` cells.  mid(c) is
     the computed sum of G over class c, and sum_c |mid(c) - S(c)| <=
     radius, S(c) the exact sum of Q^T Q over the class.  An entry of G is
     a dot product of length k = Q.shape[0]: in any summation order, with
@@ -199,7 +239,7 @@ def _gram_class_sums(Q: np.ndarray, slots: np.ndarray, size: int) -> Tuple[np.nd
     abs_g = _up(_up(math.fsum(np.abs(G).sum(axis=1).tolist())) * grow)
     s = np.nextafter(np.abs(Q).sum(axis=1) * grow, np.inf)
     abs_a = _up(math.fsum(np.nextafter(s * s, np.inf).tolist()))
-    gamma_c = _rho(int(np.bincount(idx, minlength=size).max(initial=0)))
+    gamma_c = _rho(largest)
     terms = [_up(gamma_c * abs_g), _up(_rho(k) * abs_a), _up(2 * k * N * N * _ETA)]
     return mid, _up(math.fsum(terms))
 
@@ -269,16 +309,17 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
     # round to nearest is sign-symmetric, so this is c's enclosure mirrored
     outside = [_enclose(abs(c)) for _, c in outside]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        mid, radius = _gram_class_sums(Q, table.slots(n), n * n * len(table))
+        largest = int(np.bincount(table.pid.ravel()).max())  # cells of a class, per (i, j)
+        mid, radius = _gram_class_sums(Q, table.slots(n), n * n * len(table), largest)
         mid = mid.reshape(n, n, -1)
         # for C in [Clo, Chi]: dist(mid, [Clo, Chi]) <= |C - mid| <= dev, and
         # |C - S| is within |mid - S| of |C - mid|, whose sum is <= radius
         dev = np.nextafter(np.maximum(mid - Clo, Chi - mid), np.inf)
         dist = np.maximum(np.nextafter(np.maximum(Clo - mid, mid - Chi), -np.inf), 0.0)
-    # math.fsum is exactly rounded, so one outward ulp makes the sums safe
+    # the sums are exactly rounded, so one outward ulp makes them safe
     try:
-        total_hi = math.fsum(dev.ravel().tolist() + [a.hi for a in outside] + [radius])
-        total_lo = math.fsum(dist.ravel().tolist() + [a.lo for a in outside] + [-radius])
+        total_hi = _exact_sum(dev, [a.hi for a in outside] + [radius])
+        total_lo = _exact_sum(dist, [a.lo for a in outside] + [-radius])
     except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
         total_lo = total_hi = math.inf
     total_hi = _up(total_hi)
@@ -317,7 +358,11 @@ class Certificate:
     q: np.ndarray
 
     def to_bytes(self) -> bytes:
-        """The compact JSON of the certificate, Q last, its entries as repr strings.
+        """The compact JSON of the certificate, Q last, its entries as repr strings."""
+        return b"".join(self._chunks())
+
+    def _chunks(self) -> Iterator[bytes]:
+        """to_bytes in pieces: the header up to Q's entries, then blocks of rows of Q.
 
         A float's repr needs no JSON escaping, so each row is its reprs in
         quotes, spliced in after the header's empty entry list.
@@ -325,10 +370,9 @@ class Certificate:
         rows, cols = self.q.shape
         q = {"rows": rows, "cols": cols, "entries": []}
         head = json.dumps({**self.fields, "q": q}, separators=(",", ":"))  # ends '[]}}'
-        body = ",".join(
-            '["' + '","'.join(map(repr, row)) + '"]' if row else "[]" for row in self.q.tolist()
-        )
-        return (head[:-4] + "[" + body + "]}}").encode("utf-8")
+        yield (head[:-4] + "[").encode("utf-8")
+        yield from _q_rows_text(self.q)
+        yield b"]}}"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
@@ -344,13 +388,109 @@ class Certificate:
         return cls({k: v for k, v in data.items() if k != "q"}, q)
 
     def save(self, path) -> None:
+        """Write to_bytes() to path block by block, never the whole at once."""
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.writelines(self._chunks())
 
     @classmethod
     def load(cls, path) -> "Certificate":
         with open(path, "rb") as fh:
             return cls.from_json_dict(json.loads(fh.read()))
+
+
+_TEXT_ENTRIES = 1 << 12  # Q entries per block of certificate text: bounds what save holds
+# the two ASCII digits of each of 0..99, as one 2-byte item each
+_DIGITS2 = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), dtype=np.uint16)
+
+
+def _q_rows_text(q: np.ndarray) -> Iterator[bytes]:
+    """Q's rows as the JSON text `["x","y"],["z","w"]`, each x the repr of its entry.
+
+    A block of rows at a time is laid out as fixed-width records of
+    NUL-padded fields, one per entry, and the NULs are dropped.
+    """
+    rows, cols = q.shape
+    if cols == 0:
+        yield ",".join(["[]"] * rows).encode("ascii")
+        return
+    step = max(1, _TEXT_ENTRIES // cols)
+    for a in range(0, rows, step):
+        block = q[a:a + step]
+        text = _reprs(block.ravel())
+        k, w = len(block), text.shape[1]
+        record = np.zeros((k, cols, w + 5), dtype=np.uint8)  # [ " repr " , ,
+        record[:, 0, 0] = ord("[")
+        record[..., 1] = record[..., w + 2] = ord('"')
+        record[..., 2:w + 2] = text.reshape(k, cols, w)
+        record[..., w + 3] = ord(",")
+        record[:, -1, w + 3:] = ord("]"), ord(",")
+        if a + k == rows:
+            record[-1, -1, w + 4] = 0
+        yield record.tobytes().translate(None, b"\0")
+
+
+def _reprs(x: np.ndarray) -> np.ndarray:
+    """repr of each double of the 1-D x, as NUL-padded ASCII rows of one width.
+
+    An entry from psd_sqrt is the double nearest a decimal M / 10^p, M an
+    integer of 15 digits.  Such an entry is taken when M / 10^p rounds to
+    it with 0 <= p <= 22 and M <= 10^15: distinct decimals of 15 or fewer
+    digits round to distinct doubles, so repr, the shortest decimal that
+    rounds back, prints M's digits.  They are laid out by repr's rules:
+    trailing zeros dropped, fixed notation while the decimal point position
+    decpt is -3 to 16, d.ddde-XX below.  Each entry's digits sit in a row
+    of '0's, and its integer and fraction digits are the windows of that
+    row that end and start at the point.  Every other entry (zeros,
+    |x| < 1e-8 or >= 1e15, non-finite or unrounded values) takes repr.
+    """
+    n = len(x)
+    mag = np.abs(x)
+    with np.errstate(all="ignore"):  # zeros, non-finite and huge entries fail the test
+        places = 14 - np.floor(np.log10(mag))
+        fast = (places >= 0) & (places <= 22)
+        p = np.where(fast, places, 14).astype(np.intp)
+        M = np.rint(mag * _POW10[p])
+        fast &= (M <= 1e15) & (M / _POW10[p] == mag)
+    M = np.where(fast, M, 1e14).astype(np.int64)
+    # d_j, the digit of 10^j in M, at column 37 - j of a row of '0's
+    digits = np.full((n, 60), ord("0"), dtype=np.uint8)
+    pairs = digits[:, 22:38].view(np.uint16)  # two digits to an item
+    for g in range(7):
+        pairs[:, g] = _DIGITS2[M // 10 ** (14 - 2 * g)]
+        M %= 10 ** (14 - 2 * g)
+    pairs[:, 7] = _DIGITS2[M]
+    nonzero = digits[:, 22:38] != ord("0")
+    length = 16 - nonzero.argmax(axis=1)  # M's digits
+    zeros = nonzero[:, ::-1].argmax(axis=1)  # and its trailing zeros
+    decpt = length - p
+    sci = decpt < -3  # decpt <= 16, as p >= 0
+    point = np.where(sci, length - 1, p)  # digits after the point, before trailing zeros go
+    int_len = np.maximum(length - point, 1)
+    frac_len = np.where(sci, point - zeros, np.maximum(point - zeros, 1))
+    wa, wb, we = int(int_len.max()), int(frac_len.max()), 4 * bool(sci.any())
+    start = np.arange(n) * digits.shape[1] + 38 - point  # the first digit after the point
+    slow = np.flatnonzero(~fast)
+    texts = [repr(v) for v in x[slow].tolist()]
+    width = max([2 + wa + wb + we] + [len(t) for t in texts])
+    out = np.zeros((n, width), dtype=np.uint8)
+    out[:, 0] = (x < 0).view(np.uint8) * np.uint8(ord("-"))
+    ints = sliding_window_view(digits.ravel(), wa)[start - wa]
+    ints *= np.arange(wa) >= (wa - int_len)[:, None]  # no leading zeros but the units
+    out[:, 1:1 + wa] = ints
+    out[:, 1 + wa] = np.where(frac_len > 0, ord("."), 0)
+    if wb:
+        fracs = sliding_window_view(digits.ravel(), wb)[start]
+        fracs *= np.arange(wb) < frac_len[:, None]
+        out[:, 2 + wa:2 + wa + wb] = fracs
+    if we:
+        e = np.where(sci, 1 - decpt, 0)  # the exponent is -e, 5 <= e <= 22
+        tail = out[:, 2 + wa + wb:6 + wa + wb]
+        tail[:, 0], tail[:, 1], tail[:, 2], tail[:, 3] = ord("e"), ord("-"), e // 10, e % 10
+        tail[:, 2:] += ord("0")
+        tail *= sci[:, None]
+    if texts:
+        out[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return out
 
 
 def _q_from_json(data: dict) -> np.ndarray:

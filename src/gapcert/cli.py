@@ -108,6 +108,20 @@ def _emit(data: dict, out: Optional[str] = None):
         print(blob)
 
 
+def _check_writable(path: Optional[str]) -> None:
+    """Raise OSError now, before a solve, if path cannot be opened for writing.
+
+    Append mode truncates nothing; a file that the check creates is
+    removed again, so a run that fails later leaves no empty file.
+    """
+    if path:
+        existed = os.path.lexists(path)
+        with open(path, "ab"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _write_export(problem, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_sdpa(problem, fh)
@@ -176,10 +190,11 @@ def cmd_sdp(args) -> int:
         else:
             write_sdpa(problem, sys.stdout)
         return 0
-    # solve
-    sol = solve(problem, _solve_opts(args))
+    # solve; the output paths fail before it, not after
+    _check_writable(args.out)
     if args.export:
         _write_export(problem, args.export)
+    sol = solve(problem, _solve_opts(args))
     payload = {
         "lambda": sol.lam,
         "status": sol.status,
@@ -247,9 +262,10 @@ def cmd_pipeline(args) -> int:
     p, model, lap, basis, problem = _build_stage(args)
     if args.export:
         _write_export(problem, args.export)
+    cert_path = args.out or "certificate.json"
+    _check_writable(cert_path)
     sol = solve(problem, _solve_opts(args))
     result = _certify_from_solution(lap, basis, sol.lam, P=sol.P)
-    cert_path = args.out or "certificate.json"
     result.certificate.save(cert_path)
     check = verify_certificate(Certificate.load(cert_path))
     summary = _gap_summary(result, cert_path)

@@ -2,9 +2,11 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,14 +15,17 @@ import numpy as np
 import pytest
 
 import gapcert
+from gapcert import certify
 from gapcert.certify import (
     Certificate,
     CertificateError,
     HashMismatchError,
     SupportReconstructionError,
     _enclose,
+    _exact_sum,
     _gram_class_sums,
     _rho,
+    _round_digits,
     certified_gap,
     floor_display,
     psd_sqrt,
@@ -259,6 +264,56 @@ def test_certificate_bytes_are_the_compact_json_of_the_dict():
     assert mod2.certificate.q.shape[0] > 0 and no_rows.certificate.q.shape == (0, 3)
 
 
+_EDGE_ENTRIES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.99999999999999e-09, 1e-08, 1e-05,
+                 0.0001, 1e15, 1e16, 3.0, -7.0, 1.7976931348623157e+308, 1e+100, 1e-100]
+
+
+def test_certificate_bytes_are_the_reprs_of_q_at_any_block_size(monkeypatch):
+    rng = np.random.default_rng(19)
+    edge = np.array(_EDGE_ENTRIES)
+    spread = rng.normal(size=(40, 60)) * 10.0 ** rng.integers(-20, 41, size=(40, 60))
+    short = rng.integers(-999, 1000, size=(30, 20)) * 10.0 ** rng.integers(-12, 14, size=(30, 20))
+    qs = [
+        edge.reshape(1, -1), edge.reshape(-1, 1), np.resize(edge, (4, 9)),
+        rng.normal(size=(7, 11)),  # not rounded: every entry takes repr
+        _round_digits(spread),  # 15 digits from 1e-20 to 1e40: both notations and repr
+        _round_digits(short),  # fewer digits: trailing zeros and integral values
+        _round_digits(rng.normal(size=(13, 5)) / 30), np.zeros((0, 3)), np.zeros((3, 0)),
+    ]
+    fields = {"format": certify._FORMAT, "status": "no-positive-gap"}
+    for entries in (1, 5, 64, certify._TEXT_ENTRIES):  # one row, or a few, per block
+        monkeypatch.setattr(certify, "_TEXT_ENTRIES", entries)
+        for Q in qs:
+            assert Certificate(fields, Q).to_bytes() == _json_bytes(Certificate(fields, Q))
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "-0.0"])
+def test_certificate_bytes_of_a_loaded_file_are_the_reprs_of_its_q(text):
+    data = json.loads(_z3_pipeline()[3].certificate.to_bytes())
+    data["q"]["entries"][0][0] = data["q"]["entries"][-1][-1] = text
+    cert = Certificate.from_json_dict(data)
+    assert cert.to_bytes() == _json_bytes(cert)
+    assert json.loads(cert.to_bytes())["q"]["entries"][-1][-1] == repr(float(text))
+
+
+def test_save_writes_to_bytes_in_less_memory_than_the_file(tmp_path):
+    # a certificate-sized Q (sl3z r2 at 50 iterations has 295 x 726); save
+    # holds one block of rows at a time.  Measured on this Q: a 4.6 MB file,
+    # a 1.2 MB tracemalloc peak; writing the whole text at once peaked at 13.8 MB
+    Q = _round_digits(np.random.default_rng(20).normal(size=(295, 726)) / 20)
+    cert = Certificate({"format": certify._FORMAT}, Q)
+    path = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        cert.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_bytes() == cert.to_bytes() == _json_bytes(cert)
+    assert peak < size / 2
+
+
 def test_tampered_q_entry_strictly_lowers_bound():
     _, _, _, result = _z3_pipeline()
     cert = result.certificate
@@ -350,7 +405,7 @@ def _exact_gram(Q):
 
 def _assert_radius_covers(Q, slots, size):
     """sum_c |mid(c) - S(c)| <= radius, S the exact class sums of Q^T Q."""
-    mid, radius = _gram_class_sums(Q, slots, size)
+    mid, radius = _gram_class_sums(Q, slots, size, int(np.bincount(slots.ravel()).max()))
     assert mid.shape == (size,) and math.isfinite(radius) and radius >= 0.0
     S = [Fraction(0)] * size
     for row, cls in zip(_exact_gram(Q), slots.tolist()):
@@ -400,6 +455,48 @@ def test_gram_class_sums_cover_cancelling_classes():
     for Q, slots in cases:
         _, classes = np.unique(slots, return_inverse=True)
         _assert_radius_covers(Q, classes.reshape(slots.shape), int(classes.max()) + 1)
+
+
+def _fsum_outcome(f, *args):
+    """f's value as its bits, or its exception as its type and message."""
+    try:
+        return struct.pack("<d", f(*args))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sums_like_fsum(x, extra):
+    want = _fsum_outcome(lambda: math.fsum(x.tolist() + extra))
+    assert _fsum_outcome(_exact_sum, x, extra) == want
+
+
+def test_exact_sum_is_fsum_bit_for_bit():
+    rng = np.random.default_rng(14)
+    cases = [np.array([]), np.zeros(9), np.array([-0.0, 0.0, -0.0]),
+             np.array([5e-324, 5e-324, -5e-324]), np.array([5e-324] * 3 + [2.0 ** -1022])]
+    for _ in range(150):
+        n = int(rng.integers(1, 300))
+        x = rng.uniform(-1, 1, n) * np.ldexp(1.0, rng.integers(-1000, 980, n))
+        # heavy cancellation: each value and its negation, off by an ulp or by nothing
+        twin = -np.where(rng.random(n) < 0.5, x, np.nextafter(x, np.inf))
+        x = rng.permutation(np.concatenate([x, twin]))
+        sub = rng.random(2 * n) < 0.2
+        x[sub] = rng.integers(-(2 ** 20), 2 ** 20, size=int(sub.sum())) * 5e-324
+        cases.append(x)
+    for x in cases:
+        extra = [float(rng.uniform(-1, 1)) * 2.0 ** int(rng.integers(-1074, 900)), 5e-324]
+        _assert_sums_like_fsum(x, [])
+        _assert_sums_like_fsum(x, extra)
+
+
+def test_exact_sum_leaves_non_finite_and_overflowing_totals_to_fsum():
+    inf, nan, big = math.inf, math.nan, 1.7e308
+    cases = [([inf], []), ([nan], []), ([1.0, inf, -inf], []), ([1.0], [inf, -inf]),
+             ([nan, inf], []), ([1.0], [nan]), ([big, big], []), ([big, big, -big], []),
+             ([big], [big]), ([big, -big, 1e300], []), ([1.79e308, -1e308], [-1e308]),
+             ([2.0 ** 1000] * 3, [])]
+    for values, extra in cases:
+        _assert_sums_like_fsum(np.array(values), extra)
 
 
 def test_bound_encloses_the_exact_residual_l1():

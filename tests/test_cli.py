@@ -457,6 +457,29 @@ def test_a_directory_in_place_of_a_file_is_an_error(capsys, tmp_path, argv):
     assert "\nerror: " in "\n" + err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["pipeline --preset z3 --radius 1 --out", "sdp solve --preset z3 --radius 1 --out",
+     "sdp solve --preset z3 --radius 1 --export"],
+)
+def test_an_unwritable_output_fails_before_the_solve(capsys, tmp_path, argv):
+    code, out, err = _run(capsys, *argv.split(), str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "iter " not in err  # no solver progress line
+
+
+def test_the_output_check_keeps_an_existing_file_and_leaves_no_new_one(capsys, tmp_path):
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    kept.write_bytes(b"old")
+    # the solution path is checked first; then the export path fails, and no solve runs
+    for path in (kept, absent):
+        code, _, err = _run(capsys, "sdp", "solve", "--preset", "z3", "--radius", "1",
+                            "--out", str(path), "--export", str(tmp_path))
+        assert code == 1 and "iter " not in err
+    assert kept.read_bytes() == b"old" and not absent.exists()
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"not JSON: {name}")

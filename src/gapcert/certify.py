@@ -56,7 +56,7 @@ from .groups import (
     model_from_spec,
     validate_model,
 )
-from .sdp import target_coefficients
+from .sdp import _psd_factor, target_coefficients
 from .words import parse_presentation
 
 
@@ -75,9 +75,10 @@ class SupportReconstructionError(CertificateError):
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
     """Gram factor Q = diag(sqrt(w)) V^T of the PSD part of P, r x N.
 
-    P is symmetrized first.  Only the eigenpairs with w > N*eps*max(w)
-    (np.linalg.matrix_rank's tolerance) are kept, so Q has as many rows as
-    P has numerical rank; what is dropped is eigh's own rounding noise.
+    Q is the transpose of the solver's PSD eigen-factor (sdp._psd_factor)
+    of the symmetrized P, cut at w > N*eps*max(w) (np.linalg.matrix_rank's
+    tolerance), so Q has as many rows as P has numerical rank; what is
+    dropped is eigh's own rounding noise.
     Q^T Q is positive semidefinite whatever noise P carries.  The entries
     are rounded to 15 significant digits (_round_digits), which the
     certified bound pays for like any other error of Q.
@@ -87,9 +88,7 @@ def psd_sqrt(P: np.ndarray) -> np.ndarray:
         raise ValueError("psd_sqrt needs a square matrix")
     if not np.isfinite(P).all():  # eigh's NaNs would pass no tolerance test
         raise ValueError("P contains non-finite entries")
-    w, V = np.linalg.eigh(0.5 * (P + P.T))
-    keep = w > len(w) * np.finfo(float).eps * w.max(initial=0.0)
-    return _round_digits(np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T))
+    return _round_digits(np.ascontiguousarray(_psd_factor(P, len(P) * np.finfo(float).eps).T))
 
 
 _POW10 = np.array([float(10 ** e) for e in range(23)])  # the powers of ten that are doubles
@@ -335,8 +334,13 @@ def _status(lambda0: float) -> str:
 
 
 def floor_display(x: float) -> str:
-    """Human-facing bound, floored to two decimals (never rounded up)."""
-    return f"{math.floor(x * 100) / 100:.2f}"
+    """Human-facing bound, floored to two decimals (never rounded up).
+
+    The floor is taken of the exact value: x * 100 in floating point can
+    round up to an integer.
+    """
+    q = math.floor(Fraction(x) * 100)
+    return f"{'-' if q < 0 else ''}{abs(q) // 100}.{abs(q) % 100:02d}"
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,28 @@ def _mat_identity(d: int) -> MatrixKey:
 
 
 def _det(a: Sequence[Sequence[int]]) -> int:
-    d = len(a)
-    if d == 1:
-        return a[0][0]
-    if d == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = 0
-    for j in range(d):
-        minor = [row[:j] + row[j + 1:] for row in [list(r) for r in a[1:]]]
-        total += (-1) ** j * a[0][j] * _det(minor)
-    return total
+    """Determinant of a square integer matrix.
+
+    Fraction-free (Bareiss) elimination: O(d^3) integer operations, every
+    division exact, with a row swap on a zero pivot.
+    """
+    m = [list(row) for row in a]
+    d = len(m)
+    sign, prev = 1, 1
+    for k in range(d - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, d) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, d):
+            mi, mik = m[i], m[i][k]
+            for j in range(k + 1, d):
+                mi[j] = (mi[j] * pivot - mik * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if d else 1
 
 
 def _adjugate(a: MatrixKey) -> MatrixKey:

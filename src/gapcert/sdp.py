@@ -15,6 +15,11 @@ The embedded solver is a first-order operator-splitting scheme: it
 alternates exact projection onto the affine constraint subspace (the
 constraint Gram operator is diagonal apart from a rank-one coupling
 through lambda) with projection onto the PSD cone by eigendecomposition.
+One eigen-factor serves that projection and psd_sqrt: _psd_factor gives
+B = V sqrt(w) over the eigenvalues kept, and the projection is B B^T,
+which numpy computes as a symmetric rank-k update, so it is exactly
+symmetric.  The residual norms are taken only at the checks and at the
+last iteration.
 When the index permutations e_ij -> e_s(i)s(j), s in S3, fix the problem
 exactly (gram_symmetry), every iterate is S3-invariant and is held in
 invariant coordinates, N^2/6 values: the affine step sums over orbits
@@ -554,16 +559,25 @@ class SdpSolution:
     status: str
 
 
+def _psd_factor(A: np.ndarray, rtol: float = 0.0) -> np.ndarray:
+    """B = V[:, keep] * sqrt(w[keep]) for the eigenpairs (w, V) of 0.5 * (A + A.T).
+
+    keep is w > rtol * max(w, 0).  B @ B.T is the PSD part of A less the
+    eigenvalues cut, and B has no columns when nothing is kept.
+    """
+    w, V = np.linalg.eigh(0.5 * (A + A.T))
+    keep = w > rtol * w.max(initial=0.0)
+    return V[:, keep] * np.sqrt(w[keep])
+
+
 def _psd_project(A: np.ndarray) -> np.ndarray:
-    S = 0.5 * (A + A.T)
-    w, V = np.linalg.eigh(S)
-    if w[0] >= 0.0:
-        return S
-    pos = w > 0.0
-    if not pos.any():
-        return np.zeros_like(S)
-    Z = (V[:, pos] * w[pos]) @ V[:, pos].T
-    return 0.5 * (Z + Z.T)
+    """The nearest PSD matrix to the symmetric part of A, exactly symmetric.
+
+    numpy evaluates B @ B.T as a symmetric rank-k update (syrk), which
+    fills one triangle and mirrors it.
+    """
+    B = _psd_factor(A)
+    return B @ B.T
 
 
 def _block_maps(sym: GramSymmetry) -> Tuple[np.ndarray, np.ndarray]:
@@ -702,11 +716,13 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
         xrlam = alpha * xlam + (1.0 - alpha) * zlam
         Z_new = _psd_project_invariant(Xr + U, sym, maps)
         U = U + Xr - Z_new
-        rp = scale * float(np.linalg.norm(X - Z_new))
-        rd = rho * scale * float(np.linalg.norm(Z_new - Z))
+        check = it % _CHECK_EVERY == 0 or it == 1
+        if check or it == opts.max_iter:  # the only iterations that read them
+            rp = scale * float(np.linalg.norm(X - Z_new))
+            rd = rho * scale * float(np.linalg.norm(Z_new - Z))
         Z = Z_new
         zlam = xrlam
-        if it % _CHECK_EVERY == 0 or it == 1:
+        if check:
             if opts.progress is not None:
                 opts.progress(it, xlam, rp, rd)
             if rp <= opts.tol_primal and rd <= opts.tol_dual:

@@ -141,6 +141,13 @@ class Presentation:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
+# A relator's letter count is bounded before any power or commutator is
+# built, so that a short expression such as t^1000000000000 (in a
+# certificate, say) is refused rather than expanded.  The shipped presets
+# need at most 12 letters, and zn:<n> needs n.
+_MAX_LETTERS = 10 ** 6
+
+
 class _ExprParser:
     def __init__(self, text: str, line: int, col0: int, gen_index: dict):
         self.text = text
@@ -173,18 +180,28 @@ class _ExprParser:
         self.pos += m.end()
         return int(m.group())
 
+    def check_length(self, n: int, at: int):
+        """Refuse n letters, naming the operator token at position at."""
+        if n > _MAX_LETTERS:
+            self.pos = at
+            self.error(f"relator longer than {_MAX_LETTERS} letters")
+
     def parse_expr(self) -> list:
         letters = self.parse_term()
         while self.peek() == "*":
+            at = self.pos
             self.pos += 1
             letters += self.parse_term()
+            self.check_length(len(letters), at)
         return letters
 
     def parse_term(self) -> list:
         letters = self.parse_atom()
         if self.peek() == "^":
+            at = self.pos
             self.pos += 1
             k = self.parse_int()
+            self.check_length(len(letters) * abs(k), at)
             if k >= 0:
                 letters = letters * k
             else:
@@ -200,11 +217,13 @@ class _ExprParser:
             self.expect(")")
             return letters
         if ch == "[":
+            at = self.pos
             self.pos += 1
             x = self.parse_expr()
             self.expect(",")
             y = self.parse_expr()
             self.expect("]")
+            self.check_length(2 * (len(x) + len(y)), at)
             xi = [(i, -s) for i, s in reversed(x)]
             yi = [(i, -s) for i, s in reversed(y)]
             return x + y + xi + yi

@@ -427,6 +427,37 @@ def symmetric_psd_sqrt(P):
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
+def psd_project_by_cases(A):
+    """The PSD projection of A's symmetric part, with a case for each inertia."""
+    S = 0.5 * (A + A.T)
+    w, V = np.linalg.eigh(S)
+    if w.min(initial=0.0) >= 0.0:
+        return S
+    pos = w > 0.0
+    if not pos.any():
+        return np.zeros_like(S)
+    Z = (V[:, pos] * w[pos]) @ V[:, pos].T
+    return 0.5 * (Z + Z.T)
+
+
+def rank_cut_psd_sqrt(P):
+    """psd_sqrt's Gram factor before rounding, from its own eigendecomposition."""
+    w, V = np.linalg.eigh(0.5 * (P + P.T))
+    keep = w > len(w) * np.finfo(float).eps * w.max(initial=0.0)
+    return np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T)
+
+
+def cofactor_det(a) -> int:
+    """Determinant of a square integer matrix by cofactor expansion along row 0."""
+    d = len(a)
+    if d == 1:
+        return a[0][0]
+    return sum(
+        (-1) ** j * a[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in map(list, a[1:])])
+        for j in range(d)
+    )
+
+
 def support_basis_from_json(data: dict) -> SupportBasis:
     """Inverse of SupportBasis.to_json (the `gapcert ball --json` output)."""
     model = model_from_spec(data["model"])

@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from gapcert.presets import load_preset
 from gapcert.sdp import SolveOptions, build_problem, solve
 
 from _oracles import certificate_json_dict, exact_certified_gap, symmetric_psd_sqrt
+from _oracles import rank_cut_psd_sqrt
 from _oracles import identity, l1, sum_of_squares
 
 
@@ -98,6 +100,16 @@ def test_psd_sqrt_without_positive_eigenvalues_has_no_rows(tmp_path, P):
     assert loaded.to_bytes() == result.certificate.to_bytes()
     check = verify_certificate(loaded)
     assert check.passed and check.lambda0 == result.lambda0
+
+
+def test_psd_sqrt_is_the_rank_cut_factor_bit_for_bit():
+    rng = np.random.default_rng(12)
+    matrices = [rng.normal(size=(n, n)) for n in (1, 2, 9, 40)]
+    matrices += [A @ A.T for A in (rng.normal(size=(30, 7)), rng.normal(size=(30, 30)))]
+    p, model = load_preset("sl3z-mod:2")
+    sol = solve(build_problem(laplacian1(model, p), ball(model, 2)), SolveOptions(max_iter=300))
+    for P in matrices + [sol.P]:
+        assert np.array_equal(psd_sqrt(P), _round_digits(rank_cut_psd_sqrt(P)))
 
 
 def test_rank_sized_factor_certifies_like_the_symmetric_root():
@@ -372,6 +384,18 @@ def test_floor_display():
     assert floor_display(0.329999) == "0.32"
     assert floor_display(2.9999999) == "2.99"
     assert floor_display(-0.001) == "-0.01"
+
+
+def test_floor_display_floors_the_exact_value():
+    # x * 100 in floating point rounds up to an integer for 4,106 of these
+    # 80,000 doubles, the two just below each k/100
+    for k in range(-20000, 20000):
+        below = math.nextafter(k / 100, -math.inf)
+        for x in (math.nextafter(below, -math.inf), below):
+            n, d = x.as_integer_ratio()
+            assert floor_display(x) == f"{Decimal(100 * n // d).scaleb(-2):.2f}", x
+    assert floor_display(0.33999999999999997) == "0.33"
+    assert floor_display(0.049999999999999996) == "0.04"
 
 
 def test_theorem_consistency_z3_regular_representation():

@@ -301,6 +301,18 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificate
     assert err.startswith("error:")
 
 
+def test_verify_refuses_a_presentation_that_expands_to_terabytes(capsys, tmp_path, good_certificates):
+    # the hash binds the text only to itself; expanded, t^1000000000000 is 8 TB
+    data = json.loads(good_certificates["z3"])
+    text = "gens: t\nrel: t^1000000000000\n"
+    data["presentation"] = {"text": text, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "verify", str(cert_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "letters" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "path",
     [["presentation"], ["model"], ["relators"], ["basis"], ["solver_lambda"],

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gapcert.words import Word, parse_presentation
 from _oracles import (
     brute_ball_keys,
     class_elements,
+    cofactor_det,
     invert_3x3_unimodular,
     mat_identity_3x3,
     mat_mul_3x3,
@@ -332,3 +334,27 @@ def test_find_agrees_with_the_pair_index(preset, outside):
     # a key with an entry beyond int64 is no product of an int64 table
     huge = ((2 ** 70, 0, 0), (0, 1, 0), (0, 0, 1))
     assert table.find([huge, outside, keys[2]]) == [None, None, 2]
+
+
+def test_det_is_the_cofactor_expansion():
+    rng = random.Random(3)
+    for _ in range(600):
+        d = rng.randint(1, 6)
+        bound = rng.choice([1, 3, 2 ** 70])
+        a = [[rng.randint(-bound, bound) if rng.random() < 0.8 else 0 for _ in range(d)]
+             for _ in range(d)]
+        if d > 1 and rng.random() < 0.25:  # singular: one row a multiple of another
+            a[-1] = [rng.randint(-3, 3) * x for x in a[0]]
+        assert groups._det(a) == cofactor_det(a)
+
+
+def test_a_12x12_unimodular_model_builds_quickly():
+    # cofactor expansion would take minutes on each 12 x 12 image
+    rng = random.Random(4)
+    upper = [[int(i == j) if j <= i else rng.randint(-2, 2) for j in range(12)] for i in range(12)]
+    lower = [list(row) for row in zip(*upper)]
+    start = time.perf_counter()
+    model = MatrixModel([upper, lower])
+    g = model.multiply(model.generator(0), model.generator(1))
+    assert model.multiply(g, model.inverse(g)) == model.identity()
+    assert time.perf_counter() - start < 1.0

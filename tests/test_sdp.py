@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from gapcert.sdp import (
     SupportTooSmallError,
     _InvariantConstraints,
     _block_maps,
+    _psd_factor,
     _psd_project,
     _psd_project_invariant,
     build_problem,
@@ -32,7 +34,7 @@ from gapcert.sdp import (
 )
 from gapcert.words import Presentation, Word
 
-from _oracles import first_difference, reconstruct_exact, sdpa_text
+from _oracles import first_difference, psd_project_by_cases, reconstruct_exact, sdpa_text
 from _oracles import add, class_elements, element, identity, l1
 
 DATA = Path(__file__).parent / "data"
@@ -337,6 +339,83 @@ def test_solve_needs_an_iteration():
     _, _, prob = _z3_problem()
     with pytest.raises(ValueError, match="max_iter"):
         solve(prob, SolveOptions(max_iter=0))
+
+
+def _symmetric(kind, rng):
+    """A random symmetric matrix of the named inertia."""
+    if kind == "empty":
+        return np.zeros((0, 0))
+    if kind == "one_by_one":
+        return rng.normal(size=(1, 1))
+    M = rng.normal(size=(40, 40))
+    if kind == "positive_definite":
+        return M @ M.T + np.eye(40)
+    if kind == "negative_semidefinite":  # one eigenvalue exactly zero
+        S = -(M @ M.T + np.eye(40))
+        S[-1], S[:, -1] = 0.0, 0.0
+        return S
+    if kind == "singular":  # exactly: two equal rows and columns
+        S = M + M.T
+        S[-1], S[:, -1] = S[0], S[0]
+        S[-1, -1] = S[0, 0]
+        return S
+    return M + M.T  # mixed inertia
+
+
+_INERTIAS = [
+    "positive_definite", "negative_semidefinite", "mixed", "singular", "one_by_one", "empty",
+]
+
+
+@pytest.mark.parametrize("kind", _INERTIAS)
+def test_psd_factor_projects_like_the_case_by_case_formula(kind):
+    rng = np.random.default_rng(_INERTIAS.index(kind))
+    for _ in range(5):
+        A = _symmetric(kind, rng)
+        B = _psd_factor(A)
+        P = B @ B.T
+        assert np.array_equal(P, P.T)
+        assert np.array_equal(_psd_project(A), P)
+        ref = psd_project_by_cases(A)
+        assert np.abs(P - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+        if len(A):
+            assert np.linalg.eigvalsh(P)[0] >= -1e-13 * np.abs(P).max(initial=1.0)
+        if kind == "negative_semidefinite":
+            assert B.shape == (len(A), 0) and not P.any()
+
+
+@pytest.mark.parametrize("kind", _INERTIAS)
+def test_psd_factor_keeps_the_eigenpairs_above_the_cut(kind):
+    rng = np.random.default_rng(10 + _INERTIAS.index(kind))
+    A = _symmetric(kind, rng)
+    w = np.linalg.eigh(0.5 * (A + A.T))[0]
+    for rtol in (0.0, len(A) * np.finfo(float).eps, 1e-3, 0.3, 1.0):
+        B = _psd_factor(A, rtol)
+        keep = w > rtol * max(w.max(initial=0.0), 0.0)
+        assert B.shape == (len(A), keep.sum())
+        # columns in eigh's ascending order: their squared norms are the kept eigenvalues
+        assert np.allclose((B ** 2).sum(axis=0), w[keep], rtol=1e-12, atol=0.0)
+
+
+def _record_progress(prob, max_iter):
+    """solve's solution and the (rp, rd) its progress callback saw, by iteration."""
+    seen = {}
+
+    def progress(it, lam, rp, rd):
+        seen[it] = (rp, rd)
+
+    return solve(prob, SolveOptions(max_iter=max_iter, progress=progress)), seen
+
+
+def test_solve_reports_its_last_iterates_residuals():
+    _, _, prob = _sl3_instance("sl3z-mod:2")
+    sol, seen = _record_progress(prob, 50)
+    assert sol.status == "max-iter" and sol.iterations == 50
+    assert (sol.primal_residual, sol.dual_residual) == seen[50]
+    sol, seen = _record_progress(prob, 26)
+    assert sol.iterations == 26 and max(seen) == 25
+    last = (sol.primal_residual, sol.dual_residual)
+    assert all(map(math.isfinite, last)) and last[0] != seen[25][0] and last[1] != seen[25][1]
 
 
 @pytest.mark.parametrize("preset,radius", [("z3", 1), ("sl3z-mod:2", 1), ("free:2", 2)])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gapcert import words
 from gapcert.words import (
     Presentation,
     PresentationSyntaxError,
@@ -129,3 +130,24 @@ def test_presentation_validation():
 def test_duplicate_relator_labels_are_rejected(text, label):
     with pytest.raises(ValueError, match=f"duplicate relator label '{label}'"):
         parse_presentation(text)
+
+
+@pytest.mark.parametrize("expr", ["t^1000000000000", "(t^1000000)^1000000"])
+def test_a_huge_power_is_refused_before_it_is_built(expr):
+    # expanded, either relator would ask for 8 TB
+    with pytest.raises(PresentationSyntaxError, match="longer than 1000000 letters") as exc:
+        parse_presentation(f"gens: t\nrel: {expr}\n")
+    assert (exc.value.line, exc.value.column) == (2, 6 + expr.rindex("^"))
+
+
+@pytest.mark.parametrize(
+    "expr,token",
+    [("t^11", "^"), ("(a*b)^-6", "^"), ("[a^3, b^3]", "["), ("a^6*b^5", "*"),
+     ("a*b*a*b*a*b*a*b*a*b*a", "*")],
+)
+def test_the_letter_cap_counts_each_power_commutator_and_product(monkeypatch, expr, token):
+    monkeypatch.setattr(words, "_MAX_LETTERS", 10)
+    with pytest.raises(PresentationSyntaxError, match="longer than 10 letters") as exc:
+        parse_presentation(f"gens: a, b, t\nrel: {expr}\n")
+    assert f"rel: {expr}"[exc.value.column - 1] == token
+    assert len(parse_presentation("gens: a, b\nrel: [a^2, b^3]\nrel: (a*b)^5\n").relators) == 2

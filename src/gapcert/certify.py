@@ -52,7 +52,7 @@ from .fox import Laplacian1, laplacian1
 from .groups import (
     SupportBasis,
     _json_int,
-    check_ball_radius,
+    basis_from_json,
     model_from_spec,
     validate_model,
 )
@@ -399,7 +399,12 @@ class Certificate:
     @classmethod
     def load(cls, path) -> "Certificate":
         with open(path, "rb") as fh:
-            return cls.from_json_dict(json.loads(fh.read()))
+            text = fh.read()
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise CertificateError("certificate JSON is nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 _TEXT_ENTRIES = 1 << 12  # Q entries per block of certificate text: bounds what save holds
@@ -568,9 +573,7 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     if status != _status(stored_lambda0):
         raise CertificateError(f"stored status {status!r} contradicts its lambda0")
     try:
-        keys = [model.key_from_json(k) for k in basis_keys]
-        basis = SupportBasis(model, keys, radius)
-        check_ball_radius(basis)
+        basis = basis_from_json(model, basis_keys, radius)
     except (TypeError, ValueError) as exc:
         raise SupportReconstructionError(f"stored basis is invalid: {exc}") from exc
     lap = laplacian1(model, p, stored)

@@ -229,7 +229,10 @@ def _gap_summary(result: GapResult, cert_path: Optional[str]) -> dict:
 def cmd_certify(args) -> int:
     p, model, lap, basis, problem = _build_stage(args)
     with open(args.solution, "r", encoding="utf-8") as fh:
-        sol = json.load(fh)
+        try:
+            sol = json.load(fh)
+        except RecursionError:
+            raise CliError(f"solution {args.solution} is nested too deeply") from None
     if not isinstance(sol, dict) or "lambda" not in sol:
         raise CliError(f"solution {args.solution} has no 'lambda' field")
     result = _certify_from_solution(

@@ -330,7 +330,10 @@ def model_from_spec(spec: dict) -> GroupModel:
         return CyclicModel(_json_int(spec.get("n"), "cyclic order"))
     if kind == "free":
         count = _json_int(spec.get("generators"), "generator count")
-        return FreeModel(count, spec.get("sound", True))
+        sound = spec.get("sound", True)
+        if type(sound) is not bool:
+            raise ValueError(f"free model soundness must be true or false, got {sound!r}")
+        return FreeModel(count, sound)
     raise ValueError(f"unknown model spec type {kind!r}")
 
 
@@ -549,12 +552,18 @@ def ball_elements(model: GroupModel, radius: int) -> Iterator[Key]:
         frontier = nxt
 
 
-def check_ball_radius(basis: SupportBasis) -> None:
-    """ValueError unless basis.radius is None or an int whose ball is the basis."""
-    if basis.radius is None:
-        return
-    radius = _json_int(basis.radius, "basis radius")
+def basis_from_json(model: GroupModel, keys, radius) -> SupportBasis:
+    """The basis that JSON keys and a radius describe.
+
+    A ValueError unless every key is valid and radius is None or an int
+    whose ball is the basis.
+    """
+    basis = SupportBasis(model, [model.key_from_json(k) for k in keys], radius)
+    if radius is None:
+        return basis
+    radius = _json_int(radius, "basis radius")
     # one element past the basis settles it, however large the radius
-    expected = islice(ball_elements(basis.model, radius), len(basis) + 1)
+    expected = islice(ball_elements(model, radius), len(basis) + 1)
     if tuple(expected) != basis.elements:
         raise ValueError(f"basis does not match the ball of radius {radius}")
+    return basis

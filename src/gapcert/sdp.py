@@ -38,7 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, zip_longest
+from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -48,7 +48,7 @@ from .groups import (
     MatrixModel,
     SupportBasis,
     _json_int,
-    check_ball_radius,
+    basis_from_json,
     model_from_spec,
 )
 from .ring import RingMatrix
@@ -164,9 +164,15 @@ def build_problem(source, basis: SupportBasis) -> SdpProblem:
 # SDPA sparse export / import
 # ---------------------------------------------------------------------------
 
-_META_PREFIX = "*META "
+# the export's first lines, up to its META line's JSON
+_PREAMBLE = (
+    "* gapcert sparse SDPA export (format v1)\n"
+    "* dual form: maximize <F0,Y> s.t. <Fk,Y>=c_k, Y PSD\n"
+    "* Y = blockdiag(P, s, t); P is the nm x nm Gram block, lambda = s - t\n"
+    "*META "
+)
 _CHUNK = 512  # constraints per block of export text: bounds what export and import hold
-_PIECE = re.compile(r"\S+(?:\s+\S+){0,%d}" % (_CHUNK - 1))  # up to _CHUNK tokens, as str.split cuts them
+_TOKEN = re.compile(r"[^ ]+")  # a value of the objective line
 # an entry's code c is its block's " b " _BLOCKS[c // 2] and its value's " v\n" _VALUES[c]
 _BLOCKS = np.frombuffer(b" 1  2 ", dtype="V3")
 _VALUES = np.frombuffer(b" \x000.5\n \x001.0\n \x001.0\n -1.0\n", dtype="V6")
@@ -278,16 +284,8 @@ def _sdpa_chunks(problem: SdpProblem) -> Iterator[str]:
         "radius": problem.basis.radius,
         "basis": [problem.basis.model.key_to_json(key) for key in problem.basis],
     }
-    yield "\n".join((
-        "* gapcert sparse SDPA export (format v1)",
-        "* dual form: maximize <F0,Y> s.t. <Fk,Y>=c_k, Y PSD",
-        "* Y = blockdiag(P, s, t); P is the nm x nm Gram block, lambda = s - t",
-        _META_PREFIX + json.dumps(meta, separators=(",", ":"), sort_keys=True),
-        f"{problem.constraint_count()}",
-        "2",
-        f"{n * m} -2",
-        "",
-    ))
+    yield _PREAMBLE + json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\n"
+    yield f"{problem.constraint_count()}\n2\n{n * m} -2\n"
     # the objective line: one repr per distinct bit pattern of a block, so
     # that -0.0 and a nan print as repr prints them
     for a, keys in enumerate(_key_blocks(problem)):
@@ -315,115 +313,45 @@ def write_sdpa(problem: SdpProblem, fh) -> None:
         fh.write(chunk)
 
 
-def _lines(text: str, start: int = 0) -> Iterator[Tuple[int, int]]:
-    """(start, end) offsets of the lines of text from offset start on, end at the line's newline."""
-    while start < len(text):
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        yield start, end
-        start = end + 1
-
-
-_NONSPACE = re.compile(r"\S")  # \s is what str.split and str.strip take for whitespace
-
-
-def _data_lines(text: str, start: int = 0) -> Iterator[Tuple[int, int]]:
-    """_lines without the blank and comment lines, which carry no data; no line is copied."""
-    for a, b in _lines(text, start):
-        first = _NONSPACE.search(text, a, b)
-        if first is not None and text[first.start()] not in '*"':
-            yield a, b
-
-
-def _entries_match(text: str, start: int, chunks: Iterator[str]) -> bool:
-    """Whether the data lines of text from offset start on are the lines of chunks, one for one.
-
-    A line equal to its expected string passes, any other must carry the
-    same whitespace tokens.  While the text runs on exactly as the chunks
-    do it is compared a chunk at a time.
-    """
-    for chunk in chunks:
-        if not text.startswith(chunk, start):
-            break
-        start += len(chunk)
-    else:
-        chunk = ""
-    expected = chain.from_iterable(c.splitlines() for c in chain([chunk], chunks))
-    return not any(
-        a != b and (a is None or b is None or a.split() != b.split())
-        for a, b in zip_longest((text[s:e] for s, e in _data_lines(text, start)), expected)
-    )
-
-
 def import_sdpa(text: str) -> SdpProblem:
     """Rebuild an SdpProblem from an export; inverse of export_sdpa.
 
-    After the objective vector, the file's lines must be the entry lines
-    export_sdpa writes for the rebuilt problem, one for one: a line equal
-    to its expected string passes at once, any other must carry the same
-    whitespace tokens.  Neither text is held twice, and the objective
-    vector is read _CHUNK tokens at a time.
+    Accepts exactly what export_sdpa writes; only the META JSON may be
+    formatted differently.  The problem is rebuilt from that JSON, the
+    objective line is read into its targets, and the text after the header
+    is compared with the problem's re-export a block at a time, so no list
+    of the text's lines or tokens is held.
     """
-    meta = None
-    for a, b in _lines(text):
-        line = text[a:b].strip()
-        if line.startswith(_META_PREFIX):
-            meta = json.loads(line[len(_META_PREFIX):])
-            break
-    if meta is None:
+    if not text.startswith(_PREAMBLE):
         raise ValueError("missing *META line; not a gapcert export")
+    at = text.find("\n", len(_PREAMBLE)) + 1
+    if not at:
+        raise ValueError("truncated SDPA file")
+    meta = json.loads(text[len(_PREAMBLE):at])
     model = model_from_spec(meta["model"])
-    basis = SupportBasis(
-        model, [model.key_from_json(k) for k in meta["basis"]], meta.get("radius")
-    )
-    check_ball_radius(basis)
+    basis = basis_from_json(model, meta["basis"], meta.get("radius"))
     n = _json_int(meta["n"], "n")
-    m = len(basis)
-    lines = _data_lines(text)
-    at = end = 0  # the offsets of the unread part and the end of the last line read
-
-    def pieces(count):
-        """The next count tokens, in lists of at most _CHUNK, read from text in place."""
-        nonlocal at, end
-        while count > 0:
-            found = _PIECE.search(text, at, end)
-            if found is None:
-                at, end = next(lines, (None, None))
-                if at is None:
-                    raise ValueError("truncated SDPA file")
-                continue
-            tokens = found.group().split(None, count)
-            unread = tokens.pop() if len(tokens) > count else ""
-            at = found.end() - len(unread)
-            count -= len(tokens)
-            yield tokens
-
-    def take(count):
-        return [t for piece in pieces(count) for t in piece]
-
-    mdim = int(take(1)[0])
-    nblocks = int(take(1)[0])
-    if nblocks != 2:
-        raise ValueError(f"expected 2 blocks, found {nblocks}")
-    block1, block2 = (int(t) for t in take(2))
-    if block1 != n * m or block2 != -2:
-        raise ValueError("block structure does not match metadata")
-    c = np.concatenate([np.zeros(0)] + [np.array(p, dtype=float) for p in pieces(mdim)])
     problem = SdpProblem(n, basis, np.zeros((n, n, len(basis.products()))))
-    keys = problem.export_keys()
-    if len(keys) != mdim:
-        raise ValueError(
-            f"constraint count mismatch: file has {mdim}, basis implies {len(keys)}"
-        )
-    i, j, pid = keys.T
+    chunks = _sdpa_chunks(problem)
+    next(chunks)  # the META line
+    header = next(chunks)
+    if not text.startswith(header, at):
+        raise ValueError("header does not match the constraints the basis implies")
+    at += len(header)
+    tokens = _TOKEN.finditer(text, at, text.find("\n", at))
+    c = np.fromiter(map(float, map(re.Match.group, tokens)), dtype=float)
+    i, j, pid = problem.export_keys().T
+    if len(c) != len(pid):
+        raise ValueError(f"objective has {len(c)} values, the basis implies {len(pid)}")
     problem.targets[i, j, pid] = c
     problem.targets[j, i, problem.inverse_pid[pid]] = c
-    # a token left after the objective vector is an entry sharing its line
-    if _PIECE.search(text, at, end) or not _entries_match(
-        text, end + 1, _entry_chunks(problem)
-    ):
-        raise ValueError("entry lines do not match the constraints the basis implies")
+    # the chunks still to come, from the objective on, read the targets just set
+    for chunk in chunks:
+        if not text.startswith(chunk, at):
+            raise ValueError("objective or entry lines do not match the export of the problem")
+        at += len(chunk)
+    if at != len(text):
+        raise ValueError("text runs on past the export's entry lines")
     return problem
 
 

@@ -314,6 +314,37 @@ def test_verify_refuses_a_presentation_that_expands_to_terabytes(capsys, tmp_pat
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["verify"], ["certify", "--preset", "z3", "--radius", "1", "--solution"]],
+    ids=["verify", "certify_solution"],
+)
+def test_deeply_nested_json_is_an_error(capsys, tmp_path, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    code, out, err = _run(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err and "Traceback" not in err
+
+
+def test_verify_refuses_a_free_model_whose_soundness_is_not_a_bool(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = _run(
+        capsys, "pipeline", "--preset", "free:2", "--radius", "1", "--max-iter", "50",
+        "--out", str(cert_path),
+    )
+    assert code == 0
+    code, _, _ = _run(capsys, "verify", str(cert_path))
+    assert code == 0
+    data = json.loads(cert_path.read_text())
+    assert data["model"]["sound"] is True
+    data["model"]["sound"] = 1
+    cert_path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "verify", str(cert_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "soundness" in err
+
+
+@pytest.mark.parametrize(
     "path",
     [["presentation"], ["model"], ["relators"], ["basis"], ["solver_lambda"],
      ["certified_lambda0"], ["residual_l1_sup"], ["status"], ["q"],

@@ -219,6 +219,18 @@ def test_model_spec_round_trip():
         assert model.model_id.split(":")[0] == model.spec()["type"]
 
 
+@pytest.mark.parametrize("sound", ["yes", 1, None, 0, 0.0, [], "false"], ids=repr)
+def test_free_model_soundness_must_be_a_bool(sound):
+    with pytest.raises(ValueError, match="soundness"):
+        model_from_spec({"type": "free", "generators": 2, "sound": sound})
+
+
+def test_free_model_soundness_defaults_to_sound():
+    for spec, sound in (({}, True), ({"sound": True}, True), ({"sound": False}, False)):
+        model = model_from_spec({"type": "free", "generators": 2, **spec})
+        assert model.sound is sound and model.spec()["sound"] is sound
+
+
 @pytest.mark.parametrize("name", ["sl3z", "sl3z-mod:2", "sl3z-mod:3", "z2-abelian"])
 def test_matrix_model_rejects_keys_outside_its_ring(name):
     _, model = load_preset(name)

@@ -189,8 +189,10 @@ def test_import_rejects_an_edited_entry_line():
         assert lines[k] != edited
         with pytest.raises(ValueError, match="entry lines"):
             import_sdpa("".join(lines[:k] + [edited] + lines[k + 1:]))
-    # whitespace is not significant
-    assert import_sdpa("".join(lines[:k] + ["  " + lines[k].replace(" ", "\t")] + lines[k + 1:])).same_problem(prob)
+    # nor may its whitespace change
+    for edited in ("  " + lines[k], lines[k].replace(" ", "\t")):
+        with pytest.raises(ValueError, match="entry lines"):
+            import_sdpa("".join(lines[:k] + [edited] + lines[k + 1:]))
 
 
 def _preset_problem(preset, radius):
@@ -236,7 +238,7 @@ def test_export_prints_hand_edited_objective_values_as_repr_does():
     assert "\n-0.0 nan\n" in text
 
 
-def test_import_reads_the_objective_over_any_lines():
+def test_import_reads_the_objective_only_as_the_export_writes_it():
     prob = _preset_problem("sl3z-mod:2", 2)
     lines = export_sdpa(prob).splitlines(keepends=True)
     k = next(i for i, line in enumerate(lines) if line.startswith("0 2 1 1 "))
@@ -244,20 +246,25 @@ def test_import_reads_the_objective_over_any_lines():
     assert len(objective) > 2 * sdp._CHUNK
     spread = [
         # one token a line, with a comment and a blank line in between
-        "\n".join(objective[:700]) + "\n* note\n\n" + "\n".join(objective[700:]) + "\n",
-        # any whitespace str.split() knows, a token cut off at no piece boundary
-        "\u2003".join(objective[:513]) + "\t\xa0" + " ".join(objective[513:]) + "\n",
+        ("\n".join(objective[:700]) + "\n* note\n\n" + "\n".join(objective[700:]) + "\n", "objective has"),
+        # other whitespace str.split() knows, a token cut off at no block boundary
+        ("\u2003".join(objective[:513]) + "\t\xa0" + " ".join(objective[513:]) + "\n", "float"),
+        # a value that reads back the same but is not its repr
+        (" ".join([objective[0] + "0"] + objective[1:]) + "\n", "objective or entry lines"),
     ]
-    for text in spread:
-        assert import_sdpa("".join(head + [text] + entries)).same_problem(prob)
+    assert float(objective[0] + "0") == float(objective[0])
+    for text, message in spread:
+        with pytest.raises(ValueError, match=message):
+            import_sdpa("".join(head + [text] + entries))
     # on the line of the block sizes
     joined = head[:-1] + [head[-1].rstrip("\n") + " " + lines[k - 1]]
-    assert import_sdpa("".join(joined + entries)).same_problem(prob)
+    with pytest.raises(ValueError, match="header"):
+        import_sdpa("".join(joined + entries))
     # a token left on the objective's line, or too few tokens, is rejected
     moved = [lines[k - 1].rstrip("\n") + " 0\n", entries[0][2:]] + entries[1:]
-    with pytest.raises(ValueError, match="entry lines"):
+    with pytest.raises(ValueError, match="objective has"):
         import_sdpa("".join(head + moved))
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError, match="objective has"):
         import_sdpa("".join(head + [" ".join(objective[:-1])]))
 
 
@@ -269,10 +276,17 @@ def test_import_rejects_an_entry_line_past_the_first_block(monkeypatch):
     for edited in (last.replace(" 0.5", " 0.25"), "", last + last):
         with pytest.raises(ValueError, match="entry lines"):
             import_sdpa("".join(lines[:-1] + [edited]))
-    # a comment line, a missing final newline and tabs are no change
-    edited = lines[:-1] + ["* note\n", last.replace(" ", "\t")]
-    assert import_sdpa("".join(edited)).same_problem(prob)
-    assert import_sdpa("".join(lines).rstrip("\n")).same_problem(prob)
+    # a comment line, a missing final newline, tabs, CRLF endings and a
+    # line before the preamble are changes too
+    for edited, message in (
+        (lines[:-1] + ["* note\n", last], "entry lines"),
+        (lines[:-1] + [last.rstrip("\n")], "entry lines"),
+        (lines[:-1] + [last.replace(" ", "\t")], "entry lines"),
+        ([line.replace("\n", "\r\n") for line in lines], "missing"),
+        (["* note\n"] + lines, "missing"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            import_sdpa("".join(edited))
 
 
 def _with_meta(text, **changes):

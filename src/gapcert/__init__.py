@@ -33,7 +33,6 @@ from .fox import (  # noqa: F401
     Laplacian1,
     default_relator_indices,
     evaluate_representation,
-    fox_derivative,
     laplacian1,
     regular_representation_images,
 )

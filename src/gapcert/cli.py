@@ -235,9 +235,10 @@ def cmd_certify(args) -> int:
             raise CliError(f"solution {args.solution} is nested too deeply") from None
     if not isinstance(sol, dict) or "lambda" not in sol:
         raise CliError(f"solution {args.solution} has no 'lambda' field")
-    result = _certify_from_solution(
-        lap, basis, sol["lambda"], P=sol.get("P"), Q=sol.get("Q")
-    )
+    lam = sol["lambda"]
+    if type(lam) not in (int, float) or not abs(lam) <= sys.float_info.max:  # no bool, nan or inf
+        raise CliError(f"solution {args.solution}: 'lambda' must be a finite JSON number, got {lam!r}")
+    result = _certify_from_solution(lap, basis, lam, P=sol.get("P"), Q=sol.get("Q"))
     if result.certificate and args.out:
         result.certificate.save(args.out)
     _emit(_gap_summary(result, args.out))

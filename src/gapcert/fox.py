@@ -9,7 +9,8 @@ rule to s s^-1 = e and is covered by a dedicated unit test.
 
 laplacian1 adds the outer products (1 - s_i)(1 - s_j)* and d_i(r)* d_j(r)
 straight into one coefficient dict per entry (i, j); the RingMatrix
-formula d0 d0* + sum_r J(r)* J(r) is the test oracle reference_laplacian.
+formula d0 d0* + sum_r J(r)* J(r) is the test oracle reference_laplacian,
+whose derivatives come from the oracles' own product-rule fox_derivative.
 Each relator's derivatives by all generators come from one walk along its
 prefixes, every coefficient is an int until RingElement makes it a
 Fraction at the end, and each distinct product g*h is computed once per
@@ -50,13 +51,6 @@ def _derivative_row(model: GroupModel, w: Word, product) -> List[Dict[Key, int]]
             prefix = product(prefix, invs[idx])
             coeffs[prefix] = coeffs.get(prefix, 0) - 1
     return row
-
-
-def fox_derivative(model: GroupModel, w: Word, j: int) -> RingElement:
-    """Derivative of w with respect to generator j, evaluated in the model."""
-    if j < 0 or j >= model.n_generators:
-        raise ValueError(f"generator index {j} out of range")
-    return RingElement(model, _derivative_row(model, w, model.multiply)[j])
 
 
 def default_relator_indices(p: Presentation) -> List[int]:

@@ -325,7 +325,10 @@ def model_from_spec(spec: dict) -> GroupModel:
         if not isinstance(images, list):
             raise ValueError(f"generator images must be a list, got {images!r}")
         modulus = _json_int(spec.get("modulus"), "modulus") if kind == "modular" else None
-        return MatrixModel([_json_matrix(img, "generator image") for img in images], modulus)
+        model = MatrixModel([_json_matrix(img, "generator image") for img in images], modulus)
+        if _json_int(spec.get("dim"), "dim") != model.dim:
+            raise ValueError(f"dim {spec['dim']} does not match the {model.dim}x{model.dim} images")
+        return model
     if kind == "cyclic":
         return CyclicModel(_json_int(spec.get("n"), "cyclic order"))
     if kind == "free":
@@ -558,6 +561,8 @@ def basis_from_json(model: GroupModel, keys, radius) -> SupportBasis:
     A ValueError unless every key is valid and radius is None or an int
     whose ball is the basis.
     """
+    if not isinstance(keys, list):
+        raise ValueError(f"basis keys must be a list, got {keys!r}")
     basis = SupportBasis(model, [model.key_from_json(k) for k in keys], radius)
     if radius is None:
         return basis

@@ -22,13 +22,14 @@ symmetric.  The residual norms are taken only at the checks and at the
 last iteration.
 When the index permutations e_ij -> e_s(i)s(j), s in S3, fix the problem
 exactly (gram_symmetry), every iterate is S3-invariant and is held in
-invariant coordinates, N^2/6 values: the affine step sums over orbits
-of constraint slots, and the PSD step splits into three blocks of sizes
-N/6, N/6 and N/3 instead of one N x N eigendecomposition.  Any other
-problem is the same code with the trivial group.  The dense P exists
-only at exit.  At radius 3 of SL(3,Z) (N = 5298) an iterate is 37 MB
-and the dense P 225 MB, so such instances should go through the SDPA
-export to an external solver.
+invariant coordinates C[t], N^2/6 values: the affine step sums over
+orbits of constraint slots, and the PSD step projects one block
+sum_t kron(C[t], rho[t]) per irrep rho of S3 (1, the sign and the plane
+orthogonal to (1, 1, 1)), of sizes N/6, N/6 and N/3, instead of one
+N x N eigendecomposition.  Any other problem is the same code with the
+trivial group.  The dense P exists only at exit.  At radius 3 of
+SL(3,Z) (N = 5298) an iterate is 37 MB and the dense P 225 MB, so such
+instances should go through the SDPA export to an external solver.
 """
 
 from __future__ import annotations
@@ -327,10 +328,17 @@ def import_sdpa(text: str) -> SdpProblem:
     at = text.find("\n", len(_PREAMBLE)) + 1
     if not at:
         raise ValueError("truncated SDPA file")
-    meta = json.loads(text[len(_PREAMBLE):at])
-    model = model_from_spec(meta["model"])
-    basis = basis_from_json(model, meta["basis"], meta.get("radius"))
-    n = _json_int(meta["n"], "n")
+    try:
+        meta = json.loads(text[len(_PREAMBLE):at])
+    except RecursionError:
+        raise ValueError("META JSON is nested too deeply") from None
+    if not isinstance(meta, dict):
+        raise ValueError("META must be a JSON object")
+    model = model_from_spec(meta.get("model"))
+    basis = basis_from_json(model, meta.get("basis"), meta.get("radius"))
+    n = _json_int(meta.get("n"), "n")
+    if n * n > len(text):  # the objective line has 2 characters or more per entry i <= j
+        raise ValueError(f"n = {n} is too large for a text of {len(text)} characters")
     problem = SdpProblem(n, basis, np.zeros((n, n, len(basis.products()))))
     chunks = _sdpa_chunks(problem)
     next(chunks)  # the META line
@@ -369,19 +377,19 @@ class GramSymmetry:
     of orbit o: the orbit-major layout.  With k = N/|H|, an H-invariant P
     is held once per value in invariant coordinates C[t][o, o'] =
     P[r_o, t.r_o'], a (|H|, k, k) array; orbit-major cell (o, h, o', h')
-    holds C[ldiv[h, h']][o, o'].  fourier is |H| x |H| real orthogonal; an
-    irrep rho of dimension d (in the order of dims) owns d*d consecutive
-    columns, column (a, b) holding sqrt(d/|H|) rho(h)[a, b] in row h.
+    holds C[ldiv[h, h']][o, o'].  irreps holds H's real orthogonal
+    irreducible representations, each an (|H|, d, d) array whose rho[h]
+    is the matrix of h.  P is orthogonally similar to the direct sum over
+    rho of d copies of the kd x kd block sum_t kron(C[t], rho[t]).
     """
 
     order: np.ndarray
-    fourier: np.ndarray
-    dims: Tuple[int, ...]
+    irreps: Tuple[np.ndarray, ...]
     ldiv: np.ndarray
 
     @classmethod
     def trivial(cls, size: int) -> "GramSymmetry":
-        return cls(np.arange(size), np.ones((1, 1)), (1,), np.zeros((1, 1), dtype=np.int64))
+        return cls(np.arange(size), (np.ones((1, 1, 1)),), np.zeros((1, 1), dtype=np.int64))
 
     def expand(self, C: np.ndarray) -> np.ndarray:
         """The dense N x N matrix with invariant coordinates C, in the original layout."""
@@ -445,16 +453,14 @@ def gram_symmetry(problem: SdpProblem) -> GramSymmetry:
         smallest = np.flatnonzero(act.min(axis=0) == np.arange(n * m))
         order = act[:, smallest].T.ravel()
         if np.array_equal(np.sort(order), np.arange(n * m)):
-            fourier = np.array([
-                [1.0, round(np.linalg.det(Q)), *(np.sqrt(2.0) * _PLANE.T @ Q @ _PLANE).ravel()]
-                for Q, _, _ in kept
-            ]) / np.sqrt(6.0)
+            Q = np.array([q for q, _, _ in kept])
+            irreps = (np.ones((6, 1, 1)), np.linalg.det(Q).round()[:, None, None], _PLANE.T @ Q @ _PLANE)
             # act_t = act_h^-1 act_h' is the t that agrees with it at
             # coordinate 0, since the action is free
             at = np.empty(n * m, dtype=np.int64)
             at[act[:, 0]] = np.arange(6)
             ldiv = at[np.argsort(act, axis=1)[:, act[:, 0]]]
-            return GramSymmetry(order, fourier, (1, 1, 2), ldiv)
+            return GramSymmetry(order, irreps, ldiv)
     return GramSymmetry.trivial(n * m)
 
 
@@ -511,23 +517,14 @@ def _psd_project(A: np.ndarray) -> np.ndarray:
 def _block_maps(sym: GramSymmetry) -> Tuple[np.ndarray, np.ndarray]:
     """(into, back): |H| x |H| maps between invariant coordinates and isotypic blocks.
 
-    R = into.T @ C stacks, per irrep of dimension d, the d*d tiles (k x k)
-    of its kd x kd Fourier block averaged over the block's d copies, and
-    C = back @ R maps such blocks back; both follow from expanding C,
-    F^T P F and F R F^T through ldiv.
+    into[t, (rho, a, b)] = rho[t][a, b], so row (rho, a, b) of R = into.T @ C
+    is tile (a, b) of block rho, sum_t C[t] rho[t][a, b].  back is into
+    with irrep rho's columns scaled by d/|H|; Schur orthogonality gives
+    back @ into.T = I, so C = back @ R.
     """
-    F = sym.fourier
-    times = sym.ldiv[sym.ldiv[:, 0]]  # times[h, t] is the index of h t
-    into, back = np.zeros_like(F), np.zeros_like(F)
-    col = 0
-    for d in sym.dims:
-        for a in range(d):
-            for i in range(d):
-                for j in range(d):
-                    u, v, w = col + a * d + i, col + a * d + j, col + i * d + j
-                    into[:, w] += F[:, u] @ F[times, v] / d
-                    back[:, w] += F[0, u] * F[:, v]
-        col += d * d
+    g = len(sym.ldiv)
+    into = np.hstack([rho.reshape(g, -1) for rho in sym.irreps])
+    back = np.hstack([rho.reshape(g, -1) * (rho.shape[1] / g) for rho in sym.irreps])
     return into, back
 
 
@@ -536,15 +533,14 @@ def _psd_project_invariant(
 ) -> np.ndarray:
     """_psd_project of the H-invariant matrix with invariant coordinates C.
 
-    Each isotypic block (_block_maps(sym)) is projected on its own; the
-    part of C outside the blocks, rounding noise for a symmetric
-    invariant matrix, is dropped.
+    Block rho = sum_t kron(C[t], rho[t]) is projected on its own, and C is
+    read back from the projected blocks (_block_maps(sym)).
     """
     into, back = maps
     g, k = C.shape[:2]
     R = into.T @ C.reshape(g, k * k)
     col = 0
-    for d in sym.dims:
+    for d in (rho.shape[1] for rho in sym.irreps):
         tiles = R[col:col + d * d]
         block = tiles.reshape(d, d, k, k).transpose(2, 0, 3, 1).reshape(k * d, k * d)
         tiles[:] = _psd_project(block).reshape(k, d, k, d).transpose(1, 3, 0, 2).reshape(d * d, k * k)

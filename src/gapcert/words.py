@@ -144,8 +144,10 @@ class Presentation:
 # A relator's letter count is bounded before any power or commutator is
 # built, so that a short expression such as t^1000000000000 (in a
 # certificate, say) is refused rather than expanded.  The shipped presets
-# need at most 12 letters, and zn:<n> needs n.
+# need at most 12 letters, and zn:<n> needs n.  Brackets nest at most
+# _MAX_DEPTH deep, which bounds the parser's recursion; the presets nest 1.
 _MAX_LETTERS = 10 ** 6
+_MAX_DEPTH = 100
 
 
 class _ExprParser:
@@ -154,6 +156,7 @@ class _ExprParser:
         self.line = line
         self.col0 = col0
         self.pos = 0
+        self.depth = 0
         self.gen_index = gen_index
 
     def error(self, msg: str):
@@ -211,22 +214,23 @@ class _ExprParser:
 
     def parse_atom(self) -> list:
         ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            letters = self.parse_expr()
-            self.expect(")")
-            return letters
-        if ch == "[":
+        if ch in ("(", "["):
+            if self.depth == _MAX_DEPTH:
+                self.error(f"brackets nested more than {_MAX_DEPTH} deep")
             at = self.pos
             self.pos += 1
+            self.depth += 1
             x = self.parse_expr()
-            self.expect(",")
-            y = self.parse_expr()
-            self.expect("]")
-            self.check_length(2 * (len(x) + len(y)), at)
-            xi = [(i, -s) for i, s in reversed(x)]
-            yi = [(i, -s) for i, s in reversed(y)]
-            return x + y + xi + yi
+            if ch == "(":
+                self.expect(")")
+            else:
+                self.expect(",")
+                y = self.parse_expr()
+                self.expect("]")
+                self.check_length(2 * (len(x) + len(y)), at)
+                x = x + y + [(i, -s) for i, s in reversed(x)] + [(i, -s) for i, s in reversed(y)]
+            self.depth -= 1
+            return x
         m = _NAME_RE.match(self.text[self.pos:])
         if not m:
             self.error("expected a generator name, '(' or '['")

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
-from gapcert.fox import fox_derivative
 from gapcert.groups import Key, SupportBasis, model_from_spec
 from gapcert.ring import RingElement, RingMatrix
 
@@ -494,6 +493,27 @@ def d0(model, p) -> RingMatrix:
         e = add(element(model, model.identity()), element(model, model.generator(i)), -1)
         col.append([e])
     return RingMatrix(model, col)
+
+
+def fox_derivative(model, w, j) -> RingElement:
+    """d(w)/d(s_j) in the model's group ring, by the product rule.
+
+    d(uv) = du + u dv, applied one letter at a time: with u the prefix
+    before a letter, the letter adds u * d(letter), where d(s_j) = 1 and
+    d(s_j^-1) = -s_j^-1 by generator s_j and 0 by any other.  Each product
+    is an exact ring product (mul).
+    """
+    if not 0 <= j < model.n_generators:
+        raise ValueError(f"generator index {j} out of range")
+    one = element(model, model.identity())
+    total, prefix = RingElement(model, {}), one
+    for idx, sign in w:
+        s = model.generator(idx)
+        letter = element(model, s if sign > 0 else model.inverse(s))
+        if idx == j:
+            total = add(total, mul(prefix, one if sign > 0 else letter), sign)
+        prefix = mul(prefix, letter)
+    return total
 
 
 def relator_square(model, p, r) -> RingMatrix:

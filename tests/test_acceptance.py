@@ -18,7 +18,6 @@ from gapcert.certify import certified_gap, psd_sqrt, verify_certificate
 from gapcert.cli import main
 from gapcert.fox import (
     evaluate_representation,
-    fox_derivative,
     laplacian1,
     regular_representation_images,
 )
@@ -28,7 +27,7 @@ from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, export_sdpa, import_sdpa, solve
 from gapcert.words import Word
 
-from _oracles import add, element, identity, l1, mul, sum_of_squares
+from _oracles import add, element, fox_derivative, identity, l1, mul, sum_of_squares
 from _oracles import (
     order_unit_sos,
     q_rows_as_factors,

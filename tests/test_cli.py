@@ -290,6 +290,10 @@ def good_certificates(tmp_path_factory):
         pytest.param("z3", lambda data: data["q"]["entries"][0].__setitem__(
             0, float(data["q"]["entries"][0][0])), id="q_entry_number"),
         pytest.param("z3", _set(["q", "entries", 0, 0], False), id="q_entry_bool"),
+        # a matrix model's dim must be its images' size
+        pytest.param("sl3z-mod:2", _set(["model", "dim"], 4), id="dim_too_large"),
+        pytest.param("sl3z-mod:2", _set(["model", "dim"], "3"), id="dim_string"),
+        pytest.param("sl3z-mod:2", lambda data: data["model"].pop("dim") and None, id="dim_missing"),
     ],
 )
 def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificates, preset, edit):
@@ -324,6 +328,26 @@ def test_deeply_nested_json_is_an_error(capsys, tmp_path, command):
     code, out, err = _run(capsys, *command, str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "nested too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+@pytest.mark.parametrize("opening", ["(", "["])
+def test_deeply_nested_presentation_is_an_error(capsys, tmp_path, good_certificates, opening, depth):
+    inner = "(" * depth + "a" + ")" * depth if opening == "(" else "[a, " * depth + "b" + "]" * depth
+    text = f"gens: a, b\nrel: {inner}\n"
+    path = tmp_path / "deep.txt"
+    path.write_text(text)
+    # verify reads a certificate whose text only has to match its own hash
+    data = json.loads(good_certificates["z3"])
+    data["presentation"] = {"text": text, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(data))
+    for argv in (["show", "--file", str(path), "--model", "free"], ["verify", str(cert_path)]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        # the 101st bracket is at column 106 of "rel: (((..." and 406 of "rel: [a, [a, ..."
+        column = 106 if opening == "(" else 406
+        assert err == f"error: line 2, column {column}: brackets nested more than 100 deep\n"
 
 
 def test_verify_refuses_a_free_model_whose_soundness_is_not_a_bool(capsys, tmp_path):
@@ -390,6 +414,25 @@ def test_certify_rejects_overclaimed_lambda(capsys, tmp_path):
         "--solution", str(sol_path), "--require-gap",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "lam", [None, [1], True, False, "3.0", {"value": 3.0}, float("nan"), float("inf"), 10 ** 400],
+    ids=["null", "list", "true", "false", "string", "object", "nan", "inf", "huge_int"],
+)
+def test_certify_requires_lambda_to_be_a_finite_number(capsys, tmp_path, lam):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"lambda": lam, "Q": [[0.0] * 3] * 3}))
+    code, out, err = _run(capsys, "certify", "--preset", "z3", "--radius", "1", "--solution", str(sol_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: solution {sol_path}: 'lambda' must be a finite JSON number")
+
+
+def test_certify_takes_an_integer_lambda(capsys, tmp_path):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"lambda": 0, "Q": [[0.0] * 3] * 3}))
+    code, out, _ = _run(capsys, "certify", "--preset", "z3", "--radius", "1", "--solution", str(sol_path))
+    assert code == 0 and json.loads(out)["lambda"] == 0.0
 
 
 def test_certify_names_a_missing_lambda(capsys, tmp_path):

@@ -8,7 +8,6 @@ from gapcert.fox import (
     RepresentationError,
     default_relator_indices,
     evaluate_representation,
-    fox_derivative,
     laplacian1,
     regular_representation_images,
 )
@@ -17,7 +16,8 @@ from gapcert.presets import load_preset
 from gapcert.ring import RingElement, RingMatrix
 from gapcert.words import Presentation, Word, parse_presentation
 
-from _oracles import add, d0, element, identity, l1, mul, reference_laplacian, relator_square
+from _oracles import add, d0, element, fox_derivative, identity, l1, mul, reference_laplacian
+from _oracles import relator_square
 
 
 def _elem(model, *word):

@@ -231,6 +231,19 @@ def test_free_model_soundness_defaults_to_sound():
         assert model.sound is sound and model.spec()["sound"] is sound
 
 
+@pytest.mark.parametrize("preset", ["sl3z", "sl3z-mod:2", "z2-abelian"])
+@pytest.mark.parametrize("dim", [4, 2, 0, None, "3", 3.0, True, "missing"], ids=repr)
+def test_matrix_model_dim_must_be_the_image_size(preset, dim):
+    spec = load_preset(preset)[1].spec()
+    assert model_from_spec(spec).spec() == spec
+    if dim == "missing":
+        del spec["dim"]
+    else:
+        spec["dim"] = dim
+    with pytest.raises(ValueError, match="dim"):
+        model_from_spec(spec)
+
+
 @pytest.mark.parametrize("name", ["sl3z", "sl3z-mod:2", "sl3z-mod:3", "z2-abelian"])
 def test_matrix_model_rejects_keys_outside_its_ring(name):
     _, model = load_preset(name)

@@ -307,6 +307,7 @@ def _with_meta(text, **changes):
         pytest.param("z3", {"radius": 0}, id="radius_too_small"),
         pytest.param("z3", {"radius": -1}, id="radius_negative"),
         pytest.param("sl3z-mod:2", {"radius": 7}, id="radius_too_large"),
+        pytest.param("z3", {"n": 10 ** 6}, id="n_too_large_for_the_text"),
     ],
 )
 def test_import_rejects_meta_integers_the_basis_does_not_bear_out(preset, changes):
@@ -317,6 +318,51 @@ def test_import_rejects_meta_integers_the_basis_does_not_bear_out(preset, change
     assert import_sdpa(_with_meta(text, radius=None)).basis.radius is None
     with pytest.raises(ValueError):
         import_sdpa(_with_meta(text, **changes))
+
+
+def _with_meta_text(text, meta):
+    """text with its META line's JSON replaced by the string meta."""
+    head, _, rest = text.partition("*META ")
+    return head + "*META " + meta + "\n" + rest.partition("\n")[2]
+
+
+@pytest.mark.parametrize(
+    "meta,match",
+    [
+        pytest.param("[" * 100000, "nested too deeply", id="nested"),
+        pytest.param("[]", "JSON object", id="list"),
+        pytest.param("1", "JSON object", id="number"),
+        pytest.param("{}", "model spec", id="empty_object"),
+        pytest.param("not json", "Expecting value", id="not_json"),
+    ],
+)
+def test_import_refuses_a_malformed_meta_with_a_value_error(meta, match):
+    _, _, prob = _z3_problem()
+    with pytest.raises(ValueError, match=match):
+        import_sdpa(_with_meta_text(export_sdpa(prob), meta))
+
+
+@pytest.mark.parametrize(
+    "field,value,match",
+    [
+        ("model", "missing", "model spec"),
+        ("basis", "missing", "basis keys"),
+        ("n", "missing", "n must be an integer"),
+        ("basis", {"0": 1}, "basis keys"),
+        ("basis", 3, "basis keys"),
+    ],
+    ids=["model_missing", "basis_missing", "n_missing", "basis_object", "basis_number"],
+)
+def test_import_refuses_a_missing_or_misshapen_meta_field(field, value, match):
+    _, _, prob = _z3_problem()
+    text = export_sdpa(prob)
+    meta = json.loads(text.partition("*META ")[2].partition("\n")[0])
+    if value == "missing":
+        del meta[field]
+    else:
+        meta[field] = value
+    with pytest.raises(ValueError, match=match):
+        import_sdpa(_with_meta_text(text, json.dumps(meta)))
 
 
 def test_import_rejects_foreign_files():
@@ -514,8 +560,8 @@ def test_gram_symmetry_finds_s3(preset, seed):
     _, _, prob = _sl3_instance(preset, seed)
     sym = gram_symmetry(prob)
     N = prob.n * prob.m
-    assert sym.dims == (1, 1, 2) and sym.fourier.shape == (6, 6)
-    assert np.allclose(sym.fourier.T @ sym.fourier, np.eye(6), atol=1e-15)
+    assert [rho.shape for rho in sym.irreps] == [(6, 1, 1), (6, 1, 1), (6, 2, 2)]
+    _assert_irreps(sym)
     assert np.array_equal(np.sort(sym.order), np.arange(N))
     # every orbit is one coordinate's image under the six conjugations
     acts = np.array(_conjugation_actions(prob))
@@ -527,6 +573,27 @@ def test_gram_symmetry_finds_s3(preset, seed):
     for h in range(6):
         for h2 in range(6):
             assert np.array_equal(acts[sym.ldiv[h, h2]], np.argsort(acts[h])[acts[h2]])
+
+
+def _assert_irreps(sym):
+    """Check the irreps of sym and their block maps to 1e-15.
+
+    Each rho is orthogonal with rho[0] = I and multiplies as ldiv says,
+    the characters are orthonormal, and back @ into.T = I.
+    """
+    g = len(sym.ldiv)
+    for rho in sym.irreps:
+        eye = np.eye(rho.shape[1])
+        assert rho.shape[0] == g and np.allclose(rho[0], eye, rtol=0, atol=1e-15)
+        for h in range(g):
+            assert np.allclose(rho[h].T @ rho[h], eye, rtol=0, atol=1e-15)
+            for h2 in range(g):
+                assert np.allclose(rho[sym.ldiv[h, h2]], rho[h].T @ rho[h2], rtol=0, atol=1e-15)
+    chars = np.array([np.trace(rho, axis1=1, axis2=2) for rho in sym.irreps])
+    assert np.allclose(chars @ chars.T / g, np.eye(len(chars)), rtol=0, atol=1e-15)
+    into, back = _block_maps(sym)
+    assert into.shape == back.shape == (g, g)
+    assert np.allclose(back @ into.T, np.eye(g), rtol=0, atol=1e-15)
 
 
 def test_gram_symmetry_is_trivial_without_an_exact_symmetry():
@@ -544,7 +611,8 @@ def test_gram_symmetry_is_trivial_without_an_exact_symmetry():
     problems.append(SdpProblem(prob.n, prob.basis, targets))
     for prob in problems:
         sym = gram_symmetry(prob)
-        assert sym.fourier.shape == (1, 1) and sym.dims == (1,) and sym.ldiv.tolist() == [[0]]
+        assert [rho.tolist() for rho in sym.irreps] == [[[[1.0]]]] and sym.ldiv.tolist() == [[0]]
+        _assert_irreps(sym)
         assert np.array_equal(sym.order, np.arange(prob.n * prob.m))
 
 
@@ -689,8 +757,10 @@ def _z2_translation():
     p, model = load_preset("zn:2")
     prob = build_problem(laplacian1(model, p), ball(model, 1))
     assert (prob.n, prob.m) == (1, 2)
-    fourier = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return prob, GramSymmetry(np.array([0, 1]), fourier, (1, 1), np.array([[0, 1], [1, 0]]))
+    irreps = (np.ones((2, 1, 1)), np.array([1.0, -1.0])[:, None, None])
+    sym = GramSymmetry(np.array([0, 1]), irreps, np.array([[0, 1], [1, 0]]))
+    _assert_irreps(sym)
+    return prob, sym
 
 
 def test_affine_step_with_nontrivial_stabilizers():

@@ -352,3 +352,66 @@ def test_evaluate_representation_rejects_bad_images():
     rot5 = np.array([[c, -s], [s, c]])
     with pytest.raises(RepresentationError):
         evaluate_representation(lap.matrix, [rot5], presentation=p)
+
+
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize(
+    "preset,images,message",
+    [
+        pytest.param("z3", [np.array([[2.0]])], "generator image is not unitary", id="not_unitary"),
+        pytest.param("z3", [np.eye(1), np.eye(1)], "one image per generator required",
+                     id="wrong_count"),
+        pytest.param("z3", [np.ones((1, 2))], "generator images must be square matrices",
+                     id="not_square"),
+        pytest.param("z3", [np.array(1.0)], "generator images must be square matrices",
+                     id="zero_dim"),
+        pytest.param("z2-abelian", [np.eye(1), np.eye(2)],
+                     "generator images must share one dimension", id="two_sizes"),
+        # the square check sees every image before the unitarity check sees any
+        pytest.param("z2-abelian", [np.array([[2.0]]), np.ones((1, 2))],
+                     "generator images must be square matrices", id="square_first"),
+    ],
+)
+def test_evaluate_representation_checks_images_without_a_presentation(preset, images, message):
+    p, model = load_preset(preset)
+    lap = laplacian1(model, p)
+    with pytest.raises(RepresentationError, match=f"^{message}$"):
+        evaluate_representation(lap.matrix, images)
+
+
+def test_evaluate_representation_meets_two_paths_without_a_presentation():
+    # on Z/4, t^2 is reached as t*t and as t^-1*t^-1; a rotation by 2pi/5
+    # gives those two paths different images
+    model = CyclicModel(4)
+    M = RingMatrix(model, [[RingElement(model, {g: Fraction(1) for g in range(4)})]])
+    with pytest.raises(RepresentationError, match="^images are inconsistent with the model's relations$"):
+        evaluate_representation(M, [_rotation(2 * np.pi / 5)])
+    pi = evaluate_representation(M, [_rotation(2 * np.pi / 4)])
+    assert np.abs(pi).max() < 1e-15  # 1 + t + t^2 + t^3 acts as 0 on the plane
+
+
+def test_evaluate_representation_reaches_support_within_64_steps():
+    # t^64 is 64 steps from the identity of Z/200, t^100 is 100 steps
+    model = CyclicModel(200)
+    image = np.array([[np.exp(2j * np.pi / 200)]])
+    near = RingMatrix(model, [[RingElement(model, {64: Fraction(1)})]])
+    assert np.allclose(evaluate_representation(near, [image]), image[0, 0] ** 64)
+    far = RingMatrix(model, [[RingElement(model, {100: Fraction(1)})]])
+    with pytest.raises(RepresentationError,
+                       match="^1 support elements unreachable from the generators$"):
+        evaluate_representation(far, [image])
+
+
+def test_evaluate_representation_checks_relators_through_the_raw_images():
+    # images of Z/3 that the Z/3 model's normal forms cannot tell from e:
+    # the 1x1 image -1 meets every path check, but (-1)^3 != 1
+    p, model = load_preset("z3")
+    lap = laplacian1(model, p)
+    pi = evaluate_representation(lap.matrix, [np.array([[-1.0]])])
+    assert pi.shape == (1, 1)
+    with pytest.raises(RepresentationError, match="^images violate relator rel0$"):
+        evaluate_representation(lap.matrix, [np.array([[-1.0]])], presentation=p)

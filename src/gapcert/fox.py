@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,70 +132,6 @@ class RepresentationError(ValueError):
     pass
 
 
-def _as_matrix(img) -> np.ndarray:
-    arr = np.asarray(img)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise RepresentationError("generator images must be square matrices")
-    return arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
-
-
-def representation_table(
-    model: GroupModel,
-    images: Sequence[np.ndarray],
-    support: Iterable[Key],
-) -> Dict:
-    """Map each support element to its image matrix.
-
-    Images must be unitary to 1e-10 and extend generator-by-generator
-    along a BFS of the model of at most 64 steps; when a normal form is
-    reached along two paths the two products must agree to 1e-8, which
-    catches images that do not factor through the model's quotient.
-    """
-    if len(images) != model.n_generators:
-        raise RepresentationError("one image per generator required")
-    mats = [_as_matrix(m) for m in images]
-    k = mats[0].shape[0]
-    eye = np.eye(k, dtype=mats[0].dtype)
-    for m in mats:
-        if m.shape != (k, k):
-            raise RepresentationError("generator images must share one dimension")
-        if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
-            raise RepresentationError("generator image is not unitary")
-    # the symmetrized generators' images, in symmetrized_generators' order
-    gen_mats: Dict[Key, np.ndarray] = {}
-    for g, mat in zip(model.generators(), mats):
-        gen_mats.setdefault(g, mat)
-        gen_mats.setdefault(model.inverse(g), mat.conj().T)
-    ident = model.identity()
-    table = {ident: eye}
-    pending = set(support) - {ident}
-    frontier = [ident]
-    for _ in range(64):
-        if not pending or not frontier:
-            break
-        nxt = []
-        for el in frontier:
-            cur = table[el]
-            for s, smat in gen_mats.items():
-                prod = model.multiply(el, s)
-                pm = cur @ smat
-                known = table.get(prod)
-                if known is None:
-                    table[prod] = pm
-                    nxt.append(prod)
-                    pending.discard(prod)
-                elif np.max(np.abs(pm - known)) > 1e-8:
-                    raise RepresentationError(
-                        "images are inconsistent with the model's relations"
-                    )
-        frontier = nxt
-    if pending:
-        raise RepresentationError(
-            f"{len(pending)} support elements unreachable from the generators"
-        )
-    return table
-
-
 def evaluate_representation(
     M: RingMatrix,
     images: Sequence[np.ndarray],
@@ -203,35 +139,63 @@ def evaluate_representation(
 ) -> np.ndarray:
     """Block matrix of the entrywise image sums; hermitian for *-invariant M.
 
-    With a presentation, each relator's image must be the identity to 1e-10.
+    The generator images must be square, of one size and unitary to 1e-10.
+    A BFS of the model, at most 64 steps, multiplies them out until each
+    support element has an image; a normal form reached along two paths
+    must get one image to 1e-8.  With a presentation, each relator's image
+    through the raw images must be the identity to 1e-10, a violation that
+    the model's normal forms would hide.
     """
     model = M.model
-    support = {g for row in M.entries for e in row for g in e.coeffs}
-    table = representation_table(model, images, support)
+    if len(images) != model.n_generators:
+        raise RepresentationError("one image per generator required")
+    mats = [np.asarray(m) for m in images]
+    if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+        raise RepresentationError("generator images must be square matrices")
+    k = mats[0].shape[0]
+    eye = np.eye(k)
+    for m in mats:
+        if m.shape != (k, k):
+            raise RepresentationError("generator images must share one dimension")
+        if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
+            raise RepresentationError("generator image is not unitary")
+    steps: Dict[Key, np.ndarray] = {}  # first seen wins, in symmetrized_generators' order
+    for g, m in zip(model.generators(), mats):
+        steps.setdefault(g, m)
+        steps.setdefault(model.inverse(g), m.conj().T)
+    table = {model.identity(): eye}
+    pending = {g for row in M.entries for e in row for g in e.coeffs} - table.keys()
+    frontier = list(table)
+    for _ in range(64):
+        if not pending or not frontier:
+            break
+        nxt = []
+        for el in frontier:
+            for s, smat in steps.items():
+                prod, pm = model.multiply(el, s), table[el] @ smat
+                known = table.get(prod)
+                if known is None:
+                    table[prod] = pm
+                    nxt.append(prod)
+                    pending.discard(prod)
+                elif np.max(np.abs(pm - known)) > 1e-8:
+                    raise RepresentationError("images are inconsistent with the model's relations")
+        frontier = nxt
+    if pending:
+        raise RepresentationError(f"{len(pending)} support elements unreachable from the generators")
     if presentation is not None:
-        # evaluate each relator word through the raw images; the table's
-        # normal-form lookup would hide violations behind the quotient map
-        mats = [_as_matrix(m) for m in images]
-        eye = np.eye(mats[0].shape[0], dtype=mats[0].dtype)
         for label, rel in zip(presentation.labels, presentation.relators):
             img = eye
             for idx, sign in rel:
-                g = mats[idx]
-                img = img @ (g if sign > 0 else g.conj().T)
+                img = img @ (mats[idx] if sign > 0 else mats[idx].conj().T)
             if np.max(np.abs(img - eye)) > 1e-10:
                 raise RepresentationError(f"images violate relator {label}")
-    k = next(iter(table.values())).shape[0]
-    any_complex = any(np.iscomplexobj(t) for t in table.values())
-    dtype = complex if any_complex else float
-    n, c = M.n_rows, M.n_cols
-    out = np.zeros((n * k, c * k), dtype=dtype)
-    for i in range(n):
-        for j in range(c):
-            block = np.zeros((k, k), dtype=dtype)
-            e = M.entry(i, j)
+    out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(float, *mats))
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            block = out[i * k:(i + 1) * k, j * k:(j + 1) * k]
             for g in e.support():
                 block += float(e.coefficient(g)) * table[g]
-            out[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
     return out
 
 
@@ -247,12 +211,7 @@ def regular_representation_images(model: GroupModel):
     if len(elements) > 200000:
         raise ValueError("group appears infinite or too large")
     order = {el: x for x, el in enumerate(elements)}
-    size = len(elements)
-    images = []
-    for g in model.generators():
-        mat = np.zeros((size, size))
-        for y, h in enumerate(elements):
-            x = order[model.multiply(g, h)]
-            mat[x, y] = 1.0
-        images.append(mat)
+    images = [np.zeros((len(elements), len(elements))) for _ in model.generators()]
+    for g, mat in zip(model.generators(), images):
+        mat[[order[model.multiply(g, h)] for h in elements], range(len(elements))] = 1.0
     return images, elements

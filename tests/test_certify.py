@@ -33,7 +33,7 @@ from gapcert.certify import (
     verify_certificate,
 )
 from gapcert.fox import laplacian1
-from gapcert.groups import CyclicModel, FreeModel, MatrixModel, ball
+from gapcert.groups import CyclicModel, FreeModel, MatrixModel, SupportBasis, ball
 from gapcert.presets import load_preset
 from gapcert.sdp import SolveOptions, build_problem, solve
 
@@ -205,6 +205,20 @@ def test_certified_gap_dimension_mismatch():
         certified_gap(lap, basis, np.zeros((3, 4)), 0.0)
     with pytest.raises(ValueError):
         certified_gap(lap, basis, np.full((3, 3), np.nan), 0.0)
+
+
+def test_coefficients_outside_the_basis_products_are_charged():
+    # over the basis {e}, 2t and 2t^2 of the z3 Laplacian 5 + 2t + 2t^2 lie
+    # outside every product, so |r|_1 >= 4 whatever Q is
+    p, model = load_preset("z3")
+    lap = laplacian1(model, p)
+    basis = SupportBasis(model, [model.identity()])
+    got = certified_gap(lap, basis, np.array([[2.0]]), 1.0)
+    exact_bound, _ = exact_certified_gap(lap.matrix, basis, [[2.0]], 1.0)
+    assert exact_bound == -3
+    assert got.lambda0 <= exact_bound
+    # the enclosure of the exact 4 is a few ulps wide
+    assert 3.999 < got.residual_l1.lo <= 4 <= got.residual_l1.hi
 
 
 def test_interval_bound_never_beats_exact_rational_oracle():

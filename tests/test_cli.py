@@ -5,11 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gapcert
-from gapcert.certify import Certificate
+from gapcert.certify import Certificate, certified_gap, psd_sqrt
 from gapcert.cli import main
+from gapcert.fox import laplacian1
+from gapcert.groups import CyclicModel, SupportBasis, ball
+from gapcert.presets import load_preset
+from gapcert.sdp import SolveOptions, build_problem, solve
 
 
 def _run(capsys, *argv):
@@ -388,6 +393,41 @@ def test_verify_names_a_missing_field(capsys, tmp_path, good_certificates, path)
     code, out, err = _run(capsys, "verify", str(cert_path))
     assert code == 1 and out == ""
     assert err == f"error: malformed certificate: no field {last!r}\n"
+
+
+def test_verify_charges_coefficients_outside_the_basis_products(capsys, tmp_path):
+    # over the basis {e}, Q = 2 meets 5 + 2t + 2t^2 - 1 on e alone: 2t and
+    # 2t^2 lie outside every product and cost 4
+    p, model = load_preset("z3")
+    basis = SupportBasis(model, [model.identity()])
+    result = certified_gap(laplacian1(model, p), basis, np.array([[2.0]]), 1.0)
+    path = tmp_path / "cert.json"
+    result.certificate.save(path)
+    data = json.loads(path.read_text())
+    assert data["basis"] == {"radius": None, "keys": [0]}
+    code, out, _ = _run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out)["reverified_lambda0"] <= -3
+    # the claims of a certifier that charged only the coefficients on e
+    data.update(certified_lambda0="0.5", status="certified-positive", residual_l1_sup="0.5")
+    path.write_text(json.dumps(data))
+    code, out, _ = _run(capsys, "verify", str(path))
+    assert code == 1 and json.loads(out)["passed"] is False
+
+
+def test_verify_checks_the_model_against_the_presentation(capsys, tmp_path):
+    # t^3 is not the identity of Z/4, yet the library certifies there
+    p, _ = load_preset("z3")
+    model = CyclicModel(4)
+    lap = laplacian1(model, p)
+    basis = ball(model, 1)
+    sol = solve(build_problem(lap, basis), SolveOptions(max_iter=3000))
+    result = certified_gap(lap, basis, psd_sqrt(sol.P), sol.lam)
+    assert result.lambda0 > 2.749
+    path = tmp_path / "cert.json"
+    result.certificate.save(path)
+    code, out, err = _run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: relator rel0 does not evaluate to the identity\n"
 
 
 def test_certify_accepts_external_q(capsys, tmp_path):

@@ -25,12 +25,11 @@ from .certify import (
     psd_sqrt,
     verify_certificate,
 )
-from .fox import Laplacian1, default_relator_indices, laplacian1
+from .fox import default_relator_indices, laplacian1
 from .groups import (
     FreeModel,
     InconsistentModelError,
     MatrixModel,
-    SupportBasis,
     ball,
     validate_model,
 )
@@ -99,13 +98,17 @@ def _solve_opts(args) -> SolveOptions:
     )
 
 
-def _emit(data: dict, out: Optional[str] = None):
-    blob = json.dumps(data, indent=2, sort_keys=False)
+def _print(text: str, out: Optional[str] = None):
+    """print(text), or write the same bytes to the file out."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+            fh.write(text + "\n")
     else:
-        print(blob)
+        print(text)
+
+
+def _emit(data: dict, out: Optional[str] = None):
+    _print(json.dumps(data, indent=2, sort_keys=False), out)
 
 
 def _check_writable(path: Optional[str]) -> None:
@@ -158,8 +161,7 @@ def cmd_ball(args) -> int:
     if args.json:
         _emit(basis.to_json(), args.out)
     else:
-        for key in basis:
-            print(json.dumps(model.key_to_json(key)))
+        _print("\n".join(json.dumps(model.key_to_json(key)) for key in basis), args.out)
     return 0
 
 
@@ -171,26 +173,32 @@ def cmd_laplacian(args) -> int:
     return 0
 
 
-def cmd_sdp(args) -> int:
-    p, model, lap, basis, problem = _build_stage(args)
-    if args.sdp_action == "build":
-        _emit(
-            {
-                "n": problem.n,
-                "basis_size": problem.m,
-                "products": problem.npairs,
-                "constraints": problem.constraint_count(),
-            }
-        )
-        return 0
-    if args.sdp_action == "export":
-        if args.export:
-            _write_export(problem, args.export)
-            _emit({"written": args.export, "constraints": problem.constraint_count()})
-        else:
-            write_sdpa(problem, sys.stdout)
-        return 0
-    # solve; the output paths fail before it, not after
+def cmd_sdp_build(args) -> int:
+    problem = _build_stage(args)[-1]
+    _emit(
+        {
+            "n": problem.n,
+            "basis_size": problem.m,
+            "products": problem.npairs,
+            "constraints": problem.constraint_count(),
+        }
+    )
+    return 0
+
+
+def cmd_sdp_export(args) -> int:
+    problem = _build_stage(args)[-1]
+    if args.export:
+        _write_export(problem, args.export)
+        _emit({"written": args.export, "constraints": problem.constraint_count()})
+    else:
+        write_sdpa(problem, sys.stdout)
+    return 0
+
+
+def cmd_sdp_solve(args) -> int:
+    problem = _build_stage(args)[-1]
+    # the output paths fail before the solve, not after
     _check_writable(args.out)
     if args.export:
         _write_export(problem, args.export)
@@ -208,16 +216,31 @@ def cmd_sdp(args) -> int:
     return 0
 
 
-def _certify_from_solution(lap: Laplacian1, basis: SupportBasis, lam, P=None, Q=None) -> GapResult:
-    if Q is None:
-        Q = psd_sqrt(np.asarray(P, dtype=float))
-    return certified_gap(lap, basis, np.asarray(Q, dtype=float), float(lam))
+def _finite_number(x) -> bool:
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max  # no bool, nan or inf
+
+
+def _solution_q(sol: dict, path: str) -> np.ndarray:
+    """Q of a solution file: its 'Q', or psd_sqrt of its 'P'; exactly one of the two."""
+    names = [name for name in ("P", "Q") if name in sol]
+    if len(names) != 1:
+        raise CliError(f"solution {path} must have exactly one of 'P' and 'Q'")
+    name = names[0]
+    rows = sol[name]
+    if not (
+        type(rows) is list
+        and all(type(row) is list and len(row) == len(rows[0]) for row in rows)
+        and all(_finite_number(x) for row in rows for x in row)
+    ):
+        raise CliError(f"solution {path}: '{name}' must be a list of equal-length lists of "
+                       "finite JSON numbers")
+    matrix = np.array(rows, dtype=float)
+    return matrix if name == "Q" else psd_sqrt(matrix)
 
 
 def _gap_summary(result: GapResult, cert_path: Optional[str]) -> dict:
-    cert = result.certificate
     return {
-        "lambda": float(cert.fields["solver_lambda"]) if cert else None,
+        "lambda": float(result.certificate.fields["solver_lambda"]),
         "lambda0": result.lambda0,
         "lambda0_display": floor_display(result.lambda0),
         "residual_l1_sup": result.residual_l1.hi,
@@ -236,10 +259,10 @@ def cmd_certify(args) -> int:
     if not isinstance(sol, dict) or "lambda" not in sol:
         raise CliError(f"solution {args.solution} has no 'lambda' field")
     lam = sol["lambda"]
-    if type(lam) not in (int, float) or not abs(lam) <= sys.float_info.max:  # no bool, nan or inf
+    if not _finite_number(lam):
         raise CliError(f"solution {args.solution}: 'lambda' must be a finite JSON number, got {lam!r}")
-    result = _certify_from_solution(lap, basis, lam, P=sol.get("P"), Q=sol.get("Q"))
-    if result.certificate and args.out:
+    result = certified_gap(lap, basis, _solution_q(sol, args.solution), lam)
+    if args.out:
         result.certificate.save(args.out)
     _emit(_gap_summary(result, args.out))
     if args.require_gap and result.lambda0 <= 0:
@@ -269,7 +292,7 @@ def cmd_pipeline(args) -> int:
     cert_path = args.out or "certificate.json"
     _check_writable(cert_path)
     sol = solve(problem, _solve_opts(args))
-    result = _certify_from_solution(lap, basis, sol.lam, P=sol.P)
+    result = certified_gap(lap, basis, psd_sqrt(sol.P), sol.lam)
     result.certificate.save(cert_path)
     check = verify_certificate(Certificate.load(cert_path))
     summary = _gap_summary(result, cert_path)
@@ -388,18 +411,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(func=cmd_laplacian)
 
-    s = subs.add_parser("sdp", help="build, export, or solve the SDP")
-    s.add_argument("sdp_action", choices=("build", "export", "solve"))
+    sdp = subs.add_parser("sdp", help="build, export, or solve the SDP").add_subparsers(
+        dest="sdp_action", required=True
+    )
+    s = sdp.add_parser("build", help="print the problem's sizes")
+    _add_input_opts(s)
+    _add_stage_opts(s)
+    s.set_defaults(func=cmd_sdp_build)
+
+    s = sdp.add_parser("export", help="write the SDPA problem to stdout")
+    _add_input_opts(s)
+    _add_stage_opts(s)
+    s.add_argument("--export", help="write the SDPA problem file here instead")
+    s.set_defaults(func=cmd_sdp_export)
+
+    s = sdp.add_parser("solve", help="solve with the embedded solver")
     _add_input_opts(s)
     _add_stage_opts(s)
     _add_solver_opts(s)
-    s.add_argument("--out", help="solution JSON path (solve)")
-    s.set_defaults(func=cmd_sdp)
+    s.add_argument("--out", help="solution JSON path")
+    s.set_defaults(func=cmd_sdp_solve)
 
     s = subs.add_parser("certify", help="certify an externally produced (P, lambda)")
     _add_input_opts(s)
     _add_stage_opts(s)
-    s.add_argument("--solution", required=True, help="JSON with lambda and P (or Q)")
+    s.add_argument("--solution", required=True, help="JSON with lambda and exactly one of P and Q")
     s.add_argument("--out", help="certificate path")
     s.add_argument("--require-gap", action="store_true")
     s.set_defaults(func=cmd_certify)

@@ -65,6 +65,16 @@ def test_ball_text_and_json(capsys, tmp_path):
     assert data["keys"] == [0, 1, 2] and data["radius"] == 1
 
 
+def test_ball_out_writes_what_stdout_would_get(capsys, tmp_path):
+    for mode in ((), ("--json",)):
+        argv = ("ball", "--preset", "sl3z-mod:2", "--radius", "1", *mode)
+        code, printed, _ = _run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "ball.txt"
+        code, out, _ = _run(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == "" and path.read_text() == printed
+
+
 def test_laplacian_json_round_trip(capsys):
     from _oracles import l1, ring_matrix_from_json
 
@@ -103,6 +113,20 @@ def test_printed_constraint_count_is_the_exported_one(capsys, tmp_path):
     assert json.loads(out)["constraints"] == int(declared) == 2622
     code, out, _ = _run(capsys, "sdp", "build", *stage)
     assert code == 0 and json.loads(out)["constraints"] == 2622
+
+
+@pytest.mark.parametrize(
+    "action,option",
+    [("build", "--export"), ("build", "--out"), ("build", "--tol"), ("build", "--max-iter"),
+     ("export", "--out"), ("export", "--tol"), ("export", "--max-iter")],
+)
+def test_sdp_action_refuses_an_option_it_does_not_read(capsys, tmp_path, action, option):
+    value = {"--tol": "1e-3", "--max-iter": "5"}.get(option, str(tmp_path / "f"))
+    with pytest.raises(SystemExit) as exc:
+        main(["sdp", action, "--preset", "z3", "--radius", "1", option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_sdp_export_writes_file(capsys, tmp_path):
@@ -475,6 +499,40 @@ def test_certify_takes_an_integer_lambda(capsys, tmp_path):
     assert code == 0 and json.loads(out)["lambda"] == 0.0
 
 
+_MATRIX = "must be a list of equal-length lists of finite JSON numbers"
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        pytest.param({"P": {"a": 1}}, f"'P' {_MATRIX}", id="p_object"),
+        pytest.param({"Q": [["1.5", "0", "0"]]}, f"'Q' {_MATRIX}", id="q_strings"),
+        pytest.param({"Q": [[True, False, False]]}, f"'Q' {_MATRIX}", id="q_bools"),
+        pytest.param({"Q": [[1.0, 0.0, 0.0], [1.0]]}, f"'Q' {_MATRIX}", id="q_ragged"),
+        pytest.param({"Q": [1.0, 0.0, 0.0]}, f"'Q' {_MATRIX}", id="q_flat"),
+        pytest.param({"Q": [[10 ** 400, 0, 0]]}, f"'Q' {_MATRIX}", id="q_huge_int"),
+        pytest.param({"P": [[float("nan")] * 3] * 3}, f"'P' {_MATRIX}", id="p_nan"),
+        pytest.param({}, "must have exactly one of 'P' and 'Q'", id="neither"),
+        pytest.param({"P": [[1.0, 0.0, 0.0]] * 3, "Q": [[0.0] * 3]},
+                     "must have exactly one of 'P' and 'Q'", id="both"),
+    ],
+)
+def test_certify_checks_the_solution_matrix(capsys, tmp_path, fields, message):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"lambda": 1.0, **fields}))
+    code, out, err = _run(capsys, "certify", "--preset", "z3", "--radius", "1", "--solution", str(sol_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: solution {sol_path}") and message in err
+
+
+def test_certify_takes_integer_matrix_entries(capsys, tmp_path):
+    for name, rows in (("P", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), ("Q", [[1, 0, 0]])):
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(json.dumps({"lambda": 0, name: rows}))
+        code, out, _ = _run(capsys, "certify", "--preset", "z3", "--radius", "1", "--solution", str(sol_path))
+        assert code == 0 and json.loads(out)["lambda"] == 0.0
+
+
 def test_certify_names_a_missing_lambda(capsys, tmp_path):
     sol_path = tmp_path / "no-lambda.json"
     sol_path.write_text(json.dumps({"Q": [[0.0] * 3]}))
@@ -728,3 +786,16 @@ def test_streamed_exports_equal_export_sdpa(capsys, tmp_path, monkeypatch):
             path.unlink()
             code, _, _ = _run(capsys, *argv, "--export", str(path))
             assert first_difference(path.read_bytes().decode("ascii"), expected) is None
+
+
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
+    import shlex
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("gapcert ")]
+    assert len(lines) >= 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = _run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

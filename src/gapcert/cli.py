@@ -320,13 +320,18 @@ def _add_input_opts(sub):
     sub.add_argument("--model", type=_model_choice, help="model: matrix | modular:<m> | free")
 
 
-def _add_stage_opts(sub):
+def _stage_parser(subs, name: str, func, help: str):
+    """The parser of a command that builds the problem, with its input and stage options."""
+    sub = subs.add_parser(name, help=help)
+    _add_input_opts(sub)
     sub.add_argument("--radius", type=_radius, required=True, help="support ball radius")
     sub.add_argument(
         "--exclude-relator",
         help="relator subset policy: longest | none | <label> (default: longest "
         "when the presentation has more than one relator)",
     )
+    sub.set_defaults(func=func)
+    return sub
 
 
 def _number(kind, text: str, expected: str):
@@ -414,43 +419,26 @@ def build_parser() -> argparse.ArgumentParser:
     sdp = subs.add_parser("sdp", help="build, export, or solve the SDP").add_subparsers(
         dest="sdp_action", required=True
     )
-    s = sdp.add_parser("build", help="print the problem's sizes")
-    _add_input_opts(s)
-    _add_stage_opts(s)
-    s.set_defaults(func=cmd_sdp_build)
-
-    s = sdp.add_parser("export", help="write the SDPA problem to stdout")
-    _add_input_opts(s)
-    _add_stage_opts(s)
+    _stage_parser(sdp, "build", cmd_sdp_build, "print the problem's sizes")
+    s = _stage_parser(sdp, "export", cmd_sdp_export, "write the SDPA problem to stdout")
     s.add_argument("--export", help="write the SDPA problem file here instead")
-    s.set_defaults(func=cmd_sdp_export)
-
-    s = sdp.add_parser("solve", help="solve with the embedded solver")
-    _add_input_opts(s)
-    _add_stage_opts(s)
+    s = _stage_parser(sdp, "solve", cmd_sdp_solve, "solve with the embedded solver")
     _add_solver_opts(s)
     s.add_argument("--out", help="solution JSON path")
-    s.set_defaults(func=cmd_sdp_solve)
 
-    s = subs.add_parser("certify", help="certify an externally produced (P, lambda)")
-    _add_input_opts(s)
-    _add_stage_opts(s)
+    s = _stage_parser(subs, "certify", cmd_certify, "certify an externally produced (P, lambda)")
     s.add_argument("--solution", required=True, help="JSON with lambda and exactly one of P and Q")
     s.add_argument("--out", help="certificate path")
     s.add_argument("--require-gap", action="store_true")
-    s.set_defaults(func=cmd_certify)
 
     s = subs.add_parser("verify", help="re-verify a certificate file")
     s.add_argument("certificate")
     s.set_defaults(func=cmd_verify)
 
-    s = subs.add_parser("pipeline", help="end-to-end: build, solve, certify, verify")
-    _add_input_opts(s)
-    _add_stage_opts(s)
+    s = _stage_parser(subs, "pipeline", cmd_pipeline, "end-to-end: build, solve, certify, verify")
     _add_solver_opts(s)
     s.add_argument("--out", help="certificate path (default certificate.json)")
     s.add_argument("--require-gap", action="store_true")
-    s.set_defaults(func=cmd_pipeline)
 
     return ap
 

@@ -159,6 +159,7 @@ def evaluate_representation(
             raise RepresentationError("generator images must share one dimension")
         if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
             raise RepresentationError("generator image is not unitary")
+    out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(float, *mats))
     steps: Dict[Key, np.ndarray] = {}  # first seen wins, in symmetrized_generators' order
     for g, m in zip(model.generators(), mats):
         steps.setdefault(g, m)
@@ -190,7 +191,6 @@ def evaluate_representation(
                 img = img @ (mats[idx] if sign > 0 else mats[idx].conj().T)
             if np.max(np.abs(img - eye)) > 1e-10:
                 raise RepresentationError(f"images violate relator {label}")
-    out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(float, *mats))
     for i, row in enumerate(M.entries):
         for j, e in enumerate(row):
             block = out[i * k:(i + 1) * k, j * k:(j + 1) * k]

@@ -152,6 +152,7 @@ def evaluate_representation(
     mats = [np.asarray(m) for m in images]
     if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
         raise RepresentationError("generator images must be square matrices")
+    mats = [m.astype(np.result_type(float, m), copy=False) for m in mats]  # float64 or complex128
     k = mats[0].shape[0]
     eye = np.eye(k)
     for m in mats:
@@ -159,7 +160,7 @@ def evaluate_representation(
             raise RepresentationError("generator images must share one dimension")
         if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
             raise RepresentationError("generator image is not unitary")
-    out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(float, *mats))
+    out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(*mats))
     steps: Dict[Key, np.ndarray] = {}  # first seen wins, in symmetrized_generators' order
     for g, m in zip(model.generators(), mats):
         steps.setdefault(g, m)

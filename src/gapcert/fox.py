@@ -140,11 +140,10 @@ def evaluate_representation(
     """Block matrix of the entrywise image sums; hermitian for *-invariant M.
 
     The generator images must be square, of one size and unitary to 1e-10.
-    A BFS of the model, at most 64 steps, multiplies them out until each
-    support element has an image; a normal form reached along two paths
-    must get one image to 1e-8.  With a presentation, each relator's image
-    through the raw images must be the identity to 1e-10, a violation that
-    the model's normal forms would hide.
+    A BFS of at most 64 steps multiplies them out until each support
+    element has an image; two paths to one normal form must agree to
+    1e-8.  With a presentation, each relator's product of the raw images
+    must be the identity to 1e-10, which the normal forms would hide.
     """
     model = M.model
     if len(images) != model.n_generators:
@@ -152,7 +151,7 @@ def evaluate_representation(
     mats = [np.asarray(m) for m in images]
     if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
         raise RepresentationError("generator images must be square matrices")
-    mats = [m.astype(np.result_type(float, m), copy=False) for m in mats]  # float64 or complex128
+    mats = [m.astype(np.result_type(float, m)) for m in mats]  # float64 or complex128 copies
     k = mats[0].shape[0]
     eye = np.eye(k)
     for m in mats:
@@ -160,7 +159,6 @@ def evaluate_representation(
             raise RepresentationError("generator images must share one dimension")
         if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
             raise RepresentationError("generator image is not unitary")
-    out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(*mats))
     steps: Dict[Key, np.ndarray] = {}  # first seen wins, in symmetrized_generators' order
     for g, m in zip(model.generators(), mats):
         steps.setdefault(g, m)
@@ -192,11 +190,13 @@ def evaluate_representation(
                 img = img @ (mats[idx] if sign > 0 else mats[idx].conj().T)
             if np.max(np.abs(img - eye)) > 1e-10:
                 raise RepresentationError(f"images violate relator {label}")
+    out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(*mats))
     for i, row in enumerate(M.entries):
         for j, e in enumerate(row):
-            block = out[i * k:(i + 1) * k, j * k:(j + 1) * k]
+            block = np.zeros((k, k), dtype=out.dtype)
             for g in e.support():
                 block += float(e.coefficient(g)) * table[g]
+            out[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
     return out
 
 

@@ -135,14 +135,14 @@ class RepresentationError(ValueError):
 def evaluate_representation(
     M: RingMatrix,
     images: Sequence[np.ndarray],
-    presentation: Optional[Presentation] = None,
+    presentation: Presentation,
 ) -> np.ndarray:
     """Block matrix of the entrywise image sums; hermitian for *-invariant M.
 
     The generator images must be square, of one size and unitary to 1e-10.
     A BFS of at most 64 steps multiplies them out until each support
     element has an image; two paths to one normal form must agree to
-    1e-8.  With a presentation, each relator's product of the raw images
+    1e-8.  Each relator of the presentation, a product of the raw images,
     must be the identity to 1e-10, which the normal forms would hide.
     """
     model = M.model
@@ -183,13 +183,12 @@ def evaluate_representation(
         frontier = nxt
     if pending:
         raise RepresentationError(f"{len(pending)} support elements unreachable from the generators")
-    if presentation is not None:
-        for label, rel in zip(presentation.labels, presentation.relators):
-            img = eye
-            for idx, sign in rel:
-                img = img @ (mats[idx] if sign > 0 else mats[idx].conj().T)
-            if np.max(np.abs(img - eye)) > 1e-10:
-                raise RepresentationError(f"images violate relator {label}")
+    for label, rel in zip(presentation.labels, presentation.relators):
+        img = eye
+        for idx, sign in rel:
+            img = img @ (mats[idx] if sign > 0 else mats[idx].conj().T)
+        if np.max(np.abs(img - eye)) > 1e-10:
+            raise RepresentationError(f"images violate relator {label}")
     out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(*mats))
     for i, row in enumerate(M.entries):
         for j, e in enumerate(row):

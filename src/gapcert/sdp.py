@@ -11,15 +11,15 @@ SDPA export lists each class's cells by the stable argsort of pid.
 target_coefficients is the one walk of an exact target into those
 classes; the SDP, the SDPA export and the certifier share it.
 
-The embedded solver is a first-order operator-splitting scheme: it
-alternates exact projection onto the affine constraint subspace (the
-constraint Gram operator is diagonal apart from a rank-one coupling
-through lambda) with projection onto the PSD cone by eigendecomposition.
-One eigen-factor serves that projection and psd_sqrt: _psd_factor gives
-B = V sqrt(w) over the eigenvalues kept, and the projection is B B^T,
-which numpy computes as a symmetric rank-k update, so it is exactly
-symmetric.  The residual norms are taken only at the checks and at the
-last iteration.
+The embedded solver is over-relaxed ADMM.  _step takes one iterate
+(Z, U, zlam, rho) to the next by exact projection onto the affine
+constraint subspace (the constraint Gram operator is diagonal apart from
+a rank-one coupling through lambda) and projection onto the PSD cone by
+eigendecomposition; solve drives it and takes the residuals only at the
+checks and at the last iteration.  One eigen-factor serves the PSD
+projection and psd_sqrt: _psd_factor gives B = V sqrt(w) over the
+eigenvalues kept, and the projection is B B^T, which numpy computes as a
+symmetric rank-k update, so it is exactly symmetric.
 When the index permutations e_ij -> e_s(i)s(j), s in S3, fix the problem
 exactly (gram_symmetry), every iterate is S3-invariant and is held in
 invariant coordinates C[t], N^2/6 values: the affine step sums over
@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -504,16 +504,6 @@ def _psd_factor(A: np.ndarray, rtol: float = 0.0) -> np.ndarray:
     return V[:, keep] * np.sqrt(w[keep])
 
 
-def _psd_project(A: np.ndarray) -> np.ndarray:
-    """The nearest PSD matrix to the symmetric part of A, exactly symmetric.
-
-    numpy evaluates B @ B.T as a symmetric rank-k update (syrk), which
-    fills one triangle and mirrors it.
-    """
-    B = _psd_factor(A)
-    return B @ B.T
-
-
 def _block_maps(sym: GramSymmetry) -> Tuple[np.ndarray, np.ndarray]:
     """(into, back): |H| x |H| maps between invariant coordinates and isotypic blocks.
 
@@ -531,10 +521,12 @@ def _block_maps(sym: GramSymmetry) -> Tuple[np.ndarray, np.ndarray]:
 def _psd_project_invariant(
     C: np.ndarray, sym: GramSymmetry, maps: Tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """_psd_project of the H-invariant matrix with invariant coordinates C.
+    """The nearest PSD matrix to the H-invariant matrix with invariant coordinates C.
 
-    Block rho = sum_t kron(C[t], rho[t]) is projected on its own, and C is
-    read back from the projected blocks (_block_maps(sym)).
+    Block rho = sum_t kron(C[t], rho[t]) is projected on its own to B @ B.T,
+    B = _psd_factor(block), which numpy evaluates as a symmetric rank-k
+    update (syrk) that fills one triangle and mirrors it; C is read back
+    from the projected blocks (_block_maps(sym)).
     """
     into, back = maps
     g, k = C.shape[:2]
@@ -542,8 +534,8 @@ def _psd_project_invariant(
     col = 0
     for d in (rho.shape[1] for rho in sym.irreps):
         tiles = R[col:col + d * d]
-        block = tiles.reshape(d, d, k, k).transpose(2, 0, 3, 1).reshape(k * d, k * d)
-        tiles[:] = _psd_project(block).reshape(k, d, k, d).transpose(1, 3, 0, 2).reshape(d * d, k * k)
+        B = _psd_factor(tiles.reshape(d, d, k, k).transpose(2, 0, 3, 1).reshape(k * d, k * d))
+        tiles[:] = (B @ B.T).reshape(k, d, k, d).transpose(1, 3, 0, 2).reshape(d * d, k * k)
         col += d * d
     return (back @ R).reshape(g, k, k)
 
@@ -604,6 +596,39 @@ class _InvariantConstraints:
         return V - mu[self.cid].reshape(V.shape), vlam - mu_l.sum()
 
 
+class _Iterate(NamedTuple):
+    """An ADMM iterate in invariant coordinates; the dual variable is rho * U."""
+
+    Z: np.ndarray  # the PSD point
+    U: np.ndarray
+    zlam: float  # lambda's relaxed value
+    rho: float
+
+
+def _step(
+    s: _Iterate, cons: _InvariantConstraints, sym: GramSymmetry, maps: Tuple[np.ndarray, np.ndarray]
+) -> Tuple[_Iterate, np.ndarray, float]:
+    """The iterate after s, and the step's affine point (X, xlam)."""
+    alpha = _OVER_RELAXATION
+    X, xlam = cons.project(s.Z - s.U, s.zlam + 1.0 / s.rho)
+    Xr = alpha * X + (1.0 - alpha) * s.Z
+    Z = _psd_project_invariant(Xr + s.U, sym, maps)
+    return _Iterate(Z, s.U + Xr - Z, alpha * xlam + (1.0 - alpha) * s.zlam, s.rho), X, xlam
+
+
+def _residuals(prev: _Iterate, cur: _Iterate, X: np.ndarray) -> Tuple[float, float]:
+    """(rp, rd) of the step prev -> cur with affine point X, as Frobenius norms of the dense P."""
+    scale = math.sqrt(len(X))  # a dense P's norm over that of its invariant coordinates
+    rp = scale * float(np.linalg.norm(X - cur.Z))
+    return rp, cur.rho * scale * float(np.linalg.norm(cur.Z - prev.Z))
+
+
+def _rebalance(s: _Iterate, rp: float, rd: float) -> _Iterate:
+    """s with rho doubled if rp > 10 rd or halved if rd > 10 rp; U is scaled in place to keep rho * U."""
+    f = 2.0 if rp > 10 * rd else 0.5 if rd > 10 * rp else 1.0
+    return s._replace(U=np.divide(s.U, f, out=s.U), rho=s.rho * f)
+
+
 def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSolution:
     """Maximize lambda over the problem's affine slice of the PSD cone.
 
@@ -624,28 +649,15 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     k = problem.n * problem.m // g
     cons = _InvariantConstraints(problem, sym)
     maps = _block_maps(sym)
-    scale = math.sqrt(g)  # Frobenius norm of a dense P over that of its C
-
-    rho = _RHO
-    alpha = _OVER_RELAXATION
-    Z = np.zeros((g, k, k))
-    U = np.zeros((g, k, k))
-    zlam = 0.0
+    cur = _Iterate(np.zeros((g, k, k)), np.zeros((g, k, k)), 0.0, _RHO)
     status = "max-iter"
-    X, xlam, rp, rd = Z, 0.0, math.inf, math.inf
-    it = 0
     for it in range(1, opts.max_iter + 1):
-        X, xlam = cons.project(Z - U, zlam + 1.0 / rho)
-        Xr = alpha * X + (1.0 - alpha) * Z
-        xrlam = alpha * xlam + (1.0 - alpha) * zlam
-        Z_new = _psd_project_invariant(Xr + U, sym, maps)
-        U = U + Xr - Z_new
+        new, X, xlam = _step(cur, cons, sym, maps)
         check = it % _CHECK_EVERY == 0 or it == 1
         if check or it == opts.max_iter:  # the only iterations that read them
-            rp = scale * float(np.linalg.norm(X - Z_new))
-            rd = rho * scale * float(np.linalg.norm(Z_new - Z))
-        Z = Z_new
-        zlam = xrlam
+            rp, rd = _residuals(cur, new, X)
+        cur = new
+        del X  # freed before the next step allocates its own
         if check:
             if opts.progress is not None:
                 opts.progress(it, xlam, rp, rd)
@@ -653,18 +665,6 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
                 status = "optimal"
                 break
             if it % 100 == 0:
-                if rp > 10 * rd:
-                    rho *= 2.0
-                    U /= 2.0
-                elif rd > 10 * rp:
-                    rho /= 2.0
-                    U *= 2.0
-    return SdpSolution(
-        lam=float(xlam),
-        P=sym.expand(Z),
-        primal_residual=rp,
-        dual_residual=rd,
-        constraint_residual=cons.norm(cons.residual(Z, xlam)),
-        iterations=it,
-        status=status,
-    )
+                cur = _rebalance(cur, rp, rd)
+    P = sym.expand(cur.Z)
+    return SdpSolution(float(xlam), P, rp, rd, cons.norm(cons.residual(cur.Z, xlam)), it, status)

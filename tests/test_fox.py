@@ -328,16 +328,17 @@ def test_evaluate_representation_hermitian_for_star_invariant():
 def test_evaluate_representation_star_homomorphism_random():
     rng = random.Random(71)
     model = CyclicModel(5)
+    p = parse_presentation("gens: t\nrel: t^5\n")
     images, elements = regular_representation_images(model)
     from _oracles import random_ring_element
 
     for _ in range(20):
         a = random_ring_element(model, elements, rng)
         b = random_ring_element(model, elements, rng)
-        A = evaluate_representation(RingMatrix(model, [[a]]), images)
-        B = evaluate_representation(RingMatrix(model, [[b]]), images)
-        AB = evaluate_representation(RingMatrix(model, [[mul(a, b)]]), images)
-        Astar = evaluate_representation(RingMatrix(model, [[a.star()]]), images)
+        A = evaluate_representation(RingMatrix(model, [[a]]), images, presentation=p)
+        B = evaluate_representation(RingMatrix(model, [[b]]), images, presentation=p)
+        AB = evaluate_representation(RingMatrix(model, [[mul(a, b)]]), images, presentation=p)
+        Astar = evaluate_representation(RingMatrix(model, [[a.star()]]), images, presentation=p)
         assert np.allclose(AB, A @ B, atol=1e-8)
         assert np.allclose(Astar, A.conj().T, atol=1e-8)
 
@@ -377,33 +378,37 @@ def _rotation(angle):
     ],
 )
 def test_evaluate_representation_checks_images_without_a_presentation(preset, images, message):
+    # each image check refuses the images before the presentation's relators are read
     p, model = load_preset(preset)
     lap = laplacian1(model, p)
     with pytest.raises(RepresentationError, match=f"^{message}$"):
-        evaluate_representation(lap.matrix, images)
+        evaluate_representation(lap.matrix, images, presentation=p)
 
 
 def test_evaluate_representation_meets_two_paths_without_a_presentation():
     # on Z/4, t^2 is reached as t*t and as t^-1*t^-1; a rotation by 2pi/5
-    # gives those two paths different images
+    # gives those two paths different images, which the search sees before
+    # the relator t^4 is read
     model = CyclicModel(4)
+    p = parse_presentation("gens: t\nrel: t^4\n")
     M = RingMatrix(model, [[RingElement(model, {g: Fraction(1) for g in range(4)})]])
     with pytest.raises(RepresentationError, match="^images are inconsistent with the model's relations$"):
-        evaluate_representation(M, [_rotation(2 * np.pi / 5)])
-    pi = evaluate_representation(M, [_rotation(2 * np.pi / 4)])
+        evaluate_representation(M, [_rotation(2 * np.pi / 5)], presentation=p)
+    pi = evaluate_representation(M, [_rotation(2 * np.pi / 4)], presentation=p)
     assert np.abs(pi).max() < 1e-15  # 1 + t + t^2 + t^3 acts as 0 on the plane
 
 
 def test_evaluate_representation_reaches_support_within_64_steps():
     # t^64 is 64 steps from the identity of Z/200, t^100 is 100 steps
     model = CyclicModel(200)
+    p = parse_presentation("gens: t\nrel: t^200\n")
     image = np.array([[np.exp(2j * np.pi / 200)]])
     near = RingMatrix(model, [[RingElement(model, {64: Fraction(1)})]])
-    assert np.allclose(evaluate_representation(near, [image]), image[0, 0] ** 64)
+    assert np.allclose(evaluate_representation(near, [image], presentation=p), image[0, 0] ** 64)
     far = RingMatrix(model, [[RingElement(model, {100: Fraction(1)})]])
     with pytest.raises(RepresentationError,
                        match="^1 support elements unreachable from the generators$"):
-        evaluate_representation(far, [image])
+        evaluate_representation(far, [image], presentation=p)
 
 
 def test_evaluate_representation_checks_relators_through_the_raw_images():

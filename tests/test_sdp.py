@@ -22,10 +22,13 @@ from gapcert.sdp import (
     SolveOptions,
     SupportTooSmallError,
     _InvariantConstraints,
+    _Iterate,
     _block_maps,
     _psd_factor,
-    _psd_project,
     _psd_project_invariant,
+    _rebalance,
+    _residuals,
+    _step,
     build_problem,
     export_sdpa,
     gram_symmetry,
@@ -435,7 +438,8 @@ def test_psd_factor_projects_like_the_case_by_case_formula(kind):
         B = _psd_factor(A)
         P = B @ B.T
         assert np.array_equal(P, P.T)
-        assert np.array_equal(_psd_project(A), P)
+        trivial = GramSymmetry.trivial(len(A))
+        assert np.array_equal(_psd_project_invariant(A[None], trivial, _block_maps(trivial))[0], P)
         ref = psd_project_by_cases(A)
         assert np.abs(P - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
         if len(A):
@@ -476,6 +480,36 @@ def test_solve_reports_its_last_iterates_residuals():
     assert sol.iterations == 26 and max(seen) == 25
     last = (sol.primal_residual, sol.dual_residual)
     assert all(map(math.isfinite, last)) and last[0] != seen[25][0] and last[1] != seen[25][1]
+
+
+def test_step_driven_from_outside_solve_repeats_its_trajectory():
+    # solve's driver loop over its step, residuals and rebalance; on z3 r1
+    # the rebalance first fires at iteration 400, where rp > 10 rd
+    _, _, prob = _z3_problem()
+    opts = SolveOptions(tol_primal=0.0, tol_dual=0.0, max_iter=500)
+    sol = solve(prob, opts)
+    sym = gram_symmetry(prob)
+    cons, maps = _InvariantConstraints(prob, sym), _block_maps(sym)
+    cur = _Iterate(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), 0.0, sdp._RHO)
+    rho = {}
+    for it in range(1, opts.max_iter + 1):
+        new, X, xlam = _step(cur, cons, sym, maps)
+        check = it % sdp._CHECK_EVERY == 0 or it == 1
+        if check or it == opts.max_iter:
+            rp, rd = _residuals(cur, new, X)
+        cur = new
+        if check:
+            if rp <= opts.tol_primal and rd <= opts.tol_dual:
+                break
+            if it % 100 == 0:
+                dual = cur.rho * cur.U
+                cur = _rebalance(cur, rp, rd)
+                assert np.array_equal(cur.rho * cur.U, dual)
+                rho[it] = cur.rho
+    assert rho == {100: 1.0, 200: 1.0, 300: 1.0, 400: 2.0, 500: 2.0}
+    assert it == sol.iterations == 500 and sol.status == "max-iter"
+    assert float(xlam) == sol.lam
+    assert np.array_equal(sym.expand(cur.Z), sol.P)
 
 
 @pytest.mark.parametrize("preset,radius", [("z3", 1), ("sl3z-mod:2", 1), ("free:2", 2)])
@@ -628,7 +662,8 @@ def test_reduced_projection_matches_dense_projection(preset):
     # an indefinite and a positive semidefinite invariant matrix
     for A in (invariant, invariant @ invariant.T):
         A = A[np.ix_(sym.order, sym.order)]
-        dense = _psd_project(A)
+        B = _psd_factor(A)
+        dense = B @ B.T
         C = _psd_project_invariant(_invariant_coordinates(A, sym), sym, _block_maps(sym))
         reduced = sym.expand(C)[np.ix_(sym.order, sym.order)]
         assert np.abs(reduced - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -734,7 +769,8 @@ def test_invariant_psd_step_matches_dense(preset, seed):
     sym = gram_symmetry(prob)
     P = _random_invariant(prob, seed)
     C = _invariant_coordinates(P[np.ix_(sym.order, sym.order)], sym)
-    dense = _psd_project(P)
+    B = _psd_factor(P)
+    dense = B @ B.T
     reduced = sym.expand(_psd_project_invariant(C, sym, _block_maps(sym)))
     assert np.abs(reduced - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -745,7 +781,8 @@ def test_trivial_group_coordinates_are_the_matrix():
     A = np.random.default_rng(2).normal(size=(3, 3))
     A = A + A.T
     assert np.array_equal(sym.expand(A[None]), A)
-    assert np.array_equal(_psd_project_invariant(A[None], sym, _block_maps(sym))[0], _psd_project(A))
+    B = _psd_factor(A)
+    assert np.array_equal(_psd_project_invariant(A[None], sym, _block_maps(sym))[0], B @ B.T)
 
 
 def _z2_translation():

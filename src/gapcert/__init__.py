@@ -11,7 +11,6 @@ every unitary representation.
 __version__ = "0.1.0"
 
 from .words import (  # noqa: F401
-    GeneratorSymbol,
     Presentation,
     PresentationSyntaxError,
     Word,

@@ -298,7 +298,7 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
     # target coefficients, minus lambda on the identity diagonal, per class
     Clo, Chi = np.zeros((2, n, n, len(table)))
     for i in range(n):
-        inside.setdefault((i, i, table.identity_pid), Fraction(0))
+        inside.setdefault((i, i, table.identity_pid), 0)
     for (i, j, pid), c in inside.items():
         lo, hi = _enclose(c)
         if i == j and pid == table.identity_pid:

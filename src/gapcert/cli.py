@@ -73,11 +73,13 @@ def _load_input(args) -> tuple:
 
 
 def _relator_indices(args, p: Presentation) -> List[int]:
-    policy = getattr(args, "exclude_relator", None) or "default"
+    policy = getattr(args, "exclude_relator", None)
+    if policy is None:
+        return default_relator_indices(p)
     if policy == "none":
         return list(range(len(p.relators)))
-    if policy in ("default", "longest"):
-        if policy == "longest" and len(p.relators) <= 1:
+    if policy == "longest":
+        if len(p.relators) <= 1:
             raise CliError("cannot exclude the longest of fewer than two relators")
         return default_relator_indices(p)
     idx = p.relator_index(policy)

@@ -12,10 +12,10 @@ straight into one coefficient dict per entry (i, j); the RingMatrix
 formula d0 d0* + sum_r J(r)* J(r) is the test oracle reference_laplacian,
 whose derivatives come from the oracles' own product-rule fox_derivative.
 Each relator's derivatives by all generators come from one walk along its
-prefixes, every coefficient is an int until RingElement makes it a
-Fraction at the end, and each distinct product g*h is computed once per
-call, in a memo local to the call: one kept per model would also keep
-every product that ball enumeration asks the model for.
+prefixes, every coefficient is an int, as Fox derivatives make it, and
+each distinct product g*h is computed once per call, in a memo local to
+the call: one kept per model would also keep every product that ball
+enumeration asks the model for.
 """
 
 from __future__ import annotations

@@ -2,29 +2,24 @@
 
 A ring element maps group elements, which are their model's keys, to
 coefficients, and its support sorts in key order.  Coefficients are
-exact rationals (Fraction); ints are promoted, and any other type, floats
+exact: ints or Fractions, kept as given; any other type, floats and bools
 included, is a TypeError.  These are containers with no ring arithmetic:
-fox.laplacian1 adds outer products straight into exact coefficient
-dicts, and the SDP and the certifier read the result once, through the
-integer index of the problem's product table.  The exact arithmetic the
-tests check against (sum, product, identity, l1, the order-unit
+fox.laplacian1 adds outer products straight into int coefficient dicts,
+and the SDP and the certifier read the result once, through the integer
+index of the problem's product table.  The exact arithmetic the tests
+check against (sum, product, star, adjoint, l1, the order-unit
 construction and verify_sos) is in tests/_oracles.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 from .groups import GroupModel, Key
 
 
-def _promote(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"unsupported coefficient type {type(value).__name__}")
+Coefficient = Union[int, Fraction]
 
 
 class RingElement:
@@ -32,10 +27,11 @@ class RingElement:
 
     __slots__ = ("model", "coeffs")
 
-    def __init__(self, model: GroupModel, coeffs: Dict[Key, Fraction]):
+    def __init__(self, model: GroupModel, coeffs: Dict[Key, Coefficient]):
         clean = {}
         for g, c in coeffs.items():
-            c = _promote(c)
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(f"unsupported coefficient type {type(c).__name__}")
             if c:
                 clean[g] = c
         self.model = model
@@ -44,13 +40,8 @@ class RingElement:
     def support(self) -> List[Key]:
         return sorted(self.coeffs)
 
-    def coefficient(self, g: Key) -> Fraction:
-        return self.coeffs.get(g, Fraction(0))
-
-    def star(self) -> "RingElement":
-        return RingElement(
-            self.model, {self.model.inverse(g): c for g, c in self.coeffs.items()}
-        )
+    def coefficient(self, g: Key) -> Coefficient:
+        return self.coeffs.get(g, 0)
 
     def __eq__(self, other):
         return (
@@ -92,21 +83,6 @@ class RingMatrix:
     @property
     def n_cols(self) -> int:
         return len(self.entries[0])
-
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.entries[i][j]
-
-    def adjoint(self) -> "RingMatrix":
-        return RingMatrix(
-            self.model,
-            [
-                [self.entries[j][i].star() for j in range(self.n_rows)]
-                for i in range(self.n_cols)
-            ],
-        )
-
-    def is_star_invariant(self) -> bool:
-        return self.n_rows == self.n_cols and self.adjoint() == self
 
     def __eq__(self, other):
         return (

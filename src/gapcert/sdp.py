@@ -38,14 +38,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .groups import (
-    Key,
     MatrixModel,
     SupportBasis,
     _json_int,
@@ -116,6 +114,16 @@ class SdpProblem:
         )
 
 
+def _is_star_invariant(matrix: RingMatrix) -> bool:
+    """Whether the matrix is square and entry (j, i) is entry (i, j) with each g made g^-1."""
+    inverse, rows = matrix.model.inverse, matrix.entries
+    return matrix.n_rows == matrix.n_cols and all(
+        rows[j][i].coeffs == {inverse(g): c for g, c in e.coeffs.items()}
+        for i, row in enumerate(rows)
+        for j, e in enumerate(row)
+    )
+
+
 def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
     """Exact coefficients of a *-invariant target, split by the product table.
 
@@ -125,7 +133,7 @@ def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
     """
     if matrix.model.model_id != basis.model.model_id:
         raise ValueError("target and basis use different models")
-    if not matrix.is_star_invariant():
+    if not _is_star_invariant(matrix):
         raise ValueError("target matrix must be square and *-invariant")
     terms = [
         (i, j, g, entry.coeffs[g])
@@ -134,8 +142,7 @@ def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
         for g in entry.support()
     ]
     pids = basis.products().find([g for _, _, g, _ in terms])
-    inside: Dict[Tuple[int, int, int], Fraction] = {}
-    outside: List[Tuple[Key, Fraction]] = []
+    inside, outside = {}, []
     for (i, j, g, c), pid in zip(terms, pids):
         if pid is None:
             outside.append((g, c))

@@ -19,26 +19,20 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 
-class GeneratorSymbol(NamedTuple):
-    index: int
-    sign: int  # +1 or -1
-
-
-def _reduce(letters: Iterable[Tuple[int, int]]) -> Tuple[GeneratorSymbol, ...]:
-    stack: list[GeneratorSymbol] = []
+def _reduce(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    stack: list[Tuple[int, int]] = []
     for idx, sign in letters:
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         if idx < 0:
             raise ValueError(f"negative generator index {idx}")
-        sym = GeneratorSymbol(idx, sign)
-        if stack and stack[-1].index == idx and stack[-1].sign == -sign:
+        if stack and stack[-1] == (idx, -sign):
             stack.pop()
         else:
-            stack.append(sym)
+            stack.append((idx, sign))
     return tuple(stack)
 
 
@@ -75,7 +69,11 @@ class PresentationSyntaxError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Presentation:
-    """Generator names plus freely reduced relator words with unique labels."""
+    """Generator names plus freely reduced relator words with unique labels.
+
+    The parser's rules hold for any presentation, so to_text parses back:
+    names and labels are identifiers, and no relator is the empty word.
+    """
 
     generators: Tuple[str, ...]
     relators: Tuple[Word, ...] = ()
@@ -98,7 +96,11 @@ class Presentation:
         repeated = [lab for i, lab in enumerate(self.labels) if lab in self.labels[:i]]
         if repeated:
             raise ValueError(f"duplicate relator label {repeated[0]!r}")
-        for rel in self.relators:
+        for label, rel in zip(self.labels, self.relators):
+            if not _NAME_RE.fullmatch(label):
+                raise ValueError(f"invalid relator label {label!r}")
+            if not rel.letters:
+                raise ValueError(f"relator {label} freely reduces to the identity")
             if rel.max_index() >= len(self.generators):
                 raise ValueError("relator uses an unknown generator index")
 
@@ -248,7 +250,7 @@ class _ExprParser:
         return letters
 
 
-_REL_RE = re.compile(r"rel(?:\s+([A-Za-z_][A-Za-z0-9_]*))?\s*:")
+_REL_RE = re.compile(rf"rel(?:\s+({_NAME_RE.pattern}))?\s*:")
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -288,7 +290,7 @@ def parse_presentation(text: str) -> Presentation:
             col0 = indent + m.end() + 1
             parser = _ExprParser(expr, lineno, col0, gen_index)
             rel = Word(parser.parse_full())
-            if not len(rel):
+            if not rel.letters:
                 raise PresentationSyntaxError(
                     "relator freely reduces to the identity", lineno, col0
                 )

@@ -4,7 +4,7 @@ Everything here is deliberately primitive (brute-force enumeration, naive
 matrix products, exact rational ring arithmetic routed through verify_sos
 factors, the order-unit construction) so that expected values never come
 from the code paths under test.  gapcert.ring has containers only; the
-exact ring arithmetic (add, mul, identity, l1) lives here.
+exact ring arithmetic (add, mul, star, adjoint, identity, l1) lives here.
 """
 
 import json
@@ -59,6 +59,17 @@ def mul(a, b):
     return RingElement(a.model, out)
 
 
+def star(a) -> RingElement:
+    """a* = sum c g^-1 for a = sum c g."""
+    return RingElement(a.model, {a.model.inverse(g): c for g, c in a.coeffs.items()})
+
+
+def adjoint(a) -> RingMatrix:
+    """The transpose of a with star applied to each entry."""
+    rows = zip(*a.entries)
+    return RingMatrix(a.model, [[star(e) for e in row] for row in rows])
+
+
 def l1(a) -> Fraction:
     """The sum of |coefficient| over a ring element, or over all entries of a matrix."""
     entries = [e for row in a.entries for e in row] if isinstance(a, RingMatrix) else [a]
@@ -67,7 +78,7 @@ def l1(a) -> Fraction:
 
 def sum_of_squares(model, n, factors, c=0) -> RingMatrix:
     """c*I + sum F* F over the factors, exactly."""
-    return reduce(add, (mul(f.adjoint(), f) for f in factors), identity(model, n, c))
+    return reduce(add, (mul(adjoint(f), f) for f in factors), identity(model, n, c))
 
 
 def class_elements(table, basis) -> List[Key]:
@@ -88,7 +99,7 @@ def _normalize_factors(factors: Iterable[Factor]):
 
 
 def verify_sos(M: RingMatrix, factors: Iterable[Factor]) -> RingMatrix:
-    """Residual M - sum(scale * F.adjoint() * F), exactly.
+    """Residual M - sum(scale * adjoint(F) * F), exactly.
 
     A zero residual certifies cone membership.  Each factor must have M's
     column count; row counts are free.
@@ -103,7 +114,7 @@ def verify_sos(M: RingMatrix, factors: Iterable[Factor]) -> RingMatrix:
             raise ValueError(
                 f"factor has {f.n_cols} columns, target needs {M.n_cols}"
             )
-        residual = add(residual, mul(f.adjoint(), f), -scale)
+        residual = add(residual, mul(adjoint(f), f), -scale)
     return residual
 
 
@@ -115,13 +126,13 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
     """Constructive squares for M + l1(M) * I, M *-invariant and exact.
 
     Returns (scale, factor) pairs with nonnegative rational scales such
-    that M + l1(M)*I == sum(scale * F.adjoint() * F) exactly.  Factors are
+    that M + l1(M)*I == sum(scale * adjoint(F) * F) exactly.  Factors are
     built from the elementary blocks (1 +- g) on the diagonal and
     (I2 +- X_g) across symmetric off-diagonal pairs; whatever part of the
     l1 budget a position does not consume is emitted as a plain constant
     diagonal square.
     """
-    if not M.is_star_invariant():
+    if M.n_rows != M.n_cols or adjoint(M) != M:
         raise NotStarInvariantError("target is not *-invariant")
     model = M.model
     n = M.n_rows
@@ -137,7 +148,7 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
         return RingMatrix(model, mat)
 
     for i in range(n):
-        x = M.entry(i, i)
+        x = M.entries[i][i]
         seen = set()
         for g in x.support():
             if g in seen:
@@ -157,7 +168,7 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
                 used[i] += abs(c)
                 sign = 1 if c > 0 else -1
                 f = add(element(model, ident), element(model, g, sign))
-                factors.append((abs(c) / 2, embedded({(i, i): f})))
+                factors.append((Fraction(abs(c), 2), embedded({(i, i): f})))
             else:
                 seen.add(g)
                 seen.add(g_inv)
@@ -173,7 +184,7 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            x = M.entry(i, j)
+            x = M.entries[i][j]
             for g in x.support():
                 c = x.coefficient(g)
                 g_inv = model.inverse(g)
@@ -187,7 +198,7 @@ def order_unit_sos(M: RingMatrix) -> List[Tuple[Fraction, RingMatrix]]:
                         (j, j): element(model, ident),
                     }
                 )
-                factors.append((abs(c) / 2, f))
+                factors.append((Fraction(abs(c), 2), f))
                 used[i] += abs(c)
                 used[j] += abs(c)
 
@@ -277,7 +288,7 @@ def random_star_invariant_matrix(model, elements, rng, n):
         for _ in range(n)
     ]
     A = RingMatrix(model, rows)
-    return add(A, A.adjoint())
+    return add(A, adjoint(A))
 
 
 def q_rows_as_factors(model, basis, n, Q_rows):
@@ -528,8 +539,8 @@ def relator_square(model, p, r) -> RingMatrix:
 def reference_laplacian(model, p, indices) -> RingMatrix:
     """d0 d0* + sum_{k in indices} J(r_k)* J(r_k), through ring matrix products."""
     col = d0(model, p)
-    acc = mul(col, col.adjoint())
+    acc = mul(col, adjoint(col))
     for k in indices:
         jr = relator_square(model, p, p.relators[k])
-        acc = add(acc, mul(jr.adjoint(), jr))
+        acc = add(acc, mul(adjoint(jr), jr))
     return acc

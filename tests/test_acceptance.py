@@ -116,7 +116,7 @@ def test_criterion_3_z3_end_to_end():
         lap = laplacian1(model, p)
         ident, t = model.identity(), model.generator(0)
         t2 = model.multiply(t, t)
-        assert lap.matrix.entry(0, 0) == RingElement(model, {ident: 5, t: 2, t2: 2})
+        assert lap.matrix.entries[0][0] == RingElement(model, {ident: 5, t: 2, t2: 2})
         images, _ = regular_representation_images(model)
         pi = evaluate_representation(lap.matrix, images, presentation=p)
         assert np.allclose(np.sort(np.linalg.eigvalsh(pi)), [3.0, 3.0, 9.0], atol=1e-12)

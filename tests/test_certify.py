@@ -35,6 +35,7 @@ from gapcert.certify import (
 from gapcert.fox import laplacian1
 from gapcert.groups import CyclicModel, FreeModel, MatrixModel, SupportBasis, ball
 from gapcert.presets import load_preset
+from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, solve
 
 from _oracles import certificate_json_dict, exact_certified_gap, symmetric_psd_sqrt
@@ -205,6 +206,18 @@ def test_certified_gap_dimension_mismatch():
         certified_gap(lap, basis, np.zeros((3, 4)), 0.0)
     with pytest.raises(ValueError):
         certified_gap(lap, basis, np.full((3, 3), np.nan), 0.0)
+
+
+def test_certified_gap_refuses_non_square_and_non_star_invariant_targets():
+    # the l1 domination holds only for a square *-invariant target
+    model = CyclicModel(3)
+    basis = ball(model, 1)
+    e, t = model.identity(), model.generator(0)
+    wide = RingMatrix(model, [[RingElement(model, {e: 1}), RingElement(model, {})]])
+    skew = RingMatrix(model, [[RingElement(model, {e: 2, t: 1})]])
+    for target in (wide, skew):
+        with pytest.raises(ValueError, match="square and \\*-invariant"):
+            certified_gap(target, basis, np.zeros((1, 3 * target.n_cols)), 0.0)
 
 
 def test_coefficients_outside_the_basis_products_are_charged():

@@ -590,6 +590,22 @@ def test_exclude_relator_by_label(capsys):
     assert code == 1 and err == "error: no relator labeled 'nope'\n"
 
 
+def test_exclude_relator_default_is_a_label(capsys, tmp_path):
+    # only a missing option selects the default policy, which here drops big
+    path, only_big = tmp_path / "p.txt", tmp_path / "big.txt"
+    path.write_text("gens: a\nrel default: a^3\nrel big: a^5\n")
+    only_big.write_text("gens: a\nrel big: a^5\n")
+
+    def laplacian(f, *policy):
+        code, out, _ = _run(capsys, "laplacian", "--file", str(f), "--model", "free", *policy)
+        assert code == 0
+        return out
+
+    dropped_default = laplacian(path, "--exclude-relator", "default")
+    assert dropped_default == laplacian(only_big, "--exclude-relator", "none")
+    assert laplacian(path) == laplacian(path, "--exclude-relator", "big") != dropped_default
+
+
 def test_usage_error_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["sdp"])  # missing action

@@ -38,7 +38,7 @@ from gapcert.sdp import (
 from gapcert.words import Presentation, Word
 
 from _oracles import first_difference, psd_project_by_cases, reconstruct_exact, sdpa_text
-from _oracles import add, class_elements, element, identity, l1
+from _oracles import add, adjoint, class_elements, element, identity, l1
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,7 +104,7 @@ def test_constraint_completeness_rational_reconstruction():
         P = [[Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rows)] for _ in range(rows)]
         # symmetrize and star-symmetrize the target
         M = reconstruct_exact(SdpProblem(n, basis, np.zeros((n, n, len(basis.products())))), P)
-        target = add(M, M.adjoint())
+        target = add(M, adjoint(M))
         prob = build_problem(target, basis)
         Psym = [
             [P[i][j] + P[j][i] for j in range(rows)] for i in range(rows)
@@ -113,7 +113,7 @@ def test_constraint_completeness_rational_reconstruction():
         assert back == target
         elements = class_elements(prob.table, basis)
         for (i, j, pid), v in np.ndenumerate(prob.targets):
-            coeff = target.entry(i, j).coefficient(elements[pid])
+            coeff = target.entries[i][j].coefficient(elements[pid])
             assert float(coeff) == v
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gapcert import words
+from gapcert.presets import load_preset
 from gapcert.words import (
     Presentation,
     PresentationSyntaxError,
@@ -117,6 +118,40 @@ def test_presentation_validation():
         Presentation(("a",), (Word([(3, 1)]),))
     with pytest.raises(ValueError):
         Presentation(())
+
+
+@pytest.mark.parametrize(
+    "relators, labels, message",
+    [
+        ((Word([(0, 1)] * 3),), ("bad label",), "invalid relator label 'bad label'"),
+        ((Word([(0, 1)] * 3),), ("",), "invalid relator label ''"),
+        ((Word([]),), (), "relator rel0 freely reduces to the identity"),
+        ((Word([(0, 1), (0, -1)]),), ("e",), "relator e freely reduces to the identity"),
+    ],
+    ids=["space", "empty_label", "empty_word", "cancelling_word"],
+)
+def test_presentation_applies_the_parser_rules(relators, labels, message):
+    # a presentation the parser would refuse cannot be built, so to_text
+    # never writes a file that fails to parse
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Presentation(("a",), relators, labels)
+
+
+_HAND_BUILT = Presentation(
+    ("x", "y_2"),
+    (Word([(0, 1), (1, 1), (0, -1), (1, -1)]), Word([(0, 1)] * 4), Word([(1, -1)] * 2 + [(0, 1)])),
+    ("comm", "rel0", "Mixed_1"),
+)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [*(load_preset(name)[0] for name in ("z3", "zn:5", "z2-abelian", "free:2", "sl3z", "sl3z-mod:2")),
+     _HAND_BUILT],
+    ids=["z3", "zn:5", "z2-abelian", "free:2", "sl3z", "sl3z-mod:2", "hand_built"],
+)
+def test_every_presentation_prints_text_that_parses_back(p):
+    assert _parts(parse_presentation(p.to_text())) == _parts(p)
 
 
 @pytest.mark.parametrize(

@@ -206,13 +206,12 @@ def _exact_sum(x: np.ndarray, extra: List[float]) -> float:
     return total / (1 << 1126)
 
 
-def _gram_class_sums(Q: np.ndarray, slots: np.ndarray, size: int,
-                     largest: int) -> Tuple[np.ndarray, float]:
-    """Sums of G = fl(Q^T Q) over classes of Gram cells, and one radius for all of them.
+def _gram_class_sums(Q: np.ndarray, pid: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
+    """Sums of G = fl(Q^T Q) over the classes of each block, and one radius for all of them.
 
-    slots[a, b] is the class, one of `size`, of cell (a, b), and no class
-    has more than `largest` cells.  mid(c) is
-    the computed sum of G over class c, and sum_c |mid(c) - S(c)| <=
+    G is n x n blocks of m x m cells, m = len(pid), and class (i, j, c)
+    holds the cells (x, y) of block (i, j) with pid[x, y] = c.  mid[i, j, c]
+    is the computed sum of G over the class, and sum_c |mid(c) - S(c)| <=
     radius, S(c) the exact sum of Q^T Q over the class.  An entry of G is
     a dot product of length k = Q.shape[0]: in any summation order, with
     or without FMA, each product meets at most k roundings (1+d)x + e,
@@ -232,13 +231,16 @@ def _gram_class_sums(Q: np.ndarray, slots: np.ndarray, size: int,
     """
     k, N = Q.shape
     G = _symmetric_gram(Q)
-    idx = slots.ravel()
-    mid = np.bincount(idx, weights=G.ravel(), minlength=size)
+    m, idx = len(pid), pid.ravel()
+    sizes = np.bincount(idx)
+    mid = np.empty((n, n, len(sizes)))
+    for i, j in np.ndindex(n, n):
+        mid[i, j] = np.bincount(idx, weights=G[i * m:i * m + m, j * m:j * m + m].ravel())
     grow = _up(1.0 + _rho(N))
     abs_g = _up(_up(math.fsum(np.abs(G).sum(axis=1).tolist())) * grow)
     s = np.nextafter(np.abs(Q).sum(axis=1) * grow, np.inf)
     abs_a = _up(math.fsum(np.nextafter(s * s, np.inf).tolist()))
-    gamma_c = _rho(largest)
+    gamma_c = _rho(int(sizes.max()))
     terms = [_up(gamma_c * abs_g), _up(_rho(k) * abs_a), _up(2 * k * N * N * _ETA)]
     return mid, _up(math.fsum(terms))
 
@@ -308,9 +310,7 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
     # round to nearest is sign-symmetric, so this is c's enclosure mirrored
     outside = [_enclose(abs(c)) for _, c in outside]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        largest = int(np.bincount(table.pid.ravel()).max())  # cells of a class, per (i, j)
-        mid, radius = _gram_class_sums(Q, table.slots(n), n * n * len(table), largest)
-        mid = mid.reshape(n, n, -1)
+        mid, radius = _gram_class_sums(Q, table.pid, n)
         # for C in [Clo, Chi]: dist(mid, [Clo, Chi]) <= |C - mid| <= dev, and
         # |C - S| is within |mid - S| of |C - mid|, whose sum is <= radius
         dev = np.nextafter(np.maximum(mid - Clo, Chi - mid), np.inf)

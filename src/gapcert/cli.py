@@ -322,16 +322,20 @@ def _add_input_opts(sub):
     sub.add_argument("--model", type=_model_choice, help="model: matrix | modular:<m> | free")
 
 
-def _stage_parser(subs, name: str, func, help: str):
-    """The parser of a command that builds the problem, with its input and stage options."""
-    sub = subs.add_parser(name, help=help)
-    _add_input_opts(sub)
-    sub.add_argument("--radius", type=_radius, required=True, help="support ball radius")
+def _add_relator_opt(sub):
     sub.add_argument(
         "--exclude-relator",
         help="relator subset policy: longest | none | <label> (default: longest "
         "when the presentation has more than one relator)",
     )
+
+
+def _stage_parser(subs, name: str, func, help: str):
+    """The parser of a command that builds the problem, with its input and stage options."""
+    sub = subs.add_parser(name, help=help)
+    _add_input_opts(sub)
+    sub.add_argument("--radius", type=_radius, required=True, help="support ball radius")
+    _add_relator_opt(sub)
     sub.set_defaults(func=func)
     return sub
 
@@ -411,10 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("laplacian", help="emit the Laplacian as ring-matrix JSON")
     _add_input_opts(s)
-    s.add_argument(
-        "--exclude-relator",
-        help="longest | none | <label>",
-    )
+    _add_relator_opt(s)
     s.add_argument("--out")
     s.set_defaults(func=cmd_laplacian)
 

@@ -421,12 +421,12 @@ class ProductTable:
 
     pid[x, y] is the class of E[x]^-1 E[y], classes numbered in first-seen
     order (x-major, then y), and inverse_pid[p] the class of the inverse
-    product, both int64 arrays; slots() derives the constraint index from
-    pid, and find() maps group elements to classes.  Matrix models
-    build the table with int64 array products when no entry can overflow,
-    and find() looks keys up among the sorted int64 product rows.  Every
-    other model builds it with one model.multiply per pair, and find()
-    reads the dict of class keys that loop fills.
+    product, both int64 arrays; find() maps group elements to classes.
+    The constraint layout over these classes is the SDP's (see sdp).
+    Matrix models build the table with int64 array products when no entry
+    can overflow, and find() looks keys up among the sorted int64 product
+    rows.  Every other model builds it with one model.multiply per pair,
+    and find() reads the dict of class keys that loop fills.
     """
 
     def __init__(self, basis: "SupportBasis"):
@@ -460,16 +460,6 @@ class ProductTable:
         at = np.searchsorted(self._rows, wanted).clip(max=len(self._rows) - 1)
         found = self._rows[at] == wanted
         return [int(p) if ok else None for p, ok in zip(self._rank[at], found)]
-
-    def slots(self, n: int) -> np.ndarray:
-        """Slot (i*n + j)*npairs + pid[x, y] of Gram cell (i*m + x, j*m + y).
-
-        A slot is one constraint of an n-row problem: matrix entry (i, j)
-        at one product class.
-        """
-        m = len(self.pid)
-        base = np.arange(n * n, dtype=np.int64).reshape(n, n) * len(self)
-        return (base[:, None, :, None] + self.pid[None, :, None, :]).reshape(n * m, n * m)
 
 
 class SupportBasis:

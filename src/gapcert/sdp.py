@@ -6,8 +6,9 @@ there is one linear constraint <A_g, P^{i,j}> = target_{i,j}(g); targets
 outside the support of Delta are zero but still constrained, and the
 objective variable enters the (i, i, identity) constraints only.  The
 basis' ProductTable holds the one integer index all of this reads: the
-class pid[x, y] of x^-1 y and its slots (i*n + j)*npairs + pid; the
-SDPA export lists each class's cells by the stable argsort of pid.
+class pid[x, y] of x^-1 y.  Constraint (i, j, pid) is the solver's slot
+(i*n + j)*npairs + pid; the SDPA export lists the constraints block by
+block (_key_blocks) and each class's cells by the stable argsort of pid.
 target_coefficients is the one walk of an exact target into those
 classes; the SDP, the SDPA export and the certifier share it.
 
@@ -88,21 +89,13 @@ class SdpProblem:
             raise ValueError(f"targets must have shape {(self.n, self.n, self.npairs)}")
 
     def constraint_count(self) -> int:
-        """The number of rows of export_keys(), without building them.
+        """The number of constraints of the SDPA export.
 
         One constraint per (i < j, class) and, on each diagonal entry, one
         per pair of mutually inverse classes.
         """
         paired = int(np.count_nonzero(self.inverse_pid >= np.arange(self.npairs)))
         return self.n * (self.n - 1) // 2 * self.npairs + self.n * paired
-
-    def export_keys(self) -> np.ndarray:
-        """Deterministic constraint order used by the SDPA export: (K, 3) rows (i, j, pid).
-
-        Entries i <= j row-major, classes in order; a diagonal entry keeps
-        one of each pair of mutually inverse classes, the smaller pid.
-        """
-        return np.concatenate([np.empty((0, 3), dtype=np.int64), *_key_blocks(self)])
 
     def same_problem(self, other: "SdpProblem") -> bool:
         return (
@@ -201,11 +194,13 @@ def _digit_table(top: int) -> np.ndarray:
 
 
 def _key_blocks(problem: SdpProblem) -> Iterator[np.ndarray]:
-    """The rows of export_keys() in blocks of _CHUNK, never all at once.
+    """The export's constraints as (i, j, pid) rows, in blocks of _CHUNK, never all at once.
 
-    Constraint k lies in entry e, the last whose first constraint is at or
-    before k, at offset k - start[e] into the entry's classes: all of them
-    off the diagonal, the kept ones on it.
+    Entries i <= j row-major, classes in order; a diagonal entry keeps one
+    of each pair of mutually inverse classes, the smaller pid.  Constraint
+    k lies in entry e, the last whose first constraint is at or before k,
+    at offset k - start[e] into the entry's classes: all of them off the
+    diagonal, the kept ones on it.
     """
     i, j = np.triu_indices(problem.n)
     kept = np.flatnonzero(problem.inverse_pid >= np.arange(problem.npairs))
@@ -355,11 +350,14 @@ def import_sdpa(text: str) -> SdpProblem:
     at += len(header)
     tokens = _TOKEN.finditer(text, at, text.find("\n", at))
     c = np.fromiter(map(float, map(re.Match.group, tokens)), dtype=float)
-    i, j, pid = problem.export_keys().T
-    if len(c) != len(pid):
-        raise ValueError(f"objective has {len(c)} values, the basis implies {len(pid)}")
-    problem.targets[i, j, pid] = c
-    problem.targets[j, i, problem.inverse_pid[pid]] = c
+    total = problem.constraint_count()
+    if len(c) != total:
+        raise ValueError(f"objective has {len(c)} values, the basis implies {total}")
+    for a, keys in zip(range(0, total, _CHUNK), _key_blocks(problem)):
+        i, j, pid = keys.T
+        part = c[a:a + _CHUNK]
+        problem.targets[i, j, pid] = part
+        problem.targets[j, i, problem.inverse_pid[pid]] = part
     # the chunks still to come, from the objective on, read the targets just set
     for chunk in chunks:
         if not text.startswith(chunk, at):

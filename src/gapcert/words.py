@@ -10,8 +10,9 @@ line-oriented text format:
 where expr ::= term ('*' term)*, term ::= atom ('^' int)?, and
 atom ::= name | '(' expr ')' | '[' expr ',' expr ']'.  The commutator
 shorthand [x, y] expands to x y x^-1 y^-1.  '#' starts a comment.  The
-optional relator label (a bare identifier) is an extension of the base
-grammar used to address relators from the command line.
+optional relator label (a bare identifier other than `none` and
+`longest`, which name --exclude-relator policies) is an extension of the
+base grammar used to address relators from the command line.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class Presentation:
     """Generator names plus freely reduced relator words with unique labels.
 
     The parser's rules hold for any presentation, so to_text parses back:
-    names and labels are identifiers, and no relator is the empty word.
+    names and labels are identifiers, no label is `none` or `longest`, and
+    no relator is the empty word.
     """
 
     generators: Tuple[str, ...]
@@ -99,6 +101,8 @@ class Presentation:
         for label, rel in zip(self.labels, self.relators):
             if not _NAME_RE.fullmatch(label):
                 raise ValueError(f"invalid relator label {label!r}")
+            if label in ("none", "longest"):
+                raise ValueError(f"relator label {label!r} is reserved")
             if not rel.letters:
                 raise ValueError(f"relator {label} freely reduces to the identity")
             if rel.max_index() >= len(self.generators):
@@ -286,6 +290,10 @@ def parse_presentation(text: str) -> Presentation:
             if generators is None:
                 raise PresentationSyntaxError("'rel' before 'gens'", lineno, indent + 1)
             label = m.group(1) or f"rel{len(relators)}"
+            if label in ("none", "longest"):
+                raise PresentationSyntaxError(
+                    f"relator label {label!r} is reserved", lineno, indent + m.start(1) + 1
+                )
             expr = stripped[m.end():]
             col0 = indent + m.end() + 1
             parser = _ExprParser(expr, lineno, col0, gen_index)

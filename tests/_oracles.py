@@ -369,10 +369,25 @@ def members(table) -> List[List[Tuple[int, int]]]:
     return [cells[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
+def export_keys(problem) -> List[Tuple[int, int, int]]:
+    """The export's constraints (i, j, pid): entries i <= j row-major, classes in order.
+
+    A diagonal entry keeps one of each pair of mutually inverse classes, the smaller pid.
+    """
+    inverse_pid = problem.inverse_pid.tolist()
+    return [
+        (i, j, pid)
+        for i in range(problem.n)
+        for j in range(i, problem.n)
+        for pid in range(problem.npairs)
+        if i != j or inverse_pid[pid] >= pid
+    ]
+
+
 def sdpa_text(problem) -> str:
     """The SDPA export of a problem, built one formatted line at a time."""
     n, m = problem.n, problem.m
-    keys = problem.export_keys()
+    keys = export_keys(problem)
     meta = {
         "version": 1,
         "n": n,
@@ -388,7 +403,7 @@ def sdpa_text(problem) -> str:
         f"{len(keys)}",
         "2",
         f"{n * m} -2",
-        " ".join(map(repr, problem.targets[tuple(keys.T)].tolist())),
+        " ".join(repr(float(problem.targets[key])) for key in keys),
     ]
     return "\n".join([*header, *entry_lines(problem, keys)]) + "\n"
 
@@ -411,7 +426,7 @@ def entry_lines(problem, keys) -> Iterator[str]:
     yield from ("0 2 1 1 1.0", "0 2 2 2 -1.0")
     inverse_pid = problem.inverse_pid.tolist()
     cells = members(problem.table)
-    for k, (i, j, pid) in enumerate(zip(*keys.T.tolist()), start=1):
+    for k, (i, j, pid) in enumerate(keys, start=1):
         if i == j:
             pattern = cells[pid]
             if inverse_pid[pid] != pid:

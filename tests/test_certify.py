@@ -34,9 +34,11 @@ from gapcert.certify import (
 )
 from gapcert.fox import laplacian1
 from gapcert.groups import CyclicModel, FreeModel, MatrixModel, SupportBasis, ball
+from gapcert.groups import basis_from_json, model_from_spec
 from gapcert.presets import load_preset
 from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, solve
+from gapcert.words import parse_presentation
 
 from _oracles import certificate_json_dict, exact_certified_gap, symmetric_psd_sqrt
 from _oracles import rank_cut_psd_sqrt
@@ -454,15 +456,21 @@ def _exact_gram(Q):
     return [[sum(row[i] * row[j] for row in F) for j in range(N)] for i in range(N)]
 
 
-def _assert_radius_covers(Q, slots, size):
-    """sum_c |mid(c) - S(c)| <= radius, S the exact class sums of Q^T Q."""
-    mid, radius = _gram_class_sums(Q, slots, size, int(np.bincount(slots.ravel()).max()))
-    assert mid.shape == (size,) and math.isfinite(radius) and radius >= 0.0
-    S = [Fraction(0)] * size
-    for row, cls in zip(_exact_gram(Q), slots.tolist()):
-        for value, c in zip(row, cls):
-            S[c] += value
-    assert sum(abs(Fraction(a) - b) for a, b in zip(mid.tolist(), S)) <= Fraction(radius)
+def _assert_radius_covers(Q, pid, n):
+    """sum_c |mid(c) - S(c)| <= radius, S the exact class sums of Q^T Q.
+
+    Class (i, j, c) holds the cells (i*m + x, j*m + y) with pid[x, y] = c;
+    with n = 1, pid classes the cells of the whole Gram matrix.
+    """
+    mid, radius = _gram_class_sums(Q, pid, n)
+    m, size = len(pid), int(pid.max()) + 1
+    assert mid.shape == (n, n, size) and math.isfinite(radius) and radius >= 0.0
+    S = [Fraction(0)] * mid.size
+    cls = pid.tolist()
+    for a, row in enumerate(_exact_gram(Q)):
+        for b, value in enumerate(row):
+            S[((a // m) * n + b // m) * size + cls[a % m][b % m]] += value
+    assert sum(abs(Fraction(x) - y) for x, y in zip(mid.ravel().tolist(), S)) <= Fraction(radius)
     return mid
 
 
@@ -476,7 +484,7 @@ def test_gram_class_sums_cover_the_exact_gram_entrywise():
     for Q in cases:
         N = Q.shape[1]
         # one class per cell: the class sums are the Gram entries themselves
-        G = _assert_radius_covers(Q, np.arange(N * N).reshape(N, N), N * N).reshape(N, N)
+        G = _assert_radius_covers(Q, np.arange(N * N).reshape(N, N), 1).reshape(N, N)
         assert np.array_equal(G, G.T)
 
 
@@ -491,21 +499,21 @@ def test_gram_class_sums_cover_cancelling_classes():
         Y = rng.choice([1.0, 1e-150, 1e-170], size=(3, 5)) * rng.uniform(-1, 1, (3, 5))
         Q = np.hstack([X, Y, -X])
         M, N = X.shape[1], Q.shape[1]
-        slots = np.arange(N * N).reshape(N, N)
-        slots[M:2 * M, :M] = slots[:M, :M]
-        slots[2 * M:, :M] = slots[:M, :M]
-        cases.append((Q, slots))
+        cells = np.arange(N * N).reshape(N, N)
+        cells[M:2 * M, :M] = cells[:M, :M]
+        cells[2 * M:, :M] = cells[:M, :M]
+        cases.append((Q, cells, 1))
     # the class sums of row 0 are 1 + 0.9u + 0.9u + ...: each addition rounds down
     Q = np.array([[1.0] + [0.9 * 2.0 ** -53] * 40])
-    cases.append((Q, np.repeat(np.arange(41), 41).reshape(41, 41)))
+    cases.append((Q, np.repeat(np.arange(41), 41).reshape(41, 41), 1))
     # the product classes of a two-row problem over a cyclic ball
     table = ball(CyclicModel(12), 6).products()
     for _ in range(4):
         Q = _hostile_q(rng, 3, 2 * len(table.pid))
-        cases.append((Q, table.slots(2)))
-    for Q, slots in cases:
-        _, classes = np.unique(slots, return_inverse=True)
-        _assert_radius_covers(Q, classes.reshape(slots.shape), int(classes.max()) + 1)
+        cases.append((Q, table.pid, 2))
+    for Q, cells, n in cases:
+        _, classes = np.unique(cells, return_inverse=True)
+        _assert_radius_covers(Q, classes.reshape(cells.shape), n)
 
 
 def _fsum_outcome(f, *args):
@@ -648,6 +656,20 @@ def test_bound_bits_are_pinned_on_a_dyadic_q():
     for lam, bits in expected.items():
         got = certified_gap(lap, ball(model, 1), Q, lam)
         assert (got.lambda0, *got.residual_l1) == bits
+
+
+def test_bound_bits_are_pinned_on_the_committed_six_row_certificate():
+    # n = 6 and Q is 29 x 42: the class sums of all 36 blocks meet in these bits
+    cert = Certificate.load(Path(__file__).parent / "data" / "sl3z-mod2-r1-certificate.json")
+    f = cert.fields
+    model = model_from_spec(f["model"])
+    lap = laplacian1(model, parse_presentation(f["presentation"]["text"]), f["relators"]["indices"])
+    basis = basis_from_json(model, f["basis"]["keys"], f["basis"]["radius"])
+    assert cert.q.shape == (29, 42) and lap.matrix.n_rows == 6
+    got = certified_gap(lap, basis, cert.q, float(f["solver_lambda"]))
+    assert (got.lambda0, *got.residual_l1) == (
+        -0.5167651378009, 3.2732122770155433e-06, 3.273223463118534e-06
+    )
 
 
 def test_non_finite_lambda_is_rejected():

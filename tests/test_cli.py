@@ -606,6 +606,18 @@ def test_exclude_relator_default_is_a_label(capsys, tmp_path):
     assert laplacian(path) == laplacian(path, "--exclude-relator", "big") != dropped_default
 
 
+def test_exclude_relator_is_described_alike_by_every_command(capsys):
+    described = set()
+    for argv in (["laplacian"], ["sdp", "build"], ["pipeline"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        option = out[out.index("\n  --exclude-relator"):].split("\n  -")[1]
+        described.add(" ".join(option.split()))
+    assert len(described) == 1 and "(default: longest" in described.pop()
+
+
 def test_usage_error_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["sdp"])  # missing action

@@ -37,7 +37,8 @@ from gapcert.sdp import (
 )
 from gapcert.words import Presentation, Word
 
-from _oracles import first_difference, psd_project_by_cases, reconstruct_exact, sdpa_text
+from _oracles import export_keys, first_difference, psd_project_by_cases, reconstruct_exact
+from _oracles import sdpa_text
 from _oracles import add, adjoint, class_elements, element, identity, l1
 
 DATA = Path(__file__).parent / "data"
@@ -154,10 +155,9 @@ def test_export_bytes_sl3z_mod2_radius2(preset, radius, size, digest):
     assert hashlib.sha256(text).hexdigest() == digest
 
 
-def test_import_memory_is_a_small_multiple_of_the_text():
-    # no list of all lines or of all keys: the import walks the text
-    p, model = load_preset("sl3z-mod:2")
-    prob = build_problem(laplacian1(model, p), ball(model, 2))
+def _import_peak(preset):
+    """(len(text), tracemalloc peak of import_sdpa(text)) for the preset's radius-2 export."""
+    prob = _preset_problem(preset, 2)
     text = export_sdpa(prob)
     tracemalloc.start()
     try:
@@ -166,19 +166,26 @@ def test_import_memory_is_a_small_multiple_of_the_text():
     finally:
         tracemalloc.stop()
     assert back.same_problem(prob)
-    assert peak < 3 * len(text)
+    return len(text), peak
+
+
+def test_import_memory_is_a_small_multiple_of_the_text():
+    # no list of all lines or of all keys: the import walks the text
+    size, peak = _import_peak("sl3z-mod:2")
+    assert peak < 3 * size
+
+
+def test_import_memory_holds_no_array_of_all_keys():
+    # the text and the targets are all the import must hold; a (K, 3)
+    # int64 array of the constraint keys would take another 0.4 of the text
+    size, peak = _import_peak("sl3z")
+    assert peak < 1.25 * size
 
 
 def test_export_keys_order():
     _, _, prob = _sl3_instance("sl3z-mod:2")
-    keys = [
-        (i, j, pid)
-        for i in range(prob.n)
-        for j in range(i, prob.n)
-        for pid in range(prob.npairs)
-        if i != j or prob.inverse_pid[pid] >= pid
-    ]
-    got = prob.export_keys()
+    keys = export_keys(prob)
+    got = np.concatenate(list(sdp._key_blocks(prob)))
     assert got.dtype == np.int64 and got.tolist() == [list(k) for k in keys]
     assert len(keys) == prob.constraint_count()
 
@@ -220,10 +227,9 @@ def test_export_blocks_join_to_the_oracle_at_any_block_size(monkeypatch, chunk):
     monkeypatch.setattr(sdp, "_CHUNK", chunk)
     for preset, radius in (("z3", 1), ("sl3z-mod:2", 1)):
         prob = _preset_problem(preset, radius)
-        keys = prob.export_keys()
         # every block but the entry lines' first holds at most `chunk` constraints
         entries = list(sdp._entry_chunks(prob))
-        assert len(entries) == 1 + -(-len(keys) // chunk)
+        assert len(entries) == 1 + -(-prob.constraint_count() // chunk)
         text = export_sdpa(prob)
         assert first_difference(text, sdpa_text(prob)) is None
         assert import_sdpa(text).same_problem(prob)
@@ -711,10 +717,17 @@ def _random_invariant(prob, seed):
     return np.random.default_rng(seed).normal(size=N * N)[label]
 
 
+def _slots(prob):
+    """Slot (i*n + j)*npairs + pid[x, y] of each Gram cell (i*m + x, j*m + y)."""
+    n, N = prob.n, prob.n * prob.m
+    base = np.arange(n * n).reshape(n, n) * prob.npairs
+    return (base[:, None, :, None] + prob.table.pid[None, :, None, :]).reshape(N, N)
+
+
 def _dense_residual(prob, V, vlam):
     """Constraint value minus target at every slot, for a dense P in the original layout."""
     n, npairs = prob.n, prob.npairs
-    r = np.bincount(prob.table.slots(n).ravel(), weights=V.ravel(), minlength=n * n * npairs)
+    r = np.bincount(_slots(prob).ravel(), weights=V.ravel(), minlength=n * n * npairs)
     r -= prob.targets.ravel()
     r[np.arange(n) * (n + 1) * npairs + prob.identity_pid] += vlam
     return r
@@ -723,7 +736,7 @@ def _dense_residual(prob, V, vlam):
 def _dense_affine_projection(prob, V, vlam):
     """The solver's affine step on a dense P, one row per slot."""
     n, m = prob.n, float(prob.m)
-    slots = prob.table.slots(n).ravel()
+    slots = _slots(prob).ravel()
     cnt = np.tile(np.bincount(prob.table.pid.ravel(), minlength=prob.npairs), n * n)
     lam_ids = np.arange(n) * (n + 1) * prob.npairs + prob.identity_pid
     resid = _dense_residual(prob, V, vlam)

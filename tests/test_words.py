@@ -97,6 +97,13 @@ def test_parse_errors_carry_position(text, fragment):
     assert exc.value.line >= 1 and exc.value.column >= 1
 
 
+@pytest.mark.parametrize("label", ["none", "longest"])
+def test_reserved_relator_labels_are_refused_at_the_label(label):
+    with pytest.raises(PresentationSyntaxError, match=f"relator label '{label}' is reserved") as exc:
+        parse_presentation(f"gens: a\nrel x: a^2\n  rel  {label}: a^3\n")
+    assert (exc.value.line, exc.value.column) == (3, 8)
+
+
 def _parts(p):
     return p.generators, [w.letters for w in p.relators], p.labels
 
@@ -127,8 +134,11 @@ def test_presentation_validation():
         ((Word([(0, 1)] * 3),), ("",), "invalid relator label ''"),
         ((Word([]),), (), "relator rel0 freely reduces to the identity"),
         ((Word([(0, 1), (0, -1)]),), ("e",), "relator e freely reduces to the identity"),
+        # --exclude-relator reads these as policies, so no relator could be excluded by them
+        ((Word([(0, 1)] * 3),), ("none",), "relator label 'none' is reserved"),
+        ((Word([(0, 1)] * 3),), ("longest",), "relator label 'longest' is reserved"),
     ],
-    ids=["space", "empty_label", "empty_word", "cancelling_word"],
+    ids=["space", "empty_label", "empty_word", "cancelling_word", "none", "longest"],
 )
 def test_presentation_applies_the_parser_rules(relators, labels, message):
     # a presentation the parser would refuse cannot be built, so to_text

@@ -18,7 +18,6 @@ import numpy as np
 
 from .certify import (
     Certificate,
-    CertificateError,
     GapResult,
     certified_gap,
     floor_display,
@@ -28,7 +27,6 @@ from .certify import (
 from .fox import default_relator_indices, laplacian1
 from .groups import (
     FreeModel,
-    InconsistentModelError,
     MatrixModel,
     ball,
     validate_model,
@@ -36,7 +34,6 @@ from .groups import (
 from .presets import PRESET_NAMES, load_preset
 from .sdp import (
     SolveOptions,
-    SupportTooSmallError,
     build_problem,
     solve,
     write_sdpa,
@@ -456,15 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # flush at interpreter exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (
-        CliError,
-        CertificateError,
-        SupportTooSmallError,
-        InconsistentModelError,
-        OSError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (CliError, OSError, KeyError, ValueError) as exc:
         # str() of a KeyError quotes its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1

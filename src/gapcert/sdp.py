@@ -7,8 +7,9 @@ outside the support of Delta are zero but still constrained, and the
 objective variable enters the (i, i, identity) constraints only.  The
 basis' ProductTable holds the one integer index all of this reads: the
 class pid[x, y] of x^-1 y.  Constraint (i, j, pid) is the solver's slot
-(i*n + j)*npairs + pid; the SDPA export lists the constraints block by
-block (_key_blocks) and each class's cells by the stable argsort of pid.
+(i*n + j)*npairs + pid; the SDPA export walks the entries i <= j
+(_entries) and writes each from one of two line templates (_templates),
+each class's cells by the stable argsort of pid.
 target_coefficients is the one walk of an exact target into those
 classes; the SDP, the SDPA export and the certifier share it.
 
@@ -89,13 +90,8 @@ class SdpProblem:
             raise ValueError(f"targets must have shape {(self.n, self.n, self.npairs)}")
 
     def constraint_count(self) -> int:
-        """The number of constraints of the SDPA export.
-
-        One constraint per (i < j, class) and, on each diagonal entry, one
-        per pair of mutually inverse classes.
-        """
-        paired = int(np.count_nonzero(self.inverse_pid >= np.arange(self.npairs)))
-        return self.n * (self.n - 1) // 2 * self.npairs + self.n * paired
+        """The number of constraints of the SDPA export, summed over its entries (_entries)."""
+        return sum(len(pids) for _, _, pids in _entries(self))
 
     def same_problem(self, other: "SdpProblem") -> bool:
         return (
@@ -172,7 +168,7 @@ _PREAMBLE = (
     "* Y = blockdiag(P, s, t); P is the nm x nm Gram block, lambda = s - t\n"
     "*META "
 )
-_CHUNK = 512  # constraints per block of export text: bounds what export and import hold
+_LINES = 4096  # entry lines per block of export text: bounds what export and import hold
 _TOKEN = re.compile(r"[^ ]+")  # a value of the objective line
 # an entry's code c is its block's " b " _BLOCKS[c // 2] and its value's " v\n" _VALUES[c]
 _BLOCKS = np.frombuffer(b" 1  2 ", dtype="V3")
@@ -193,88 +189,83 @@ def _digit_table(top: int) -> np.ndarray:
     return table.view(f"V{width}").ravel()
 
 
-def _key_blocks(problem: SdpProblem) -> Iterator[np.ndarray]:
-    """The export's constraints as (i, j, pid) rows, in blocks of _CHUNK, never all at once.
+def _entries(problem: SdpProblem) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """The export's entries i <= j, row-major, as (i, j, pids): the classes constrained there.
 
-    Entries i <= j row-major, classes in order; a diagonal entry keeps one
-    of each pair of mutually inverse classes, the smaller pid.  Constraint
-    k lies in entry e, the last whose first constraint is at or before k,
-    at offset k - start[e] into the entry's classes: all of them off the
-    diagonal, the kept ones on it.
+    Every class off the diagonal; on it one of each pair of mutually
+    inverse classes, the smaller pid.  The constraints are (i, j, pid) for
+    pid in pids, entry by entry.
     """
-    i, j = np.triu_indices(problem.n)
-    kept = np.flatnonzero(problem.inverse_pid >= np.arange(problem.npairs))
-    size = np.where(i == j, len(kept), problem.npairs)
-    start = np.cumsum(size) - size
-    total = int(size.sum())
-    for a in range(0, total, _CHUNK):
-        k = np.arange(a, min(a + _CHUNK, total))
-        e = np.searchsorted(start, k, side="right") - 1
-        pid = k - start[e]
-        diag = i[e] == j[e]
-        pid[diag] = kept[pid[diag]]
-        yield np.stack([i[e], j[e], pid], axis=1)
+    every = np.arange(problem.npairs)
+    kept = np.flatnonzero(problem.inverse_pid >= every)
+    for i in range(problem.n):
+        yield i, i, kept
+        for j in range(i + 1, problem.n):
+            yield i, j, every
+
+
+def _templates(problem: SdpProblem) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+    """The (c, x, y, code) line templates of an entry off and on the diagonal.
+
+    A line puts code's value at cell (x, y) of the entry's block in the
+    entry's constraint c, counted from its first.  Off the diagonal that
+    is every cell of class c, code 0 (0.5).  On it c counts the kept
+    classes, and constraint c has the cells x <= y of its class, then of
+    the inverse class if that differs, code 1 (1.0) where x == y and 0
+    elsewhere; the identity class adds lambda's two lines, codes 2 and 3, at
+    (1, 1) and (2, 2) of block 2.  Each class's cells run x-major, by the
+    stable argsort of pid.
+    """
+    m, pid, inverse_pid = problem.m, problem.table.pid.ravel(), problem.inverse_pid
+    order = np.argsort(pid, kind="stable")
+    x, y = np.divmod(order, m)
+    c = pid[order]
+    off = (c, x, y, np.zeros_like(c))
+    # the diagonal's cells x <= y, and lambda's two lines as lines of the identity class
+    upper = x <= y
+    c = np.append(c[upper], [problem.identity_pid] * 2)
+    x, y = np.append(x[upper], [1, 2]), np.append(y[upper], [1, 2])
+    code = np.append(x[:-2] == y[:-2], [2, 3])
+    owner = np.minimum(c, inverse_pid[c])  # the kept class, whose constraint the line is in
+    # stable, so a constraint has its own class's cells (the smaller pid)
+    # first, then its inverse class's, then lambda's lines, appended last
+    by = np.argsort(owner, kind="stable")
+    rank = np.cumsum(inverse_pid >= np.arange(problem.npairs)) - 1  # a kept class's place
+    return off, (rank[owner[by]], x[by], y[by], code[by])
 
 
 def _entry_chunks(problem: SdpProblem) -> Iterator[str]:
-    """The export's lines after the objective vector, _CHUNK constraints at a time.
+    """The export's lines after the objective vector, at most _LINES at a time.
 
     Line "k b p q v" puts v at (p, q) in block b of F_k; F_0 is lambda =
-    s - t.  Constraint k = (i, j, pid) has one line per cell (x, y) of
-    class pid at (i*m + x + 1, j*m + y + 1), 0.5 each, when i != j.  When
-    i == j it has one per cell x <= y of class pid and then of its inverse
-    class if that differs, 1.0 on the diagonal and 0.5 off it, and the
-    identity class adds lambda's two entries.  Cells run x-major, by the
-    stable argsort of pid.  A block is built as fixed-width records of
-    NUL-padded fields, the numbers taken from one digit table, and the
-    NULs are dropped.
+    s - t.  Entry (i, j) is its template (_templates) with every cell moved
+    to (i*m + x + 1, j*m + y + 1) and its constraints numbered on from the
+    entry before.  A block is built as fixed-width records of NUL-padded
+    fields, the numbers taken from one digit table, and the NULs are
+    dropped.
     """
     yield "0 2 1 1 1.0\n0 2 2 2 -1.0\n"
-    m, pid = problem.m, problem.table.pid.ravel()
-    inverse_pid, npairs = problem.inverse_pid, problem.npairs
-    order = np.argsort(pid, kind="stable")
-    x, y = np.divmod(order, m)
-    upper = x <= y
-    # source cells: every class's, then every class's x <= y part, then
-    # lambda's two block-2 entries at offsets (1, 1) and (2, 2)
-    src_x = np.concatenate([x, x[upper], [1, 2]])
-    src_y = np.concatenate([y, y[upper], [1, 2]])
-    src_code = np.concatenate([np.zeros_like(x), x[upper] == y[upper], [2, 3]])
-    counts = np.bincount(pid, minlength=npairs)
-    ucounts = np.bincount(pid[order[upper]], minlength=npairs)
-    # start and length in the source of the three segments of a
-    # constraint, off (0) or on (1) the diagonal, by class: the class's
-    # cells, its inverse class's and lambda's entries
-    start = np.zeros((2, npairs, 3), dtype=np.int64)
-    length = np.zeros((2, npairs, 3), dtype=np.int64)
-    start[0, :, 0], length[0, :, 0] = np.cumsum(counts) - counts, counts
-    start[1, :, 0], length[1, :, 0] = len(order) + np.cumsum(ucounts) - ucounts, ucounts
-    start[1, :, 1] = start[1, inverse_pid, 0]
-    length[1, :, 1] = np.where(inverse_pid != np.arange(npairs), ucounts[inverse_pid], 0)
-    start[1, problem.identity_pid, 2], length[1, problem.identity_pid, 2] = len(src_x) - 2, 2
-    offset = np.array([1, 1, 0])  # only cell segments sit at row i*m + 1, column j*m + 1
-    total = problem.constraint_count()
-    digits = _digit_table(max(total, problem.n * m))
+    m = problem.m
+    templates = _templates(problem)
+    digits = _digit_table(max(problem.constraint_count(), problem.n * m))
     number = digits.dtype
     line = np.dtype([("k", number), ("b", "V3"), ("p", number), ("sep", "u1"), ("q", number),
                      ("v", "V6")])
-    for a, keys in zip(range(0, total, _CHUNK), _key_blocks(problem)):
-        i, j, p = keys.T
-        diag = (i == j).astype(np.intp)
-        seg_length = length[diag, p]
-        # one line per source cell of each segment
-        flat = seg_length.ravel()
-        first = np.cumsum(flat) - flat
-        src = np.arange(flat.sum()) + np.repeat(start[diag, p].ravel() - first, flat)
-        code = src_code[src]
-        out = np.empty(len(src), dtype=line)
-        out["k"] = np.repeat(digits[a + 1:a + 1 + len(p)], seg_length.sum(axis=1))
-        out["b"] = _BLOCKS[code // 2]
-        out["p"] = digits[np.repeat(np.outer(i * m + 1, offset), flat) + src_x[src]]
-        out["sep"] = ord(" ")
-        out["q"] = digits[np.repeat(np.outer(j * m + 1, offset), flat) + src_y[src]]
-        out["v"] = _VALUES[code]
-        yield out.tobytes().translate(None, b"\0").decode("ascii")
+    first = 1
+    for i, j, pids in _entries(problem):
+        template = templates[i == j]
+        for a in range(0, len(template[0]), _LINES):
+            c, x, y, code = (t[a:a + _LINES] for t in template)
+            cell = code < 2  # lambda's lines stay in block 2 at (1, 1) and (2, 2)
+            out = np.empty(len(c), dtype=line)
+            out["k"] = digits[first + c]
+            out["b"] = _BLOCKS[code // 2]
+            out["p"] = digits[x + cell * (i * m + 1)]
+            out["sep"] = ord(" ")
+            out["q"] = digits[y + cell * (j * m + 1)]
+            out["v"] = _VALUES[code]
+            yield out.tobytes().translate(None, b"\0").decode("ascii")
+        first += len(pids)
 
 
 def _sdpa_chunks(problem: SdpProblem) -> Iterator[str]:
@@ -289,12 +280,12 @@ def _sdpa_chunks(problem: SdpProblem) -> Iterator[str]:
     }
     yield _PREAMBLE + json.dumps(meta, separators=(",", ":"), sort_keys=True) + "\n"
     yield f"{problem.constraint_count()}\n2\n{n * m} -2\n"
-    # the objective line: one repr per distinct bit pattern of a block, so
+    # the objective line: one repr per distinct bit pattern of an entry, so
     # that -0.0 and a nan print as repr prints them
-    for a, keys in enumerate(_key_blocks(problem)):
-        bits, code = np.unique(problem.targets[tuple(keys.T)].view(np.int64), return_inverse=True)
+    for i, j, pids in _entries(problem):
+        bits, code = np.unique(problem.targets[i, j, pids].view(np.int64), return_inverse=True)
         words = [repr(v) for v in bits.view(np.float64).tolist()]
-        yield " " * (a > 0) + " ".join(map(words.__getitem__, code.tolist()))
+        yield " " * (i + j > 0) + " ".join(map(words.__getitem__, code.tolist()))
     yield "\n"
     yield from _entry_chunks(problem)
 
@@ -353,11 +344,12 @@ def import_sdpa(text: str) -> SdpProblem:
     total = problem.constraint_count()
     if len(c) != total:
         raise ValueError(f"objective has {len(c)} values, the basis implies {total}")
-    for a, keys in zip(range(0, total, _CHUNK), _key_blocks(problem)):
-        i, j, pid = keys.T
-        part = c[a:a + _CHUNK]
-        problem.targets[i, j, pid] = part
-        problem.targets[j, i, problem.inverse_pid[pid]] = part
+    a = 0
+    for i, j, pids in _entries(problem):
+        part = c[a:a + len(pids)]
+        problem.targets[i, j, pids] = part
+        problem.targets[j, i, problem.inverse_pid[pids]] = part
+        a += len(pids)
     # the chunks still to come, from the objective on, read the targets just set
     for chunk in chunks:
         if not text.startswith(chunk, at):

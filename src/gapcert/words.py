@@ -290,10 +290,11 @@ def parse_presentation(text: str) -> Presentation:
             if generators is None:
                 raise PresentationSyntaxError("'rel' before 'gens'", lineno, indent + 1)
             label = m.group(1) or f"rel{len(relators)}"
+            at = indent + max(m.start(1), 0) + 1  # the label's column, or rel's if none
             if label in ("none", "longest"):
-                raise PresentationSyntaxError(
-                    f"relator label {label!r} is reserved", lineno, indent + m.start(1) + 1
-                )
+                raise PresentationSyntaxError(f"relator label {label!r} is reserved", lineno, at)
+            if label in labels:
+                raise PresentationSyntaxError(f"duplicate relator label {label!r}", lineno, at)
             expr = stripped[m.end():]
             col0 = indent + m.end() + 1
             parser = _ExprParser(expr, lineno, col0, gen_index)

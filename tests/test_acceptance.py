@@ -6,6 +6,7 @@ is opt-in (`pytest -m stretch`); its gated deliverables (the exported
 problem file and the external-solution certifier) run here by default.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -273,8 +274,9 @@ def test_criterion_8_stretch_full_reproduction():
 def test_radius3_export_streams_in_bounded_memory(tmp_path, monkeypatch):
     """`gapcert sdp export --preset sl3z --radius 3 --export f` (not gating).
 
-    The file has 8 header lines and 14,037,065 entry lines (336 MB).
-    Once the problem is built, the peak RSS grows by less than the file's
+    The file has 8 header lines and 14,037,065 entry lines (336 MB), and
+    its size and sha256 are pinned, a full-scale check of the writer's
+    bytes.  Once the problem is built, the peak RSS grows by less than the file's
     size: the writer holds no list of lines and no copy of the text.  The
     peak is per process, so run this test on its own.
     """
@@ -294,11 +296,14 @@ def test_radius3_export_streams_in_bounded_memory(tmp_path, monkeypatch):
     path = tmp_path / "sl3z_r3.dat-s"
     assert main(["sdp", "export", "--preset", "sl3z", "--radius", "3", "--export", str(path)]) == 0
     grown = 1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - built["maxrss_kb"])
-    lines = 0
+    lines, digest = 0, hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             lines += block.count(b"\n")
+            digest.update(block)
     assert lines == 8 + 14_037_065
+    assert path.stat().st_size == 335_736_349
+    assert digest.hexdigest() == "ac420fc20264a6128d263b9275c637ca0a405da08c2d4edd4a2fc9c7a38a2ade"
     assert grown < path.stat().st_size
 
 

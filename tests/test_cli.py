@@ -323,6 +323,23 @@ def good_certificates(tmp_path_factory):
         pytest.param("sl3z-mod:2", _set(["model", "dim"], 4), id="dim_too_large"),
         pytest.param("sl3z-mod:2", _set(["model", "dim"], "3"), id="dim_string"),
         pytest.param("sl3z-mod:2", lambda data: data["model"].pop("dim") and None, id="dim_missing"),
+        # generator images that are no matrices of one size, or not invertible
+        pytest.param("sl3z-mod:2", _set(["model", "images", 0, 1], [0, 1]), id="image_ragged"),
+        pytest.param("sl3z-mod:2", lambda data: data["model"]["images"][0].append([0, 0, 0]),
+                     id="image_fourth_row"),
+        pytest.param("sl3z-mod:2", _set(["model", "images", 0], [[1, 1], [0, 1]]),
+                     id="images_of_two_sizes"),
+        pytest.param("sl3z-mod:2", _set(["model", "images", 0], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]),
+                     id="image_singular_mod_2"),
+        pytest.param("sl3z-mod:2", lambda data: data["model"].update(
+            type="matrix",
+            images=[[[2, 0, 0], [0, 1, 0], [0, 0, 1]]] + data["model"]["images"][1:],
+        ), id="matrix_image_det_2"),
+        pytest.param("sl3z-mod:2", _set(["model", "modulus"], 1), id="modulus_1"),
+        pytest.param("sl3z-mod:2", _set(["model", "modulus"], -3), id="modulus_negative"),
+        pytest.param("sl3z-mod:2", lambda data: data["model"]["images"].pop() and None,
+                     id="image_missing"),
+        pytest.param("sl3z-mod:2", _set(["model", "images"], []), id="images_empty"),
     ],
 )
 def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificates, preset, edit):
@@ -790,8 +807,8 @@ def test_streamed_exports_equal_export_sdpa(capsys, tmp_path, monkeypatch):
     from gapcert import sdp
     from _oracles import first_difference, sdpa_text
 
-    # blocks of 3 constraints, so every writer writes many blocks
-    monkeypatch.setattr(sdp, "_CHUNK", 3)
+    # blocks of 3 lines, so every writer writes many blocks
+    monkeypatch.setattr(sdp, "_LINES", 3)
     pres = tmp_path / "free.txt"
     pres.write_text("gens: a, b\n")
     for source in (

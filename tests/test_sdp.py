@@ -4,7 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import groupby, permutations
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from gapcert.sdp import (
 from gapcert.words import Presentation, Word
 
 from _oracles import export_keys, first_difference, psd_project_by_cases, reconstruct_exact
-from _oracles import sdpa_text
+from _oracles import entry_lines, sdpa_text
 from _oracles import add, adjoint, class_elements, element, identity, l1
 
 DATA = Path(__file__).parent / "data"
@@ -185,8 +185,9 @@ def test_import_memory_holds_no_array_of_all_keys():
 def test_export_keys_order():
     _, _, prob = _sl3_instance("sl3z-mod:2")
     keys = export_keys(prob)
-    got = np.concatenate(list(sdp._key_blocks(prob)))
-    assert got.dtype == np.int64 and got.tolist() == [list(k) for k in keys]
+    entries = list(sdp._entries(prob))
+    got = [(i, j, pid) for i, j, pids in entries for pid in pids.tolist()]
+    assert all(pids.dtype == np.int64 for _, _, pids in entries) and got == keys
     assert len(keys) == prob.constraint_count()
 
 
@@ -224,12 +225,18 @@ def test_export_matches_the_line_by_line_oracle(preset, radius):
 
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_export_blocks_join_to_the_oracle_at_any_block_size(monkeypatch, chunk):
-    monkeypatch.setattr(sdp, "_CHUNK", chunk)
+    monkeypatch.setattr(sdp, "_LINES", chunk)
     for preset, radius in (("z3", 1), ("sl3z-mod:2", 1)):
         prob = _preset_problem(preset, radius)
-        # every block but the entry lines' first holds at most `chunk` constraints
-        entries = list(sdp._entry_chunks(prob))
-        assert len(entries) == 1 + -(-prob.constraint_count() // chunk)
+        # after F_0's two lines, each entry's lines in blocks of `chunk`, its last block maybe fewer
+        keys = export_keys(prob)
+        owner = [keys[int(line.split()[0]) - 1][:2] for line in list(entry_lines(prob, keys))[2:]]
+        sizes = [len(list(run)) for _, run in groupby(owner)]
+        blocks = list(sdp._entry_chunks(prob))
+        assert blocks[0] == "0 2 1 1 1.0\n0 2 2 2 -1.0\n"
+        assert [block.count("\n") for block in blocks[1:]] == [
+            min(chunk, size - a) for size in sizes for a in range(0, size, chunk)
+        ]
         text = export_sdpa(prob)
         assert first_difference(text, sdpa_text(prob)) is None
         assert import_sdpa(text).same_problem(prob)
@@ -252,7 +259,9 @@ def test_import_reads_the_objective_only_as_the_export_writes_it():
     lines = export_sdpa(prob).splitlines(keepends=True)
     k = next(i for i, line in enumerate(lines) if line.startswith("0 2 1 1 "))
     head, objective, entries = lines[:k - 1], lines[k - 1].split(), lines[k:]
-    assert len(objective) > 2 * sdp._CHUNK
+    # the objective spans several blocks, one an entry, and no cut below falls on a boundary
+    ends = np.cumsum([len(pids) for _, _, pids in sdp._entries(prob)]).tolist()
+    assert ends[-1] == len(objective) and ends[2] < 513 and not {513, 700} & set(ends)
     spread = [
         # one token a line, with a comment and a blank line in between
         ("\n".join(objective[:700]) + "\n* note\n\n" + "\n".join(objective[700:]) + "\n", "objective has"),
@@ -278,7 +287,7 @@ def test_import_reads_the_objective_only_as_the_export_writes_it():
 
 
 def test_import_rejects_an_entry_line_past_the_first_block(monkeypatch):
-    monkeypatch.setattr(sdp, "_CHUNK", 1)
+    monkeypatch.setattr(sdp, "_LINES", 1)
     prob = _preset_problem("sl3z-mod:2", 1)
     lines = export_sdpa(prob).splitlines(keepends=True)
     last = lines[-1]

@@ -104,6 +104,20 @@ def test_reserved_relator_labels_are_refused_at_the_label(label):
     assert (exc.value.line, exc.value.column) == (3, 8)
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        pytest.param("gens: a\nrel x: a^2\n  rel  x: a^3\n", (3, 8), id="explicit"),
+        pytest.param("gens: a\nrel rel1: a^2\n  rel: a^3\n", (3, 3), id="default_after_explicit"),
+        pytest.param("gens: a\nrel: a^2\nrel rel0: a^3\n", (3, 5), id="explicit_after_default"),
+    ],
+)
+def test_duplicate_relator_labels_are_refused_at_the_label(text, position):
+    with pytest.raises(PresentationSyntaxError, match="duplicate relator label") as exc:
+        parse_presentation(text)
+    assert (exc.value.line, exc.value.column) == position
+
+
 def _parts(p):
     return p.generators, [w.letters for w in p.relators], p.labels
 

@@ -20,7 +20,6 @@ from .groups import (  # noqa: F401
     CyclicModel,
     FreeModel,
     GroupModel,
-    InconsistentModelError,
     MatrixModel,
     SupportBasis,
     ball,
@@ -48,10 +47,7 @@ from .sdp import (  # noqa: F401
 )
 from .certify import (  # noqa: F401
     Certificate,
-    CertificateError,
     GapResult,
-    HashMismatchError,
-    SupportReconstructionError,
     VerifyResult,
     certified_gap,
     psd_sqrt,

@@ -60,18 +60,6 @@ from .sdp import _psd_factor, target_coefficients
 from .words import parse_presentation
 
 
-class CertificateError(ValueError):
-    pass
-
-
-class HashMismatchError(CertificateError):
-    pass
-
-
-class SupportReconstructionError(CertificateError):
-    pass
-
-
 def psd_sqrt(P: np.ndarray) -> np.ndarray:
     """Gram factor Q = diag(sqrt(w)) V^T of the PSD part of P, r x N.
 
@@ -381,14 +369,14 @@ class Certificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
         if not isinstance(data, dict) or data.get("format") != _FORMAT:
-            raise CertificateError("unknown certificate format")
+            raise ValueError("unknown certificate format")
         try:
             q = _q_from_json(data["q"])
         except KeyError as exc:
-            raise CertificateError(f"malformed certificate: no field {exc.args[0]!r}") from None
+            raise ValueError(f"malformed certificate: no field {exc.args[0]!r}") from None
         # a Q that is not an object, or null, non-decimal or ragged entries
         except (TypeError, ValueError) as exc:
-            raise CertificateError(f"malformed certificate: {exc}") from None
+            raise ValueError(f"malformed certificate: {exc}") from None
         return cls({k: v for k, v in data.items() if k != "q"}, q)
 
     def save(self, path) -> None:
@@ -403,7 +391,7 @@ class Certificate:
         try:
             data = json.loads(text)
         except RecursionError:
-            raise CertificateError("certificate JSON is nested too deeply") from None
+            raise ValueError("certificate JSON is nested too deeply") from None
         return cls.from_json_dict(data)
 
 
@@ -506,17 +494,17 @@ def _q_from_json(data: dict) -> np.ndarray:
     """Q from its decimal strings, shaped by the stored rows and cols."""
     entries = data["entries"]
     if not all(type(row) is list and set(map(type, row)) <= {str} for row in entries):
-        raise CertificateError("Q entries must be lists of decimal strings")
+        raise ValueError("Q entries must be lists of decimal strings")
     shape = (data["rows"], data["cols"])
     if len(entries) != shape[0] or any(len(row) != shape[1] for row in entries):
-        raise CertificateError(f"Q entries do not fill its stored shape {shape}")
+        raise ValueError(f"Q entries do not fill its stored shape {shape}")
     # numpy parses each str as float() does
     return np.array(entries, dtype=float).reshape(shape)
 
 
 def _decimal(value, field: str) -> float:
     if not isinstance(value, str):
-        raise CertificateError(f"{field} must be a decimal string, got {value!r}")
+        raise ValueError(f"{field} must be a decimal string, got {value!r}")
     return float(value)
 
 
@@ -538,7 +526,7 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     the certificate is malformed: the status is the one the stored lambda0
     implies, the labels are the presentation's, and the stored residual sup
     is at least the recomputed one.  This is the one reader of the stored
-    fields, so a missing field is a CertificateError here, not at load.
+    fields, so a missing field is a ValueError here, not at load.
     """
     f = cert.fields
     try:
@@ -551,36 +539,36 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         stored_sup, status = f["residual_l1_sup"], f["status"]
         f["toolchain"]  # informational, but required like every other field
     except KeyError as exc:
-        raise CertificateError(f"malformed certificate: no field {exc.args[0]!r}") from None
+        raise ValueError(f"malformed certificate: no field {exc.args[0]!r}") from None
     # a section that is not an object, or a relator index that is not an integer
     except (TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed certificate: {exc}") from None
+        raise ValueError(f"malformed certificate: {exc}") from None
     if not isinstance(text, str):
-        raise CertificateError("presentation text must be a string")
+        raise ValueError("presentation text must be a string")
     if hashlib.sha256(text.encode("utf-8")).hexdigest() != sha256:
-        raise HashMismatchError("presentation text does not match its stored hash")
+        raise ValueError("presentation text does not match its stored hash")
     p = parse_presentation(text)
     model = model_from_spec(spec)
     validate_model(p, model)
     for k in stored:
         if not 0 <= k < len(p.relators):
-            raise CertificateError(f"stored relator index {k!r} out of range")
+            raise ValueError(f"stored relator index {k!r} out of range")
     if labels != tuple(p.labels[k] for k in stored):
-        raise CertificateError("stored relator labels are not the presentation's")
+        raise ValueError("stored relator labels are not the presentation's")
     lam = _decimal(lam, "solver_lambda")
     stored_lambda0 = _decimal(stored_lambda0, "certified_lambda0")
     stored_sup = _decimal(stored_sup, "residual_l1_sup")
     if status != _status(stored_lambda0):
-        raise CertificateError(f"stored status {status!r} contradicts its lambda0")
+        raise ValueError(f"stored status {status!r} contradicts its lambda0")
     try:
         basis = basis_from_json(model, basis_keys, radius)
     except (TypeError, ValueError) as exc:
-        raise SupportReconstructionError(f"stored basis is invalid: {exc}") from exc
+        raise ValueError(f"stored basis is invalid: {exc}") from exc
     lap = laplacian1(model, p, stored)
     lambda0, residual, _ = _certified_bound(lap.matrix, basis, cert.q, lam)
     if not lambda0 >= stored_lambda0:
         message = f"recomputed lambda0 {lambda0!r} fell below stored {stored_lambda0!r}"
         return VerifyResult(False, lambda0, stored_lambda0, message)
     if not stored_sup >= residual.hi:
-        raise CertificateError(f"residual_l1_sup {stored_sup!r} < recomputed {residual.hi!r}")
+        raise ValueError(f"residual_l1_sup {stored_sup!r} < recomputed {residual.hi!r}")
     return VerifyResult(True, lambda0, stored_lambda0, "re-verified")

@@ -41,10 +41,6 @@ from .sdp import (
 from .words import Presentation, parse_presentation
 
 
-class CliError(Exception):
-    pass
-
-
 def _load_input(args) -> tuple:
     if args.preset:
         p, model = args.preset
@@ -58,13 +54,11 @@ def _load_input(args) -> tuple:
             model = FreeModel(p.n_generators, sound=not p.relators)
         elif not isinstance(model, MatrixModel) or model.modulus is not None:
             name = "modular:<m>" if kind == "modular" else kind
-            raise CliError(f"--model {name} needs a matrix preset without a modulus")
+            raise ValueError(f"--model {name} needs a matrix preset without a modulus")
         elif kind == "modular":
             model = MatrixModel(model.images, modulus)
     if model is None:
-        raise CliError(
-            "presentation files need --model free; matrix models are preset-bound"
-        )
+        raise ValueError("presentation files need --model free; matrix models are preset-bound")
     validate_model(p, model)
     return p, model
 
@@ -77,7 +71,7 @@ def _relator_indices(args, p: Presentation) -> List[int]:
         return list(range(len(p.relators)))
     if policy == "longest":
         if len(p.relators) <= 1:
-            raise CliError("cannot exclude the longest of fewer than two relators")
+            raise ValueError("cannot exclude the longest of fewer than two relators")
         return default_relator_indices(p)
     idx = p.relator_index(policy)
     return [k for k in range(len(p.relators)) if k != idx]
@@ -223,7 +217,7 @@ def _solution_q(sol: dict, path: str) -> np.ndarray:
     """Q of a solution file: its 'Q', or psd_sqrt of its 'P'; exactly one of the two."""
     names = [name for name in ("P", "Q") if name in sol]
     if len(names) != 1:
-        raise CliError(f"solution {path} must have exactly one of 'P' and 'Q'")
+        raise ValueError(f"solution {path} must have exactly one of 'P' and 'Q'")
     name = names[0]
     rows = sol[name]
     if not (
@@ -231,8 +225,8 @@ def _solution_q(sol: dict, path: str) -> np.ndarray:
         and all(type(row) is list and len(row) == len(rows[0]) for row in rows)
         and all(_finite_number(x) for row in rows for x in row)
     ):
-        raise CliError(f"solution {path}: '{name}' must be a list of equal-length lists of "
-                       "finite JSON numbers")
+        raise ValueError(f"solution {path}: '{name}' must be a list of equal-length lists of "
+                         "finite JSON numbers")
     matrix = np.array(rows, dtype=float)
     return matrix if name == "Q" else psd_sqrt(matrix)
 
@@ -254,12 +248,12 @@ def cmd_certify(args) -> int:
         try:
             sol = json.load(fh)
         except RecursionError:
-            raise CliError(f"solution {args.solution} is nested too deeply") from None
+            raise ValueError(f"solution {args.solution} is nested too deeply") from None
     if not isinstance(sol, dict) or "lambda" not in sol:
-        raise CliError(f"solution {args.solution} has no 'lambda' field")
+        raise ValueError(f"solution {args.solution} has no 'lambda' field")
     lam = sol["lambda"]
     if not _finite_number(lam):
-        raise CliError(f"solution {args.solution}: 'lambda' must be a finite JSON number, got {lam!r}")
+        raise ValueError(f"solution {args.solution}: 'lambda' must be a finite JSON number, got {lam!r}")
     result = certified_gap(lap, basis, _solution_q(sol, args.solution), lam)
     if args.out:
         result.certificate.save(args.out)
@@ -331,7 +325,7 @@ def _stage_parser(subs, name: str, func, help: str):
     """The parser of a command that builds the problem, with its input and stage options."""
     sub = subs.add_parser(name, help=help)
     _add_input_opts(sub)
-    sub.add_argument("--radius", type=_radius, required=True, help="support ball radius")
+    sub.add_argument("--radius", type=_at_least(0), required=True, help="support ball radius")
     _add_relator_opt(sub)
     sub.set_defaults(func=func)
     return sub
@@ -344,18 +338,16 @@ def _number(kind, text: str, expected: str):
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = _number(int, text, "an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """The argparse type of an integer option that must be at least low."""
 
+    def parse(text: str) -> int:
+        value = _number(int, text, "an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-def _radius(text: str) -> int:
-    value = _number(int, text, "an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -387,8 +379,9 @@ def _model_choice(text: str):
 
 
 def _add_solver_opts(sub):
-    sub.add_argument("--tol", type=_tolerance, default=1e-8, help="solver residual tolerance")
-    sub.add_argument("--max-iter", type=_positive_int, default=20000)
+    sub.add_argument("--tol", type=_tolerance, default=SolveOptions.tol_primal,
+                     help="solver residual tolerance")
+    sub.add_argument("--max-iter", type=_at_least(1), default=SolveOptions.max_iter)
     sub.add_argument("--export", help="also write the SDPA problem file here")
 
 
@@ -405,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("ball", help="enumerate a metric ball")
     _add_input_opts(s)
-    s.add_argument("--radius", type=_radius, required=True)
+    s.add_argument("--radius", type=_at_least(0), required=True)
     s.add_argument("--json", action="store_true", help="emit the basis as JSON")
     s.add_argument("--out")
     s.set_defaults(func=cmd_ball)
@@ -453,7 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # flush at interpreter exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CliError, OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         # str() of a KeyError quotes its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1

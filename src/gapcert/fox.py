@@ -128,10 +128,6 @@ def laplacian1(
     return Laplacian1(matrix, p, model, tuple(indices))
 
 
-class RepresentationError(ValueError):
-    pass
-
-
 def evaluate_representation(
     M: RingMatrix,
     images: Sequence[np.ndarray],
@@ -147,18 +143,18 @@ def evaluate_representation(
     """
     model = M.model
     if len(images) != model.n_generators:
-        raise RepresentationError("one image per generator required")
+        raise ValueError("one image per generator required")
     mats = [np.asarray(m) for m in images]
     if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
-        raise RepresentationError("generator images must be square matrices")
+        raise ValueError("generator images must be square matrices")
     mats = [m.astype(np.result_type(float, m)) for m in mats]  # float64 or complex128 copies
     k = mats[0].shape[0]
     eye = np.eye(k)
     for m in mats:
         if m.shape != (k, k):
-            raise RepresentationError("generator images must share one dimension")
+            raise ValueError("generator images must share one dimension")
         if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
-            raise RepresentationError("generator image is not unitary")
+            raise ValueError("generator image is not unitary")
     steps: Dict[Key, np.ndarray] = {}  # first seen wins, in symmetrized_generators' order
     for g, m in zip(model.generators(), mats):
         steps.setdefault(g, m)
@@ -179,16 +175,16 @@ def evaluate_representation(
                     nxt.append(prod)
                     pending.discard(prod)
                 elif np.max(np.abs(pm - known)) > 1e-8:
-                    raise RepresentationError("images are inconsistent with the model's relations")
+                    raise ValueError("images are inconsistent with the model's relations")
         frontier = nxt
     if pending:
-        raise RepresentationError(f"{len(pending)} support elements unreachable from the generators")
+        raise ValueError(f"{len(pending)} support elements unreachable from the generators")
     for label, rel in zip(presentation.labels, presentation.relators):
         img = eye
         for idx, sign in rel:
             img = img @ (mats[idx] if sign > 0 else mats[idx].conj().T)
         if np.max(np.abs(img - eye)) > 1e-10:
-            raise RepresentationError(f"images violate relator {label}")
+            raise ValueError(f"images violate relator {label}")
     out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(*mats))
     for i, row in enumerate(M.entries):
         for j, e in enumerate(row):

@@ -26,10 +26,6 @@ Key = Hashable  # a group element: its model's normal form
 MatrixKey = Tuple[Tuple[int, ...], ...]
 
 
-class InconsistentModelError(ValueError):
-    """A relator does not evaluate to the identity under the model."""
-
-
 def _mat_mul(a: MatrixKey, b: MatrixKey, mod: Optional[int] = None) -> MatrixKey:
     cols = tuple(zip(*b))
     # list comprehensions: tuple() over a generator expression costs more here
@@ -343,21 +339,17 @@ def model_from_spec(spec: dict) -> GroupModel:
 def validate_model(p: Presentation, model: GroupModel) -> None:
     """Check the model is consistent with the presentation's relators."""
     if p.n_generators != model.n_generators:
-        raise InconsistentModelError(
+        raise ValueError(
             f"presentation has {p.n_generators} generators, model has {model.n_generators}"
         )
     if isinstance(model, FreeModel):
         if p.relators and model.sound:
-            raise InconsistentModelError(
-                "free model marked sound but the presentation has relators"
-            )
+            raise ValueError("free model marked sound but the presentation has relators")
         return
     ident = model.identity()
     for label, rel in zip(p.labels, p.relators):
         if model.evaluate(rel) != ident:
-            raise InconsistentModelError(
-                f"relator {label} does not evaluate to the identity"
-            )
+            raise ValueError(f"relator {label} does not evaluate to the identity")
 
 
 _INT64_LIMIT = 2 ** 63  # int64 holds magnitudes below this

@@ -541,34 +541,36 @@ class _InvariantConstraints:
     """The problem's constraints on an H-invariant P, one row per slot orbit.
 
     cid[c] is the orbit of the slot of the cell (r_o, t.r_o') behind flat
-    invariant coordinate c = (t, o, o').  The slot sum of the dense P at
-    a slot of orbit q is |Stab| = |H|/size[q] times the sum of the
-    coordinates c with cid[c] = q, and the affine projection moves every
-    slot of an orbit alike.
+    invariant coordinate c = (t, o, o'); an orbit is named by its least
+    slot.  The slot sum of the dense P at a slot of orbit q is |Stab| =
+    |H|/size[q] times the sum of the coordinates c with cid[c] = q, and
+    the affine projection moves every slot of an orbit alike.
     """
 
     def __init__(self, problem: SdpProblem, sym: GramSymmetry):
         n, m, npairs = problem.n, problem.m, problem.npairs
         g = len(sym.ldiv)
-        i, x = np.divmod(sym.order.reshape(-1, g), m)
+        i, x = np.divmod(sym.order.reshape(-1, g).T, m)  # i[h, o] * m + x[h, o] is h.r_o
+        k = i.shape[1]
         times = sym.ldiv[sym.ldiv[:, 0]]  # times[h, t] is the index of h t
-        # images[h][t, o, o'] is the slot of cell (h.r_o, ht.r_o'), the
-        # image under h of the cell behind C[t][o, o']
-        images = np.stack([
-            (i[:, h, None] * n + i[:, times[h]].T[:, None, :]) * npairs
-            + problem.table.pid[x[:, h, None], x[:, times[h]].T[:, None, :]]
-            for h in range(g)
-        ])
-        rep, self.cid = np.unique(images.min(axis=0).ravel(), return_inverse=True)
-        # every cell is the image of one behind C, so every slot gets an orbit
-        orbit = np.empty(n * n * npairs, dtype=np.int64)
-        orbit[images] = self.cid.reshape(images.shape[1:])
-        self.size = np.bincount(orbit, minlength=len(rep))
+        pid = problem.table.pid
+        for h, ht in enumerate(times):
+            # image[t, o, o'] is the slot of cell (h.r_o, ht.r_o'), the
+            # image under h of the cell behind C[t][o, o']
+            image = (i[h, :, None] * n + i[ht, None]) * npairs + pid[x[h, :, None], x[ht, None]]
+            least = image if h == 0 else np.minimum(least, image, out=least)
+        rep, self.cid = np.unique(least.ravel(), return_inverse=True)
+        cells = np.bincount(pid.ravel(), minlength=npairs)[rep % npairs]
+        # H acts freely on cells, so an orbit of size[q] slots, each of
+        # cells[q] cells, holds size[q] * cells[q] / |H| coordinates
+        self.size = g * np.bincount(self.cid, minlength=len(rep)) // cells
         self.stab = g / self.size
-        self.cnt = np.bincount(problem.table.pid.ravel(), minlength=npairs)[rep % npairs].astype(float)
+        self.cnt = cells.astype(float)
         self.b = problem.targets.ravel()[rep]
-        # the orbits of the slots (i, i, identity), where lambda enters
-        self.lam_orbits = orbit[np.arange(n) * (n + 1) * npairs + problem.identity_pid]
+        # the orbits of the slots (i, i, identity), where lambda enters: those
+        # of the cells (r_o, r_o) behind C[0][o, o], for i*m = h.r_o
+        o = np.argsort(sym.order)[np.arange(n) * m] // g
+        self.lam_orbits = self.cid[o * (k + 1)]
         self.lam_rows = np.unique(self.lam_orbits)
         self.n, self.m = n, float(m)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 def _reduce(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
@@ -37,28 +37,54 @@ def _reduce(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     return tuple(stack)
 
 
-class Word:
-    """Freely reduced word, immutable; compare words by their letters."""
+class Word(tuple):
+    """Freely reduced word: a tuple of (generator index, sign) letters."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters: Iterable[Tuple[int, int]] = ()):
-        object.__setattr__(self, "letters", _reduce(letters))
+    def __new__(cls, letters: Iterable[Tuple[int, int]] = ()):
+        return super().__new__(cls, _reduce(letters))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def max_index(self) -> int:
-        return max((idx for idx, _ in self.letters), default=-1)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
+    @property
+    def letters(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(self)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _generators_fault(names: Sequence[str]) -> Optional[str]:
+    """The rule that the generator list names breaks, or None."""
+    if not names:
+        return "empty generator list"
+    for k, name in enumerate(names):
+        if not _NAME_RE.fullmatch(name):
+            return f"invalid generator name {name!r}"
+        if name in names[:k]:
+            return f"duplicate generator {name!r}"
+    return None
+
+
+def _relator_fault(
+    label: str, earlier: Sequence[str], word: Optional[Word] = None, n_generators: int = 0
+) -> Optional[str]:
+    """The rule that relator `label: word` after the labels earlier breaks, or None.
+
+    Without a word only the label is checked.
+    """
+    if not _NAME_RE.fullmatch(label):
+        return f"invalid relator label {label!r}"
+    if label in ("none", "longest"):
+        return f"relator label {label!r} is reserved"
+    if label in earlier:
+        return f"duplicate relator label {label!r}"
+    if word is None:
+        return None
+    if not word:
+        return f"relator {label} freely reduces to the identity"
+    if max(idx for idx, _ in word) >= n_generators:
+        return "relator uses an unknown generator index"
+    return None
 
 
 class PresentationSyntaxError(ValueError):
@@ -82,31 +108,14 @@ class Presentation:
     labels: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.generators:
-            raise ValueError("presentation needs at least one generator")
-        if len(set(self.generators)) != len(self.generators):
-            raise ValueError("generator names must be unique")
-        for name in self.generators:
-            if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"invalid generator name {name!r}")
         if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"rel{i}" for i in range(len(self.relators)))
-            )
+            object.__setattr__(self, "labels", tuple(f"rel{i}" for i in range(len(self.relators))))
         if len(self.labels) != len(self.relators):
             raise ValueError("one label per relator required")
-        repeated = [lab for i, lab in enumerate(self.labels) if lab in self.labels[:i]]
-        if repeated:
-            raise ValueError(f"duplicate relator label {repeated[0]!r}")
-        for label, rel in zip(self.labels, self.relators):
-            if not _NAME_RE.fullmatch(label):
-                raise ValueError(f"invalid relator label {label!r}")
-            if label in ("none", "longest"):
-                raise ValueError(f"relator label {label!r} is reserved")
-            if not rel.letters:
-                raise ValueError(f"relator {label} freely reduces to the identity")
-            if rel.max_index() >= len(self.generators):
-                raise ValueError("relator uses an unknown generator index")
+        faults = (_relator_fault(label, self.labels[:k], rel, len(self.generators))
+                  for k, (label, rel) in enumerate(zip(self.labels, self.relators)))
+        if fault := _generators_fault(self.generators) or next(filter(None, faults), None):
+            raise ValueError(fault)
 
     @property
     def n_generators(self) -> int:
@@ -119,11 +128,11 @@ class Presentation:
             raise KeyError(f"no relator labeled {label!r}") from None
 
     def word_str(self, w: Word) -> str:
-        if not w.letters:
+        if not w:
             raise ValueError("cannot print the empty word as an expression")
         parts = []
         run_idx, run_exp = None, 0
-        for idx, sign in list(w.letters) + [(-1, 0)]:
+        for idx, sign in [*w, (-1, 0)]:
             if idx == run_idx and (sign > 0) == (run_exp > 0):
                 run_exp += sign
                 continue
@@ -259,7 +268,6 @@ _REL_RE = re.compile(rf"rel(?:\s+({_NAME_RE.pattern}))?\s*:")
 
 def parse_presentation(text: str) -> Presentation:
     generators: Optional[Tuple[str, ...]] = None
-    gen_index: dict = {}
     relators: list[Word] = []
     labels: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -274,16 +282,10 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationSyntaxError("expected ':' after 'gens'", lineno, indent + 5)
             if generators is not None:
                 raise PresentationSyntaxError("duplicate gens line", lineno, indent + 1)
-            names = [n.strip() for n in rest[1:].split(",")]
-            if names == [""]:
-                raise PresentationSyntaxError("empty generator list", lineno, indent + 6)
-            for n in names:
-                if not _NAME_RE.fullmatch(n):
-                    raise PresentationSyntaxError(f"invalid generator name {n!r}", lineno, indent + 6)
-                if n in gen_index:
-                    raise PresentationSyntaxError(f"duplicate generator {n!r}", lineno, indent + 6)
-                gen_index[n] = len(gen_index)
-            generators = tuple(names)
+            generators = tuple(n.strip() for n in rest[1:].split(",")) if rest[1:].strip() else ()
+            if fault := _generators_fault(generators):
+                raise PresentationSyntaxError(fault, lineno, indent + 6)
+            gen_index = {name: k for k, name in enumerate(generators)}
             continue
         m = _REL_RE.match(stripped)
         if m:
@@ -291,18 +293,14 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationSyntaxError("'rel' before 'gens'", lineno, indent + 1)
             label = m.group(1) or f"rel{len(relators)}"
             at = indent + max(m.start(1), 0) + 1  # the label's column, or rel's if none
-            if label in ("none", "longest"):
-                raise PresentationSyntaxError(f"relator label {label!r} is reserved", lineno, at)
-            if label in labels:
-                raise PresentationSyntaxError(f"duplicate relator label {label!r}", lineno, at)
+            if fault := _relator_fault(label, labels):
+                raise PresentationSyntaxError(fault, lineno, at)
             expr = stripped[m.end():]
             col0 = indent + m.end() + 1
             parser = _ExprParser(expr, lineno, col0, gen_index)
             rel = Word(parser.parse_full())
-            if not rel.letters:
-                raise PresentationSyntaxError(
-                    "relator freely reduces to the identity", lineno, col0
-                )
+            if fault := _relator_fault(label, labels, rel, len(generators)):
+                raise PresentationSyntaxError(fault, lineno, col0)
             relators.append(rel)
             labels.append(label)
             continue

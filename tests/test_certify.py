@@ -19,9 +19,6 @@ import gapcert
 from gapcert import certify
 from gapcert.certify import (
     Certificate,
-    CertificateError,
-    HashMismatchError,
-    SupportReconstructionError,
     _enclose,
     _exact_sum,
     _gram_class_sums,
@@ -191,12 +188,16 @@ def test_zero_row_q_round_trips_and_reverifies(tmp_path):
     # Q is shaped by the stored rows and cols, which its entries must fill
     data = certificate_json_dict(result.certificate)
     data["q"] = {"rows": 1, "cols": 3, "entries": []}
-    with pytest.raises(CertificateError, match="shape"):
+    with pytest.raises(
+        ValueError, match="^malformed certificate: Q entries do not fill its stored shape"
+    ):
         Certificate.from_json_dict(data)
     _, _, _, full = _z3_pipeline()
     data = certificate_json_dict(full.certificate)
     data["q"] = dict(data["q"], rows=1, cols=9)
-    with pytest.raises(CertificateError, match="shape"):
+    with pytest.raises(
+        ValueError, match="^malformed certificate: Q entries do not fill its stored shape"
+    ):
         Certificate.from_json_dict(data)
 
 
@@ -374,7 +375,7 @@ def test_tampered_presentation_raises_hash_mismatch():
     _, _, _, result = _z3_pipeline()
     data = json.loads(result.certificate.to_bytes())
     data["presentation"]["text"] = data["presentation"]["text"] + "# extra\n"
-    with pytest.raises(HashMismatchError):
+    with pytest.raises(ValueError, match="^presentation text does not match its stored hash$"):
         verify_certificate(Certificate.from_json_dict(data))
 
 
@@ -382,7 +383,9 @@ def test_tampered_radius_fails_support_reconstruction():
     _, _, _, result = _z3_pipeline()
     data = json.loads(result.certificate.to_bytes())
     data["basis"]["radius"] = 0  # stored keys are the radius-1 ball
-    with pytest.raises(SupportReconstructionError):
+    with pytest.raises(
+        ValueError, match="^stored basis is invalid: basis does not match the ball of radius 0$"
+    ):
         verify_certificate(Certificate.from_json_dict(data))
 
 
@@ -395,7 +398,9 @@ def test_huge_stored_radius_is_rejected_quickly():
     data["basis"]["radius"] = 12  # a ball of billions of elements
     cert = Certificate.from_json_dict(data)
     start = time.perf_counter()
-    with pytest.raises(SupportReconstructionError):
+    with pytest.raises(
+        ValueError, match="^stored basis is invalid: basis does not match the ball of radius 12$"
+    ):
         verify_certificate(cert)
     assert time.perf_counter() - start < 1.0
 

@@ -754,8 +754,8 @@ def test_non_numeric_option_is_a_plain_usage_error(capsys, args, option, expecte
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: {expected}" in err
-    # argparse names a type function that raises ValueError: "invalid _radius value"
-    assert not any(name in err for name in ("invalid", "_tolerance", "_radius", "_positive_int"))
+    # argparse names a type function that raises ValueError: "invalid parse value"
+    assert not any(name in err for name in ("invalid", "_tolerance", "_at_least", "parse"))
 
 
 @pytest.mark.parametrize(

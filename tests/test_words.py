@@ -29,6 +29,19 @@ def test_free_reduce_idempotent_on_random_sequences():
         assert Word(once.letters).letters == once.letters
 
 
+def test_a_word_is_an_immutable_tuple_of_its_letters():
+    w = Word([(1, -1), (0, 1), (0, -1), (2, 1)])
+    assert w == ((1, -1), (2, 1)) and isinstance(w, tuple)
+    assert len(w) == 2 and list(w) == [(1, -1), (2, 1)]
+    # words compare and hash by their letters
+    assert w == Word([(1, -1), (2, 1)]) and hash(w) == hash(Word(w.letters))
+    assert type(w.letters) is tuple
+    with pytest.raises(AttributeError):
+        w.letters = ()
+    with pytest.raises(AttributeError):
+        w.extra = 1
+
+
 def _letters(rels):
     return [w.letters for w in parse_presentation("gens: a, b\n" + rels).relators]
 
@@ -135,10 +148,41 @@ def test_print_parse_round_trip_with_labels():
 
 
 def test_presentation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^relator uses an unknown generator index$"):
         Presentation(("a",), (Word([(3, 1)]),))
-    with pytest.raises(ValueError):
-        Presentation(())
+    with pytest.raises(ValueError, match="^one label per relator required$"):
+        Presentation(("a",), (Word([(0, 1)]),), ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ((), "empty generator list"),
+        (("a", "b", "a"), "duplicate generator 'a'"),
+        (("a", "2b"), "invalid generator name '2b'"),
+        (("a", ""), "invalid generator name ''"),
+    ],
+    ids=["empty", "duplicate", "not_a_name", "empty_name"],
+)
+def test_presentation_and_parser_give_one_message_per_generator_rule(generators, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Presentation(generators)
+    with pytest.raises(PresentationSyntaxError, match=f"^line 1, column 6: {message}$"):
+        parse_presentation("gens: " + ", ".join(generators) + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("gens: a\nrel e: a*a^-1\n", "relator e freely reduces to the identity", (2, 7)),
+        ("gens: a\nrel: a^2\n rel: a^0\n", "relator rel1 freely reduces to the identity", (3, 6)),
+    ],
+    ids=["labelled", "default_label"],
+)
+def test_an_empty_relator_is_refused_by_its_label_at_its_expression(text, message, position):
+    with pytest.raises(PresentationSyntaxError, match=f"{message}$") as exc:
+        parse_presentation(text)
+    assert (exc.value.line, exc.value.column) == position
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ key, a hashable normal form that equal elements share (a tuple of integer
 rows for a matrix model, a residue for a cyclic one, a freely reduced
 tuple of letters for a free one), and the model's methods take and return
 keys.  Keys sort in one fixed order, which orders every support.  Integer
-matrix entries are Python ints, so products never overflow; the product
-table uses int64 arrays only where a bound on the entries rules overflow
-out.
+matrix entries are Python ints, so products never overflow; a matrix
+key's determinant and inverse come from one fraction-free elimination.
+The product table numbers its classes in one dict for every model, and
+uses int64 arrays only where a bound on the entries rules overflow out.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import islice
-from operator import mul
+from operator import index, mul
 from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,46 +35,31 @@ def _mat_mul(a: MatrixKey, b: MatrixKey, mod: Optional[int] = None) -> MatrixKey
     return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
 
 
-def _mat_identity(d: int) -> MatrixKey:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+def _det_adjugate(a: Sequence[Sequence[int]]) -> Tuple[int, Optional[MatrixKey]]:
+    """(det(a), adj(a)) of a square integer matrix; adj is None when det(a) is 0.
 
-
-def _det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix.
-
-    Fraction-free (Bareiss) elimination: O(d^3) integer operations, every
-    division exact, with a row swap on a zero pivot.
+    One fraction-free (Bareiss) Gauss-Jordan pass over [a | I]: O(d^3)
+    integer operations, every division exact, with a row swap on a zero
+    pivot.  The pass leaves [D*I | L] with L*a = D*I, so det(a) = sign*D
+    and adj(a) = sign*L, sign being that of the row swaps.
     """
-    m = [list(row) for row in a]
-    d = len(m)
+    d = len(a)
+    m = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
     sign, prev = 1, 1
-    for k in range(d - 1):
+    for k in range(d):
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, d) if m[i][k] != 0), None)
             if swap is None:
-                return 0
+                return 0, None
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, d):
-            mi, mik = m[i], m[i][k]
-            for j in range(k + 1, d):
-                mi[j] = (mi[j] * pivot - mik * m[k][j]) // prev
+        mk, pivot = m[k], m[k][k]
+        for i in range(d):
+            if i != k:
+                mik = m[i][k]
+                m[i] = [(x * pivot - mik * y) // prev for x, y in zip(m[i], mk)]
         prev = pivot
-    return sign * m[-1][-1] if d else 1
-
-
-def _adjugate(a: MatrixKey) -> MatrixKey:
-    d = len(a)
-    if d == 1:
-        return ((1,),)
-    rows = [list(r) for r in a]
-    cof = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
-            cof[i][j] = (-1) ** (i + j) * _det(minor)
-    return tuple(tuple(cof[j][i] for j in range(d)) for i in range(d))
+    return sign * prev, tuple(tuple(sign * x for x in row[d:]) for row in m)
 
 
 class GroupModel:
@@ -135,15 +121,16 @@ class MatrixModel(GroupModel):
         if not images:
             raise ValueError("need at least one generator image")
         self.modulus = modulus
-        keys = [tuple(tuple(self._reduce(int(x)) for x in row) for row in img) for img in images]
+        self._inverses = {}
+        entry = lambda x: self._reduce(_image_entry(x))
+        keys = [tuple(tuple(map(entry, row)) for row in img) for img in images]
         d = len(keys[0])
         for k in keys:
             if len(k) != d or any(len(row) != d for row in k):
                 raise ValueError("generator images must be square of equal size")
-            self._det_inverse(k)
+            self.inverse(k)
         self.dim = d
         self.images = keys
-        self._inverses = {}
         self.n_generators = len(keys)
         spec = self.spec()
         self.model_id = f"{spec['type']}:{_spec_id(spec)}"
@@ -151,24 +138,19 @@ class MatrixModel(GroupModel):
     def _reduce(self, x: int) -> int:
         return x if self.modulus is None else x % self.modulus
 
-    def _det_inverse(self, key: MatrixKey) -> int:
-        """det(key)^-1 in Z or Z/m; ValueError if det(key) is not a unit."""
-        det = _det(key)
-        if self.modulus is None:
-            if det not in (1, -1):
-                raise ValueError(f"matrix {key!r} is not invertible over Z")
-            return det
-        try:
-            return pow(det % self.modulus, -1, self.modulus)
+    def _invert_key(self, key: MatrixKey) -> MatrixKey:
+        """key^-1; ValueError if det(key) is not a unit of Z or Z/m."""
+        det, adj = _det_adjugate(key)
+        if self.modulus is None and det not in (1, -1):
+            raise ValueError(f"matrix {key!r} is not invertible over Z")
+        try:  # a unit of Z is its own inverse
+            det_inv = det if self.modulus is None else pow(det % self.modulus, -1, self.modulus)
         except ValueError:
             raise ValueError(f"matrix {key!r} is not invertible mod {self.modulus}") from None
-
-    def _invert_key(self, key: MatrixKey) -> MatrixKey:
-        det_inv = self._det_inverse(key)
-        return tuple(tuple(self._reduce(x * det_inv) for x in row) for row in _adjugate(key))
+        return tuple(tuple(self._reduce(x * det_inv) for x in row) for row in adj)
 
     def identity(self) -> MatrixKey:
-        return _mat_identity(self.dim)
+        return tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
 
     def generator(self, i: int) -> MatrixKey:
         return self.images[i]
@@ -198,7 +180,7 @@ class MatrixModel(GroupModel):
             raise ValueError(f"malformed matrix key {key!r}")
         if any(self._reduce(x) != x for row in key for x in row):
             raise ValueError(f"matrix key {key!r} has entries outside [0, {self.modulus})")
-        self._det_inverse(key)
+        self.inverse(key)
         return key
 
 
@@ -297,6 +279,16 @@ class FreeModel(GroupModel):
         return key
 
 
+def _image_entry(x) -> int:
+    """x as an int if it is a Python or numpy integer; bools, floats and strings are refused."""
+    if not isinstance(x, bool):  # numpy's bool has no __index__
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"generator image entry must be an integer, got {x!r}")
+
+
 def _json_int(value, what: str) -> int:
     """value if it is a JSON integer; floats, strings, null and bools are refused."""
     if type(value) is not int:
@@ -352,46 +344,18 @@ def validate_model(p: Presentation, model: GroupModel) -> None:
             raise ValueError(f"relator {label} does not evaluate to the identity")
 
 
-_INT64_LIMIT = 2 ** 63  # int64 holds magnitudes below this
+def _int64_products(model: GroupModel, inverses: list, keys: tuple) -> Optional[Iterator[bytes]]:
+    """The products x^-1 y, x-major, as the bytes of their int64 rows, or None.
 
-
-def _generic_products(basis: "SupportBasis"):
-    """(pid, first, index) from one model.multiply per pair.
-
-    first[p] is the flat cell x*m + y where class p is first seen, and
-    index maps each class's key to the class.
+    None unless model is a matrix model whose products provably fit in
+    int64: every entry, and every partial sum, of x^-1 y is at most
+    dim * max|x^-1| * max|y| in magnitude.  Each row is copied out of the
+    product array as it is read, so only the rows a caller keeps are held.
     """
-    model = basis.model
-    index: dict = {}
-    pid, first = [], []
-    for inv_x in map(model.inverse, basis.elements):
-        for y in basis.elements:
-            key = model.multiply(inv_x, y)
-            p = index.get(key)
-            if p is None:
-                p = index[key] = len(first)
-                first.append(len(pid))
-            pid.append(p)
-    pid = np.array(pid, dtype=np.int64).reshape(len(basis), -1)
-    return pid, np.array(first, dtype=np.int64), index
-
-
-def _batched_products(basis: "SupportBasis"):
-    """(pid, first, rows, rank) from one int64 matmul, or None if it does not apply.
-
-    rows holds the distinct products x^-1 y as flat int64 entries, one
-    void item each, in byte order; rank[r] is the class of rows[r].
-    Applies to matrix models whose products provably fit in int64: every
-    entry, and every partial sum, of x^-1 y is at most
-    dim * max|x^-1| * max|y| in magnitude.
-    """
-    model = basis.model
     if not isinstance(model, MatrixModel):
         return None
-    keys = basis.elements
-    inverses = [model.inverse(x) for x in keys]
     largest = lambda ks: max(abs(v) for k in ks for row in k for v in row)
-    if model.dim * largest(inverses) * largest(keys) >= _INT64_LIMIT:
+    if model.dim * largest(inverses) * largest(keys) >= 2 ** 63:  # int64's magnitude limit
         return None
     m, d = len(keys), model.dim
     prod = np.matmul(
@@ -399,13 +363,16 @@ def _batched_products(basis: "SupportBasis"):
     ).reshape(m * m, d * d)
     if model.modulus is not None:
         prod %= model.modulus
-    rows = prod.view(np.dtype((np.void, prod.itemsize * d * d))).ravel()
-    rows, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    # np.unique ranks classes by bytes; re-rank them by first occurrence
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.ravel()].reshape(m, m), first[order], rows, rank
+    rows, width = memoryview(prod.reshape(-1).view(np.uint8)), prod.itemsize * d * d
+    return (rows[at:at + width].tobytes() for at in range(0, len(rows), width))
+
+
+def _int64_bytes(key: MatrixKey) -> Optional[bytes]:
+    """The bytes of key's int64 row, None if an entry does not fit in int64."""
+    try:
+        return np.array(key, dtype=np.int64).tobytes()
+    except OverflowError:
+        return None
 
 
 class ProductTable:
@@ -414,21 +381,26 @@ class ProductTable:
     pid[x, y] is the class of E[x]^-1 E[y], classes numbered in first-seen
     order (x-major, then y), and inverse_pid[p] the class of the inverse
     product, both int64 arrays; find() maps group elements to classes.
-    The constraint layout over these classes is the SDP's (see sdp).
-    Matrix models build the table with int64 array products when no entry
-    can overflow, and find() looks keys up among the sorted int64 product
-    rows.  Every other model builds it with one model.multiply per pair,
-    and find() reads the dict of class keys that loop fills.
+    The constraint layout over these classes is the SDP's (see sdp).  One
+    dict numbers the classes and answers find() for every model, keyed by
+    the bytes of a product's int64 row where _int64_products applies and
+    by the product's key, from one model.multiply per pair, elsewhere.
     """
 
     def __init__(self, basis: "SupportBasis"):
-        batched = _batched_products(basis)
-        if batched is None:
-            self.pid, first, self._index = _generic_products(basis)
-            self._rows = None
+        model, keys, m = basis.model, basis.elements, len(basis)
+        inverses = [model.inverse(x) for x in keys]
+        products = _int64_products(model, inverses, keys)
+        if products is None:
+            products = (model.multiply(inv_x, y) for inv_x in inverses for y in keys)
+            self._code = lambda key: key
         else:
-            self.pid, first, self._rows, self._rank = batched
-        m = len(basis)
+            # no product has an entry beyond int64, so a key that has one is no class
+            self._code = _int64_bytes
+        classes = self._index = {}
+        numbers = (classes.setdefault(p, len(classes)) for p in products)  # first-seen order
+        self.pid = np.fromiter(numbers, dtype=np.int64, count=m * m).reshape(m, m)
+        first = np.unique(self.pid, return_index=True)[1]
         # (x^-1 y)^-1 = y^-1 x, so no group inversion is needed
         self.inverse_pid = self.pid[first % m, first // m]
         # the basis starts with the identity, and e^-1 e = e
@@ -439,19 +411,7 @@ class ProductTable:
 
     def find(self, keys: Sequence) -> List[Optional[int]]:
         """The class of each group element, None for one that is no product x^-1 y."""
-        if self._rows is None:
-            return [self._index.get(key) for key in keys]
-        if not keys:
-            return []
-        try:
-            flat = np.array([[v for row in key for v in row] for key in keys], dtype=np.int64)
-        except OverflowError:
-            # no product in an int64 table has an entry int64 cannot hold
-            return [None] if len(keys) == 1 else [p for key in keys for p in self.find([key])]
-        wanted = flat.view(self._rows.dtype).ravel()
-        at = np.searchsorted(self._rows, wanted).clip(max=len(self._rows) - 1)
-        found = self._rows[at] == wanted
-        return [int(p) if ok else None for p, ok in zip(self._rank[at], found)]
+        return [self._index.get(self._code(key)) for key in keys]
 
 
 class SupportBasis:

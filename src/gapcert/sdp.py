@@ -559,7 +559,10 @@ class _InvariantConstraints:
             # image under h of the cell behind C[t][o, o']
             image = (i[h, :, None] * n + i[ht, None]) * npairs + pid[x[h, :, None], x[ht, None]]
             least = image if h == 0 else np.minimum(least, image, out=least)
-        rep, self.cid = np.unique(least.ravel(), return_inverse=True)
+        seen = np.zeros(n * n * npairs, dtype=bool)
+        seen[least] = True  # orbits in slot order: orbit q's least slot is rep[q]
+        rep = np.flatnonzero(seen)
+        self.cid = (np.cumsum(seen) - 1)[least.ravel()]
         cells = np.bincount(pid.ravel(), minlength=npairs)[rep % npairs]
         # H acts freely on cells, so an orbit of size[q] slots, each of
         # cells[q] cells, holds size[q] * cells[q] / |H| coordinates

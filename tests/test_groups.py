@@ -1,10 +1,14 @@
 import random
 import time
+from collections import Counter
+from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gapcert import groups
+from gapcert.certify import Certificate, verify_certificate
 from gapcert.groups import (
     CyclicModel,
     FreeModel,
@@ -298,13 +302,19 @@ def test_inverse_pid_matches_group_inversion(preset, radius):
     assert table.inverse_pid.tolist() == table.find(keys)
 
 
+def _wide_model():
+    # radius-2 entries reach 2^64, so int64 products could wrap around
+    return MatrixModel([[[1, 2 ** 32], [0, 1]], [[1, 0], [2 ** 32, 1]]])
+
+
 @pytest.mark.parametrize("preset", ["sl3z", "sl3z-mod:2"])
 def test_batched_product_table_matches_generic_loop(monkeypatch, preset):
     _, model = load_preset(preset)
     basis = ball(model, 2)
-    assert groups._batched_products(basis) is not None
+    inverses = [model.inverse(x) for x in basis]
+    assert groups._int64_products(model, inverses, basis.elements) is not None
     batched = ProductTable(basis)
-    monkeypatch.setattr(groups, "_batched_products", lambda basis: None)
+    monkeypatch.setattr(groups, "_int64_products", lambda model, inverses, keys: None)
     generic = ProductTable(basis)
     assert batched.pid.dtype == batched.inverse_pid.dtype == np.int64
     assert np.array_equal(batched.pid, generic.pid)
@@ -315,10 +325,10 @@ def test_batched_product_table_matches_generic_loop(monkeypatch, preset):
 
 
 def test_product_table_guard_keeps_large_entries_exact():
-    # radius-2 entries reach 2^64, so int64 products could wrap around
-    model = MatrixModel([[[1, 2 ** 32], [0, 1]], [[1, 0], [2 ** 32, 1]]])
+    model = _wide_model()
     basis = ball(model, 2)
-    assert groups._batched_products(basis) is None
+    inverses = [model.inverse(x) for x in basis]
+    assert groups._int64_products(model, inverses, basis.elements) is None
     table = basis.products()
     assert len(table) == 161
     elements = class_elements(table, basis)
@@ -345,16 +355,19 @@ def test_cyclic_model_overflow_free_large_entries():
         ("sl3z", ((1, 100, 0), (0, 1, 0), (0, 0, 1))),  # e_12^100, far outside radius 4
         ("sl3z-mod:2", ((0, 0, 0), (0, 0, 0), (0, 0, 0))),  # not a group element
         ("free:2", (1,) * 10),
+        ("z3", 3),  # not a residue mod 3
+        ("wide", ((1, 2 ** 40), (0, 1))),  # the 256th power of a generator
     ],
 )
 def test_find_agrees_with_the_pair_index(preset, outside):
-    _, model = load_preset(preset)
+    model = _wide_model() if preset == "wide" else load_preset(preset)[1]
     basis = ball(model, 2)
     table = basis.products()
     keys = class_elements(table, basis)
     assert table.find(keys) == list(range(len(table)))
     assert outside not in keys
-    assert table.find([outside, keys[3]]) == [None, 3]
+    last = len(keys) - 1
+    assert table.find([outside, keys[last]]) == [None, last]
     assert table.find([]) == []
     assert table.identity_pid == keys.index(model.identity())
     # a key with an entry beyond int64 is no product of an int64 table
@@ -371,7 +384,39 @@ def test_det_is_the_cofactor_expansion():
              for _ in range(d)]
         if d > 1 and rng.random() < 0.25:  # singular: one row a multiple of another
             a[-1] = [rng.randint(-3, 3) * x for x in a[0]]
-        assert groups._det(a) == cofactor_det(a)
+        det, adj = groups._det_adjugate(a)
+        assert det == cofactor_det(a)
+        if det == 0:
+            assert adj is None
+        else:
+            product = [[sum(map(mul, row, col)) for col in zip(*adj)] for row in a]
+            assert product == [[det * (i == j) for j in range(d)] for i in range(d)]
+
+
+def test_verify_eliminates_each_key_at_most_once(monkeypatch):
+    calls = Counter()
+    det_adjugate = groups._det_adjugate
+
+    def counted(a):
+        calls[a] += 1
+        return det_adjugate(a)
+
+    monkeypatch.setattr(groups, "_det_adjugate", counted)
+    cert = Certificate.load(Path(__file__).parent / "data" / "sl3z-mod2-r1-certificate.json")
+    assert verify_certificate(cert).passed
+    assert len(calls) >= len(cert.fields["basis"]["keys"]) and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, "1", True, np.float64(1.0), np.True_])
+def test_matrix_model_refuses_non_integer_image_entries(entry):
+    with pytest.raises(ValueError, match="generator image entry must be an integer"):
+        MatrixModel([[[1, entry], [0, 1]]])
+
+
+def test_matrix_model_takes_numpy_integer_entries_as_ints():
+    model = MatrixModel([np.array([[1, 2], [0, 1]], dtype=np.int64)], 5)
+    assert model.images == [((1, 2), (0, 1))]
+    assert all(type(x) is int for row in model.images[0] for x in row)
 
 
 def test_a_12x12_unimodular_model_builds_quickly():

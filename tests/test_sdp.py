@@ -797,6 +797,23 @@ def test_invariant_psd_step_matches_dense(preset, seed):
     assert np.abs(reduced - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("preset", ["sl3z-mod:2", "sl3z"])
+def test_slot_orbits_are_numbered_as_np_unique_numbers_their_least_slots(preset):
+    _, _, prob = _sl3_instance(preset)
+    sym = gram_symmetry(prob)
+    n, m, npairs, g = prob.n, prob.m, prob.npairs, len(sym.ldiv)
+    a = np.arange(n * m)
+    slot = (a[:, None] // m * n + a // m) * npairs + prob.table.pid[np.ix_(a % m, a % m)]
+    least = np.min([slot[np.ix_(act, act)] for act in _conjugation_actions(prob)], axis=0)
+    # coordinate (t, o, o') is the cell (r_o, t.r_o'), and cols[o', t] = t.r_o'
+    rows, cols = sym.order[::g], sym.order.reshape(-1, g)
+    rep, cid = np.unique(least[rows[None, :, None], cols.T[:, None, :]], return_inverse=True)
+    cons = _InvariantConstraints(prob, sym)
+    assert np.array_equal(cons.cid, cid.ravel())
+    assert np.array_equal(cons.b, prob.targets.ravel()[rep])
+    assert np.array_equal(cons.cnt, np.bincount(prob.table.pid.ravel())[rep % npairs])
+
+
 def test_trivial_group_coordinates_are_the_matrix():
     _, _, prob = _z3_problem()
     sym = gram_symmetry(prob)

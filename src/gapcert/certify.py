@@ -40,9 +40,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, NoReturn, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -367,17 +369,49 @@ class Certificate:
         yield b"]}}"
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Certificate":
-        if not isinstance(data, dict) or data.get("format") != _FORMAT:
+    def from_bytes(cls, data: bytes) -> "Certificate":
+        """The certificate whose JSON text is data: to_bytes's, or any re-serialization.
+
+        Q's entries are read from the bytes: _q_entries finds their array
+        and checks it is rows x cols quoted decimals, numpy parses them in
+        one call, and json.loads reads the rest of the document with []
+        spliced in their place.  Entries that fail a check are decoded as
+        JSON after all, to say what is wrong with them (_refuse).
+        """
+        encoding = json.detect_encoding(data)
+        if encoding not in ("utf-8", "utf-8-sig"):  # UTF-16 and UTF-32, as json.loads reads them
+            data = data.decode(encoding, "surrogatepass").encode("utf-8", "surrogatepass")
+        entries = _q_entries(data)
+        if entries is not None:
+            try:
+                doc = _json(data[:entries.start] + b"[]" + data[entries.stop:])
+            except ValueError:  # not JSON: the error of the whole document says where
+                entries = None
+        if entries is None:
+            doc = _json(data)
+        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
             raise ValueError("unknown certificate format")
         try:
-            q = _q_from_json(data["q"])
+            q = doc["q"]
+            if entries is None:
+                _refuse(q["entries"], q)
+            shape, values = (q["rows"], q["cols"]), None
+            if entries.rows == shape[0] and (entries.cols == shape[1] or not entries.rows):
+                values = _parse(data, entries)
+            if values is None:
+                _refuse(json.loads(data[entries.start:entries.stop]), q)
+            Q = values.reshape(shape)
         except KeyError as exc:
             raise ValueError(f"malformed certificate: no field {exc.args[0]!r}") from None
-        # a Q that is not an object, or null, non-decimal or ragged entries
+        # a q that is not an object, entries that are not lists of decimal strings
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from None
-        return cls({k: v for k, v in data.items() if k != "q"}, q)
+        return cls({k: v for k, v in doc.items() if k != "q"}, Q)
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "Certificate":
+        """The certificate whose JSON object is data, read by from_bytes."""
+        return cls.from_bytes(json.dumps(data).encode("utf-8"))
 
     def save(self, path) -> None:
         """Write to_bytes() to path block by block, never the whole at once."""
@@ -387,12 +421,147 @@ class Certificate:
     @classmethod
     def load(cls, path) -> "Certificate":
         with open(path, "rb") as fh:
-            text = fh.read()
+            return cls.from_bytes(fh.read())
+
+
+def _json(data: bytes):
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("certificate JSON is nested too deeply") from None
+
+
+class _Entries(NamedTuple):  # Q's entry array, data[start:stop], of rows x cols decimals
+    start: int
+    stop: int
+    rows: int
+    cols: int
+
+
+# a string, with the colon after it when it is an object key; or a bracket
+_TOKEN = re.compile(rb'("[^"\\]*(?:\\.[^"\\]*)*")([ \t\n\r]*:)?|[\[\]{}]', re.DOTALL)
+_SPACE = re.compile(rb"[ \t\n\r]*")
+_EMPTY_ARRAY = re.compile(rb"\[[ \t\n\r]*\]")
+_ARRAY_END = re.compile(rb"\][ \t\n\r]*\]")  # alone: an alternation would be tried at every byte
+_TOP, _IN_Q = [(b"{", None)], [(b"{", None), (b"{", "q")]  # the open brackets, by the key they follow
+
+
+def _q_entries(data: bytes) -> Optional[_Entries]:
+    """The array json.loads reads as the top-level q object's entries, if it is plain.
+
+    A walk over the document's strings and brackets, skipping everything
+    else, keeps the key that each open bracket is the value of.  The array
+    is the value of the last "entries" key in the object of the last
+    top-level "q" key, as json.loads keeps the last of equal keys.  A plain
+    array (_plain_shape) is skipped whole, so the walk costs only the rest
+    of the document.  None when there is no such array or it is not plain.
+    """
+    found, path, key, pos = None, [], None, 0
+    while (m := _TOKEN.search(data, pos)) is not None:
+        pos = m.end()
+        if m.group(2):  # an object key: the value that follows is its
+            key = _key(m.group(1))
+            if (path, key) in ((_TOP, "q"), (_IN_Q, "entries")):
+                found = None  # the value of an earlier equal key is dropped
+            if path == _IN_Q and key == "entries":
+                start = _SPACE.match(data, pos).end()
+                stop = _array_stop(data, start)
+                shape = stop and _plain_shape(data, start, stop)
+                if shape:
+                    found, pos = _Entries(start, stop, *shape), stop
+        elif m.group(1) is None:
+            if m.group() in (b"{", b"["):
+                path.append((m.group(), key))
+            elif path:
+                path.pop()
+            key = None
+    return found
+
+
+def _key(text: bytes) -> Optional[str]:
+    try:
+        return json.loads(text)
+    except ValueError:  # a bad escape: json.loads of the document says so
+        return None
+
+
+def _array_stop(data: bytes, start: int) -> Optional[int]:
+    """The end of an array of arrays at start: its first ']]', or the ']' of []."""
+    if data[start:start + 1] != b"[":
+        return None
+    m = _EMPTY_ARRAY.match(data, start) or _ARRAY_END.search(data, start)
+    return m and m.end()
+
+
+_DECIMAL = b"0123456789+-.eEinfatyINFATY"  # what decimals, inf, infinity and nan are made of
+_WHITESPACE = b" \t\n\r"
+_BLANK_ENTRY = re.compile(rb'"[ \t\n\r]*"')  # numpy reads a blank entry as -1.0
+_CONTROL_IN_ENTRY = re.compile(rb'"[ ]*[\t\n\r][ \t\n\r]*"')  # in the skeleton; not JSON
+
+
+def _translated(data: bytes, start: int, stop: int, delete: bytes) -> bytes:
+    """data[start:stop].translate(None, delete), without a copy of a span that is most of data.
+
+    The rest of data is translated twice instead; a smaller span is
+    copied, so a walk over many spans stays linear in the document.
+    """
+    if 2 * (stop - start) <= len(data):
+        return data[start:stop].translate(None, delete)
+    whole = data.translate(None, delete)
+    head, tail = (len(part.translate(None, delete)) for part in (data[:start], data[stop:]))
+    return whole[head:len(whole) - tail]
+
+
+def _plain_shape(data: bytes, start: int, stop: int) -> Optional[Tuple[int, int]]:
+    """(rows, cols) if data[start:stop] is the JSON of equal rows of quoted decimals, else None.
+
+    Without the decimals' characters and the whitespace, the array must be
+    the skeleton [["",""],["",""]] of its shape.  An entry may be padded
+    with spaces, but not be blank or hold a control character.
+    """
+    skeleton = _translated(data, start, stop, _DECIMAL)
+    bare = skeleton.translate(None, _WHITESPACE)
+    rows, cols = bare.count(b"[") - 1, (bare.find(b"]") - 1) // 3
+    row = b"[" + b",".join([b'""'] * cols) + b"]"
+    if rows * len(row) > len(bare) or bare != b"[" + b",".join([row] * rows) + b"]":
+        return None
+    if len(bare) < len(skeleton) and (
+            _CONTROL_IN_ENTRY.search(skeleton) or _BLANK_ENTRY.search(data, start, stop)):
+        return None
+    return rows, cols
+
+
+def _parse(data: bytes, entries: _Entries) -> Optional[np.ndarray]:
+    """The doubles of a plain array's entries; None if numpy refuses one."""
+    count = entries.rows * entries.cols
+    if not count:
+        return np.zeros(0)
+    text = _translated(data, entries.start, entries.stop, b'[]"')
+    with warnings.catch_warnings():  # numpy < 2 stops at a bad entry with a warning
+        warnings.simplefilter("ignore", DeprecationWarning)
         try:
-            data = json.loads(text)
-        except RecursionError:
-            raise ValueError("certificate JSON is nested too deeply") from None
-        return cls.from_json_dict(data)
+            values = np.fromstring(text, sep=",")
+        except ValueError:
+            return None
+    return values if values.size == count else None
+
+
+def _refuse(entries, q: dict) -> NoReturn:
+    """Raise what is wrong with Q's entries, entries the JSON value of q["entries"].
+
+    The messages are those of a reader that converts entry by entry: the
+    first entry that float() refuses names itself.  What float() takes and
+    this reader does not is a JSON escape, an underscore or a non-ASCII
+    digit, which no writer of certificates emits.
+    """
+    if not all(type(row) is list and set(map(type, row)) <= {str} for row in entries):
+        raise ValueError("Q entries must be lists of decimal strings")
+    shape = q["rows"], q["cols"]
+    if len(entries) != shape[0] or any(len(row) != shape[1] for row in entries):
+        raise ValueError(f"Q entries do not fill its stored shape {shape}")
+    for row in entries:
+        list(map(float, row))
+    raise ValueError("Q entries must be plain ASCII decimals: no escapes, underscores or other digits")
 
 
 _TEXT_ENTRIES = 1 << 12  # Q entries per block of certificate text: bounds what save holds
@@ -488,18 +657,6 @@ def _reprs(x: np.ndarray) -> np.ndarray:
     if texts:
         out[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return out
-
-
-def _q_from_json(data: dict) -> np.ndarray:
-    """Q from its decimal strings, shaped by the stored rows and cols."""
-    entries = data["entries"]
-    if not all(type(row) is list and set(map(type, row)) <= {str} for row in entries):
-        raise ValueError("Q entries must be lists of decimal strings")
-    shape = (data["rows"], data["cols"])
-    if len(entries) != shape[0] or any(len(row) != shape[1] for row in entries):
-        raise ValueError(f"Q entries do not fill its stored shape {shape}")
-    # numpy parses each str as float() does
-    return np.array(entries, dtype=float).reshape(shape)
 
 
 def _decimal(value, field: str) -> float:

@@ -116,13 +116,15 @@ class MatrixModel(GroupModel):
     key that is not invertible is never stored."""
 
     def __init__(self, images: Sequence[Sequence[Sequence[int]]], modulus: Optional[int] = None):
-        if modulus is not None and modulus < 2:
-            raise ValueError("modulus must be >= 2")
+        if modulus is not None:
+            modulus = _integer(modulus, "modulus")
+            if modulus < 2:
+                raise ValueError("modulus must be >= 2")
         if not images:
             raise ValueError("need at least one generator image")
         self.modulus = modulus
         self._inverses = {}
-        entry = lambda x: self._reduce(_image_entry(x))
+        entry = lambda x: self._reduce(_integer(x, "generator image entry"))
         keys = [tuple(tuple(map(entry, row)) for row in img) for img in images]
         d = len(keys[0])
         for k in keys:
@@ -193,6 +195,7 @@ class CyclicModel(GroupModel):
     """
 
     def __init__(self, n: int):
+        n = _integer(n, "cyclic order")
         if n < 2:
             raise ValueError("cyclic order must be >= 2")
         self.n = n
@@ -234,6 +237,7 @@ class FreeModel(GroupModel):
     """
 
     def __init__(self, n_generators: int, sound: bool = True):
+        n_generators = _integer(n_generators, "generator count")
         if n_generators < 1:
             raise ValueError("need at least one generator")
         self.n_generators = n_generators
@@ -279,14 +283,14 @@ class FreeModel(GroupModel):
         return key
 
 
-def _image_entry(x) -> int:
+def _integer(x, what: str) -> int:
     """x as an int if it is a Python or numpy integer; bools, floats and strings are refused."""
     if not isinstance(x, bool):  # numpy's bool has no __index__
         try:
             return index(x)
         except TypeError:
             pass
-    raise ValueError(f"generator image entry must be an integer, got {x!r}")
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def _json_int(value, what: str) -> int:

@@ -512,6 +512,36 @@ def certificate_json_dict(cert) -> dict:
     return {**cert.fields, "q": {"rows": rows, "cols": cols, "entries": entries}}
 
 
+def load_certificate(data: bytes):
+    """(fields, Q) of a certificate's bytes, read entry by entry with json.loads.
+
+    The reader that Certificate.from_bytes replaced: it builds a Python
+    string per entry of Q before numpy converts them.  It takes a few
+    inputs that from_bytes refuses (JSON escapes, underscores and non-ASCII
+    digits in an entry); its errors are from_bytes's otherwise.
+    """
+    try:
+        data = json.loads(data)
+    except RecursionError:
+        raise ValueError("certificate JSON is nested too deeply") from None
+    if not isinstance(data, dict) or data.get("format") != "gapcert-certificate-v1":
+        raise ValueError("unknown certificate format")
+    try:
+        q = data["q"]
+        entries = q["entries"]
+        if not all(type(row) is list and set(map(type, row)) <= {str} for row in entries):
+            raise ValueError("Q entries must be lists of decimal strings")
+        shape = (q["rows"], q["cols"])
+        if len(entries) != shape[0] or any(len(row) != shape[1] for row in entries):
+            raise ValueError(f"Q entries do not fill its stored shape {shape}")
+        Q = np.array(entries, dtype=float).reshape(shape)  # numpy converts each str with float()
+    except KeyError as exc:
+        raise ValueError(f"malformed certificate: no field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed certificate: {exc}") from None
+    return {k: v for k, v in data.items() if k != "q"}, Q
+
+
 def d0(model, p) -> RingMatrix:
     """Column [1 - s_1; ...; 1 - s_n]."""
     col = []

@@ -37,7 +37,8 @@ from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, solve
 from gapcert.words import parse_presentation
 
-from _oracles import certificate_json_dict, exact_certified_gap, symmetric_psd_sqrt
+from _oracles import certificate_json_dict, exact_certified_gap, load_certificate
+from _oracles import symmetric_psd_sqrt
 from _oracles import rank_cut_psd_sqrt
 from _oracles import identity, l1, sum_of_squares
 
@@ -354,6 +355,237 @@ def test_save_writes_to_bytes_in_less_memory_than_the_file(tmp_path):
     size = path.stat().st_size
     assert path.read_bytes() == cert.to_bytes() == _json_bytes(cert)
     assert peak < size / 2
+
+
+def _certificate_bytes(preset, radius, max_iter):
+    p, model = load_preset(preset)
+    lap, basis = laplacian1(model, p), ball(model, radius)
+    sol = solve(build_problem(lap, basis), SolveOptions(max_iter=max_iter))
+    return certified_gap(lap, basis, psd_sqrt(sol.P), sol.lam).certificate.to_bytes()
+
+
+@pytest.fixture(scope="module")
+def certificate_bytes():
+    """Certificate files by name: the two in tests/data and three fresh runs."""
+    data = Path(__file__).parent / "data"
+    return {
+        "data_z3_r1": (data / "z3-r1-certificate.json").read_bytes(),
+        "data_sl3z_mod2_r1": (data / "sl3z-mod2-r1-certificate.json").read_bytes(),
+        "z3_r1": _certificate_bytes("z3", 1, 300),
+        "sl3z_mod2_r2": _certificate_bytes("sl3z-mod:2", 2, 50),
+        "sl3z_r2": _certificate_bytes("sl3z", 2, 20),
+    }
+
+
+def _assert_loads_like_the_oracle(data):
+    cert = Certificate.from_bytes(data)
+    fields, Q = load_certificate(data)
+    assert cert.fields == fields and list(cert.fields) == list(fields)
+    assert cert.q.shape == Q.shape and cert.q.tobytes() == Q.tobytes()
+    return cert
+
+
+def _assert_refused_like_the_oracle(data):
+    with pytest.raises(ValueError) as oracle:
+        load_certificate(data)
+    with pytest.raises(ValueError) as ours:
+        Certificate.from_bytes(data)
+    assert str(ours.value) == str(oracle.value)
+
+
+_STYLES = {
+    "saved": None,
+    "compact": {"separators": (",", ":")},
+    "dumps_defaults": {},
+    "indented_sorted": {"indent": 2, "sort_keys": True},
+}
+
+
+@pytest.mark.parametrize("style", list(_STYLES))
+@pytest.mark.parametrize(
+    "name", ["data_z3_r1", "data_sl3z_mod2_r1", "z3_r1", "sl3z_mod2_r2", "sl3z_r2"])
+def test_reader_loads_every_serialization_like_the_per_entry_oracle(certificate_bytes, name, style):
+    data = certificate_bytes[name]
+    if _STYLES[style] is not None:
+        data = json.dumps(json.loads(data), **_STYLES[style]).encode("utf-8")
+    cert = _assert_loads_like_the_oracle(data)
+    assert cert.q.shape[0] > 0
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32", "utf-32-le"])
+def test_reader_reads_the_encodings_json_loads_reads(certificate_bytes, encoding):
+    _assert_loads_like_the_oracle(certificate_bytes["z3_r1"].decode("utf-8").encode(encoding))
+
+
+def _z3_text():
+    return _z3_pipeline()[3].certificate.to_bytes().decode("utf-8")
+
+
+def test_reader_finds_the_entries_of_the_top_level_q_object():
+    text = _z3_text()
+    entries = text[text.index('"entries":') + len('"entries":'):-2]
+    other = '[["7","8","9"]]'
+    later = text[:-2] + ',"entries":' + other + '}}'
+    variants = [
+        # entries keys and look-alikes outside the top-level q
+        text.replace('"model":{', '"model":{"entries":[["1","2","3"]],"q":{"entries":[]},'),
+        text.replace('"toolchain":{', '"toolchain":{"note":"\\"q\\":{\\"entries\\":[[\\"5\\"]]}",'),
+        text.replace('"format":', '"x\\"q":{"entries":[["4","5","6"]]},"format":'),
+        text[:-1] + ',"z":{"entries":[["4","5","6"]]},"y":[{"q":{"entries":[["4","5","6"]]}}]}',
+        # equal keys: json.loads keeps the last
+        text.replace('"q":{', '"q":{"entries":' + other + ','),
+        later,
+        text.replace('"format":', '"q":{"rows":1,"cols":3,"entries":' + other + '},"format":'),
+        text[:-1] + ',"\\u0071":{"rows":1,"cols":3,"entries":' + other + '}}',
+        text.replace('"entries":', '"entries":' + other + ',"\\u0065ntries":'),
+        # keys in any order, whitespace anywhere between tokens
+        text.replace('"q":{"rows":1,"cols":3,"entries":' + entries,
+                     '"q" :\n{ "entries"\t: ' + entries.replace(",", " ,\r\n ") + ' , "cols":3,"rows":1 '),
+    ]
+    for variant in variants:
+        assert variant != text
+        _assert_loads_like_the_oracle(variant.encode("utf-8"))
+    assert Certificate.from_bytes(later.encode()).q.tolist() == [[7.0, 8.0, 9.0]]
+
+
+def test_reader_stays_linear_in_the_number_of_entries_keys():
+    # each entries key inside q is checked where it stands; translating the
+    # whole 2 MB document for each of them would take about a minute
+    note = "x" * 2_000_000
+    text = '{"format":"gapcert-certificate-v1","note":"' + note + '","q":{"rows":1,"cols":1'
+    data = (text + ',"entries":[["1"]]' * 20000 + "}}").encode()
+    start = time.perf_counter()
+    assert _assert_loads_like_the_oracle(data).q.tolist() == [[1.0]]
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 1), (1, 2)])
+def test_reader_loads_every_shape_like_the_oracle(shape):
+    Q = np.arange(np.prod(shape), dtype=float).reshape(shape) - 0.5
+    data = Certificate({"format": certify._FORMAT, "status": "no-positive-gap"}, Q).to_bytes()
+    for style in _STYLES.values():
+        text = data if style is None else json.dumps(json.loads(data), **style).encode()
+        assert _assert_loads_like_the_oracle(text).q.shape == shape
+
+
+def test_reader_parses_entries_bit_for_bit_like_float():
+    rng = np.random.default_rng(21)
+    values = np.concatenate([
+        _EDGE_ENTRIES, rng.normal(size=2000) * 10.0 ** rng.integers(-320, 300, size=2000),
+        rng.integers(-2 ** 62, 2 ** 62, size=500).astype(np.int64).view(float),  # any bits
+    ])
+    values = values[np.isfinite(values)]
+    texts = [repr(v) for v in values.tolist()] + [
+        "0.30000000000000004", "4.9e-325", "1e400", "-1e400", "-0.0", "nan", "NaN", "+nan",
+        "inf", "-Infinity", "+INF", "iNfInItY", "1.", ".5", "-.5e-3", "1E+05", "0001", " 1.5",
+        "2.5  ", "123456789012345678901234567890", "2.4703282292062328e-324",
+        "2.2250738585072011e-308", "1.7976931348623158e+308", "9007199254740993",
+    ]
+    for cols in (1, 7, len(texts)):
+        rows = len(texts) // cols
+        entries = [texts[r * cols:(r + 1) * cols] for r in range(rows)]
+        data = {"format": certify._FORMAT, "q": {"rows": rows, "cols": cols, "entries": entries}}
+        text = json.dumps(data).encode()
+        cert = _assert_loads_like_the_oracle(text)
+        assert cert.q.size == rows * cols
+    # the sign of a NaN is not kept; any NaN in Q fails certification
+    data = {"format": certify._FORMAT, "q": {"rows": 1, "cols": 1, "entries": [["-nan"]]}}
+    assert np.isnan(Certificate.from_json_dict(data).q).all()
+
+
+def _with_entries(array: str) -> bytes:
+    text = _z3_text()
+    start = text.index('"entries":') + len('"entries":')
+    return (text[:start] + array + text[-2:]).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        pytest.param('[["1","2",null]]', id="null_entry"),
+        pytest.param('[["1","2",3.5]]', id="number_entry"),
+        pytest.param('[["1","2",false]]', id="bool_entry"),
+        pytest.param('[["1","2",["3"]]]', id="list_entry"),
+        pytest.param('[["1","2"],["3"]]', id="ragged_rows"),
+        pytest.param('[["1","2"]]', id="short_row"),
+        pytest.param('[["1","2","3"],["4","5","6"]]', id="extra_row"),
+        pytest.param('[]', id="no_rows"),
+        pytest.param('[["1","2",""]]', id="empty_entry_last"),
+        pytest.param('[["","1","2"]]', id="empty_entry_first"),
+        pytest.param('[["1", "", "2"]]', id="empty_entry_spaced"),
+        pytest.param('[["1","2"," "]]', id="blank_entry"),
+        pytest.param('[[" ","1","2"]]', id="blank_entry_first"),
+        pytest.param('[["1","1,5","2"]]', id="comma_in_entry"),
+        pytest.param('[["1","[1]","2"]]', id="brackets_in_entry"),
+        pytest.param('[["1","2","]]"]]', id="closing_brackets_in_entry"),
+        pytest.param('[["1","]], [[","2"]]', id="bracket_pair_in_entry"),
+        pytest.param('[["1","2","1e"]]', id="exponent_without_digits"),
+        pytest.param('[["1","2","1 5"]]', id="space_in_entry"),
+        pytest.param('[["1","2","nan(1)"]]', id="nan_payload"),
+        pytest.param('[["1","2","0x1p3"]]', id="hex_float"),
+        pytest.param('[["1","2","\\"3\\""]]', id="escaped_quotes"),
+        pytest.param('[["1","2","3\n"]]', id="control_character_in_entry"),
+        pytest.param('[["1","2","3"]', id="unclosed"),
+        pytest.param('[' * 100000, id="nested_too_deeply"),
+        pytest.param('[[' * 50000 + ']]' * 50000, id="nested_deep_and_closed"),
+        pytest.param('null', id="entries_null"),
+        pytest.param('"1,2,3"', id="entries_string"),
+        pytest.param('{"0": "1"}', id="entries_object"),
+    ],
+)
+def test_reader_refuses_malformed_entries_with_the_oracles_message(array):
+    _assert_refused_like_the_oracle(_with_entries(array))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda q: q.pop("rows"), id="no_rows"),
+        pytest.param(lambda q: q.pop("entries"), id="no_entries"),
+        pytest.param(lambda q: q.update(rows="1"), id="rows_string"),
+        pytest.param(lambda q: q.update(rows=1.0), id="rows_float"),
+        pytest.param(lambda q: q.update(cols=-1), id="cols_negative"),
+    ],
+)
+def test_reader_refuses_a_malformed_q_with_the_oracles_message(edit):
+    data = json.loads(_z3_text())
+    edit(data["q"])
+    _assert_refused_like_the_oracle(json.dumps(data).encode())
+    for q in (None, [], "q"):
+        _assert_refused_like_the_oracle(json.dumps(dict(data, q=q)).encode())
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param("1_0", id="underscore"),
+        pytest.param("١.5", id="arabic_indic_digit"),
+        pytest.param("１", id="fullwidth_digit"),
+        pytest.param("\\u0031.5", id="escaped_digit"),
+        pytest.param("\\t1.5", id="escaped_tab"),
+    ],
+)
+def test_reader_refuses_what_only_float_accepts(entry):
+    data = _with_entries(f'[["1","2","{entry}"]]')
+    assert load_certificate(data)[1][0, 2] == float(json.loads(f'"{entry}"'))
+    with pytest.raises(ValueError, match="^malformed certificate: Q entries must be plain ASCII"):
+        Certificate.from_bytes(data)
+
+
+def test_load_holds_at_most_three_and_a_half_times_the_file(tmp_path):
+    # the sl3z r2 shape at 50 iterations, as in the save test: 4.6 MB of
+    # text.  Measured peaks: 2.8x the file here, 5.4x for a per-entry reader
+    Q = _round_digits(np.random.default_rng(20).normal(size=(295, 726)) / 20)
+    path = tmp_path / "cert.json"
+    Certificate({"format": certify._FORMAT}, Q).save(path)
+    tracemalloc.start()
+    try:
+        cert = Certificate.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.q.tobytes() == Q.tobytes()
+    assert peak <= 3.5 * path.stat().st_size
 
 
 def test_tampered_q_entry_strictly_lowers_bound():

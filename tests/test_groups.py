@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from collections import Counter
@@ -417,6 +418,39 @@ def test_matrix_model_takes_numpy_integer_entries_as_ints():
     model = MatrixModel([np.array([[1, 2], [0, 1]], dtype=np.int64)], 5)
     assert model.images == [((1, 2), (0, 1))]
     assert all(type(x) is int for row in model.images[0] for x in row)
+
+
+_IMAGES = [[[1, 1], [0, 1]]]
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        pytest.param(lambda v: MatrixModel(_IMAGES, v), "modulus", id="modulus"),
+        pytest.param(CyclicModel, "cyclic order", id="cyclic_order"),
+        pytest.param(FreeModel, "generator count", id="generator_count"),
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 3.0, "5", True, np.float64(3.0), np.True_])
+def test_model_constructors_refuse_non_integer_parameters(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build(value)
+
+
+def test_models_built_from_numpy_ints_have_the_specs_of_python_ints():
+    pairs = [
+        (MatrixModel(_IMAGES, np.int32(5)), MatrixModel(_IMAGES, 5)),
+        (CyclicModel(np.int64(3)), CyclicModel(3)),
+        (FreeModel(np.int64(2)), FreeModel(2)),
+    ]
+    for numpy_built, python_built in pairs:
+        spec = numpy_built.spec()
+        assert json.dumps(spec) == json.dumps(python_built.spec())
+        assert model_from_spec(spec).model_id == numpy_built.model_id == python_built.model_id
+    model = CyclicModel(np.int64(3))
+    keys = ball(model, 1).elements
+    assert type(model.n) is int and sorted(keys) == [0, 1, 2] and {type(k) for k in keys} == {int}
+    assert MatrixModel(_IMAGES, np.int32(5)).inverse(((1, 1), (0, 1))) == ((1, 4), (0, 1))
 
 
 def test_a_12x12_unimodular_model_builds_quickly():

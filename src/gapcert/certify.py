@@ -44,7 +44,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, NoReturn, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -372,40 +372,12 @@ class Certificate:
     def from_bytes(cls, data: bytes) -> "Certificate":
         """The certificate whose JSON text is data: to_bytes's, or any re-serialization.
 
-        Q's entries are read from the bytes: _q_entries finds their array
-        and checks it is rows x cols quoted decimals, numpy parses them in
-        one call, and json.loads reads the rest of the document with []
-        spliced in their place.  Entries that fail a check are decoded as
-        JSON after all, to say what is wrong with them (_refuse).
+        When Q's entries are the document's last value, as to_bytes writes
+        them, numpy parses them in one call (_q_last).  Every other document
+        is read entry by entry, as json.loads and float() read it
+        (_q_per_entry), which also says what is wrong with a malformed one.
         """
-        encoding = json.detect_encoding(data)
-        if encoding not in ("utf-8", "utf-8-sig"):  # UTF-16 and UTF-32, as json.loads reads them
-            data = data.decode(encoding, "surrogatepass").encode("utf-8", "surrogatepass")
-        entries = _q_entries(data)
-        if entries is not None:
-            try:
-                doc = _json(data[:entries.start] + b"[]" + data[entries.stop:])
-            except ValueError:  # not JSON: the error of the whole document says where
-                entries = None
-        if entries is None:
-            doc = _json(data)
-        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-            raise ValueError("unknown certificate format")
-        try:
-            q = doc["q"]
-            if entries is None:
-                _refuse(q["entries"], q)
-            shape, values = (q["rows"], q["cols"]), None
-            if entries.rows == shape[0] and (entries.cols == shape[1] or not entries.rows):
-                values = _parse(data, entries)
-            if values is None:
-                _refuse(json.loads(data[entries.start:entries.stop]), q)
-            Q = values.reshape(shape)
-        except KeyError as exc:
-            raise ValueError(f"malformed certificate: no field {exc.args[0]!r}") from None
-        # a q that is not an object, entries that are not lists of decimal strings
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed certificate: {exc}") from None
+        doc, Q = _q_last(data) or _q_per_entry(data)
         return cls({k: v for k, v in doc.items() if k != "q"}, Q)
 
     @classmethod
@@ -424,73 +396,68 @@ class Certificate:
             return cls.from_bytes(fh.read())
 
 
-def _json(data: bytes):
+_ENTRIES_KEY = re.compile(rb'"entries"[ \t\n\r]*:[ \t\n\r]*')
+_TWO_CLOSES = re.compile(rb"[ \t\n\r]*}[ \t\n\r]*}[ \t\n\r]*")  # what to_bytes writes after Q
+
+
+def _q_last(data: bytes) -> Optional[Tuple[dict, np.ndarray]]:
+    """(document, Q) when Q's entries are the document's last value and plain, else None.
+
+    The array runs from the first "entries" key to the last ']', and only
+    two '}' may follow it.  json.loads reads the document with [] in its
+    place, and a hook records each object's last key as the object closes.
+    The last two to close are the object that holds [] and the document,
+    and json.loads keeps the last of equal keys, so [] is what it reads as
+    q's entries exactly when those last keys are "entries" and "q".
+    """
+    key = _ENTRIES_KEY.search(data)
+    start, stop = key and key.end(), data.rfind(b"]") + 1
+    shape = key and _TWO_CLOSES.fullmatch(data, stop) and _plain_shape(data, start, stop)
+    if not shape:
+        return None
+    last_keys = []
+
+    def record_last_key(pairs):
+        last_keys.append(pairs[-1][0] if pairs else None)
+        return dict(pairs)
+
     try:
-        return json.loads(data)
+        doc = json.loads(data[:start] + b"[]" + data[stop:], object_pairs_hook=record_last_key)
+    except (ValueError, RecursionError):
+        return None
+    if last_keys[-2:] != ["entries", "q"] or doc.get("format") != _FORMAT:
+        return None
+    rows, cols = doc["q"].get("rows"), doc["q"].get("cols")
+    # a float count equals an int, but reshape refuses it: the general path says so
+    if (type(rows), type(cols), rows, cols) != (int, int, *shape):
+        return None
+    values = _parse(data, start, stop, rows * cols)
+    return None if values is None else (doc, values.reshape(shape))
+
+
+def _q_per_entry(data: bytes) -> Tuple[dict, np.ndarray]:
+    """(document, Q) read by json.loads and float() of each entry; a ValueError says what is wrong."""
+    try:
+        doc = json.loads(data)
     except RecursionError:
         raise ValueError("certificate JSON is nested too deeply") from None
-
-
-class _Entries(NamedTuple):  # Q's entry array, data[start:stop], of rows x cols decimals
-    start: int
-    stop: int
-    rows: int
-    cols: int
-
-
-# a string, with the colon after it when it is an object key; or a bracket
-_TOKEN = re.compile(rb'("[^"\\]*(?:\\.[^"\\]*)*")([ \t\n\r]*:)?|[\[\]{}]', re.DOTALL)
-_SPACE = re.compile(rb"[ \t\n\r]*")
-_EMPTY_ARRAY = re.compile(rb"\[[ \t\n\r]*\]")
-_ARRAY_END = re.compile(rb"\][ \t\n\r]*\]")  # alone: an alternation would be tried at every byte
-_TOP, _IN_Q = [(b"{", None)], [(b"{", None), (b"{", "q")]  # the open brackets, by the key they follow
-
-
-def _q_entries(data: bytes) -> Optional[_Entries]:
-    """The array json.loads reads as the top-level q object's entries, if it is plain.
-
-    A walk over the document's strings and brackets, skipping everything
-    else, keeps the key that each open bracket is the value of.  The array
-    is the value of the last "entries" key in the object of the last
-    top-level "q" key, as json.loads keeps the last of equal keys.  A plain
-    array (_plain_shape) is skipped whole, so the walk costs only the rest
-    of the document.  None when there is no such array or it is not plain.
-    """
-    found, path, key, pos = None, [], None, 0
-    while (m := _TOKEN.search(data, pos)) is not None:
-        pos = m.end()
-        if m.group(2):  # an object key: the value that follows is its
-            key = _key(m.group(1))
-            if (path, key) in ((_TOP, "q"), (_IN_Q, "entries")):
-                found = None  # the value of an earlier equal key is dropped
-            if path == _IN_Q and key == "entries":
-                start = _SPACE.match(data, pos).end()
-                stop = _array_stop(data, start)
-                shape = stop and _plain_shape(data, start, stop)
-                if shape:
-                    found, pos = _Entries(start, stop, *shape), stop
-        elif m.group(1) is None:
-            if m.group() in (b"{", b"["):
-                path.append((m.group(), key))
-            elif path:
-                path.pop()
-            key = None
-    return found
-
-
-def _key(text: bytes) -> Optional[str]:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        raise ValueError("unknown certificate format")
     try:
-        return json.loads(text)
-    except ValueError:  # a bad escape: json.loads of the document says so
-        return None
-
-
-def _array_stop(data: bytes, start: int) -> Optional[int]:
-    """The end of an array of arrays at start: its first ']]', or the ']' of []."""
-    if data[start:start + 1] != b"[":
-        return None
-    m = _EMPTY_ARRAY.match(data, start) or _ARRAY_END.search(data, start)
-    return m and m.end()
+        q = doc["q"]
+        entries = q["entries"]
+        if not all(type(row) is list and set(map(type, row)) <= {str} for row in entries):
+            raise ValueError("Q entries must be lists of decimal strings")
+        shape = (q["rows"], q["cols"])
+        if len(entries) != shape[0] or any(len(row) != shape[1] for row in entries):
+            raise ValueError(f"Q entries do not fill its stored shape {shape}")
+        Q = np.array(entries, dtype=float).reshape(shape)  # numpy converts each str with float()
+    except KeyError as exc:
+        raise ValueError(f"malformed certificate: no field {exc.args[0]!r}") from None
+    # a q that is not an object, entries that are not lists of decimal strings
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed certificate: {exc}") from None
+    return doc, Q
 
 
 _DECIMAL = b"0123456789+-.eEinfatyINFATY"  # what decimals, inf, infinity and nan are made of
@@ -502,8 +469,8 @@ _CONTROL_IN_ENTRY = re.compile(rb'"[ ]*[\t\n\r][ \t\n\r]*"')  # in the skeleton;
 def _translated(data: bytes, start: int, stop: int, delete: bytes) -> bytes:
     """data[start:stop].translate(None, delete), without a copy of a span that is most of data.
 
-    The rest of data is translated twice instead; a smaller span is
-    copied, so a walk over many spans stays linear in the document.
+    The rest of data is translated twice instead; a span of at most half
+    of data is copied, as that costs less.
     """
     if 2 * (stop - start) <= len(data):
         return data[start:stop].translate(None, delete)
@@ -531,12 +498,11 @@ def _plain_shape(data: bytes, start: int, stop: int) -> Optional[Tuple[int, int]
     return rows, cols
 
 
-def _parse(data: bytes, entries: _Entries) -> Optional[np.ndarray]:
-    """The doubles of a plain array's entries; None if numpy refuses one."""
-    count = entries.rows * entries.cols
+def _parse(data: bytes, start: int, stop: int, count: int) -> Optional[np.ndarray]:
+    """The count doubles of the plain array data[start:stop]; None if numpy refuses one."""
     if not count:
         return np.zeros(0)
-    text = _translated(data, entries.start, entries.stop, b'[]"')
+    text = _translated(data, start, stop, b'[]"')
     with warnings.catch_warnings():  # numpy < 2 stops at a bad entry with a warning
         warnings.simplefilter("ignore", DeprecationWarning)
         try:
@@ -544,24 +510,6 @@ def _parse(data: bytes, entries: _Entries) -> Optional[np.ndarray]:
         except ValueError:
             return None
     return values if values.size == count else None
-
-
-def _refuse(entries, q: dict) -> NoReturn:
-    """Raise what is wrong with Q's entries, entries the JSON value of q["entries"].
-
-    The messages are those of a reader that converts entry by entry: the
-    first entry that float() refuses names itself.  What float() takes and
-    this reader does not is a JSON escape, an underscore or a non-ASCII
-    digit, which no writer of certificates emits.
-    """
-    if not all(type(row) is list and set(map(type, row)) <= {str} for row in entries):
-        raise ValueError("Q entries must be lists of decimal strings")
-    shape = q["rows"], q["cols"]
-    if len(entries) != shape[0] or any(len(row) != shape[1] for row in entries):
-        raise ValueError(f"Q entries do not fill its stored shape {shape}")
-    for row in entries:
-        list(map(float, row))
-    raise ValueError("Q entries must be plain ASCII decimals: no escapes, underscores or other digits")
 
 
 _TEXT_ENTRIES = 1 << 12  # Q entries per block of certificate text: bounds what save holds
@@ -707,6 +655,8 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     p = parse_presentation(text)
     model = model_from_spec(spec)
     validate_model(p, model)
+    if any(a >= b for a, b in zip(stored, stored[1:])):  # laplacian1 would sort them silently
+        raise ValueError("stored relator indices are not strictly increasing")
     for k in stored:
         if not 0 <= k < len(p.relators):
             raise ValueError(f"stored relator index {k!r} out of range")

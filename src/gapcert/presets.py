@@ -9,8 +9,15 @@ torsion relator, for 13 relators total:
     rp_ijk = [e_ij, e_jk] * e_ik^-1  (producing the third elementary matrix)
     torsion = (e12 * e21^-1 * e12)^4
 
-Both orders of each commuting pair are kept, so per-relator squares are
-summed over the full ordered index set.
+It is not the Steinberg presentation.  Each same-row commutator is
+listed in both orders, and [a, b] and [b, a] give the same J(r)* J(r),
+so that term counts twice in Delta_1; there are no same-column
+commutators; and the torsion relator is kept.  Its Delta_1 (without the
+torsion relator, the default subset) has smallest eigenvalue 0.129986 in
+the regular representation of SL(3,Z/2), so no support radius
+certifies more than that, and radius 2 cannot reach 0.32.  The Steinberg
+set, each commuting pair once and no torsion relator, is STEINBERG_TEXT
+in the tests; it certifies above 0.32 at radius 2.
 """
 
 from __future__ import annotations

@@ -515,10 +515,11 @@ def certificate_json_dict(cert) -> dict:
 def load_certificate(data: bytes):
     """(fields, Q) of a certificate's bytes, read entry by entry with json.loads.
 
-    The reader that Certificate.from_bytes replaced: it builds a Python
-    string per entry of Q before numpy converts them.  It takes a few
-    inputs that from_bytes refuses (JSON escapes, underscores and non-ASCII
-    digits in an entry); its errors are from_bytes's otherwise.
+    The reference for Certificate.from_bytes: it builds a Python string
+    per entry of Q before numpy converts each with float().  from_bytes
+    reads every document to the same fields and Q bits, and refuses what
+    this refuses with the same message; it reads a document whose Q is
+    not its last value, or is malformed, this same way.
     """
     try:
         data = json.loads(data)

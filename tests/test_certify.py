@@ -566,10 +566,33 @@ def test_reader_refuses_a_malformed_q_with_the_oracles_message(edit):
     ],
 )
 def test_reader_refuses_what_only_float_accepts(entry):
+    # numpy's parser refuses these spellings and float() takes them; no
+    # writer emits them, and they load as the per-entry reader loads them
     data = _with_entries(f'[["1","2","{entry}"]]')
-    assert load_certificate(data)[1][0, 2] == float(json.loads(f'"{entry}"'))
-    with pytest.raises(ValueError, match="^malformed certificate: Q entries must be plain ASCII"):
-        Certificate.from_bytes(data)
+    assert _assert_loads_like_the_oracle(data).q[0, 2] == float(json.loads(f'"{entry}"'))
+
+
+@pytest.mark.parametrize("name", ["z3_r1", "sl3z_mod2_r2"])
+def test_saved_certificates_are_read_with_one_numpy_call(certificate_bytes, monkeypatch, name):
+    def per_entry(data):
+        raise AssertionError("read entry by entry")
+
+    monkeypatch.setattr(certify, "_q_per_entry", per_entry)
+    data = certificate_bytes[name]
+    for style in ("saved", "compact", "dumps_defaults"):
+        kwargs = _STYLES[style]
+        text = data if kwargs is None else json.dumps(json.loads(data), **kwargs).encode()
+        assert _assert_loads_like_the_oracle(text).q.shape[0] > 0
+
+
+def test_reader_takes_a_last_array_only_as_the_entries_of_the_top_level_q():
+    # each ends in a plain array and two closing braces, as to_bytes writes
+    # Q, but the array is not what json.loads keeps as q's entries
+    text = _z3_text()
+    head = text[:text.index('"q":{')]
+    for tail in ('"q":{"rows":1,"cols":3},"z":{"entries":[["1","2","3"]]}}',
+                 '"q":{"rows":1,"cols":3,"x\\"entries":[["1","2","3"]]}}'):
+        _assert_refused_like_the_oracle((head + tail).encode())
 
 
 def test_load_holds_at_most_three_and_a_half_times_the_file(tmp_path):
@@ -608,6 +631,16 @@ def test_tampered_presentation_raises_hash_mismatch():
     data = json.loads(result.certificate.to_bytes())
     data["presentation"]["text"] = data["presentation"]["text"] + "# extra\n"
     with pytest.raises(ValueError, match="^presentation text does not match its stored hash$"):
+        verify_certificate(Certificate.from_json_dict(data))
+
+
+@pytest.mark.parametrize("indices", [[0, *range(12)], [*range(11, -1, -1)]], ids=["repeated", "reversed"])
+def test_relator_indices_out_of_order_are_refused(indices):
+    # laplacian1 would sort and deduplicate these, and the certificate would pass
+    data = json.loads((Path(__file__).parent / "data" / "sl3z-mod2-r1-certificate.json").read_bytes())
+    labels = data["relators"]["labels"]  # of the indices 0 to 11
+    data["relators"] = {"indices": indices, "labels": [labels[k] for k in indices]}
+    with pytest.raises(ValueError, match="^stored relator indices are not strictly increasing$"):
         verify_certificate(Certificate.from_json_dict(data))
 
 

@@ -351,6 +351,18 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path, good_certificate
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("indices", [[0, *range(12)], [*range(11, -1, -1)]], ids=["repeated", "reversed"])
+def test_verify_refuses_relator_indices_out_of_order(capsys, tmp_path, indices):
+    data = json.loads((Path(__file__).parent / "data" / "sl3z-mod2-r1-certificate.json").read_bytes())
+    labels = data["relators"]["labels"]  # of the indices 0 to 11
+    data["relators"] = {"indices": indices, "labels": [labels[k] for k in indices]}
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "verify", str(cert_path))
+    assert code == 1 and out == ""
+    assert err == "error: stored relator indices are not strictly increasing\n"
+
+
 def test_verify_refuses_a_presentation_that_expands_to_terabytes(capsys, tmp_path, good_certificates):
     # the hash binds the text only to itself; expanded, t^1000000000000 is 8 TB
     data = json.loads(good_certificates["z3"])

@@ -299,17 +299,17 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
         Clo[i, j, pid], Chi[i, j, pid] = lo, hi
     # round to nearest is sign-symmetric, so this is c's enclosure mirrored
     outside = [_enclose(abs(c)) for _, c in outside]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        mid, radius = _gram_class_sums(Q, table.pid, n)
-        # for C in [Clo, Chi]: dist(mid, [Clo, Chi]) <= |C - mid| <= dev, and
-        # |C - S| is within |mid - S| of |C - mid|, whose sum is <= radius
-        dev = np.nextafter(np.maximum(mid - Clo, Chi - mid), np.inf)
-        dist = np.maximum(np.nextafter(np.maximum(Clo - mid, mid - Chi), -np.inf), 0.0)
-    # the sums are exactly rounded, so one outward ulp makes them safe
     try:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+            mid, radius = _gram_class_sums(Q, table.pid, n)
+            # for C in [Clo, Chi]: dist(mid, [Clo, Chi]) <= |C - mid| <= dev, and
+            # |C - S| is within |mid - S| of |C - mid|, whose sum is <= radius
+            dev = np.nextafter(np.maximum(mid - Clo, Chi - mid), np.inf)
+            dist = np.maximum(np.nextafter(np.maximum(Clo - mid, mid - Chi), -np.inf), 0.0)
+        # the sums are exactly rounded, so one outward ulp makes them safe
         total_hi = _exact_sum(dev, [a.hi for a in outside] + [radius])
         total_lo = _exact_sum(dist, [a.lo for a in outside] + [-radius])
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+    except (OverflowError, ValueError):  # an intermediate overflow in fsum, or inf - inf
         total_lo = total_hi = math.inf
     total_hi = _up(total_hi)
     lambda0 = math.nextafter(lam - total_hi, -math.inf)
@@ -379,11 +379,6 @@ class Certificate:
         """
         doc, Q = _q_last(data) or _q_per_entry(data)
         return cls({k: v for k, v in doc.items() if k != "q"}, Q)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Certificate":
-        """The certificate whose JSON object is data, read by from_bytes."""
-        return cls.from_bytes(json.dumps(data).encode("utf-8"))
 
     def save(self, path) -> None:
         """Write to_bytes() to path block by block, never the whole at once."""
@@ -655,11 +650,7 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     p = parse_presentation(text)
     model = model_from_spec(spec)
     validate_model(p, model)
-    if any(a >= b for a, b in zip(stored, stored[1:])):  # laplacian1 would sort them silently
-        raise ValueError("stored relator indices are not strictly increasing")
-    for k in stored:
-        if not 0 <= k < len(p.relators):
-            raise ValueError(f"stored relator index {k!r} out of range")
+    lap = laplacian1(model, p, stored)  # refuses indices out of order or out of range
     if labels != tuple(p.labels[k] for k in stored):
         raise ValueError("stored relator labels are not the presentation's")
     lam = _decimal(lam, "solver_lambda")
@@ -671,7 +662,6 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         basis = basis_from_json(model, basis_keys, radius)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"stored basis is invalid: {exc}") from exc
-    lap = laplacian1(model, p, stored)
     lambda0, residual, _ = _certified_bound(lap.matrix, basis, cert.q, lam)
     if not lambda0 >= stored_lambda0:
         message = f"recomputed lambda0 {lambda0!r} fell below stored {stored_lambda0!r}"

@@ -59,7 +59,9 @@ def default_relator_indices(p: Presentation) -> List[int]:
     Excluding the longest relator keeps supports small while the certified
     bound stays valid for the full relator set; a one-relator presentation
     keeps its relator, since dropping it would change the problem rather
-    than shrink it.
+    than shrink it.  Without a torsion relator, as in the twelve Steinberg
+    relators, the longest is an [e_ij, e_jk] e_ik^-1 relator, so the paper's
+    operator needs every index (`--exclude-relator none`).
     """
     n = len(p.relators)
     if n <= 1:
@@ -85,13 +87,12 @@ def laplacian1(
     relator_indices: Optional[Sequence[int]] = None,
 ) -> Laplacian1:
     """d0 d0* + sum_r J(r)* J(r) over the given relators (default_relator_indices if None)."""
-    if relator_indices is None:
-        indices = default_relator_indices(p)
-    else:
-        indices = sorted(set(relator_indices))
-        for k in indices:
-            if not 0 <= k < len(p.relators):
-                raise ValueError(f"relator index {k} out of range")
+    indices = tuple(default_relator_indices(p) if relator_indices is None else relator_indices)
+    if any(a >= b for a, b in zip(indices, indices[1:])):  # certificates store them: never sort
+        raise ValueError("relator indices are not strictly increasing")
+    for k in indices:
+        if not 0 <= k < len(p.relators):
+            raise ValueError(f"relator index {k!r} out of range")
     n = p.n_generators
     cells: List[List[Dict[Key, int]]] = [[{} for _ in range(n)] for _ in range(n)]
     products: Dict[Tuple[Key, Key], Key] = {}
@@ -125,7 +126,7 @@ def laplacian1(
         ]
         add_outer(star(row), row)
     matrix = RingMatrix(model, [[RingElement(model, cell) for cell in r] for r in cells])
-    return Laplacian1(matrix, p, model, tuple(indices))
+    return Laplacian1(matrix, p, model, indices)
 
 
 def evaluate_representation(

@@ -233,7 +233,7 @@ class FreeModel(GroupModel):
     """Normal form is the freely reduced word itself.
 
     Sound only when free reduction solves the word problem, i.e. for free
-    groups.  Downstream consumers refuse unsound instances.
+    groups.  SupportBasis refuses unsound instances.
     """
 
     def __init__(self, n_generators: int, sound: bool = True):
@@ -424,6 +424,8 @@ class SupportBasis:
     __slots__ = ("model", "elements", "index", "radius", "_products")
 
     def __init__(self, model: GroupModel, keys: Iterable[Key], radius: Optional[int] = None):
+        if isinstance(model, FreeModel) and not model.sound:  # the gate of every SDP and verify
+            raise ValueError("refusing a support basis over an unsound free model")
         elements = tuple(keys)
         if not elements:
             raise ValueError("support basis must be nonempty")
@@ -480,8 +482,6 @@ def ball_elements(model: GroupModel, radius: int) -> Iterator[Key]:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if isinstance(model, FreeModel) and not model.sound:
-        raise ValueError("refusing to enumerate a ball for an unsound free model")
     gens = symmetrized_generators(model)
     ident = model.identity()
     seen = {ident}

@@ -34,7 +34,7 @@ from .groups import (
 from .words import Presentation, parse_presentation
 
 SL3Z_TEXT = """\
-# Steinberg presentation of SL(3,Z) on elementary matrix generators
+# presentation of SL(3,Z) on elementary matrix generators
 gens: e12, e13, e21, e23, e31, e32
 # same-row commutators over ordered triples (i,j,k)
 rel r_123: [e12, e13]

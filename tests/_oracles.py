@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
+from gapcert.certify import Certificate
 from gapcert.groups import Key, SupportBasis, model_from_spec
 from gapcert.ring import RingElement, RingMatrix
 
@@ -510,6 +511,11 @@ def certificate_json_dict(cert) -> dict:
     rows, cols = cert.q.shape
     entries = [list(map(repr, row)) for row in cert.q.tolist()]
     return {**cert.fields, "q": {"rows": rows, "cols": cols, "entries": entries}}
+
+
+def certificate_from_json_dict(data: dict) -> Certificate:
+    """The certificate whose JSON object is data, read by Certificate.from_bytes."""
+    return Certificate.from_bytes(json.dumps(data).encode())
 
 
 def load_certificate(data: bytes):

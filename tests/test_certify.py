@@ -29,6 +29,7 @@ from gapcert.certify import (
     psd_sqrt,
     verify_certificate,
 )
+from gapcert.cli import main
 from gapcert.fox import laplacian1
 from gapcert.groups import CyclicModel, FreeModel, MatrixModel, SupportBasis, ball
 from gapcert.groups import basis_from_json, model_from_spec
@@ -37,7 +38,8 @@ from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, solve
 from gapcert.words import parse_presentation
 
-from _oracles import certificate_json_dict, exact_certified_gap, load_certificate
+from _oracles import certificate_from_json_dict, certificate_json_dict, exact_certified_gap
+from _oracles import load_certificate
 from _oracles import symmetric_psd_sqrt
 from _oracles import rank_cut_psd_sqrt
 from _oracles import identity, l1, sum_of_squares
@@ -192,14 +194,14 @@ def test_zero_row_q_round_trips_and_reverifies(tmp_path):
     with pytest.raises(
         ValueError, match="^malformed certificate: Q entries do not fill its stored shape"
     ):
-        Certificate.from_json_dict(data)
+        certificate_from_json_dict(data)
     _, _, _, full = _z3_pipeline()
     data = certificate_json_dict(full.certificate)
     data["q"] = dict(data["q"], rows=1, cols=9)
     with pytest.raises(
         ValueError, match="^malformed certificate: Q entries do not fill its stored shape"
     ):
-        Certificate.from_json_dict(data)
+        certificate_from_json_dict(data)
 
 
 def test_certified_gap_dimension_mismatch():
@@ -334,7 +336,7 @@ def test_certificate_bytes_are_the_reprs_of_q_at_any_block_size(monkeypatch):
 def test_certificate_bytes_of_a_loaded_file_are_the_reprs_of_its_q(text):
     data = json.loads(_z3_pipeline()[3].certificate.to_bytes())
     data["q"]["entries"][0][0] = data["q"]["entries"][-1][-1] = text
-    cert = Certificate.from_json_dict(data)
+    cert = certificate_from_json_dict(data)
     assert cert.to_bytes() == _json_bytes(cert)
     assert json.loads(cert.to_bytes())["q"]["entries"][-1][-1] == repr(float(text))
 
@@ -490,7 +492,7 @@ def test_reader_parses_entries_bit_for_bit_like_float():
         assert cert.q.size == rows * cols
     # the sign of a NaN is not kept; any NaN in Q fails certification
     data = {"format": certify._FORMAT, "q": {"rows": 1, "cols": 1, "entries": [["-nan"]]}}
-    assert np.isnan(Certificate.from_json_dict(data).q).all()
+    assert np.isnan(certificate_from_json_dict(data).q).all()
 
 
 def _with_entries(array: str) -> bytes:
@@ -621,7 +623,7 @@ def test_tampered_q_entry_strictly_lowers_bound():
         i = rng.randrange(len(mutated["q"]["entries"]))
         j = rng.randrange(len(mutated["q"]["entries"][0]))
         mutated["q"]["entries"][i][j] = repr(float(mutated["q"]["entries"][i][j]) + 1e-3)
-        tampered = Certificate.from_json_dict(mutated)
+        tampered = certificate_from_json_dict(mutated)
         check = verify_certificate(tampered)
         assert (not check.passed) and check.lambda0 < check.stored_lambda0
 
@@ -631,17 +633,17 @@ def test_tampered_presentation_raises_hash_mismatch():
     data = json.loads(result.certificate.to_bytes())
     data["presentation"]["text"] = data["presentation"]["text"] + "# extra\n"
     with pytest.raises(ValueError, match="^presentation text does not match its stored hash$"):
-        verify_certificate(Certificate.from_json_dict(data))
+        verify_certificate(certificate_from_json_dict(data))
 
 
 @pytest.mark.parametrize("indices", [[0, *range(12)], [*range(11, -1, -1)]], ids=["repeated", "reversed"])
 def test_relator_indices_out_of_order_are_refused(indices):
-    # laplacian1 would sort and deduplicate these, and the certificate would pass
+    # sorted and deduplicated, these would pass: laplacian1 refuses them instead
     data = json.loads((Path(__file__).parent / "data" / "sl3z-mod2-r1-certificate.json").read_bytes())
     labels = data["relators"]["labels"]  # of the indices 0 to 11
     data["relators"] = {"indices": indices, "labels": [labels[k] for k in indices]}
-    with pytest.raises(ValueError, match="^stored relator indices are not strictly increasing$"):
-        verify_certificate(Certificate.from_json_dict(data))
+    with pytest.raises(ValueError, match="^relator indices are not strictly increasing$"):
+        verify_certificate(certificate_from_json_dict(data))
 
 
 def test_tampered_radius_fails_support_reconstruction():
@@ -651,7 +653,7 @@ def test_tampered_radius_fails_support_reconstruction():
     with pytest.raises(
         ValueError, match="^stored basis is invalid: basis does not match the ball of radius 0$"
     ):
-        verify_certificate(Certificate.from_json_dict(data))
+        verify_certificate(certificate_from_json_dict(data))
 
 
 def test_huge_stored_radius_is_rejected_quickly():
@@ -661,7 +663,7 @@ def test_huge_stored_radius_is_rejected_quickly():
     Q = np.zeros((1, lap.matrix.n_rows * len(basis)))
     data = json.loads(certified_gap(lap, basis, Q, 0.0).certificate.to_bytes())
     data["basis"]["radius"] = 12  # a ball of billions of elements
-    cert = Certificate.from_json_dict(data)
+    cert = certificate_from_json_dict(data)
     start = time.perf_counter()
     with pytest.raises(
         ValueError, match="^stored basis is invalid: basis does not match the ball of radius 12$"
@@ -951,7 +953,7 @@ def test_non_finite_lambda_is_rejected():
             certified_gap(lap, basis, np.eye(3), lam)
 
 
-def test_overflowing_gram_is_a_clear_value_error():
+def test_overflowing_gram_is_a_clear_value_error(capsys, tmp_path):
     p, model = load_preset("z3")
     lap = laplacian1(model, p)
     basis = ball(model, 1)
@@ -961,6 +963,24 @@ def test_overflowing_gram_is_a_clear_value_error():
     # lambda itself near the top of the range overflows lambda - |r|_1
     with pytest.raises(ValueError, match="overflows"):
         certified_gap(lap, basis, np.full((3, 3), 1e153), -1.7e308)
+    # finite row sums of |G| whose total overflows in math.fsum
+    message = "Q or lambda too large: the residual bound overflows"
+    data = json.loads((Path(__file__).parent / "data" / "sl3z-mod2-r1-certificate.json").read_bytes())
+    data["q"]["entries"][0][:5] = ["1e308"] * 5
+    cert = certificate_from_json_dict(data)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_certificate(cert)
+    p, model = load_preset("sl3z-mod:2")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certified_gap(laplacian1(model, p), ball(model, 1), cert.q, float(data["solver_lambda"]))
+    cert_path, sol_path = tmp_path / "cert.json", tmp_path / "sol.json"
+    cert_path.write_text(json.dumps(data))
+    sol_path.write_text(json.dumps({"lambda": float(data["solver_lambda"]), "Q": cert.q.tolist()}))
+    for argv in (["verify", str(cert_path)],
+                 ["certify", "--preset", "sl3z-mod:2", "--radius", "1", "--solution", str(sol_path)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 _THREADS_SCRIPT = """
@@ -1007,5 +1027,78 @@ def test_bound_does_not_depend_on_the_memory_layout_of_q():
         Q = psd_sqrt(sol.P)
         got = certified_gap(lap, basis, np.asfortranarray(Q), sol.lam)
         assert got.lambda0 == certified_gap(lap, basis, Q, sol.lam).lambda0
-        back = Certificate.from_json_dict(json.loads(got.certificate.to_bytes()))
+        back = certificate_from_json_dict(json.loads(got.certificate.to_bytes()))
         assert verify_certificate(back).passed
+
+
+_MUTANT_VALUES = [math.nan, math.inf, 1e308, 5e-324, "nan", "inf", "1e308", "5e-324", "",
+                  "١", "1\n", None, True, "x", [], {}]
+
+
+def _json_mutant(rng: random.Random, text: bytes) -> bytes:
+    """text with one field replaced, deleted, shuffled or shortened, or an int moved by 1 or 1e20.
+
+    Half the edits start in Q's entries, the others anywhere in the document.
+    """
+    doc = json.loads(text)
+    parent, key = (doc["q"], "entries") if rng.random() < 0.5 else (doc, rng.choice(list(doc)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.75:
+        node = parent[key]
+        parent, key = node, rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+    value, op = parent[key], rng.randrange(5)
+    if op == 0 and type(value) is int:
+        parent[key] = value + rng.choice([1, -1, 10 ** 20, -10 ** 20])
+    elif op == 1:
+        del parent[key]
+    elif op == 2 and isinstance(value, (dict, list)):
+        items = rng.sample(list(value.items()) if isinstance(value, dict) else value, len(value))
+        parent[key] = dict(items) if isinstance(value, dict) else items
+    elif op == 3 and isinstance(value, (str, list)) and value:
+        parent[key] = value[:rng.randrange(len(value))]
+    else:
+        parent[key] = rng.choice(_MUTANT_VALUES)
+    return json.dumps(doc).encode()
+
+
+def _byte_mutant(rng: random.Random, text: bytes) -> bytes:
+    """text with one byte flipped, deleted or inserted, or cut short."""
+    data, at = bytearray(text), rng.randrange(len(text))
+    op = rng.randrange(4)
+    if op == 0:
+        data[at] ^= 1 << rng.randrange(8)
+    elif op == 1:
+        del data[at]
+    elif op == 2:
+        data.insert(at, rng.randrange(256))
+    else:
+        del data[at:]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("count", [2000, pytest.param(20000, marks=pytest.mark.stretch)])
+def test_mutated_certificates_fail_only_with_value_errors(count):
+    # every outcome is a ValueError or a VerifyResult; a mutant that passes
+    # re-verifies to the same bits after a save and load, below its lambda
+    data = Path(__file__).parent / "data"
+    texts = [(data / name).read_bytes()
+             for name in ("z3-r1-certificate.json", "sl3z-mod2-r1-certificate.json")]
+    rng = random.Random(37)
+    outcomes, strays = Counter(), []
+    for n in range(count):
+        mutant = (_json_mutant if n % 4 < 2 else _byte_mutant)(rng, texts[n % 2])
+        try:
+            cert = Certificate.from_bytes(mutant)
+            got = verify_certificate(cert)
+        except ValueError:
+            outcomes["error"] += 1
+            continue
+        except Exception as exc:  # anything else breaks verify's contract
+            strays.append((n, repr(exc)))
+            continue
+        outcomes[got.passed] += 1
+        if got.passed:
+            again = verify_certificate(Certificate.from_bytes(cert.to_bytes()))
+            assert again.passed and again.lambda0.hex() == got.lambda0.hex()
+            assert got.lambda0 <= float(cert.fields["solver_lambda"])
+    assert strays == []
+    assert outcomes["error"] and outcomes[True] and outcomes[False]

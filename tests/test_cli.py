@@ -360,7 +360,7 @@ def test_verify_refuses_relator_indices_out_of_order(capsys, tmp_path, indices):
     cert_path.write_text(json.dumps(data))
     code, out, err = _run(capsys, "verify", str(cert_path))
     assert code == 1 and out == ""
-    assert err == "error: stored relator indices are not strictly increasing\n"
+    assert err == "error: relator indices are not strictly increasing\n"
 
 
 def test_verify_refuses_a_presentation_that_expands_to_terabytes(capsys, tmp_path, good_certificates):

@@ -199,6 +199,21 @@ def test_default_relator_policy():
     assert default_relator_indices(pz) == [0]
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [([1, 0], "relator indices are not strictly increasing"),
+     ([0, 0], "relator indices are not strictly increasing"),
+     ([-1], "relator index -1 out of range"),
+     ([0, 13], "relator index 13 out of range")],
+    ids=["reversed", "repeated", "negative", "past_the_end"],
+)
+def test_laplacian_refuses_relator_indices_it_would_have_to_sort_or_cannot_index(indices, message):
+    # a certificate stores the indices, so they are taken as given or refused
+    p, model = load_preset("sl3z")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        laplacian1(model, p, indices)
+
+
 def test_laplacian_sl3z_regression_pins():
     # frozen after first exact assembly; guards against relator drift
     p, model = load_preset("sl3z")
@@ -289,7 +304,7 @@ def test_monotone_relator_augmentation_keeps_sos():
 
     p, model = load_preset("sl3z")
     small = laplacian1(model, p, [6, 7])
-    big = laplacian1(model, p, [6, 7, 0])
+    big = laplacian1(model, p, [0, 6, 7])
     extra = relator_square(model, p, p.relators[0])
     base_factors = [adjoint(d0(model, p)), relator_square(model, p, p.relators[6]),
                     relator_square(model, p, p.relators[7])]

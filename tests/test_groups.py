@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from gapcert import groups
-from gapcert.certify import Certificate, verify_certificate
+from gapcert.certify import Certificate, certified_gap, psd_sqrt, verify_certificate
+from gapcert.cli import main
+from gapcert.fox import laplacian1
 from gapcert.groups import (
     CyclicModel,
     FreeModel,
@@ -21,6 +23,7 @@ from gapcert.groups import (
     validate_model,
 )
 from gapcert.presets import load_preset, sl3z_images
+from gapcert.sdp import SolveOptions, build_problem, export_sdpa, import_sdpa, solve
 from gapcert.words import Word, parse_presentation
 
 from _oracles import (
@@ -119,13 +122,37 @@ def test_ball_bfs_order_deterministic():
     assert len(a) == 121 and len(set(a[:13])) == 13
 
 
-def test_free_model_ball_and_soundness():
+def test_free_model_ball_and_soundness(capsys, tmp_path):
     model = FreeModel(2, sound=True)
     b = ball(model, 1)
     assert list(b) == [(), (1,), (-1,), (2,), (-2,)]
     unsound = FreeModel(2, sound=False)
-    with pytest.raises(ValueError):
+    message = "refusing a support basis over an unsound free model"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         ball(unsound, 1)
+    # an explicit basis is refused too, so no certificate or export over one
+    # loads; this one, for <a | a^3>, is forged past the refusal
+    p = parse_presentation("gens: a\nrel: a^3\n")
+    forged = FreeModel(1)
+    basis = SupportBasis(forged, [(), (1,), (-1,), (1, 1), (-1, -1)])
+    forged.sound = False
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SupportBasis(forged, basis.elements)
+    lap = laplacian1(forged, p)
+    problem = build_problem(lap, basis)
+    sol = solve(problem, SolveOptions())
+    result = certified_gap(lap, basis, psd_sqrt(sol.P), sol.lam)
+    # over the free group the SOS maps onto Z/3, whose Delta_1 has spectrum
+    # {9, 3, 3}: the bound is true, but the model is unsound all the same
+    assert result.status == "certified-positive" and 2.7 < result.lambda0 < 3
+    with pytest.raises(ValueError, match=f"^stored basis is invalid: {message}$"):
+        verify_certificate(result.certificate)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        import_sdpa(export_sdpa(problem))
+    result.certificate.save(tmp_path / "cert.json")
+    assert main(["verify", str(tmp_path / "cert.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: stored basis is invalid: {message}\n"
 
 
 def test_validate_model_rejects_wrong_quotient():

@@ -25,12 +25,7 @@ from .certify import (
     verify_certificate,
 )
 from .fox import default_relator_indices, laplacian1
-from .groups import (
-    FreeModel,
-    MatrixModel,
-    ball,
-    validate_model,
-)
+from .groups import FreeModel, ball, model_from_spec, validate_model
 from .presets import PRESET_NAMES, load_preset
 from .sdp import (
     SolveOptions,
@@ -41,24 +36,27 @@ from .sdp import (
 from .words import Presentation, parse_presentation
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; a file that does not parse is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{what} {path} is nested too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{what} {path} is not JSON: {exc}") from None
+
+
 def _load_input(args) -> tuple:
+    """(presentation, model); the model is --model's, else the preset's, else the free group."""
     if args.preset:
         p, model = args.preset
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             p = parse_presentation(fh.read())
-        model = None
+        model = FreeModel(p.n_generators)
     if args.model:
-        kind, modulus = args.model
-        if kind == "free":
-            model = FreeModel(p.n_generators, sound=not p.relators)
-        elif not isinstance(model, MatrixModel) or model.modulus is not None:
-            name = "modular:<m>" if kind == "modular" else kind
-            raise ValueError(f"--model {name} needs a matrix preset without a modulus")
-        elif kind == "modular":
-            model = MatrixModel(model.images, modulus)
-    if model is None:
-        raise ValueError("presentation files need --model free; matrix models are preset-bound")
+        model = model_from_spec(_read_json(args.model, "model"))
     validate_model(p, model)
     return p, model
 
@@ -244,11 +242,7 @@ def _gap_summary(result: GapResult, cert_path: Optional[str]) -> dict:
 
 def cmd_certify(args) -> int:
     p, model, lap, basis, problem = _build_stage(args)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        try:
-            sol = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"solution {args.solution} is nested too deeply") from None
+    sol = _read_json(args.solution, "solution")
     if not isinstance(sol, dict) or "lambda" not in sol:
         raise ValueError(f"solution {args.solution} has no 'lambda' field")
     lam = sol["lambda"]
@@ -310,7 +304,7 @@ def _add_input_opts(sub):
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", type=_preset, help="builtin preset: " + ", ".join(PRESET_NAMES))
     source.add_argument("--file", help="presentation file path")
-    sub.add_argument("--model", type=_model_choice, help="model: matrix | modular:<m> | free")
+    sub.add_argument("--model", help="model spec JSON file, as show prints under \"model\"")
 
 
 def _add_relator_opt(sub):
@@ -363,19 +357,6 @@ def _preset(text: str):
     except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
         presets = ", ".join(PRESET_NAMES)
         raise argparse.ArgumentTypeError(f"{exc.args[0]} (presets: {presets})") from None
-
-
-def _model_choice(text: str):
-    """(kind, modulus) of a --model value; the modulus is None unless kind is modular."""
-    kind, colon, arg = text.partition(":")
-    if kind == "modular":
-        modulus = _number(int, arg, "an integer modulus")
-        if modulus < 2:
-            raise argparse.ArgumentTypeError(f"modulus must be at least 2, got {modulus}")
-        return kind, modulus
-    if kind in ("matrix", "free") and not colon:
-        return kind, None
-    raise argparse.ArgumentTypeError(f"expected matrix, modular:<m> or free, got {text!r}")
 
 
 def _add_solver_opts(sub):

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import GroupModel, Key, ball_elements
+from .groups import FreeModel, GroupModel, Key, ball_elements
 from .ring import RingElement, RingMatrix
 from .words import Presentation, Word
 
@@ -202,7 +202,10 @@ def regular_representation_images(model: GroupModel):
     Enumerates the whole group, at most 200000 elements, as the ball of
     radius 200000 and returns (images, elements), the elements as keys;
     images[i][x, y] = 1 iff generator_i * elements[y] == elements[x].
+    A free model, always infinite, is refused at once.
     """
+    if isinstance(model, FreeModel):
+        raise ValueError("a free group is infinite")
     # a group of at most 200000 elements has diameter below 200000
     elements = list(islice(ball_elements(model, 200000), 200001))
     if len(elements) > 200000:

@@ -128,8 +128,8 @@ class MatrixModel(GroupModel):
         keys = [tuple(tuple(map(entry, row)) for row in img) for img in images]
         d = len(keys[0])
         for k in keys:
-            if len(k) != d or any(len(row) != d for row in k):
-                raise ValueError("generator images must be square of equal size")
+            if d == 0 or len(k) != d or any(len(row) != d for row in k):
+                raise ValueError("generator images must be square of equal size, at least 1x1")
             self.inverse(k)
         self.dim = d
         self.images = keys
@@ -230,19 +230,18 @@ class CyclicModel(GroupModel):
 
 
 class FreeModel(GroupModel):
-    """Normal form is the freely reduced word itself.
+    """The free group; the normal form is the freely reduced word itself.
 
-    Sound only when free reduction solves the word problem, i.e. for free
-    groups.  SupportBasis refuses unsound instances.
+    validate_model refuses it for a presentation with relators, since a
+    freely reduced relator is never the identity.
     """
 
-    def __init__(self, n_generators: int, sound: bool = True):
+    def __init__(self, n_generators: int):
         n_generators = _integer(n_generators, "generator count")
         if n_generators < 1:
             raise ValueError("need at least one generator")
         self.n_generators = n_generators
-        self.sound = sound
-        self.model_id = f"free:{n_generators}:{'sound' if sound else 'unsound'}"
+        self.model_id = f"free:{n_generators}"
 
     def identity(self) -> Tuple[int, ...]:
         return ()
@@ -265,7 +264,8 @@ class FreeModel(GroupModel):
         return tuple(-x for x in reversed(a))
 
     def spec(self) -> dict:
-        return {"type": "free", "generators": self.n_generators, "sound": self.sound}
+        # "sound" keeps the bytes of the certificates and exports that store it
+        return {"type": "free", "generators": self.n_generators, "sound": True}
 
     def key_to_json(self, key):
         return list(key)
@@ -324,11 +324,9 @@ def model_from_spec(spec: dict) -> GroupModel:
     if kind == "cyclic":
         return CyclicModel(_json_int(spec.get("n"), "cyclic order"))
     if kind == "free":
-        count = _json_int(spec.get("generators"), "generator count")
-        sound = spec.get("sound", True)
-        if type(sound) is not bool:
-            raise ValueError(f"free model soundness must be true or false, got {sound!r}")
-        return FreeModel(count, sound)
+        if spec.get("sound", True) is not True:
+            raise ValueError(f"free model soundness must be true, got {spec['sound']!r}")
+        return FreeModel(_json_int(spec.get("generators"), "generator count"))
     raise ValueError(f"unknown model spec type {kind!r}")
 
 
@@ -338,10 +336,6 @@ def validate_model(p: Presentation, model: GroupModel) -> None:
         raise ValueError(
             f"presentation has {p.n_generators} generators, model has {model.n_generators}"
         )
-    if isinstance(model, FreeModel):
-        if p.relators and model.sound:
-            raise ValueError("free model marked sound but the presentation has relators")
-        return
     ident = model.identity()
     for label, rel in zip(p.labels, p.relators):
         if model.evaluate(rel) != ident:
@@ -424,8 +418,6 @@ class SupportBasis:
     __slots__ = ("model", "elements", "index", "radius", "_products")
 
     def __init__(self, model: GroupModel, keys: Iterable[Key], radius: Optional[int] = None):
-        if isinstance(model, FreeModel) and not model.sound:  # the gate of every SDP and verify
-            raise ValueError("refusing a support basis over an unsound free model")
         elements = tuple(keys)
         if not elements:
             raise ValueError("support basis must be nonempty")

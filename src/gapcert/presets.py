@@ -100,7 +100,7 @@ def load_preset(name: str) -> Tuple[Presentation, GroupModel]:
         # commuting translations: Z^2 embedded as I + p*delta_13 + q*delta_23
         model = MatrixModel([elementary_matrix(1, 3), elementary_matrix(2, 3)])
     elif base == "free":
-        model, p = FreeModel(k, sound=True), _free_presentation(k)
+        model, p = FreeModel(k), _free_presentation(k)
     elif base == "sl3z" and not arg:
         p, model = parse_presentation(SL3Z_TEXT), MatrixModel(sl3z_images())
     elif base == "sl3z-mod":

@@ -41,9 +41,7 @@ def test_show_requires_exactly_one_source(capsys):
 
 
 @pytest.mark.parametrize("argv", ["--preset foo", "--preset zn:abc", "--preset zn:1",
-                                  "--preset sl3z-mod:0", "--preset free:0",
-                                  "--preset sl3z --model modular:x",
-                                  "--preset sl3z --model modular:1", "--preset sl3z --model bogus"])
+                                  "--preset sl3z-mod:0", "--preset free:0"])
 def test_bad_input_selection_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["show", *argv.split()])
@@ -400,7 +398,7 @@ def test_deeply_nested_presentation_is_an_error(capsys, tmp_path, good_certifica
     data["presentation"] = {"text": text, "sha256": hashlib.sha256(text.encode()).hexdigest()}
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(data))
-    for argv in (["show", "--file", str(path), "--model", "free"], ["verify", str(cert_path)]):
+    for argv in (["show", "--file", str(path)], ["verify", str(cert_path)]):
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == ""
         # the 101st bracket is at column 106 of "rel: (((..." and 406 of "rel: [a, [a, ..."
@@ -419,11 +417,13 @@ def test_verify_refuses_a_free_model_whose_soundness_is_not_a_bool(capsys, tmp_p
     assert code == 0
     data = json.loads(cert_path.read_text())
     assert data["model"]["sound"] is True
-    data["model"]["sound"] = 1
-    cert_path.write_text(json.dumps(data))
-    code, out, err = _run(capsys, "verify", str(cert_path))
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "soundness" in err
+    # a free model is always sound, so false is refused like any non-bool
+    for sound in (1, False):
+        data["model"]["sound"] = sound
+        cert_path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "verify", str(cert_path))
+        assert code == 1 and out == ""
+        assert err == f"error: free model soundness must be true, got {sound!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -569,35 +569,132 @@ def test_certify_names_a_missing_lambda(capsys, tmp_path):
     assert code == 1 and err == f"error: solution {sol_path} has no 'lambda' field\n"
 
 
-def test_file_input_needs_free_model(capsys, tmp_path):
+def _model_file(path, spec) -> str:
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_file_input_defaults_to_the_free_model(capsys, tmp_path):
     path = tmp_path / "pres.txt"
     path.write_text("gens: a, b\n")
-    code, _, err = _run(capsys, "show", "--file", str(path))
-    assert code == 1 and "--model free" in err
-    code, out, _ = _run(capsys, "show", "--file", str(path), "--model", "free")
+    code, out, _ = _run(capsys, "show", "--file", str(path))
     assert code == 0
+    assert json.loads(out)["model"] == {"type": "free", "generators": 2, "sound": True}
+    # no relator holds in the free group, so a file with relators needs a model
+    path.write_text("gens: t\nrel: t^3\n")
+    code, out, err = _run(capsys, "show", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: relator rel0 does not evaluate to the identity\n"
+    cyclic3 = _model_file(tmp_path / "cyclic3.json", {"type": "cyclic", "n": 3})
+    code, out, _ = _run(capsys, "show", "--file", str(path), "--model", cyclic3)
+    assert code == 0 and json.loads(out)["model"] == {"type": "cyclic", "n": 3}
 
 
 def test_file_with_duplicate_relator_labels_exits_1(capsys, tmp_path):
     path = tmp_path / "pres.txt"
     path.write_text("gens: a\nrel x: a^2\nrel x: a^3\n")
-    code, out, err = _run(capsys, "show", "--file", str(path), "--model", "free")
+    code, out, err = _run(capsys, "show", "--file", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "duplicate relator label" in err
 
 
-def test_model_override_modular(capsys):
-    code, out, _ = _run(capsys, "show", "--preset", "sl3z", "--model", "modular:2")
+def _printed_model(capsys, tmp_path, preset: str) -> str:
+    """A file holding the "model" object that show prints for preset."""
+    code, out, _ = _run(capsys, "show", "--preset", preset)
+    assert code == 0
+    return _model_file(tmp_path / "model.json", json.loads(out)["model"])
+
+
+def test_model_override_modular(capsys, tmp_path):
+    mod2 = _printed_model(capsys, tmp_path, "sl3z-mod:2")
+    code, out, _ = _run(capsys, "show", "--preset", "sl3z", "--model", mod2)
     assert code == 0
     assert json.loads(out)["model"]["modulus"] == 2
 
 
-def test_model_matrix_refuses_a_modular_preset(capsys):
-    code, out, err = _run(capsys, "show", "--preset", "sl3z-mod:2", "--model", "matrix")
+def test_model_file_gives_the_bytes_of_its_preset(capsys, tmp_path):
+    mod2 = _printed_model(capsys, tmp_path, "sl3z-mod:2")
+    outputs = []
+    for source in (["--preset", "sl3z-mod:2"], ["--preset", "sl3z", "--model", mod2]):
+        cert = tmp_path / f"cert{len(outputs)}.json"
+        code, lap, _ = _run(capsys, "laplacian", *source)
+        assert code == 0
+        code, out, _ = _run(capsys, "pipeline", *source, "--radius", "1", "--max-iter", "300",
+                            "--out", str(cert))
+        assert code == 0 and json.loads(out)["verified"] is True
+        outputs.append((lap, cert.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_pipeline_on_a_file_with_a_model_file(capsys, tmp_path):
+    z3 = tmp_path / "z3.txt"
+    z3.write_text("gens: t\nrel: t^3\n")
+    cyclic3 = _model_file(tmp_path / "cyclic3.json", {"type": "cyclic", "n": 3})
+    certs = [tmp_path / "file-cert.json", tmp_path / "preset-cert.json"]
+    for source, cert in ((["--file", str(z3), "--model", cyclic3], certs[0]),
+                         (["--preset", "z3"], certs[1])):
+        code, out, _ = _run(capsys, "pipeline", *source, "--radius", "1", "--out", str(cert))
+        summary = json.loads(out)
+        assert code == 0 and summary["verified"] is True
+        assert summary["status"] == "certified-positive" and summary["lambda0"] > 2.9
+    code, out, _ = _run(capsys, "verify", str(certs[0]))
+    assert code == 0 and json.loads(out)["passed"] is True
+    # the file holds the z3 preset's text, so the certificates are one
+    assert certs[0].read_bytes() == certs[1].read_bytes()
+
+
+_SL3Z_IMAGES = load_preset("sl3z")[1].spec()["images"]
+_E21 = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("matrix", "is not JSON: Expecting value", id="not_json"),
+        pytest.param(b"\xff", "is not JSON: 'utf-8' codec", id="not_utf8"),
+        pytest.param("[" * 100000, "is nested too deeply", id="nested"),
+        pytest.param([1, 2], "model spec must be a JSON object", id="not_object"),
+        pytest.param({"type": "unitary"}, "unknown model spec type 'unitary'", id="unknown_type"),
+        pytest.param({"type": "matrix", "dim": 3, "images": [[[1.5, 0, 0], *img[1:]]
+                                                            for img in _SL3Z_IMAGES]},
+                     "generator image must be an integer, got 1.5", id="non_integer_image"),
+        pytest.param({"type": "modular", "dim": 3, "modulus": "x", "images": _SL3Z_IMAGES},
+                     "modulus must be an integer, got 'x'", id="non_integer_modulus"),
+        pytest.param({"type": "matrix", "dim": 3, "images": [img[:2] + [img[2][:2]]
+                                                            for img in _SL3Z_IMAGES]},
+                     "generator images must be square of equal size", id="ragged"),
+        pytest.param({"type": "matrix", "dim": 3, "images": [[row[:2] for row in img]
+                                                            for img in _SL3Z_IMAGES]},
+                     "generator images must be square of equal size", id="non_square"),
+        pytest.param({"type": "matrix", "dim": 0, "images": [[]] * 6},
+                     "at least 1x1", id="empty_images"),
+        pytest.param({"type": "matrix", "dim": 3,
+                      "images": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]], *_SL3Z_IMAGES[1:]]},
+                     "is not invertible over Z", id="singular"),
+        pytest.param({"type": "modular", "dim": 3, "modulus": 4,
+                      "images": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]], *_SL3Z_IMAGES[1:]]},
+                     "is not invertible mod 4", id="singular_mod_m"),
+        pytest.param({"type": "modular", "dim": 3, "modulus": 1, "images": _SL3Z_IMAGES},
+                     "modulus must be >= 2", id="modulus_below_2"),
+        pytest.param({"type": "matrix", "dim": 3, "images": _SL3Z_IMAGES[:5]},
+                     "presentation has 6 generators, model has 5", id="wrong_generator_count"),
+        pytest.param({"type": "matrix", "dim": 3, "images": [_E21, *_SL3Z_IMAGES[1:]]},
+                     "relator r_123 does not evaluate to the identity", id="breaks_a_relator"),
+        pytest.param(None, "No such file or directory", id="missing_path"),
+    ],
+)
+def test_hostile_model_file_is_an_error(capsys, tmp_path, monkeypatch, text, message):
+    monkeypatch.chdir(tmp_path)
+    if isinstance(text, bytes):
+        Path("m.json").write_bytes(text)
+    elif text is not None:
+        Path("m.json").write_text(text if isinstance(text, str) else json.dumps(text))
+    # "free" was a model kind before models came from files
+    model = "m.json" if text is not None else "free"
+    code, out, err = _run(capsys, "laplacian", "--preset", "sl3z", "--model", model)
     assert code == 1 and out == ""
-    assert err == "error: --model matrix needs a matrix preset without a modulus\n"
-    code, out, _ = _run(capsys, "show", "--preset", "sl3z", "--model", "matrix")
-    assert code == 0 and json.loads(out)["model"]["type"] == "matrix"
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_exclude_relator_by_label(capsys):
@@ -625,8 +722,11 @@ def test_exclude_relator_default_is_a_label(capsys, tmp_path):
     path.write_text("gens: a\nrel default: a^3\nrel big: a^5\n")
     only_big.write_text("gens: a\nrel big: a^5\n")
 
+    # a^3 and a^5 both hold only in the trivial group
+    trivial = _model_file(tmp_path / "trivial.json", {"type": "matrix", "dim": 1, "images": [[[1]]]})
+
     def laplacian(f, *policy):
-        code, out, _ = _run(capsys, "laplacian", "--file", str(f), "--model", "free", *policy)
+        code, out, _ = _run(capsys, "laplacian", "--file", str(f), "--model", trivial, *policy)
         assert code == 0
         return out
 
@@ -825,7 +925,7 @@ def test_streamed_exports_equal_export_sdpa(capsys, tmp_path, monkeypatch):
     pres.write_text("gens: a, b\n")
     for source in (
         ("--preset", "sl3z-mod:2", "--radius", "1"),
-        ("--file", str(pres), "--model", "free", "--radius", "2"),
+        ("--file", str(pres), "--radius", "2"),
     ):
         path = tmp_path / "export.dat-s"
         code, out, _ = _run(capsys, "sdp", "export", *source, "--export", str(path))

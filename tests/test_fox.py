@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,15 @@ def test_evaluate_representation_regular_z3_circulant():
     w = np.sort(np.linalg.eigvalsh(pi))
     # circulant with first row (5, 2, 2): eigenvalues 5+2*2 and 5-2 twice
     assert np.allclose(w, [3.0, 3.0, 9.0], atol=1e-12)
+
+
+def test_regular_representation_refuses_a_free_model_at_once():
+    # a free model is infinite: the ball walk would enumerate 200,001 elements first
+    start = time.perf_counter()
+    for k in (1, 2, 6):
+        with pytest.raises(ValueError, match="^a free group is infinite$"):
+            regular_representation_images(FreeModel(k))
+    assert time.perf_counter() - start < 0.3
 
 
 def test_evaluate_representation_hermitian_for_star_invariant():

@@ -23,7 +23,7 @@ from gapcert.groups import (
     validate_model,
 )
 from gapcert.presets import load_preset, sl3z_images
-from gapcert.sdp import SolveOptions, build_problem, export_sdpa, import_sdpa, solve
+from gapcert.sdp import SolveOptions, build_problem, solve
 from gapcert.words import Word, parse_presentation
 
 from _oracles import (
@@ -123,36 +123,28 @@ def test_ball_bfs_order_deterministic():
 
 
 def test_free_model_ball_and_soundness(capsys, tmp_path):
-    model = FreeModel(2, sound=True)
+    model = FreeModel(2)
     b = ball(model, 1)
     assert list(b) == [(), (1,), (-1,), (2,), (-2,)]
-    unsound = FreeModel(2, sound=False)
-    message = "refusing a support basis over an unsound free model"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        ball(unsound, 1)
-    # an explicit basis is refused too, so no certificate or export over one
-    # loads; this one, for <a | a^3>, is forged past the refusal
+    # a free model is the free group, so no relator holds in it: a
+    # certificate built over one for <a | a^3> in the library does not verify
     p = parse_presentation("gens: a\nrel: a^3\n")
     forged = FreeModel(1)
     basis = SupportBasis(forged, [(), (1,), (-1,), (1, 1), (-1, -1)])
-    forged.sound = False
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        SupportBasis(forged, basis.elements)
     lap = laplacian1(forged, p)
     problem = build_problem(lap, basis)
     sol = solve(problem, SolveOptions())
     result = certified_gap(lap, basis, psd_sqrt(sol.P), sol.lam)
     # over the free group the SOS maps onto Z/3, whose Delta_1 has spectrum
-    # {9, 3, 3}: the bound is true, but the model is unsound all the same
+    # {9, 3, 3}: the bound is true, but it is not a bound for the model
     assert result.status == "certified-positive" and 2.7 < result.lambda0 < 3
-    with pytest.raises(ValueError, match=f"^stored basis is invalid: {message}$"):
-        verify_certificate(result.certificate)
+    message = "relator rel0 does not evaluate to the identity"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        import_sdpa(export_sdpa(problem))
+        verify_certificate(result.certificate)
     result.certificate.save(tmp_path / "cert.json")
     assert main(["verify", str(tmp_path / "cert.json")]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: stored basis is invalid: {message}\n"
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_validate_model_rejects_wrong_quotient():
@@ -164,11 +156,10 @@ def test_validate_model_rejects_wrong_quotient():
 
 def test_validate_model_free_with_relators():
     p = parse_presentation("gens: a\nrel: a^2\n")
-    with pytest.raises(
-        ValueError, match="^free model marked sound but the presentation has relators$"
-    ):
-        validate_model(p, FreeModel(1, sound=True))
-    validate_model(p, FreeModel(1, sound=False))
+    # a freely reduced relator is never the empty word
+    with pytest.raises(ValueError, match="^relator rel0 does not evaluate to the identity$"):
+        validate_model(p, FreeModel(1))
+    validate_model(parse_presentation("gens: a\n"), FreeModel(1))
 
 
 def test_modular_model_collapses_inverses_mod_2():
@@ -252,16 +243,17 @@ def test_model_spec_round_trip():
         assert model.model_id.split(":")[0] == model.spec()["type"]
 
 
-@pytest.mark.parametrize("sound", ["yes", 1, None, 0, 0.0, [], "false"], ids=repr)
+@pytest.mark.parametrize("sound", ["yes", 1, None, 0, 0.0, [], "false", False], ids=repr)
 def test_free_model_soundness_must_be_a_bool(sound):
-    with pytest.raises(ValueError, match="soundness"):
+    # the only soundness a free model has is true, the default
+    with pytest.raises(ValueError, match="^free model soundness must be true, got "):
         model_from_spec({"type": "free", "generators": 2, "sound": sound})
 
 
 def test_free_model_soundness_defaults_to_sound():
-    for spec, sound in (({}, True), ({"sound": True}, True), ({"sound": False}, False)):
+    for spec in ({}, {"sound": True}):
         model = model_from_spec({"type": "free", "generators": 2, **spec})
-        assert model.sound is sound and model.spec()["sound"] is sound
+        assert model.spec() == {"type": "free", "generators": 2, "sound": True}
 
 
 @pytest.mark.parametrize("preset", ["sl3z", "sl3z-mod:2", "z2-abelian"])

@@ -255,7 +255,7 @@ def certified_gap(target, basis: SupportBasis, Q: np.ndarray, lam: float) -> Gap
     if not isinstance(target, Laplacian1):
         return GapResult(*_certified_bound(target, basis, Q, lam), None)
     lambda0, residual_l1, status = _certified_bound(target.matrix, basis, Q, lam)
-    p, model, indices = target.presentation, target.model, target.relator_indices
+    p, model, indices = target.presentation, target.matrix.model, target.relator_indices
     fields = {  # in file order: certificates are canonical byte streams
         "format": _FORMAT,
         "toolchain": {"package": "gapcert", "version": __version__, "numpy": np.__version__},
@@ -647,21 +647,21 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         raise ValueError("presentation text must be a string")
     if hashlib.sha256(text.encode("utf-8")).hexdigest() != sha256:
         raise ValueError("presentation text does not match its stored hash")
-    p = parse_presentation(text)
-    model = model_from_spec(spec)
-    validate_model(p, model)
-    lap = laplacian1(model, p, stored)  # refuses indices out of order or out of range
-    if labels != tuple(p.labels[k] for k in stored):
-        raise ValueError("stored relator labels are not the presentation's")
     lam = _decimal(lam, "solver_lambda")
     stored_lambda0 = _decimal(stored_lambda0, "certified_lambda0")
     stored_sup = _decimal(stored_sup, "residual_l1_sup")
     if status != _status(stored_lambda0):
         raise ValueError(f"stored status {status!r} contradicts its lambda0")
+    p = parse_presentation(text)
+    model = model_from_spec(spec)
+    validate_model(p, model)
     try:
         basis = basis_from_json(model, basis_keys, radius)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"stored basis is invalid: {exc}") from exc
+    lap = laplacian1(model, p, stored)  # refuses indices out of order or out of range
+    if labels != tuple(p.labels[k] for k in stored):
+        raise ValueError("stored relator labels are not the presentation's")
     lambda0, residual, _ = _certified_bound(lap.matrix, basis, cert.q, lam)
     if not lambda0 >= stored_lambda0:
         message = f"recomputed lambda0 {lambda0!r} fell below stored {stored_lambda0!r}"

@@ -57,7 +57,13 @@ def _load_input(args) -> tuple:
         model = FreeModel(p.n_generators)
     if args.model:
         model = model_from_spec(_read_json(args.model, "model"))
-    validate_model(p, model)
+    try:
+        validate_model(p, model)
+    except ValueError as exc:
+        if args.preset or args.model:
+            raise
+        raise ValueError(f"{exc} in the free group, which --file uses without --model; "
+                         "give --model FILE with a model in which the relators hold") from None
     return p, model
 
 

@@ -77,7 +77,6 @@ class Laplacian1:
 
     matrix: RingMatrix
     presentation: Presentation
-    model: GroupModel
     relator_indices: Tuple[int, ...]
 
 
@@ -126,7 +125,7 @@ def laplacian1(
         ]
         add_outer(star(row), row)
     matrix = RingMatrix(model, [[RingElement(model, cell) for cell in r] for r in cells])
-    return Laplacian1(matrix, p, model, indices)
+    return Laplacian1(matrix, p, indices)
 
 
 def evaluate_representation(

@@ -13,8 +13,6 @@ uses int64 arrays only where a bound on the entries rules overflow out.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from itertools import islice
 from operator import index, mul
 from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -63,15 +61,14 @@ def _det_adjugate(a: Sequence[Sequence[int]]) -> Tuple[int, Optional[MatrixKey]]
 
 
 class GroupModel:
-    """Interface shared by all models; every element is a key."""
+    """Interface shared by all models; every element is a key, and spec() identifies a model."""
 
-    model_id: str
     n_generators: int
 
     def identity(self) -> Key:
         raise NotImplementedError
 
-    def generator(self, i: int) -> Key:
+    def generators(self) -> List[Key]:
         raise NotImplementedError
 
     def multiply(self, a: Key, b: Key) -> Key:
@@ -79,9 +76,6 @@ class GroupModel:
 
     def inverse(self, a: Key) -> Key:
         raise NotImplementedError
-
-    def generators(self) -> List[Key]:
-        return [self.generator(i) for i in range(self.n_generators)]
 
     def evaluate(self, w: Word) -> Key:
         out = self.identity()
@@ -102,11 +96,6 @@ class GroupModel:
     def key_from_json(self, data):
         """The key a JSON value names; ValueError unless it is a valid key."""
         raise NotImplementedError
-
-
-def _spec_id(spec: dict) -> str:
-    blob = json.dumps(spec, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class MatrixModel(GroupModel):
@@ -134,8 +123,6 @@ class MatrixModel(GroupModel):
         self.dim = d
         self.images = keys
         self.n_generators = len(keys)
-        spec = self.spec()
-        self.model_id = f"{spec['type']}:{_spec_id(spec)}"
 
     def _reduce(self, x: int) -> int:
         return x if self.modulus is None else x % self.modulus
@@ -154,8 +141,8 @@ class MatrixModel(GroupModel):
     def identity(self) -> MatrixKey:
         return tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
 
-    def generator(self, i: int) -> MatrixKey:
-        return self.images[i]
+    def generators(self) -> List[MatrixKey]:
+        return list(self.images)
 
     def multiply(self, a: MatrixKey, b: MatrixKey) -> MatrixKey:
         return _mat_mul(a, b, self.modulus)
@@ -200,15 +187,12 @@ class CyclicModel(GroupModel):
             raise ValueError("cyclic order must be >= 2")
         self.n = n
         self.n_generators = 1
-        self.model_id = f"cyclic:{n}"
 
     def identity(self) -> int:
         return 0
 
-    def generator(self, i: int) -> int:
-        if i != 0:
-            raise ValueError("cyclic model has a single generator")
-        return 1 % self.n
+    def generators(self) -> List[int]:
+        return [1]
 
     def multiply(self, a: int, b: int) -> int:
         return (a + b) % self.n
@@ -241,15 +225,12 @@ class FreeModel(GroupModel):
         if n_generators < 1:
             raise ValueError("need at least one generator")
         self.n_generators = n_generators
-        self.model_id = f"free:{n_generators}"
 
     def identity(self) -> Tuple[int, ...]:
         return ()
 
-    def generator(self, i: int) -> Tuple[int, ...]:
-        if not 0 <= i < self.n_generators:
-            raise ValueError("generator index out of range")
-        return (i + 1,)
+    def generators(self) -> List[Tuple[int, ...]]:
+        return [(i + 1,) for i in range(self.n_generators)]
 
     def multiply(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
         out = list(a)

@@ -16,8 +16,8 @@ commutators; and the torsion relator is kept.  Its Delta_1 (without the
 torsion relator, the default subset) has smallest eigenvalue 0.129986 in
 the regular representation of SL(3,Z/2), so no support radius
 certifies more than that, and radius 2 cannot reach 0.32.  The Steinberg
-set, each commuting pair once and no torsion relator, is STEINBERG_TEXT
-in the tests; it certifies above 0.32 at radius 2.
+set, each commuting pair once and no torsion relator, is the file
+tests/data/sl3z-steinberg.txt; it certifies above 0.32 at radius 2.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .groups import (
     MatrixModel,
     validate_model,
 )
-from .words import Presentation, parse_presentation
+from .words import _MAX_LETTERS, Presentation, parse_presentation
 
 SL3Z_TEXT = """\
 # presentation of SL(3,Z) on elementary matrix generators
@@ -75,6 +75,8 @@ def _zn_presentation(n: int) -> Presentation:
 
 
 def _free_presentation(k: int) -> Presentation:
+    if k > _MAX_LETTERS:  # the bound that caps zn:<n>, before any name is built
+        raise ValueError(f"preset free needs k <= {_MAX_LETTERS}, got {k}")
     names = ", ".join(f"s{i + 1}" for i in range(k))
     return parse_presentation(f"gens: {names}\n")
 

@@ -46,7 +46,7 @@ class RingElement:
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
-            and self.model.model_id == other.model.model_id
+            and (self.model is other.model or self.model.spec() == other.model.spec())
             and self.coeffs == other.coeffs
         )
 
@@ -71,7 +71,7 @@ class RingMatrix:
             if len(row) != width:
                 raise ValueError("ragged matrix rows")
             for e in row:
-                if e.model.model_id != model.model_id:
+                if e.model is not model and e.model.spec() != model.spec():
                     raise ValueError("entry model mismatch")
         self.model = model
         self.entries = rows
@@ -87,7 +87,7 @@ class RingMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, RingMatrix)
-            and self.model.model_id == other.model.model_id
+            and (self.model is other.model or self.model.spec() == other.model.spec())
             and self.entries == other.entries
         )
 

@@ -40,6 +40,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
@@ -84,8 +85,6 @@ class SdpProblem:
         self.table = self.basis.products()
         self.m = len(self.basis)
         self.npairs = len(self.table)
-        self.identity_pid = self.table.identity_pid
-        self.inverse_pid = self.table.inverse_pid
         if self.targets.shape != (self.n, self.n, self.npairs):
             raise ValueError(f"targets must have shape {(self.n, self.n, self.npairs)}")
 
@@ -120,7 +119,7 @@ def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
     [(g, c)] for every coefficient on a product outside them), both in
     row-major entry order and sorted support.
     """
-    if matrix.model.model_id != basis.model.model_id:
+    if matrix.model is not basis.model and matrix.model.spec() != basis.model.spec():
         raise ValueError("target and basis use different models")
     if not _is_star_invariant(matrix):
         raise ValueError("target matrix must be square and *-invariant")
@@ -197,7 +196,7 @@ def _entries(problem: SdpProblem) -> Iterator[Tuple[int, int, np.ndarray]]:
     pid in pids, entry by entry.
     """
     every = np.arange(problem.npairs)
-    kept = np.flatnonzero(problem.inverse_pid >= every)
+    kept = np.flatnonzero(problem.table.inverse_pid >= every)
     for i in range(problem.n):
         yield i, i, kept
         for j in range(i + 1, problem.n):
@@ -216,14 +215,14 @@ def _templates(problem: SdpProblem) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.nd
     (1, 1) and (2, 2) of block 2.  Each class's cells run x-major, by the
     stable argsort of pid.
     """
-    m, pid, inverse_pid = problem.m, problem.table.pid.ravel(), problem.inverse_pid
+    m, pid, inverse_pid = problem.m, problem.table.pid.ravel(), problem.table.inverse_pid
     order = np.argsort(pid, kind="stable")
     x, y = np.divmod(order, m)
     c = pid[order]
     off = (c, x, y, np.zeros_like(c))
     # the diagonal's cells x <= y, and lambda's two lines as lines of the identity class
     upper = x <= y
-    c = np.append(c[upper], [problem.identity_pid] * 2)
+    c = np.append(c[upper], [problem.table.identity_pid] * 2)
     x, y = np.append(x[upper], [1, 2]), np.append(y[upper], [1, 2])
     code = np.append(x[:-2] == y[:-2], [2, 3])
     owner = np.minimum(c, inverse_pid[c])  # the kept class, whose constraint the line is in
@@ -348,7 +347,7 @@ def import_sdpa(text: str) -> SdpProblem:
     for i, j, pids in _entries(problem):
         part = c[a:a + len(pids)]
         problem.targets[i, j, pids] = part
-        problem.targets[j, i, problem.inverse_pid[pids]] = part
+        problem.targets[j, i, problem.table.inverse_pid[pids]] = part
         a += len(pids)
     # the chunks still to come, from the objective on, read the targets just set
     for chunk in chunks:
@@ -387,6 +386,20 @@ class GramSymmetry:
     @classmethod
     def trivial(cls, size: int) -> "GramSymmetry":
         return cls(np.arange(size), (np.ones((1, 1, 1)),), np.zeros((1, 1), dtype=np.int64))
+
+    @cached_property
+    def maps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(into, back): |H| x |H| maps between invariant coordinates and isotypic blocks.
+
+        into[t, (rho, a, b)] = rho[t][a, b], so row (rho, a, b) of R = into.T @ C
+        is tile (a, b) of block rho, sum_t C[t] rho[t][a, b].  back is into
+        with irrep rho's columns scaled by d/|H|; Schur orthogonality gives
+        back @ into.T = I, so C = back @ R.
+        """
+        g = len(self.ldiv)
+        into = np.hstack([rho.reshape(g, -1) for rho in self.irreps])
+        back = np.hstack([rho.reshape(g, -1) * (rho.shape[1] / g) for rho in self.irreps])
+        return into, back
 
     def expand(self, C: np.ndarray) -> np.ndarray:
         """The dense N x N matrix with invariant coordinates C, in the original layout."""
@@ -501,31 +514,15 @@ def _psd_factor(A: np.ndarray, rtol: float = 0.0) -> np.ndarray:
     return V[:, keep] * np.sqrt(w[keep])
 
 
-def _block_maps(sym: GramSymmetry) -> Tuple[np.ndarray, np.ndarray]:
-    """(into, back): |H| x |H| maps between invariant coordinates and isotypic blocks.
-
-    into[t, (rho, a, b)] = rho[t][a, b], so row (rho, a, b) of R = into.T @ C
-    is tile (a, b) of block rho, sum_t C[t] rho[t][a, b].  back is into
-    with irrep rho's columns scaled by d/|H|; Schur orthogonality gives
-    back @ into.T = I, so C = back @ R.
-    """
-    g = len(sym.ldiv)
-    into = np.hstack([rho.reshape(g, -1) for rho in sym.irreps])
-    back = np.hstack([rho.reshape(g, -1) * (rho.shape[1] / g) for rho in sym.irreps])
-    return into, back
-
-
-def _psd_project_invariant(
-    C: np.ndarray, sym: GramSymmetry, maps: Tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def _psd_project_invariant(C: np.ndarray, sym: GramSymmetry) -> np.ndarray:
     """The nearest PSD matrix to the H-invariant matrix with invariant coordinates C.
 
     Block rho = sum_t kron(C[t], rho[t]) is projected on its own to B @ B.T,
     B = _psd_factor(block), which numpy evaluates as a symmetric rank-k
     update (syrk) that fills one triangle and mirrors it; C is read back
-    from the projected blocks (_block_maps(sym)).
+    from the projected blocks (sym.maps).
     """
-    into, back = maps
+    into, back = sym.maps
     g, k = C.shape[:2]
     R = into.T @ C.reshape(g, k * k)
     col = 0
@@ -608,13 +605,13 @@ class _Iterate(NamedTuple):
 
 
 def _step(
-    s: _Iterate, cons: _InvariantConstraints, sym: GramSymmetry, maps: Tuple[np.ndarray, np.ndarray]
+    s: _Iterate, cons: _InvariantConstraints, sym: GramSymmetry
 ) -> Tuple[_Iterate, np.ndarray, float]:
     """The iterate after s, and the step's affine point (X, xlam)."""
     alpha = _OVER_RELAXATION
     X, xlam = cons.project(s.Z - s.U, s.zlam + 1.0 / s.rho)
     Xr = alpha * X + (1.0 - alpha) * s.Z
-    Z = _psd_project_invariant(Xr + s.U, sym, maps)
+    Z = _psd_project_invariant(Xr + s.U, sym)
     return _Iterate(Z, s.U + Xr - Z, alpha * xlam + (1.0 - alpha) * s.zlam, s.rho), X, xlam
 
 
@@ -650,11 +647,10 @@ def solve(problem: SdpProblem, opts: Optional[SolveOptions] = None) -> SdpSoluti
     g = len(sym.ldiv)
     k = problem.n * problem.m // g
     cons = _InvariantConstraints(problem, sym)
-    maps = _block_maps(sym)
     cur = _Iterate(np.zeros((g, k, k)), np.zeros((g, k, k)), 0.0, _RHO)
     status = "max-iter"
     for it in range(1, opts.max_iter + 1):
-        new, X, xlam = _step(cur, cons, sym, maps)
+        new, X, xlam = _step(cur, cons, sym)
         check = it % _CHECK_EVERY == 0 or it == 1
         if check or it == opts.max_iter:  # the only iterations that read them
             rp, rd = _residuals(cur, new, X)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Container, Iterable, Optional, Sequence, Tuple
 
 
 def _reduce(letters: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
@@ -45,10 +45,6 @@ class Word(tuple):
     def __new__(cls, letters: Iterable[Tuple[int, int]] = ()):
         return super().__new__(cls, _reduce(letters))
 
-    @property
-    def letters(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(self)
-
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -57,20 +53,22 @@ def _generators_fault(names: Sequence[str]) -> Optional[str]:
     """The rule that the generator list names breaks, or None."""
     if not names:
         return "empty generator list"
-    for k, name in enumerate(names):
+    seen = set()
+    for name in names:
         if not _NAME_RE.fullmatch(name):
             return f"invalid generator name {name!r}"
-        if name in names[:k]:
+        if name in seen:
             return f"duplicate generator {name!r}"
+        seen.add(name)
     return None
 
 
 def _relator_fault(
-    label: str, earlier: Sequence[str], word: Optional[Word] = None, n_generators: int = 0
+    label: str, earlier: Container[str], word: Optional[Word] = None, n_generators: int = 0
 ) -> Optional[str]:
     """The rule that relator `label: word` after the labels earlier breaks, or None.
 
-    Without a word only the label is checked.
+    Without a word only the label is checked; earlier is a set or a dict.
     """
     if not _NAME_RE.fullmatch(label):
         return f"invalid relator label {label!r}"
@@ -112,9 +110,11 @@ class Presentation:
             object.__setattr__(self, "labels", tuple(f"rel{i}" for i in range(len(self.relators))))
         if len(self.labels) != len(self.relators):
             raise ValueError("one label per relator required")
-        faults = (_relator_fault(label, self.labels[:k], rel, len(self.generators))
-                  for k, (label, rel) in enumerate(zip(self.labels, self.relators)))
-        if fault := _generators_fault(self.generators) or next(filter(None, faults), None):
+        fault, earlier = _generators_fault(self.generators), set()
+        for label, rel in zip(self.labels, self.relators):
+            fault = fault or _relator_fault(label, earlier, rel, len(self.generators))
+            earlier.add(label)
+        if fault:
             raise ValueError(fault)
 
     @property
@@ -192,10 +192,10 @@ class _ExprParser:
 
     def parse_int(self) -> int:
         self.skip_ws()
-        m = re.match(r"-?\d+", self.text[self.pos:])
+        m = re.compile(r"-?\d+").match(self.text, self.pos)  # no slice: linear in the line
         if not m:
             self.error("expected an integer exponent")
-        self.pos += m.end()
+        self.pos = m.end()
         return int(m.group())
 
     def check_length(self, n: int, at: int):
@@ -246,13 +246,13 @@ class _ExprParser:
                 x = x + y + [(i, -s) for i, s in reversed(x)] + [(i, -s) for i, s in reversed(y)]
             self.depth -= 1
             return x
-        m = _NAME_RE.match(self.text[self.pos:])
+        m = _NAME_RE.match(self.text, self.pos)
         if not m:
             self.error("expected a generator name, '(' or '['")
         name = m.group()
         if name not in self.gen_index:
             self.error(f"unknown generator {name!r}")
-        self.pos += m.end()
+        self.pos = m.end()
         return [(self.gen_index[name], 1)]
 
     def parse_full(self) -> list:
@@ -269,7 +269,7 @@ _REL_RE = re.compile(rf"rel(?:\s+({_NAME_RE.pattern}))?\s*:")
 def parse_presentation(text: str) -> Presentation:
     generators: Optional[Tuple[str, ...]] = None
     relators: list[Word] = []
-    labels: list[str] = []
+    labels: dict[str, None] = {}  # in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -302,7 +302,7 @@ def parse_presentation(text: str) -> Presentation:
             if fault := _relator_fault(label, labels, rel, len(generators)):
                 raise PresentationSyntaxError(fault, lineno, col0)
             relators.append(rel)
-            labels.append(label)
+            labels[label] = None
             continue
         raise PresentationSyntaxError("expected 'gens:' or 'rel:'", lineno, indent + 1)
     if generators is None:

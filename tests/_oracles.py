@@ -109,7 +109,7 @@ def verify_sos(M: RingMatrix, factors: Iterable[Factor]) -> RingMatrix:
         raise ValueError("target must be square")
     residual = M
     for scale, f in _normalize_factors(factors):
-        if f.model.model_id != M.model.model_id:
+        if f.model.spec() != M.model.spec():
             raise ValueError("factor model mismatch")
         if f.n_cols != M.n_cols:
             raise ValueError(
@@ -375,7 +375,7 @@ def export_keys(problem) -> List[Tuple[int, int, int]]:
 
     A diagonal entry keeps one of each pair of mutually inverse classes, the smaller pid.
     """
-    inverse_pid = problem.inverse_pid.tolist()
+    inverse_pid = problem.table.inverse_pid.tolist()
     return [
         (i, j, pid)
         for i in range(problem.n)
@@ -425,7 +425,7 @@ def entry_lines(problem, keys) -> Iterator[str]:
     """The export's lines after the objective vector: the entries of F0, F1, ..."""
     m = problem.m
     yield from ("0 2 1 1 1.0", "0 2 2 2 -1.0")
-    inverse_pid = problem.inverse_pid.tolist()
+    inverse_pid = problem.table.inverse_pid.tolist()
     cells = members(problem.table)
     for k, (i, j, pid) in enumerate(keys, start=1):
         if i == j:
@@ -438,7 +438,7 @@ def entry_lines(problem, keys) -> Iterator[str]:
                     yield f"{k} 1 {p + 1} {q + 1} 0.5"
                 elif p == q:
                     yield f"{k} 1 {p + 1} {q + 1} 1.0"
-            if pid == problem.identity_pid:
+            if pid == problem.table.identity_pid:
                 yield f"{k} 2 1 1 1.0"
                 yield f"{k} 2 2 2 -1.0"
         else:
@@ -553,7 +553,7 @@ def d0(model, p) -> RingMatrix:
     """Column [1 - s_1; ...; 1 - s_n]."""
     col = []
     for i in range(p.n_generators):
-        e = add(element(model, model.identity()), element(model, model.generator(i)), -1)
+        e = add(element(model, model.identity()), element(model, model.generators()[i]), -1)
         col.append([e])
     return RingMatrix(model, col)
 
@@ -571,7 +571,7 @@ def fox_derivative(model, w, j) -> RingElement:
     one = element(model, model.identity())
     total, prefix = RingElement(model, {}), one
     for idx, sign in w:
-        s = model.generator(idx)
+        s = model.generators()[idx]
         letter = element(model, s if sign > 0 else model.inverse(s))
         if idx == j:
             total = add(total, mul(prefix, one if sign > 0 else letter), sign)

@@ -11,11 +11,12 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gapcert.certify import Certificate, certified_gap, psd_sqrt, verify_certificate
+from gapcert.certify import certified_gap, psd_sqrt, verify_certificate
 from gapcert.cli import main
 from gapcert.fox import (
     default_relator_indices,
@@ -80,7 +81,7 @@ def test_criterion_1_steinberg_derivative_parity():
             return p.generators.index(f"e{i}{j}")
 
         def elem(idx):
-            return element(model, model.generator(idx))
+            return element(model, model.generators()[idx])
 
         for (i, j, k) in TRIPLES:
             r = p.relators[p.relator_index(f"r_{i}{j}{k}")]
@@ -89,7 +90,7 @@ def test_criterion_1_steinberg_derivative_parity():
             assert fox_derivative(model, r, gen(i, k)) == add(elem(gen(i, j)), one, -1)
             assert fox_derivative(model, rp, gen(i, k)) == element(model, model.identity(), -1)
             prod = element(
-                model, model.multiply(model.generator(gen(i, k)), model.generator(gen(j, k)))
+                model, model.multiply(model.generators()[gen(i, k)], model.generators()[gen(j, k)])
             )
             assert fox_derivative(model, rp, gen(i, j)) == add(one, prod, -1)
             assert fox_derivative(model, rp, gen(j, k)) == add(elem(gen(i, j)), elem(gen(i, k)), -1)
@@ -115,7 +116,7 @@ def test_criterion_2_fundamental_fox_identity():
             one = element(model, model.identity())
             total = RingElement(model, {})
             for j in range(p.n_generators):
-                s_j = element(model, model.generator(j))
+                s_j = element(model, model.generators()[j])
                 total = add(total, mul(fox_derivative(model, w, j), add(s_j, one, -1)))
             assert total == add(element(model, model.evaluate(w)), one, -1)
 
@@ -124,7 +125,7 @@ def test_criterion_3_z3_end_to_end():
     with _Timer(3, "Z/3 end-to-end", 5.0):
         p, model = load_preset("z3")
         lap = laplacian1(model, p)
-        ident, t = model.identity(), model.generator(0)
+        ident, t = model.identity(), model.generators()[0]
         t2 = model.multiply(t, t)
         assert lap.matrix.entries[0][0] == RingElement(model, {ident: 5, t: 2, t2: 2})
         images, _ = regular_representation_images(model)
@@ -257,25 +258,10 @@ def test_criterion_8_gated_deliverables(tmp_path):
         assert bad.status == "no-positive-gap" and bad.lambda0 < 0
 
 
-# SL(3,Z) on its elementary matrices with each Steinberg relation listed
-# once: the commutators of the same-row and of the same-column pairs, and
-# [e_ij, e_jk] = e_ik.  The sl3z preset lists each same-row pair in both
-# orders and no same-column pair; its SL(3,Z/2) ceiling is 0.129986.
-STEINBERG_TEXT = """\
-gens: e12, e13, e21, e23, e31, e32
-rel row_1: [e12, e13]
-rel row_2: [e21, e23]
-rel row_3: [e31, e32]
-rel col_1: [e21, e31]
-rel col_2: [e12, e32]
-rel col_3: [e13, e23]
-rel rp_123: [e12, e23] * e13^-1
-rel rp_132: [e13, e32] * e12^-1
-rel rp_213: [e21, e13] * e23^-1
-rel rp_231: [e23, e31] * e21^-1
-rel rp_312: [e31, e12] * e32^-1
-rel rp_321: [e32, e21] * e31^-1
-"""
+DATA = Path(__file__).parent / "data"
+# the twelve Steinberg relators; the sl3z preset lists each same-row pair in
+# both orders and no same-column pair, and its SL(3,Z/2) ceiling is 0.129986
+STEINBERG_TEXT = (DATA / "sl3z-steinberg.txt").read_text(encoding="utf-8")
 
 
 def _steinberg_laplacian():
@@ -295,28 +281,48 @@ def test_steinberg_relator_set_sizes_and_symmetry():
     assert len(gram_symmetry(prob).ldiv) == 6
 
 
+def _paper_pipeline(capsys, tmp_path, radius: int, max_iter: int) -> dict:
+    """`gapcert pipeline` on the committed Steinberg file and model, then `gapcert verify`.
+
+    Both must exit 0 and the certificate must store all twelve labels;
+    returns the pipeline's summary.
+    """
+    cert = tmp_path / "steinberg-certificate.json"
+    code = main([
+        "pipeline", "--file", str(DATA / "sl3z-steinberg.txt"),
+        "--model", str(DATA / "sl3z-model.json"), "--radius", str(radius),
+        "--exclude-relator", "none", "--max-iter", str(max_iter), "--out", str(cert),
+    ])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0 and summary["verified"] is True
+    assert main(["verify", str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    labels = json.loads(cert.read_bytes())["relators"]["labels"]
+    assert labels == list(parse_presentation(STEINBERG_TEXT).labels) and len(labels) == 12
+    return summary
+
+
+def test_the_papers_presentation_runs_through_the_command_line(capsys, tmp_path):
+    # radius 1 certifies no gap, but the run and its verification go through
+    _paper_pipeline(capsys, tmp_path, radius=1, max_iter=200)
+    # the committed model is the sl3z preset's
+    model = json.loads((DATA / "sl3z-model.json").read_bytes())
+    assert model == load_preset("sl3z")[1].spec()
+
+
 @pytest.mark.stretch
-def test_criterion_8_stretch_full_reproduction(tmp_path):
-    """The paper's radius-2 bound 0.32 for SL(3,Z) (not gating).
+def test_criterion_8_stretch_full_reproduction(capsys, tmp_path):
+    """The paper's radius-2 bound 0.32 for SL(3,Z), from `gapcert` commands (not gating).
 
     All twelve Steinberg relators enter Delta_1; 4000 iterations of the
     embedded solver certify lambda0 of about 0.3277 from a solver lambda
-    of about 0.3288, in some 40 s of solve on one BLAS thread.  The
-    certificate is saved, loaded and re-verified.
+    of about 0.3288, in some 50 s on one BLAS thread, and `gapcert verify`
+    re-checks the 5.1 MB certificate.
     """
-    p, model, lap = _steinberg_laplacian()
-    basis = ball(model, 2)
-    sol = solve(build_problem(lap, basis), SolveOptions(max_iter=4000))
-    result = certified_gap(lap, basis, psd_sqrt(sol.P), sol.lam)
-    print(
-        f"stretch: solver lambda={sol.lam:.7f} status={sol.status} "
-        f"certified lambda0={result.lambda0:.7f}"
-    )
-    assert result.lambda0 >= 0.32
-    path = tmp_path / "steinberg-r2-certificate.json"
-    result.certificate.save(path)
-    check = verify_certificate(Certificate.load(path))
-    assert check.passed and check.lambda0 >= result.lambda0
+    summary = _paper_pipeline(capsys, tmp_path, radius=2, max_iter=4000)
+    print(f"stretch: solver lambda={summary['lambda']:.7f} "
+          f"certified lambda0={summary['lambda0']:.7f}")
+    assert summary["lambda0"] >= 0.32
 
 
 @pytest.mark.stretch

@@ -218,7 +218,7 @@ def test_certified_gap_refuses_non_square_and_non_star_invariant_targets():
     # the l1 domination holds only for a square *-invariant target
     model = CyclicModel(3)
     basis = ball(model, 1)
-    e, t = model.identity(), model.generator(0)
+    e, t = model.identity(), model.generators()[0]
     wide = RingMatrix(model, [[RingElement(model, {e: 1}), RingElement(model, {})]])
     skew = RingMatrix(model, [[RingElement(model, {e: 2, t: 1})]])
     for target in (wide, skew):

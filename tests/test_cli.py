@@ -584,7 +584,9 @@ def test_file_input_defaults_to_the_free_model(capsys, tmp_path):
     path.write_text("gens: t\nrel: t^3\n")
     code, out, err = _run(capsys, "show", "--file", str(path))
     assert code == 1 and out == ""
-    assert err == "error: relator rel0 does not evaluate to the identity\n"
+    # the one error line says why and what to do
+    assert err.startswith("error: relator rel0 does not evaluate to the identity in the free group")
+    assert "--model FILE" in err and len(err.splitlines()) == 1
     cyclic3 = _model_file(tmp_path / "cyclic3.json", {"type": "cyclic", "n": 3})
     code, out, _ = _run(capsys, "show", "--file", str(path), "--model", cyclic3)
     assert code == 0 and json.loads(out)["model"] == {"type": "cyclic", "n": 3}

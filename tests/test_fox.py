@@ -37,7 +37,7 @@ def test_fox_derivative_inverse_rule_via_cancellation():
     model2 = FreeModel(2)
     w2 = Word([(0, -1)])
     d = fox_derivative(model2, w2, 0)
-    g = model2.inverse(model2.generator(0))
+    g = model2.inverse(model2.generators()[0])
     assert d == RingElement(model2, {g: Fraction(-1)})
 
 
@@ -45,7 +45,7 @@ def test_fox_derivative_t_cubed():
     model = CyclicModel(3)
     p = parse_presentation("gens: t\nrel: t^3\n")
     d = fox_derivative(model, p.relators[0], 0)
-    ident, t = model.identity(), model.generator(0)
+    ident, t = model.identity(), model.generators()[0]
     t2 = model.multiply(t, t)
     assert d == RingElement(model, {ident: 1, t: 1, t2: 1})
 
@@ -84,7 +84,7 @@ def test_steinberg_product_relator_derivatives_match_closed_forms():
         d_jk = fox_derivative(model, r, e_jk)
         assert d_ik == element(model, model.identity(), -1)
         prod = element(
-            model, model.multiply(model.generator(e_ik), model.generator(e_jk))
+            model, model.multiply(model.generators()[e_ik], model.generators()[e_jk])
         )
         assert d_ij == add(_one(model), prod, -1)
         assert d_jk == add(_elem(model, (e_ij, 1)), _elem(model, (e_ik, 1)), -1)
@@ -107,7 +107,7 @@ def test_fundamental_fox_identity_random_words():
         w = _random_word(rng, p.n_generators, 12)
         total = RingElement(model, {})
         for j in range(p.n_generators):
-            s_j = element(model, model.generator(j))
+            s_j = element(model, model.generators()[j])
             total = add(total, mul(fox_derivative(model, w, j), add(s_j, _one(model), -1)))
         expected = add(element(model, model.evaluate(w)), _one(model), -1)
         assert total == expected
@@ -119,7 +119,7 @@ def test_chain_condition_d1_compose_d0_vanishes():
         for r in p.relators:
             total = RingElement(model, {})
             for j in range(p.n_generators):
-                s_j = element(model, model.generator(j))
+                s_j = element(model, model.generators()[j])
                 total = add(total, mul(fox_derivative(model, r, j), add(_one(model), s_j, -1)))
             assert not total.support()
 
@@ -128,14 +128,14 @@ def test_d0_cases():
     p, model = load_preset("z3")
     col = d0(model, p)
     assert col.n_rows == 1 and col.n_cols == 1
-    t = element(model, model.generator(0))
+    t = element(model, model.generators()[0])
     assert col.entries[0][0] == add(_one(model), t, -1)
 
     p6, m6 = load_preset("sl3z")
     col6 = d0(m6, p6)
     assert col6.n_rows == 6
     for i in range(6):
-        assert col6.entries[i][0] == add(_one(m6), element(m6, m6.generator(i)), -1)
+        assert col6.entries[i][0] == add(_one(m6), element(m6, m6.generators()[i]), -1)
 
     triv = [np.eye(1)] * 6
     img = evaluate_representation(col6, triv, presentation=p6)
@@ -144,8 +144,8 @@ def test_d0_cases():
 
 def test_jacobian_commutator_row_in_abelianized_model():
     p, model = load_preset("z2-abelian")
-    a = element(model, model.generator(0))
-    b = element(model, model.generator(1))
+    a = element(model, model.generators()[0])
+    b = element(model, model.generators()[1])
     # product rule on a b a^-1 b^-1 lands on [1 - b, a - 1] after collisions
     assert fox_derivative(model, p.relators[0], 0) == add(_one(model), b, -1)
     assert fox_derivative(model, p.relators[0], 1) == add(a, _one(model), -1)
@@ -176,7 +176,7 @@ def test_relator_square_of_identity_word():
 def test_laplacian_z3_full_relators():
     p, model = load_preset("z3")
     lap = laplacian1(model, p)
-    ident, t = model.identity(), model.generator(0)
+    ident, t = model.identity(), model.generators()[0]
     t2 = model.multiply(t, t)
     assert lap.relator_indices == (0,)
     assert lap.matrix.entries[0][0] == RingElement(model, {ident: 5, t: 2, t2: 2})
@@ -187,8 +187,8 @@ def test_laplacian_infinite_cyclic_no_relators():
     p = parse_presentation("gens: t\n")
     model = FreeModel(1)
     lap = laplacian1(model, p)
-    t = element(model, model.generator(0))
-    tinv = element(model, model.inverse(model.generator(0)))
+    t = element(model, model.generators()[0])
+    tinv = element(model, model.inverse(model.generators()[0]))
     assert lap.matrix.entries[0][0] == add(add(element(model, model.identity(), 2), t, -1), tinv, -1)
 
 

@@ -26,7 +26,7 @@ def z3():
 def _t_poly(model, *coeffs):
     """RingElement c0 + c1 t + c2 t^2 over Z/3."""
     ident = model.identity()
-    t = model.generator(0)
+    t = model.generators()[0]
     t2 = model.multiply(t, t)
     return RingElement(model, dict(zip((ident, t, t2), map(Fraction, coeffs))))
 
@@ -60,7 +60,7 @@ def test_star_cases(z3):
 
 def test_star_on_sl3z_difference():
     _, model = load_preset("sl3z")
-    e12, e13 = model.generator(0), model.generator(1)
+    e12, e13 = model.generators()[0], model.generators()[1]
     a = add(element(model, e12), element(model, e13), -1)
     expected = add(element(model, model.inverse(e12)), element(model, model.inverse(e13)), -1)
     assert star(a) == expected
@@ -93,7 +93,7 @@ def test_matrix_ops_d0_oracle(z3):
 def test_adjoint_of_column():
     model = FreeModel(2)
     e = element(model, model.identity())
-    s1, s2 = (element(model, model.generator(i)) for i in range(2))
+    s1, s2 = (element(model, model.generators()[i]) for i in range(2))
     col = RingMatrix(model, [[add(e, s1, -1)], [add(e, s2, -1)]])
     adj = adjoint(col)
     assert adj.n_rows == 1 and adj.n_cols == 2
@@ -160,7 +160,7 @@ def test_verify_sos_shape_errors(z3):
 
 def test_order_unit_minus_g_plus_ginv(z3):
     # M = -(g + g^-1): the single factor is (1 - g)
-    t = z3.generator(0)
+    t = z3.generators()[0]
     M = RingMatrix(z3, [[RingElement(z3, {t: -1, z3.inverse(t): -1})]])
     factors = order_unit_sos(M)
     shifted = add(M, identity(z3, 1, l1(M)))
@@ -177,7 +177,7 @@ def test_order_unit_zero_matrix(z3):
 
 
 def test_order_unit_off_diagonal_block(z3):
-    t = z3.generator(0)
+    t = z3.generators()[0]
     zero = RingElement(z3, {})
     M = RingMatrix(
         z3,
@@ -207,7 +207,7 @@ def test_order_unit_random_star_invariant():
 
 
 def test_order_unit_rejects_non_star_invariant(z3):
-    M = RingMatrix(z3, [[element(z3, z3.generator(0))]])
+    M = RingMatrix(z3, [[element(z3, z3.generators()[0])]])
     with pytest.raises(NotStarInvariantError):
         order_unit_sos(M)
 

@@ -23,7 +23,6 @@ from gapcert.sdp import (
     SupportTooSmallError,
     _InvariantConstraints,
     _Iterate,
-    _block_maps,
     _psd_factor,
     _psd_project_invariant,
     _rebalance,
@@ -76,7 +75,7 @@ def test_build_rejects_small_basis():
 def test_build_rejects_non_star_invariant():
     model = CyclicModel(3)
     basis = ball(model, 1)
-    M = RingMatrix(model, [[element(model, model.generator(0))]])
+    M = RingMatrix(model, [[element(model, model.generators()[0])]])
     with pytest.raises(ValueError):
         build_problem(M, basis)
 
@@ -454,7 +453,7 @@ def test_psd_factor_projects_like_the_case_by_case_formula(kind):
         P = B @ B.T
         assert np.array_equal(P, P.T)
         trivial = GramSymmetry.trivial(len(A))
-        assert np.array_equal(_psd_project_invariant(A[None], trivial, _block_maps(trivial))[0], P)
+        assert np.array_equal(_psd_project_invariant(A[None], trivial)[0], P)
         ref = psd_project_by_cases(A)
         assert np.abs(P - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
         if len(A):
@@ -504,11 +503,11 @@ def test_step_driven_from_outside_solve_repeats_its_trajectory():
     opts = SolveOptions(tol_primal=0.0, tol_dual=0.0, max_iter=500)
     sol = solve(prob, opts)
     sym = gram_symmetry(prob)
-    cons, maps = _InvariantConstraints(prob, sym), _block_maps(sym)
+    cons = _InvariantConstraints(prob, sym)
     cur = _Iterate(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), 0.0, sdp._RHO)
     rho = {}
     for it in range(1, opts.max_iter + 1):
-        new, X, xlam = _step(cur, cons, sym, maps)
+        new, X, xlam = _step(cur, cons, sym)
         check = it % sdp._CHECK_EVERY == 0 or it == 1
         if check or it == opts.max_iter:
             rp, rd = _residuals(cur, new, X)
@@ -640,7 +639,7 @@ def _assert_irreps(sym):
                 assert np.allclose(rho[sym.ldiv[h, h2]], rho[h].T @ rho[h2], rtol=0, atol=1e-15)
     chars = np.array([np.trace(rho, axis1=1, axis2=2) for rho in sym.irreps])
     assert np.allclose(chars @ chars.T / g, np.eye(len(chars)), rtol=0, atol=1e-15)
-    into, back = _block_maps(sym)
+    into, back = sym.maps
     assert into.shape == back.shape == (g, g)
     assert np.allclose(back @ into.T, np.eye(g), rtol=0, atol=1e-15)
 
@@ -656,7 +655,7 @@ def test_gram_symmetry_is_trivial_without_an_exact_symmetry():
     targets = prob.targets.copy()
     pid = prob.table.pid[0, 5]
     targets[0, 1, pid] += 1.0
-    targets[1, 0, prob.inverse_pid[pid]] += 1.0
+    targets[1, 0, prob.table.inverse_pid[pid]] += 1.0
     problems.append(SdpProblem(prob.n, prob.basis, targets))
     for prob in problems:
         sym = gram_symmetry(prob)
@@ -679,7 +678,7 @@ def test_reduced_projection_matches_dense_projection(preset):
         A = A[np.ix_(sym.order, sym.order)]
         B = _psd_factor(A)
         dense = B @ B.T
-        C = _psd_project_invariant(_invariant_coordinates(A, sym), sym, _block_maps(sym))
+        C = _psd_project_invariant(_invariant_coordinates(A, sym), sym)
         reduced = sym.expand(C)[np.ix_(sym.order, sym.order)]
         assert np.abs(reduced - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -738,7 +737,7 @@ def _dense_residual(prob, V, vlam):
     n, npairs = prob.n, prob.npairs
     r = np.bincount(_slots(prob).ravel(), weights=V.ravel(), minlength=n * n * npairs)
     r -= prob.targets.ravel()
-    r[np.arange(n) * (n + 1) * npairs + prob.identity_pid] += vlam
+    r[np.arange(n) * (n + 1) * npairs + prob.table.identity_pid] += vlam
     return r
 
 
@@ -747,7 +746,7 @@ def _dense_affine_projection(prob, V, vlam):
     n, m = prob.n, float(prob.m)
     slots = _slots(prob).ravel()
     cnt = np.tile(np.bincount(prob.table.pid.ravel(), minlength=prob.npairs), n * n)
-    lam_ids = np.arange(n) * (n + 1) * prob.npairs + prob.identity_pid
+    lam_ids = np.arange(n) * (n + 1) * prob.npairs + prob.table.identity_pid
     resid = _dense_residual(prob, V, vlam)
     mu = resid / cnt
     rl = resid[lam_ids]
@@ -793,7 +792,7 @@ def test_invariant_psd_step_matches_dense(preset, seed):
     C = _invariant_coordinates(P[np.ix_(sym.order, sym.order)], sym)
     B = _psd_factor(P)
     dense = B @ B.T
-    reduced = sym.expand(_psd_project_invariant(C, sym, _block_maps(sym)))
+    reduced = sym.expand(_psd_project_invariant(C, sym))
     assert np.abs(reduced - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -821,7 +820,7 @@ def test_trivial_group_coordinates_are_the_matrix():
     A = A + A.T
     assert np.array_equal(sym.expand(A[None]), A)
     B = _psd_factor(A)
-    assert np.array_equal(_psd_project_invariant(A[None], sym, _block_maps(sym))[0], B @ B.T)
+    assert np.array_equal(_psd_project_invariant(A[None], sym)[0], B @ B.T)
 
 
 def _z2_translation():

@@ -26,9 +26,9 @@ from .groups import (  # noqa: F401
     model_from_spec,
     validate_model,
 )
-from .ring import RingElement, RingMatrix  # noqa: F401
 from .fox import (  # noqa: F401
     Laplacian1,
+    TermMatrix,
     default_relator_indices,
     evaluate_representation,
     laplacian1,

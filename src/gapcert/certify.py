@@ -247,9 +247,10 @@ def certified_gap(target, basis: SupportBasis, Q: np.ndarray, lam: float) -> Gap
     """Certify target - lambda0*I as a sum of squares, lambda0 rounded down.
 
     `target` is a Laplacian1 (which yields a full self-contained
-    certificate) or a plain exact *-invariant RingMatrix (no certificate,
-    bound only).  Q may be rectangular with n*|E| columns; its entries and
-    lambda are taken as the exact values of their doubles.
+    certificate) or a plain exact *-invariant TermMatrix (no certificate,
+    bound only), read by target_coefficients.  Q may be rectangular with
+    n*|E| columns; its entries and lambda are taken as the exact values of
+    their doubles.
     """
     Q, lam = np.asarray(Q, dtype=float), float(lam)
     if not isinstance(target, Laplacian1):
@@ -278,7 +279,7 @@ def _certified_bound(matrix, basis: SupportBasis, Q: np.ndarray, lam: float):
     on products outside the basis' table are charged to |r|_1 in full.
     """
     inside, outside = target_coefficients(matrix, basis)
-    n, m = matrix.n_rows, len(basis)
+    n, m = len(matrix.entries), len(basis)
     if Q.ndim != 2 or Q.shape[1] != n * m:
         raise ValueError(f"Q must have n*|E| = {n * m} columns, got shape {Q.shape}")
     if not np.isfinite(Q).all():
@@ -605,7 +606,10 @@ def _reprs(x: np.ndarray) -> np.ndarray:
 def _decimal(value, field: str) -> float:
     if not isinstance(value, str):
         raise ValueError(f"{field} must be a decimal string, got {value!r}")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{field} must be finite, got {value!r}")
+    return x
 
 
 @dataclass

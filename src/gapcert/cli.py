@@ -165,8 +165,19 @@ def cmd_ball(args) -> int:
 def cmd_laplacian(args) -> int:
     p, model = _load_input(args)
     indices = _relator_indices(args, p)
-    lap = laplacian1(model, p, indices)
-    _emit(lap.matrix.to_json(), args.out)
+    entries = laplacian1(model, p, indices).matrix.entries
+    _emit(
+        {
+            "model": model.spec(),
+            "n_rows": len(entries),
+            "n_cols": len(entries[0]),
+            "entries": [
+                [[[model.key_to_json(g), str(e[g])] for g in e.support()] for e in row]
+                for row in entries
+            ],
+        },
+        args.out,
+    )
     return 0
 
 
@@ -390,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(func=cmd_ball)
 
-    s = subs.add_parser("laplacian", help="emit the Laplacian as ring-matrix JSON")
+    s = subs.add_parser("laplacian", help="emit the Laplacian as JSON")
     _add_input_opts(s)
     _add_relator_opt(s)
     s.add_argument("--out")

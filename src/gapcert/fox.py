@@ -8,9 +8,11 @@ inverse letter, d(s^-1)/d(s) = -s^-1, is forced by applying the product
 rule to s s^-1 = e and is covered by a dedicated unit test.
 
 laplacian1 adds the outer products (1 - s_i)(1 - s_j)* and d_i(r)* d_j(r)
-straight into one coefficient dict per entry (i, j); the RingMatrix
-formula d0 d0* + sum_r J(r)* J(r) is the test oracle reference_laplacian,
-whose derivatives come from the oracles' own product-rule fox_derivative.
+straight into one coefficient dict per entry (i, j), a Terms, and returns
+them as a TermMatrix: the Laplacian has no other representation.  The
+ring-matrix formula d0 d0* + sum_r J(r)* J(r) is the test oracle
+reference_laplacian, whose exact ring arithmetic and derivatives (the
+product-rule fox_derivative) live in tests/_oracles.py.
 Each relator's derivatives by all generators come from one walk along its
 prefixes, every coefficient is an int, as Fox derivatives make it, and
 each distinct product g*h is computed once per call, in a memo local to
@@ -22,13 +24,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .groups import FreeModel, GroupModel, Key, ball_elements
-from .ring import RingElement, RingMatrix
 from .words import Presentation, Word
+
+
+class Terms(dict):
+    """One Laplacian entry: group element (a key) -> nonzero int coefficient."""
+
+    __slots__ = ()
+
+    def support(self) -> List[Key]:
+        """The group elements with a coefficient, in key order."""
+        return sorted(self)
+
+
+class TermMatrix(NamedTuple):
+    """Rows of entries over one model; perfbench reads exactly these two fields."""
+
+    model: GroupModel
+    entries: Sequence[Sequence[Mapping[Key, object]]]
 
 
 def _derivative_row(model: GroupModel, w: Word, product) -> List[Dict[Key, int]]:
@@ -75,7 +93,7 @@ def default_relator_indices(p: Presentation) -> List[int]:
 class Laplacian1:
     """The matrix d0 d0* + sum_{r in R'} J(r)* J(r) with its provenance."""
 
-    matrix: RingMatrix
+    matrix: TermMatrix
     presentation: Presentation
     relator_indices: Tuple[int, ...]
 
@@ -124,16 +142,20 @@ def laplacian1(
             for coeffs in _derivative_row(model, p.relators[k], product)
         ]
         add_outer(star(row), row)
-    matrix = RingMatrix(model, [[RingElement(model, cell) for cell in r] for r in cells])
-    return Laplacian1(matrix, p, indices)
+    # coefficients that cancel to 0 leave the entry
+    entries = tuple(tuple(Terms((g, c) for g, c in cell.items() if c) for cell in r) for r in cells)
+    return Laplacian1(TermMatrix(model, entries), p, indices)
 
 
 def evaluate_representation(
-    M: RingMatrix,
+    M: TermMatrix,
     images: Sequence[np.ndarray],
     presentation: Presentation,
 ) -> np.ndarray:
     """Block matrix of the entrywise image sums; hermitian for *-invariant M.
+
+    M is a TermMatrix whose rows of {group element: coefficient} may be
+    rectangular: a column such as d0 is evaluated as a column of blocks.
 
     The generator images must be square, of one size and unitary to 1e-10.
     A BFS of at most 64 steps multiplies them out until each support
@@ -160,7 +182,7 @@ def evaluate_representation(
         steps.setdefault(g, m)
         steps.setdefault(model.inverse(g), m.conj().T)
     table = {model.identity(): eye}
-    pending = {g for row in M.entries for e in row for g in e.coeffs} - table.keys()
+    pending = {g for row in M.entries for e in row for g in e} - table.keys()
     frontier = list(table)
     for _ in range(64):
         if not pending or not frontier:
@@ -185,12 +207,12 @@ def evaluate_representation(
             img = img @ (mats[idx] if sign > 0 else mats[idx].conj().T)
         if np.max(np.abs(img - eye)) > 1e-10:
             raise ValueError(f"images violate relator {label}")
-    out = np.zeros((M.n_rows * k, M.n_cols * k), dtype=np.result_type(*mats))
+    out = np.zeros((len(M.entries) * k, len(M.entries[0]) * k), dtype=np.result_type(*mats))
     for i, row in enumerate(M.entries):
         for j, e in enumerate(row):
             block = np.zeros((k, k), dtype=out.dtype)
-            for g in e.support():
-                block += float(e.coefficient(g)) * table[g]
+            for g in sorted(e):
+                block += float(e[g]) * table[g]
             out[i * k:(i + 1) * k, j * k:(j + 1) * k] = block
     return out
 

@@ -40,6 +40,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from typing import Iterator, List, NamedTuple, Optional, Tuple
@@ -53,8 +54,7 @@ from .groups import (
     basis_from_json,
     model_from_spec,
 )
-from .ring import RingMatrix
-from .fox import Laplacian1
+from .fox import Laplacian1, TermMatrix
 
 
 class SupportTooSmallError(ValueError):
@@ -102,36 +102,35 @@ class SdpProblem:
         )
 
 
-def _is_star_invariant(matrix: RingMatrix) -> bool:
-    """Whether the matrix is square and entry (j, i) is entry (i, j) with each g made g^-1."""
-    inverse, rows = matrix.model.inverse, matrix.entries
-    return matrix.n_rows == matrix.n_cols and all(
-        rows[j][i].coeffs == {inverse(g): c for g, c in e.coeffs.items()}
-        for i, row in enumerate(rows)
-        for j, e in enumerate(row)
-    )
-
-
-def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
+def target_coefficients(matrix: TermMatrix, basis: SupportBasis):
     """Exact coefficients of a *-invariant target, split by the product table.
 
-    Returns ({(i, j, pid): c} for the products x^-1 y over the basis,
-    [(g, c)] for every coefficient on a product outside them), both in
-    row-major entry order and sorted support.
+    matrix's entries are n rows of n mappings from group element to an int
+    or Fraction coefficient; zero coefficients are skipped, and any other
+    coefficient type is a ValueError.  Returns ({(i, j, pid): c} for the
+    products x^-1 y over the basis, [(g, c)] for every coefficient on a
+    product outside them), both in row-major entry order and sorted support.
     """
-    if matrix.model is not basis.model and matrix.model.spec() != basis.model.spec():
+    model, rows = matrix.model, matrix.entries
+    if model is not basis.model and model.spec() != basis.model.spec():
         raise ValueError("target and basis use different models")
-    if not _is_star_invariant(matrix):
+    terms = {}
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ValueError("target matrix must be square and *-invariant")
+        for j, entry in enumerate(row):
+            for g in sorted(entry):
+                c = entry[g]
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise ValueError(f"target coefficients must be ints or Fractions, got {c!r}")
+                if c:
+                    terms[i, j, g] = c
+    # *-invariant: entry (j, i) is entry (i, j) with each g made g^-1
+    if not rows or any(terms.get((j, i, model.inverse(g))) != c for (i, j, g), c in terms.items()):
         raise ValueError("target matrix must be square and *-invariant")
-    terms = [
-        (i, j, g, entry.coeffs[g])
-        for i, row in enumerate(matrix.entries)
-        for j, entry in enumerate(row)
-        for g in entry.support()
-    ]
-    pids = basis.products().find([g for _, _, g, _ in terms])
+    pids = basis.products().find([g for _, _, g in terms])
     inside, outside = {}, []
-    for (i, j, g, c), pid in zip(terms, pids):
+    for ((i, j, g), c), pid in zip(terms.items(), pids):
         if pid is None:
             outside.append((g, c))
         else:
@@ -142,14 +141,15 @@ def target_coefficients(matrix: RingMatrix, basis: SupportBasis):
 def build_problem(source, basis: SupportBasis) -> SdpProblem:
     """Build the SDP for `source - lambda * I` over the given basis.
 
-    `source` is a Laplacian1 or a square *-invariant exact RingMatrix whose
-    support must be covered by products over the basis.
+    `source` is a Laplacian1 or a TermMatrix, a square *-invariant exact
+    target (target_coefficients) whose support must be covered by products
+    over the basis.
     """
     matrix = source.matrix if isinstance(source, Laplacian1) else source
     inside, outside = target_coefficients(matrix, basis)
     if outside:
         raise SupportTooSmallError(dict.fromkeys(g for g, _ in outside))
-    n = matrix.n_rows
+    n = len(matrix.entries)
     targets = np.zeros((n, n, len(basis.products())))
     for cell, c in inside.items():
         targets[cell] = float(c)

@@ -3,20 +3,116 @@
 Everything here is deliberately primitive (brute-force enumeration, naive
 matrix products, exact rational ring arithmetic routed through verify_sos
 factors, the order-unit construction) so that expected values never come
-from the code paths under test.  gapcert.ring has containers only; the
-exact ring arithmetic (add, mul, star, adjoint, identity, l1) lives here.
+from the code paths under test.  gapcert keeps the Laplacian as one
+coefficient dict per entry (gapcert.fox.TermMatrix) and has no ring
+arithmetic; the exact group ring lives here: RingElement and RingMatrix,
+with their Fraction coefficients, type checks, == and repr, and the
+arithmetic over them (add, mul, star, adjoint, identity, l1).  as_target
+hands a RingMatrix to gapcert in its TermMatrix shape, and ring_matrix
+takes gapcert's TermMatrix back.
 """
 
 import json
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from gapcert.certify import Certificate
-from gapcert.groups import Key, SupportBasis, model_from_spec
-from gapcert.ring import RingElement, RingMatrix
+from gapcert.fox import TermMatrix
+from gapcert.groups import GroupModel, Key, SupportBasis, model_from_spec
+
+
+Coefficient = Union[int, Fraction]
+
+
+class RingElement:
+    """Sparse element of the group ring: group element (a key) -> coefficient.
+
+    Coefficients are exact: ints or Fractions, kept as given, zeros
+    dropped; any other type, floats and bools included, is a TypeError.
+    """
+
+    __slots__ = ("model", "coeffs")
+
+    def __init__(self, model: GroupModel, coeffs: Dict[Key, Coefficient]):
+        clean = {}
+        for g, c in coeffs.items():
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+            if c:
+                clean[g] = c
+        self.model = model
+        self.coeffs = clean
+
+    def support(self) -> List[Key]:
+        return sorted(self.coeffs)
+
+    def coefficient(self, g: Key) -> Coefficient:
+        return self.coeffs.get(g, 0)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RingElement)
+            and (self.model is other.model or self.model.spec() == other.model.spec())
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "RingElement(0)"
+        parts = [f"{self.coeffs[g]}*[{g}]" for g in self.support()]
+        return "RingElement(" + " + ".join(parts) + ")"
+
+
+class RingMatrix:
+    """Dense matrix over sparse ring elements of one model."""
+
+    __slots__ = ("model", "entries")
+
+    def __init__(self, model: GroupModel, entries: Sequence[Sequence[RingElement]]):
+        rows = tuple(tuple(row) for row in entries)
+        if not rows or not rows[0]:
+            raise ValueError("matrix must have at least one row and column")
+        width = len(rows[0])
+        for row in rows:
+            if len(row) != width:
+                raise ValueError("ragged matrix rows")
+            for e in row:
+                if e.model is not model and e.model.spec() != model.spec():
+                    raise ValueError("entry model mismatch")
+        self.model = model
+        self.entries = rows
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.entries[0])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RingMatrix)
+            and (self.model is other.model or self.model.spec() == other.model.spec())
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"RingMatrix({self.n_rows}x{self.n_cols})"
+
+
+def as_target(M: RingMatrix) -> TermMatrix:
+    """M in the shape gapcert reads: its model and rows of {group element: coefficient}."""
+    return TermMatrix(M.model, tuple(tuple(e.coeffs for e in row) for row in M.entries))
+
+
+def ring_matrix(matrix: TermMatrix) -> RingMatrix:
+    """gapcert's TermMatrix, a Laplacian1's matrix for one, as an exact RingMatrix."""
+    model = matrix.model
+    return RingMatrix(model, [[RingElement(model, e) for e in row] for row in matrix.entries])
 
 
 Factor = Union[RingMatrix, Tuple[object, RingMatrix]]
@@ -491,7 +587,7 @@ def support_basis_from_json(data: dict) -> SupportBasis:
 
 
 def ring_matrix_from_json(data: dict) -> RingMatrix:
-    """Inverse of RingMatrix.to_json (the `gapcert laplacian` output)."""
+    """The RingMatrix that `gapcert laplacian` writes as JSON."""
     model = model_from_spec(data["model"])
     entries = [
         [

@@ -34,7 +34,6 @@ from gapcert.fox import laplacian1
 from gapcert.groups import CyclicModel, FreeModel, MatrixModel, SupportBasis, ball
 from gapcert.groups import basis_from_json, model_from_spec
 from gapcert.presets import load_preset
-from gapcert.ring import RingElement, RingMatrix
 from gapcert.sdp import SolveOptions, build_problem, solve
 from gapcert.words import parse_presentation
 
@@ -43,6 +42,7 @@ from _oracles import load_certificate
 from _oracles import symmetric_psd_sqrt
 from _oracles import rank_cut_psd_sqrt
 from _oracles import identity, l1, sum_of_squares
+from _oracles import RingElement, RingMatrix, as_target, ring_matrix
 
 
 def test_psd_sqrt_identity():
@@ -121,7 +121,7 @@ def test_rank_sized_factor_certifies_like_the_symmetric_root():
     basis = ball(model, 2)
     sol = solve(build_problem(lap, basis), SolveOptions(max_iter=300))
     Q = psd_sqrt(sol.P)
-    assert Q.shape[0] < lap.matrix.n_rows * len(basis) == Q.shape[1]
+    assert Q.shape[0] < len(lap.matrix.entries) * len(basis) == Q.shape[1]
     ours = certified_gap(lap, basis, Q, sol.lam).lambda0
     oracle = certified_gap(lap, basis, symmetric_psd_sqrt(sol.P), sol.lam).lambda0
     assert abs(ours - oracle) <= 1e-9
@@ -223,7 +223,7 @@ def test_certified_gap_refuses_non_square_and_non_star_invariant_targets():
     skew = RingMatrix(model, [[RingElement(model, {e: 2, t: 1})]])
     for target in (wide, skew):
         with pytest.raises(ValueError, match="square and \\*-invariant"):
-            certified_gap(target, basis, np.zeros((1, 3 * target.n_cols)), 0.0)
+            certified_gap(as_target(target), basis, np.zeros((1, 3 * target.n_cols)), 0.0)
 
 
 def test_coefficients_outside_the_basis_products_are_charged():
@@ -233,7 +233,7 @@ def test_coefficients_outside_the_basis_products_are_charged():
     lap = laplacian1(model, p)
     basis = SupportBasis(model, [model.identity()])
     got = certified_gap(lap, basis, np.array([[2.0]]), 1.0)
-    exact_bound, _ = exact_certified_gap(lap.matrix, basis, [[2.0]], 1.0)
+    exact_bound, _ = exact_certified_gap(ring_matrix(lap.matrix), basis, [[2.0]], 1.0)
     assert exact_bound == -3
     assert got.lambda0 <= exact_bound
     # the enclosure of the exact 4 is a few ulps wide
@@ -258,7 +258,7 @@ def test_interval_bound_never_beats_exact_rational_oracle():
             # target = sum F*F + lam*I makes the residual exactly zero
             target = sum_of_squares(model, n, q_rows_as_factors(model, basis, n, rows), lam)
             Q = np.array([[float(v) for v in row] for row in rows])
-            got = certified_gap(target, basis, Q, float(lam))
+            got = certified_gap(as_target(target), basis, Q, float(lam))
             exact_bound, _ = exact_certified_gap(target, basis, rows, lam)
             assert got.lambda0 <= exact_bound
             assert exact_bound - got.lambda0 < 1e-9
@@ -278,7 +278,7 @@ def test_sos_plus_margin_recovers_margin():
     for mu in (Fraction(1, 10), Fraction(1), Fraction(10)):
         target = sum_of_squares(model, n, q_rows_as_factors(model, basis, n, rows), mu)
         Q = np.array([[float(v) for v in row] for row in rows])
-        got = certified_gap(target, basis, Q, float(mu))
+        got = certified_gap(as_target(target), basis, Q, float(mu))
         assert got.lambda0 >= float(mu) - 1e-6
 
 
@@ -660,7 +660,7 @@ def test_huge_stored_radius_is_rejected_quickly():
     p, model = load_preset("sl3z")
     lap = laplacian1(model, p)
     basis = ball(model, 1)
-    Q = np.zeros((1, lap.matrix.n_rows * len(basis)))
+    Q = np.zeros((1, len(lap.matrix.entries) * len(basis)))
     data = json.loads(certified_gap(lap, basis, Q, 0.0).certificate.to_bytes())
     data["basis"]["radius"] = 12  # a ball of billions of elements
     cert = certificate_from_json_dict(data)
@@ -672,11 +672,35 @@ def test_huge_stored_radius_is_rejected_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("value", ["-inf", "nan", "inf"], ids=["minus_inf", "nan", "inf"])
+def test_verify_refuses_a_non_finite_stored_lambda0(capsys, tmp_path, value):
+    # "-inf" with a no-positive-gap status once passed, and printed -Infinity, which is not JSON
+    data = json.loads((Path(__file__).parent / "data" / "z3-r1-certificate.json").read_bytes())
+    data.update(certified_lambda0=value, status="no-positive-gap")
+    message = f"certified_lambda0 must be finite, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_certificate(certificate_from_json_dict(data))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["solver_lambda", "residual_l1_sup"])
+def test_verify_refuses_the_other_non_finite_stored_claims(field):
+    data = json.loads((Path(__file__).parent / "data" / "z3-r1-certificate.json").read_bytes())
+    for value in ("nan", "inf", "-inf"):
+        data[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            verify_certificate(certificate_from_json_dict(data))
+
+
 def test_certificate_for_raw_matrix_is_none():
     model = CyclicModel(3)
     basis = ball(model, 1)
     target = identity(model, 1, 4)
-    result = certified_gap(target, basis, np.zeros((3, 3)), 0.0)
+    result = certified_gap(as_target(target), basis, np.zeros((3, 3)), 0.0)
     assert result.certificate is None
     assert result.lambda0 <= -4.0
 
@@ -839,7 +863,7 @@ def test_bound_encloses_the_exact_residual_l1():
         p, model = load_preset(preset)
         lap = laplacian1(model, p)
         basis = ball(model, radius)
-        n = lap.matrix.n_rows
+        n = len(lap.matrix.entries)
         N = n * len(basis)
         for _ in range(3):
             Q = rng.uniform(-1, 1, size=(int(rng.integers(1, N + 1)), N)) / 3
@@ -847,8 +871,8 @@ def test_bound_encloses_the_exact_residual_l1():
             # the Laplacian, and a target that this Q meets exactly: |r|_1 = 0
             factors = q_rows_as_factors(model, basis, n, Q.tolist())
             exact_sos = sum_of_squares(model, n, factors, Fraction(lam))
-            for target in (lap.matrix, exact_sos):
-                got = certified_gap(target, basis, Q, lam)
+            for target in (ring_matrix(lap.matrix), exact_sos):
+                got = certified_gap(as_target(target), basis, Q, lam)
                 exact_bound, residual = exact_certified_gap(target, basis, Q.tolist(), lam)
                 lo, hi = got.residual_l1
                 assert Fraction(lo) <= l1(residual) <= Fraction(hi)
@@ -937,7 +961,7 @@ def test_bound_bits_are_pinned_on_the_committed_six_row_certificate():
     model = model_from_spec(f["model"])
     lap = laplacian1(model, parse_presentation(f["presentation"]["text"]), f["relators"]["indices"])
     basis = basis_from_json(model, f["basis"]["keys"], f["basis"]["radius"])
-    assert cert.q.shape == (29, 42) and lap.matrix.n_rows == 6
+    assert cert.q.shape == (29, 42) and len(lap.matrix.entries) == 6
     got = certified_gap(lap, basis, cert.q, float(f["solver_lambda"]))
     assert (got.lambda0, *got.residual_l1) == (
         -0.5167651378009, 3.2732122770155433e-06, 3.273223463118534e-06

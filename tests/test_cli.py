@@ -84,11 +84,16 @@ def test_laplacian_json_round_trip(capsys):
 
 
 @pytest.mark.parametrize("argv,digest", [
-    ("sl3z", "14bbd266ed45217739fadb146e4784247c2272dcdf2c0ee433221d1d4354f5e4"),
-    ("sl3z-mod:2 --exclude-relator none", "68d6045a6aae121a3ec5962fed0d2a6bac87723dc0a040e232f1ade249ef314c"),
+    ("--preset sl3z", "14bbd266ed45217739fadb146e4784247c2272dcdf2c0ee433221d1d4354f5e4"),
+    ("--preset sl3z-mod:2 --exclude-relator none",
+     "68d6045a6aae121a3ec5962fed0d2a6bac87723dc0a040e232f1ade249ef314c"),
+    # the paper's operator: all twelve Steinberg relators over SL(3,Z)
+    ("--file {data}/sl3z-steinberg.txt --model {data}/sl3z-model.json --exclude-relator none",
+     "8e52e5efdc16b9d3d2158515351f0bc32ecfb846c308be6d1f4cb337677774a0"),
 ])
 def test_laplacian_bytes_are_pinned(capsys, argv, digest):
-    code, out, _ = _run(capsys, "laplacian", "--preset", *argv.split())
+    data = Path(__file__).parent / "data"
+    code, out, _ = _run(capsys, "laplacian", *(arg.format(data=data) for arg in argv.split()))
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,15 +6,18 @@ import pytest
 
 from gapcert.groups import CyclicModel, FreeModel, ball
 from gapcert.presets import load_preset
-from gapcert.ring import RingElement, RingMatrix
+from gapcert.cli import main
 
 from _oracles import add, adjoint, element, identity, l1, mul, star, sum_of_squares
 from _oracles import (
     NotStarInvariantError,
+    RingElement,
+    RingMatrix,
     order_unit_sos,
     random_ring_element,
     random_star_invariant_matrix,
     ring_matrix_from_json,
+    ring_matrix,
     verify_sos,
 )
 
@@ -212,11 +216,10 @@ def test_order_unit_rejects_non_star_invariant(z3):
         order_unit_sos(M)
 
 
-def test_ring_matrix_json_round_trip_exact():
-    _, model = load_preset("sl3z")
+def test_ring_matrix_json_round_trip_exact(capsys):
     from gapcert.fox import laplacian1
     p, model = load_preset("z3")
     lap = laplacian1(model, p)
-    data = lap.matrix.to_json()
-    back = ring_matrix_from_json(data)
-    assert back == lap.matrix
+    assert main(["laplacian", "--preset", "z3"]) == 0
+    back = ring_matrix_from_json(json.loads(capsys.readouterr().out))
+    assert back == ring_matrix(lap.matrix)

@@ -12,10 +12,9 @@ import pytest
 
 from gapcert import sdp
 from gapcert.certify import certified_gap, psd_sqrt
-from gapcert.fox import laplacian1
+from gapcert.fox import TermMatrix, laplacian1
 from gapcert.groups import CyclicModel, SupportBasis, ball, model_from_spec
 from gapcert.presets import load_preset
-from gapcert.ring import RingMatrix
 from gapcert.sdp import (
     GramSymmetry,
     SdpProblem,
@@ -39,6 +38,7 @@ from gapcert.words import Presentation, Word
 from _oracles import export_keys, first_difference, psd_project_by_cases, reconstruct_exact
 from _oracles import entry_lines, sdpa_text
 from _oracles import add, adjoint, class_elements, element, identity, l1
+from _oracles import RingMatrix, as_target, ring_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,7 +77,47 @@ def test_build_rejects_non_star_invariant():
     basis = ball(model, 1)
     M = RingMatrix(model, [[element(model, model.generators()[0])]])
     with pytest.raises(ValueError):
-        build_problem(M, basis)
+        build_problem(as_target(M), basis)
+
+
+def _assert_walk_refuses(target, basis, message):
+    """The target walk refuses target with message, in build_problem and in certified_gap."""
+    with pytest.raises(ValueError, match=message):
+        build_problem(target, basis)
+    with pytest.raises(ValueError, match=message):
+        certified_gap(target, basis, np.zeros((1, 3)), 0.0)  # the walk comes before Q's shape
+
+
+@pytest.mark.parametrize("entries", [
+    (), ((),), (({0: 1}, {}),), (({0: 1},), ({},)), (({0: 1}, {}), ({},)),
+], ids=["empty", "no_columns", "wide", "tall", "ragged"])
+def test_target_walk_refuses_empty_ragged_and_non_square_targets(entries):
+    model = CyclicModel(3)
+    message = r"^target matrix must be square and \*-invariant$"
+    _assert_walk_refuses(TermMatrix(model, entries), ball(model, 1), message)
+
+
+@pytest.mark.parametrize("c", [True, False, 1.0, 0.5], ids=["true", "false", "one", "half"])
+def test_target_walk_refuses_float_and_bool_coefficients(c):
+    # exact only: ints and Fractions; a bool is refused before its zero is skipped
+    model = CyclicModel(3)
+    target = TermMatrix(model, (({0: 2, 1: c, 2: c},),))
+    message = f"^target coefficients must be ints or Fractions, got {c!r}$"
+    _assert_walk_refuses(target, ball(model, 1), message)
+
+
+def test_target_walk_skips_zero_coefficients():
+    # zeros on 2 and 3 are neither uncovered nor a break of *-invariance
+    model = CyclicModel(5)
+    basis = SupportBasis(model, [model.identity()])
+    with pytest.raises(SupportTooSmallError) as exc:
+        build_problem(TermMatrix(model, (({0: 2, 1: 1, 4: 1, 2: 0, 3: Fraction(0)},),)), basis)
+    assert exc.value.uncovered == [1, 4]
+    zeros = TermMatrix(model, (({0: 2, 2: 0}, {1: 0}), ({}, {0: Fraction(3)})))
+    plain = TermMatrix(model, (({0: 2}, {}), ({}, {0: 3})))
+    assert np.array_equal(build_problem(zeros, basis).targets, build_problem(plain, basis).targets)
+    Q = np.array([[1.0, 0.5]])
+    assert certified_gap(zeros, basis, Q, 1.0) == certified_gap(plain, basis, Q, 1.0)
 
 
 def test_sl3z_radius2_problem_size_regression():
@@ -105,7 +145,7 @@ def test_constraint_completeness_rational_reconstruction():
         # symmetrize and star-symmetrize the target
         M = reconstruct_exact(SdpProblem(n, basis, np.zeros((n, n, len(basis.products())))), P)
         target = add(M, adjoint(M))
-        prob = build_problem(target, basis)
+        prob = build_problem(as_target(target), basis)
         Psym = [
             [P[i][j] + P[j][i] for j in range(rows)] for i in range(rows)
         ]
@@ -553,7 +593,7 @@ def test_optimal_solution_exact_l1_residual_bound():
     sol = solve(prob, SolveOptions(tol_primal=tol, tol_dual=tol))
     recon = reconstruct_exact(prob, sol.P)
     lam = Fraction(sol.lam)
-    target = add(lap.matrix, identity(lap.matrix.model, 1, lam), -1)
+    target = add(ring_matrix(lap.matrix), identity(lap.matrix.model, 1, lam), -1)
     diff = add(recon, target, -1)
     pairs = prob.n * (prob.n + 1) // 2 * prob.npairs  # (i <= j, class) pairs
     assert float(l1(diff)) < 10 * tol * pairs
